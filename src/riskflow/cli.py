@@ -22,11 +22,11 @@ import numpy as np
 
 from .errors import ConfigError, PolicyEnumerationError, RiskflowError
 from .forward import (DiscreteDistribution, assemble_forward_program,
-                      write_trajectory_csv)
+                      write_grid_csv, write_trajectory_csv)
 from .generator import (ControlledGenerator, augment_generator,
                         discretize_circle_diffusion, load_generator_triplets)
 from .grids import build_circle_grid, build_uniform_grid
-from .risk import RiskSpec
+from .risk import KINDS, RiskSpec
 from .solve import (LpFailureError, MarkovPolicy, SolveReport,
                     optimize_linear_risk, optimize_smooth_risk)
 from .validate import McConfig, simulate_paths, wasserstein1, enumerate_policies
@@ -96,9 +96,6 @@ class ProblemSpec:
         if self.y_max is not None:
             return self.y_max
         return 2.0 + self.gamma * max(self.a_min ** 2, self.a_max ** 2)
-
-
-_RISK_KINDS = ("expectation", "entropic", "entropic_linear", "mean_semideviation")
 
 
 def _expect_keys(obj: dict, allowed: dict, path: str):
@@ -175,8 +172,8 @@ def _check_spec(spec: ProblemSpec):
 
     if spec.family not in ("circle_follower", "custom"):
         bad("family", f"must be circle_follower or custom, got {spec.family!r}")
-    if spec.risk_kind not in _RISK_KINDS:
-        bad("risk.kind", f"must be one of {_RISK_KINDS}, got {spec.risk_kind!r}")
+    if spec.risk_kind not in KINDS:
+        bad("risk.kind", f"must be one of {KINDS}, got {spec.risk_kind!r}")
     if spec.theta < 0:
         bad("risk.theta", f"must be nonnegative, got {spec.theta}")
     if not 0.0 <= spec.beta <= 1.0:
@@ -338,27 +335,13 @@ def _risk_spec(spec: ProblemSpec) -> RiskSpec:
 
 
 def _write_policy_csvs(policy: MarkovPolicy, pieces: ProblemPieces, out_dir):
-    t = pieces.t_grid.points
+    t, y = pieces.t_grid.points, pieces.y_grid.points
     x = (pieces.base.state_grid.points if pieces.base.state_grid is not None
          else np.arange(pieces.base.dim, dtype=float))
-    y = pieces.y_grid.points
-    a = pieces.a_values
-    with open(out_dir / "policy.csv", "w", newline="") as fh:
-        fh.write("t,x,y,a,prob\n")
-        for k in range(policy.probs.shape[0]):
-            for i in range(len(x)):
-                for j in range(len(y)):
-                    row = policy.probs[k, i, j]
-                    for m in range(len(a)):
-                        fh.write(f"{t[k]:.17g},{x[i]:.17g},{y[j]:.17g},"
-                                 f"{a[m]:.17g},{row[m]:.17g}\n")
-    with open(out_dir / "policy_mask.csv", "w", newline="") as fh:
-        fh.write("t,x,y,reachable\n")
-        for k in range(policy.mask.shape[0]):
-            for i in range(len(x)):
-                for j in range(len(y)):
-                    fh.write(f"{t[k]:.17g},{x[i]:.17g},{y[j]:.17g},"
-                             f"{int(policy.mask[k, i, j])}\n")
+    write_grid_csv(out_dir / "policy.csv", ("t", "x", "y", "a", "prob"),
+                   (t, x, y, pieces.a_values), policy.probs, newline="\n")
+    write_grid_csv(out_dir / "policy_mask.csv", ("t", "x", "y", "reachable"),
+                   (t, x, y), policy.mask, newline="\n")
 
 
 def run(spec: ProblemSpec, out_dir) -> SolveReport:

@@ -11,7 +11,6 @@ optimizer.  Controls are attached to the new time slice: the step from
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -118,19 +117,23 @@ class TrajectoryDistribution:
         return len(self.slices)
 
 
+def write_grid_csv(path, header: Sequence[str], coords: Sequence[np.ndarray],
+                   values: np.ndarray, newline: str):
+    """Write one ``%.17g`` row per point of the ij-ordered product grid
+    ``coords``: the point's coordinates, then its entry of ``values``."""
+    grids = np.meshgrid(*coords, indexing="ij")
+    table = np.column_stack([g.ravel() for g in grids] + [np.ravel(values)])
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline=newline,
+                   header=",".join(header), comments="")
+
+
 def write_trajectory_csv(traj: TrajectoryDistribution, path, axes: Optional[Sequence[str]] = None):
     """Write ``t,<axes...>,mass`` rows; default axes are the slice axes."""
     axes = tuple(axes) if axes is not None else traj.slices[0].axes
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("t",) + axes + ("mass",))
-        for t, sl in zip(traj.times, traj.slices):
-            m = sl.marginal(axes) if axes != sl.axes else sl
-            grids = np.meshgrid(*m.coords, indexing="ij")
-            flat = [g.ravel() for g in grids]
-            for vals, w in zip(zip(*flat), m.mass.ravel()):
-                writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in vals]
-                                + [f"{w:.17g}"])
+    margs = [sl.marginal(axes) for sl in traj.slices]
+    write_grid_csv(path, ("t",) + axes + ("mass",), (traj.times,) + margs[0].coords,
+                   np.stack([m.mass for m in margs]), newline="\r\n")
 
 
 def _policy_mixed_generator(gen_slice, weights: np.ndarray) -> sp.csr_matrix:

@@ -8,7 +8,7 @@ are flattened x-major: ``z = x * n_y + y``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -84,7 +84,6 @@ class ControlledGenerator:
 
     per_action: tuple[RateMatrix, ...]
     state_grid: Optional[CircleGrid] = None
-    time_dependent: bool = False
 
     @property
     def dim(self) -> int:
@@ -118,18 +117,19 @@ def discount_factor(alpha: float, t: float, step: Optional[float] = None) -> flo
 class AugmentedGenerator:
     """Generator of the joint (state, running-cost) chain at a fixed time.
 
-    State transitions copy the base rates at every cost level; cost
-    accumulation is upwind transport to the next cost level at rate
-    ``discount * c(x, a) / dy``.  The transport rate is dropped at the top
-    cost cell (absorbing boundary) so rows still sum to zero.
+    State transitions copy the base rates at every cost level:
+    ``state_parts[a] = kron(Q_a, I_y)``.  Cost accumulation is upwind
+    transport to the next cost level at rate ``c(x, a) / dy``, dropped at
+    the top cost cell (absorbing boundary) so rows still sum to zero:
+    ``cost_parts[a]``.  Both are built once; time enters only through the
+    discount, ``per_action[a] = state_parts[a] + discount * cost_parts[a]``.
     """
 
     base: ControlledGenerator
-    cost_rate: np.ndarray  # (n_x, n_a), nonnegative
     alpha: float
     y_grid: UniformGrid
-    t: float
-    step: Optional[float]
+    state_parts: tuple[sp.csr_matrix, ...]
+    cost_parts: tuple[sp.csr_matrix, ...]
     per_action: tuple[RateMatrix, ...]
 
     @property
@@ -137,9 +137,11 @@ class AugmentedGenerator:
         return self.base.dim * self.y_grid.n
 
     def at(self, t: float, step: Optional[float] = None) -> "AugmentedGenerator":
-        """Rebuild the per-action matrices at another time point."""
-        return augment_generator(self.base, self.cost_rate, self.alpha,
-                                 self.y_grid, t, step=step)
+        """The same generator with the discount taken at another time point."""
+        disc = discount_factor(self.alpha, t, step)
+        return replace(self, per_action=tuple(
+            RateMatrix((x_part + disc * y_part).tocsr())
+            for x_part, y_part in zip(self.state_parts, self.cost_parts)))
 
 
 def _cost_shift(n_y: int) -> sp.csr_matrix:
@@ -169,18 +171,14 @@ def augment_generator(base: ControlledGenerator, cost_rate, alpha: float,
         raise InvalidCostError(f"cost rates must be nonnegative, min is {c.min()}")
     if alpha < 0:
         raise InvalidParameterError(f"discount rate must be nonnegative, got {alpha}")
-    n_y = y_grid.n
-    eye_y = sp.identity(n_y, format="csr")
-    shift = _cost_shift(n_y)
-    disc = discount_factor(alpha, t, step)
-    mats = []
-    for a in range(base.n_actions):
-        x_part = sp.kron(base.per_action[a].matrix, eye_y, format="csr")
-        y_part = sp.kron(sp.diags(c[:, a] / y_grid.spacing), shift, format="csr")
-        mats.append(RateMatrix((x_part + disc * y_part).tocsr()))
-    return AugmentedGenerator(base=base, cost_rate=c, alpha=float(alpha),
-                              y_grid=y_grid, t=float(t), step=step,
-                              per_action=tuple(mats))
+    eye_y = sp.identity(y_grid.n, format="csr")
+    shift = _cost_shift(y_grid.n)
+    state_parts = tuple(sp.kron(q.matrix, eye_y, format="csr") for q in base.per_action)
+    cost_parts = tuple(sp.kron(sp.diags(c[:, a] / y_grid.spacing), shift, format="csr")
+                       for a in range(base.n_actions))
+    return AugmentedGenerator(base=base, alpha=float(alpha), y_grid=y_grid,
+                              state_parts=state_parts, cost_parts=cost_parts,
+                              per_action=()).at(t, step)
 
 
 def load_generator_triplets(path, n_states: Optional[int] = None,

@@ -138,15 +138,20 @@ def apply_terminal_cost(joint: DiscreteDistribution, v: np.ndarray,
     hit = mass != 0.0  # support = values actually attained by mass
     if hit.any():
         totals, mass = totals[hit], mass[hit]
-    order = np.argsort(totals, kind="stable")
-    totals, mass = totals[order], mass[order]
-    # aggregate equal values
-    out_v, out_m = [totals[0]], [mass[0]]
-    for t, m in zip(totals[1:], mass[1:]):
-        if t - out_v[-1] <= merge_tol:
-            out_m[-1] += m
+    out_v, out_m = merge_support(totals, mass, merge_tol)
+    return DiscreteDistribution(axes=("cost",), coords=(out_v,), mass=out_m)
+
+
+def merge_support(values: np.ndarray, weights: np.ndarray,
+                  tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Sort ``values`` stably and add up, in order, the weights of the values
+    within ``tol`` of the first value of their group."""
+    order = np.argsort(values, kind="stable")
+    sup, wt = [values[order[0]]], [weights[order[0]]]
+    for v, w in zip(values[order[1:]], weights[order[1:]]):
+        if v - sup[-1] <= tol:
+            wt[-1] += w
         else:
-            out_v.append(t)
-            out_m.append(m)
-    return DiscreteDistribution(axes=("cost",), coords=(np.array(out_v),),
-                                mass=np.array(out_m))
+            sup.append(v)
+            wt.append(w)
+    return np.array(sup), np.array(wt)

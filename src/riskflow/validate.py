@@ -17,7 +17,7 @@ from .errors import InvalidParameterError, PolicyEnumerationError
 from .forward import DiscreteDistribution, _policy_mixed_generator, propagate_forward
 from .generator import ControlledGenerator, augment_generator, discount_factor
 from .grids import UniformGrid
-from .risk import RiskSpec, apply_terminal_cost, evaluate
+from .risk import RiskSpec, apply_terminal_cost, evaluate, merge_support
 from .solve import MarkovPolicy
 
 
@@ -174,23 +174,6 @@ def wasserstein1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     return float(np.abs(cdf_diff) @ np.diff(v))
 
 
-def _merge_support(p: DiscreteDistribution, q: DiscreteDistribution, tol=1e-12):
-    vp, mp = p.values_1d()
-    vq, mq = q.values_1d()
-    v = np.concatenate([vp, vq])
-    w = np.concatenate([mp, -mq])
-    order = np.argsort(v, kind="stable")
-    v, w = v[order], w[order]
-    sup, wt = [v[0]], [w[0]]
-    for vi, wi in zip(v[1:], w[1:]):
-        if vi - sup[-1] <= tol:
-            wt[-1] += wi
-        else:
-            sup.append(vi)
-            wt.append(wi)
-    return np.array(sup), np.array(wt)
-
-
 def bounded_lipschitz_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """sup of integral differences over f with sup-norm + Lipschitz-norm <= 1.
 
@@ -200,7 +183,9 @@ def bounded_lipschitz_distance(p: DiscreteDistribution, q: DiscreteDistribution)
     """
     from .solve import LpProblem, solve_lp  # deferred: solve imports this module
 
-    sup, wt = _merge_support(p, q)
+    vp, mp = p.values_1d()
+    vq, mq = q.values_1d()
+    sup, wt = merge_support(np.concatenate([vp, vq]), np.concatenate([mp, -mq]))
     n = len(sup)
     if np.abs(wt).max() < 1e-15:
         return 0.0

@@ -93,6 +93,18 @@ class TestRun:
         pol = np.loadtxt(out / "policy.csv", delimiter=",", skiprows=1)
         assert pol.shape == (4 * 5 * 4 * 3, 5)
 
+    def test_csv_headers_and_mask_values(self, tmp_path):
+        out = tmp_path / "out"
+        run(_build_spec(SMALL_CIRCLE), out)
+        heads = {"marginal_x.csv": b"t,x,mass\r\n", "marginal_y.csv": b"t,y,mass\r\n",
+                 "policy.csv": b"t,x,y,a,prob\n", "policy_mask.csv": b"t,x,y,reachable\n"}
+        for name, head in heads.items():
+            with open(out / name, "rb") as fh:
+                assert fh.readline() == head
+        lines = (out / "policy_mask.csv").read_bytes().split(b"\n")[1:-1]
+        assert {line.rsplit(b",", 1)[1] for line in lines} <= {b"0", b"1"}
+        assert len(lines) == 4 * 5 * 4
+
     def test_zero_cost_override_gives_zero_risk(self, tmp_path):
         payload = dict(SMALL_CIRCLE)
         payload["gamma"] = 0.0

@@ -134,6 +134,28 @@ class TestAugmentation:
             assert w in (z, z + 1)
         assert np.all(delta[np.arange(8, 12), np.arange(9, 13)] >= 0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("step", [None, 1.25])
+    def test_at_matches_fresh_augmentation(self, alpha, step):
+        grid, gen = circle_gen(5, actions=(-0.4, 0.0, 0.6))
+        yg = build_uniform_grid(0.0, 2.0, 6)
+        cost = np.linspace(0.0, 1.4, 15).reshape(5, 3)
+        shift = np.eye(6, k=1) - np.eye(6)
+        shift[-1] = 0.0  # absorbing top cost cell
+        aug = augment_generator(gen, cost, alpha, yg, t=0.0)
+        for t in (0.0, 0.5, 2.0, 7.3):
+            moved = aug.at(t, step)
+            fresh = augment_generator(gen, cost, alpha, yg, t=t, step=step)
+            assert len(moved.per_action) == len(fresh.per_action) == 3
+            disc = discount_factor(alpha, t, step)
+            for a, (got, want) in enumerate(zip(moved.per_action, fresh.per_action)):
+                for attr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(got.matrix, attr),
+                                          getattr(want.matrix, attr))
+                dense = (np.kron(gen.per_action[a].matrix.toarray(), np.eye(6))
+                         + disc * np.kron(np.diag(cost[:, a] / yg.spacing), shift))
+                assert np.allclose(got.matrix.toarray(), dense, rtol=1e-14, atol=1e-14)
+
     def test_negative_cost_rejected(self):
         grid, gen = circle_gen(4, actions=(0.0,))
         yg = build_uniform_grid(0.0, 1.0, 3)
