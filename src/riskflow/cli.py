@@ -12,17 +12,18 @@ README; unknown keys are rejected with their full key path.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, PolicyEnumerationError, RiskflowError
-from .forward import (DiscreteDistribution, assemble_forward_program,
-                      write_grid_csv, write_trajectory_csv)
+from .forward import (DiscreteDistribution, ForwardProgram,
+                      assemble_forward_program, write_grid_csv,
+                      write_trajectory_csv)
 from .generator import (ControlledGenerator, augment_generator,
                         discretize_circle_diffusion, load_generator_triplets)
 from .grids import build_circle_grid, build_uniform_grid
@@ -98,75 +99,99 @@ class ProblemSpec:
         return 2.0 + self.gamma * max(self.a_min ** 2, self.a_max ** 2)
 
 
-def _expect_keys(obj: dict, allowed: dict, path: str):
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key '{path}{key}'")
+# One row per config key: JSON key path -> (ProblemSpec attribute, value
+# type, inclusive lower bound or None).  ``solver.*`` and ``validation.*``
+# attributes live on the nested option dataclasses; a type in a one-element
+# tuple is a list of that type.
+_FIELDS = {
+    "family": ("family", str, None),
+    "sigma": ("sigma", float, None),
+    "gamma": ("gamma", float, None),
+    "alpha": ("alpha", float, 0.0),
+    "a_min": ("a_min", float, None),
+    "a_max": ("a_max", float, None),
+    "y_max": ("y_max", float, None),
+    "horizon": ("horizon", float, None),
+    "n_x": ("n_x", int, None),
+    "n_y": ("n_y", int, 2),
+    "n_a": ("n_a", int, None),
+    "n_t": ("n_t", int, 2),
+    "terminal_cost": ("terminal_cost", (float,), 0.0),
+    "generator_file": ("generator_file", str, None),
+    "n_states": ("n_states", int, 1),
+    "actions": ("actions", (float,), None),
+    "risk.kind": ("risk_kind", str, None),
+    "risk.theta": ("theta", float, 0.0),
+    "risk.beta": ("beta", float, 0.0),
+    "nu.point": ("nu_point", int, 0),
+    "nu.vector": ("nu_vector", (float,), 0.0),
+    "cost.constant": ("cost_constant", float, 0.0),
+    "cost.table": ("cost_table", ((float,),), 0.0),
+    "solver.tol_gap": ("solver.tol_gap", float, 0.0),
+    "solver.max_iter": ("solver.max_iter", int, 1),
+    "solver.max_fw_iter": ("solver.max_fw_iter", int, 1),
+    "solver.fw_tol": ("solver.fw_tol", float, 0.0),
+    "solver.mass_floor": ("solver.mass_floor", float, 0.0),
+    "validation.paths": ("validation.paths", int, 1),
+    "validation.seed": ("validation.seed", int, 0),
+}
+_SECTIONS = {path.split(".")[0] for path in _FIELDS if "." in path}
+
+
+def _convert(path: str, value, kind, lower):
+    """Check one JSON value strictly against its row of ``_FIELDS``."""
+    def bad(msg):
+        raise ConfigError(f"config key {path}: {msg}, got {value!r}")
+
+    if isinstance(kind, tuple):
+        if not isinstance(value, list):
+            bad("expected a list")
+        return tuple(_convert(path, v, kind[0], lower) for v in value)
+    if kind is str:
+        return value if isinstance(value, str) else bad("expected a string")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        bad("expected a number")
+    if not abs(value) <= sys.float_info.max:  # inf, nan, or an int beyond floats
+        bad("must be finite")
+    if kind is int and value != int(value):
+        bad("expected a whole number")
+    if lower is not None and value < lower:
+        bad("must be nonnegative" if lower == 0 else f"must be at least {lower}")
+    return kind(value)
 
 
 def _build_spec(raw: dict) -> ProblemSpec:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    top = {
-        "family": str, "sigma": float, "gamma": float, "alpha": float,
-        "a_min": float, "a_max": float, "y_max": float, "horizon": float,
-        "n_x": int, "n_y": int, "n_a": int, "n_t": int,
-        "risk": dict, "nu": dict, "terminal_cost": list,
-        "solver": dict, "validation": dict,
-        "generator_file": str, "n_states": int, "actions": list, "cost": dict,
-    }
-    _expect_keys(raw, top, "")
-    kw = {}
-    for key in ("family", "sigma", "gamma", "alpha", "a_min", "a_max", "y_max",
-                "horizon", "n_x", "n_y", "n_a", "n_t", "generator_file", "n_states"):
-        if key in raw and raw[key] is not None:
-            kw[key] = top[key](raw[key])
-    if "actions" in raw and raw["actions"] is not None:
-        kw["actions"] = tuple(float(a) for a in raw["actions"])
-    if "terminal_cost" in raw and raw["terminal_cost"] is not None:
-        kw["terminal_cost"] = tuple(float(v) for v in raw["terminal_cost"])
-
-    risk = raw.get("risk", {})
-    _expect_keys(risk, {"kind": str, "theta": float, "beta": float}, "risk.")
-    if "kind" in risk:
-        kw["risk_kind"] = str(risk["kind"])
-    if "theta" in risk:
-        kw["theta"] = float(risk["theta"])
-    if "beta" in risk:
-        kw["beta"] = float(risk["beta"])
-
-    nu = raw.get("nu", {})
-    _expect_keys(nu, {"point": int, "vector": list}, "nu.")
-    if "point" in nu and "vector" in nu:
-        raise ConfigError("nu.point and nu.vector are mutually exclusive")
-    if "point" in nu:
-        kw["nu_point"], kw["nu_vector"] = int(nu["point"]), None
-    elif "vector" in nu:
-        kw["nu_point"], kw["nu_vector"] = None, tuple(float(v) for v in nu["vector"])
-
-    sol = raw.get("solver", {})
-    sol_fields = {f.name: f.type for f in dataclasses.fields(SolverOptions)}
-    _expect_keys(sol, sol_fields, "solver.")
-    kw["solver"] = SolverOptions(**{k: type(getattr(SolverOptions(), k))(v)
-                                    for k, v in sol.items()})
-    val = raw.get("validation", {})
-    _expect_keys(val, {f.name: f.type for f in dataclasses.fields(ValidationOptions)},
-                 "validation.")
-    kw["validation"] = ValidationOptions(**{k: int(v) for k, v in val.items()})
-
-    cost = raw.get("cost", {})
-    _expect_keys(cost, {"constant": float, "table": list}, "cost.")
-    if "constant" in cost:
-        kw["cost_constant"] = float(cost["constant"])
-    if "table" in cost:
-        kw["cost_table"] = tuple(tuple(float(v) for v in row) for row in cost["table"])
-
-    spec = ProblemSpec(**kw)
+    flat = {}
+    for key, value in raw.items():
+        if key not in _SECTIONS:
+            if "." in key:  # only the keys inside a section are dotted
+                raise ConfigError(f"unknown config key '{key}'")
+            flat[key] = value
+        elif value is not None:
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {key}: expected an object")
+            flat.update((f"{key}.{sub}", v) for sub, v in value.items())
+    kw, options = {}, {"solver": {}, "validation": {}}
+    for path, value in flat.items():
+        if path not in _FIELDS:
+            raise ConfigError(f"unknown config key '{path}'")
+        if value is not None:  # null means the default
+            attr, kind, lower = _FIELDS[path]
+            section, _, name = attr.rpartition(".")
+            (options[section] if section else kw)[name] = _convert(path, value, kind, lower)
+    if "nu_vector" in kw:
+        kw.setdefault("nu_point", None)
+    spec = ProblemSpec(**kw, solver=SolverOptions(**options["solver"]),
+                       validation=ValidationOptions(**options["validation"]))
     _check_spec(spec)
     return spec
 
 
 def _check_spec(spec: ProblemSpec):
+    """What no single row of ``_FIELDS`` can say: choices, upper bounds,
+    family-specific inputs, and checks across keys."""
     def bad(path, msg):
         raise ConfigError(f"config key {path}: {msg}")
 
@@ -174,18 +199,10 @@ def _check_spec(spec: ProblemSpec):
         bad("family", f"must be circle_follower or custom, got {spec.family!r}")
     if spec.risk_kind not in KINDS:
         bad("risk.kind", f"must be one of {KINDS}, got {spec.risk_kind!r}")
-    if spec.theta < 0:
-        bad("risk.theta", f"must be nonnegative, got {spec.theta}")
-    if not 0.0 <= spec.beta <= 1.0:
+    if spec.beta > 1.0:
         bad("risk.beta", f"must be in [0, 1], got {spec.beta}")
-    if spec.n_t < 2:
-        bad("n_t", f"need at least two time points, got {spec.n_t}")
-    if spec.n_y < 2:
-        bad("n_y", f"need at least two cost levels, got {spec.n_y}")
     if spec.horizon <= 0:
         bad("horizon", f"must be positive, got {spec.horizon}")
-    if spec.alpha < 0:
-        bad("alpha", f"must be nonnegative, got {spec.alpha}")
     if spec.family == "circle_follower":
         if spec.sigma <= 0:
             bad("sigma", f"must be positive, got {spec.sigma}")
@@ -200,27 +217,24 @@ def _check_spec(spec: ProblemSpec):
     else:
         if spec.generator_file is None:
             bad("generator_file", "required for the custom family")
-        if spec.actions is None or len(spec.actions) == 0:
+        if not spec.actions:
             bad("actions", "custom family needs an explicit action list")
         if spec.cost_constant is None and spec.cost_table is None:
             bad("cost", "custom family needs cost.constant or cost.table")
-    if spec.y_max is not None and spec.y_max <= 0:
-        bad("y_max", f"must be positive, got {spec.y_max}")
+    if spec.cost_table is not None and len(set(map(len, spec.cost_table))) != 1:
+        bad("cost.table", "needs rows of one length")
+    if spec.y_max_resolved <= 0:
+        bad("y_max", f"must be positive, got {spec.y_max_resolved}")
     n_x = spec.n_x if spec.family == "circle_follower" else spec.n_states
-    if spec.nu_vector is not None:
-        if n_x is not None and len(spec.nu_vector) != n_x:
-            bad("nu.vector", f"length {len(spec.nu_vector)} != n_x {n_x}")
-        arr = np.asarray(spec.nu_vector)
-        if arr.min() < 0 or abs(arr.sum() - 1.0) > 1e-10:
-            bad("nu.vector", "must be a probability vector")
-    elif spec.nu_point is not None and n_x is not None:
-        if not 0 <= spec.nu_point < n_x:
-            bad("nu.point", f"index {spec.nu_point} outside 0..{n_x - 1}")
-    if spec.terminal_cost is not None:
-        if n_x is not None and len(spec.terminal_cost) != n_x:
-            bad("terminal_cost", f"length {len(spec.terminal_cost)} != n_x {n_x}")
-        if min(spec.terminal_cost) < 0:
-            bad("terminal_cost", "must be nonnegative")
+    if spec.nu_point is not None and spec.nu_vector is not None:
+        bad("nu", "nu.point and nu.vector are mutually exclusive")
+    for path, values in (("nu.vector", spec.nu_vector), ("terminal_cost", spec.terminal_cost)):
+        if values is not None and n_x is not None and len(values) != n_x:
+            bad(path, f"length {len(values)} != n_x {n_x}")
+    if spec.nu_vector is not None and abs(np.sum(spec.nu_vector) - 1.0) > 1e-10:
+        bad("nu.vector", "must be a probability vector")
+    if spec.nu_vector is None and n_x is not None and spec.nu_point >= n_x:
+        bad("nu.point", f"index {spec.nu_point} outside 0..{n_x - 1}")
 
 
 def load_config(path) -> ProblemSpec:
@@ -233,36 +247,18 @@ def load_config(path) -> ProblemSpec:
     return _build_spec(raw)
 
 
+def _to_json(value):
+    return [_to_json(v) for v in value] if isinstance(value, tuple) else value
+
+
 def serialize(spec: ProblemSpec) -> dict:
     """Inverse of load_config: a dict that reproduces ``spec`` exactly."""
-    out = {
-        "family": spec.family, "sigma": spec.sigma, "gamma": spec.gamma,
-        "alpha": spec.alpha, "a_min": spec.a_min, "a_max": spec.a_max,
-        "horizon": spec.horizon, "n_x": spec.n_x, "n_y": spec.n_y,
-        "n_a": spec.n_a, "n_t": spec.n_t,
-        "risk": {"kind": spec.risk_kind, "theta": spec.theta, "beta": spec.beta},
-        "solver": dataclasses.asdict(spec.solver),
-        "validation": dataclasses.asdict(spec.validation),
-    }
-    if spec.y_max is not None:
-        out["y_max"] = spec.y_max
-    if spec.nu_vector is not None:
-        out["nu"] = {"vector": list(spec.nu_vector)}
-    else:
-        out["nu"] = {"point": spec.nu_point}
-    if spec.terminal_cost is not None:
-        out["terminal_cost"] = list(spec.terminal_cost)
-    if spec.family == "custom":
-        out["generator_file"] = spec.generator_file
-        if spec.n_states is not None:
-            out["n_states"] = spec.n_states
-        out["actions"] = list(spec.actions)
-        cost = {}
-        if spec.cost_constant is not None:
-            cost["constant"] = spec.cost_constant
-        if spec.cost_table is not None:
-            cost["table"] = [list(r) for r in spec.cost_table]
-        out["cost"] = cost
+    out = {}
+    for path, (attr, _, _) in _FIELDS.items():
+        value = attrgetter(attr)(spec)
+        if value is not None:
+            *section, key = path.split(".")
+            (out.setdefault(section[0], {}) if section else out)[key] = _to_json(value)
     return out
 
 
@@ -293,35 +289,34 @@ def build_problem(spec: ProblemSpec) -> ProblemPieces:
             state_grid=x_grid)
         cost = (x_grid.distance(x_grid.points, 0.0)[:, None] ** 2
                 + spec.gamma * a_values[None, :] ** 2)
-        n_x = spec.n_x
-        x_points = x_grid.points
     else:
         base = load_generator_triplets(spec.generator_file, n_states=spec.n_states,
                                        n_actions=len(spec.actions))
         a_values = np.asarray(spec.actions, dtype=float)
-        n_x = base.dim
-        x_points = np.arange(n_x, dtype=float)
+        shape = (base.dim, len(a_values))
         if spec.cost_table is not None:
             cost = np.asarray(spec.cost_table, dtype=float)
-            if cost.shape != (n_x, len(a_values)):
-                raise ConfigError(
-                    f"config key cost.table: shape {cost.shape} != ({n_x}, {len(a_values)})")
+            if cost.shape != shape:
+                raise ConfigError(f"config key cost.table: shape {cost.shape} != {shape}")
         else:
-            cost = np.full((n_x, len(a_values)), float(spec.cost_constant))
+            cost = np.full(shape, float(spec.cost_constant))
+    n_x = base.dim
     y_grid = build_uniform_grid(0.0, spec.y_max_resolved, spec.n_y)
     t_grid = build_uniform_grid(0.0, spec.horizon, spec.n_t)
     if spec.nu_vector is not None:
         nu = np.asarray(spec.nu_vector, dtype=float)
     else:
-        nu = np.zeros(n_x)
-        nu[spec.nu_point] = 1.0
-    if len(nu) != n_x:
-        raise ConfigError(f"config key nu: length {len(nu)} != n_x {n_x}")
+        # longer than n_x when the point is out of range
+        nu = np.bincount([spec.nu_point], minlength=n_x).astype(float)
+    v = None if spec.terminal_cost is None else np.asarray(spec.terminal_cost, dtype=float)
+    for path, values in (("nu", nu), ("terminal_cost", v)):
+        if values is not None and len(values) != n_x:
+            raise ConfigError(f"config key {path}: length {len(values)} != n_x {n_x}")
     initial = np.zeros((n_x, spec.n_y))
     initial[:, 0] = nu
     initial_xy = DiscreteDistribution(axes=("x", "y"),
-                                      coords=(x_points, y_grid.points), mass=initial)
-    v = None if spec.terminal_cost is None else np.asarray(spec.terminal_cost, dtype=float)
+                                      coords=(base.state_points, y_grid.points),
+                                      mass=initial)
     return ProblemPieces(base=base, cost=cost, a_values=a_values, y_grid=y_grid,
                          t_grid=t_grid, nu=nu, initial_xy=initial_xy, v=v)
 
@@ -336,12 +331,17 @@ def _risk_spec(spec: ProblemSpec) -> RiskSpec:
 
 def _write_policy_csvs(policy: MarkovPolicy, pieces: ProblemPieces, out_dir):
     t, y = pieces.t_grid.points, pieces.y_grid.points
-    x = (pieces.base.state_grid.points if pieces.base.state_grid is not None
-         else np.arange(pieces.base.dim, dtype=float))
+    x = pieces.base.state_points
     write_grid_csv(out_dir / "policy.csv", ("t", "x", "y", "a", "prob"),
                    (t, x, y, pieces.a_values), policy.probs, newline="\n")
     write_grid_csv(out_dir / "policy_mask.csv", ("t", "x", "y", "reachable"),
                    (t, x, y), policy.mask, newline="\n")
+
+
+def _forward_program(spec: ProblemSpec, pieces: ProblemPieces) -> ForwardProgram:
+    aug = augment_generator(pieces.base, pieces.cost, spec.alpha, pieces.y_grid, t=0.0)
+    return assemble_forward_program(aug, pieces.initial_xy, pieces.t_grid,
+                                    a_values=pieces.a_values)
 
 
 def run(spec: ProblemSpec, out_dir) -> SolveReport:
@@ -356,10 +356,7 @@ def run(spec: ProblemSpec, out_dir) -> SolveReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pieces = build_problem(spec)
-    aug = augment_generator(pieces.base, pieces.cost, spec.alpha,
-                            pieces.y_grid, t=0.0)
-    fp = assemble_forward_program(aug, pieces.initial_xy, pieces.t_grid,
-                                  a_values=pieces.a_values)
+    fp = _forward_program(spec, pieces)
     risk = _risk_spec(spec)
     opts = spec.solver
     if risk.is_linear:
@@ -446,11 +443,7 @@ def run_oracle(spec: ProblemSpec) -> dict:
                                 pieces.t_grid, pieces.nu, enum_spec, v=pieces.v)
     out = {"enumeration_value": result.value, "n_policies": result.n_policies}
     if risk.is_linear:
-        aug = augment_generator(pieces.base, pieces.cost, spec.alpha,
-                                pieces.y_grid, t=0.0)
-        fp = assemble_forward_program(aug, pieces.initial_xy, pieces.t_grid,
-                                      a_values=pieces.a_values)
-        report = optimize_linear_risk(fp, risk, v=pieces.v,
+        report = optimize_linear_risk(_forward_program(spec, pieces), risk, v=pieces.v,
                                       tol_gap=spec.solver.tol_gap,
                                       max_iter=spec.solver.max_iter)
         out["lp_value"] = report.rho_star

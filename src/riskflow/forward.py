@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, InvalidParameterError, PropagationError
 from .generator import AugmentedGenerator
-from .grids import UniformGrid
+from .grids import UniformGrid, grid_points
 
 MASS_SUM_TOL = 1e-10
 MASS_FLOOR = -1e-12
@@ -154,7 +154,7 @@ def propagate_forward(gen: AugmentedGenerator, policy, initial_xy: DiscreteDistr
     (step-averaged discount).  No renormalization is applied; total-mass
     drift and the most negative entry are reported as diagnostics.
     """
-    times = t_grid.points if isinstance(t_grid, UniformGrid) else np.asarray(t_grid, float)
+    times = grid_points(t_grid)
     n_x, n_y = gen.base.dim, gen.y_grid.n
     n_z = n_x * n_y
     if initial_xy.mass.shape != (n_x, n_y):
@@ -166,9 +166,7 @@ def propagate_forward(gen: AugmentedGenerator, policy, initial_xy: DiscreteDistr
             f"policy shape {probs.shape} does not match (n_t, n_x, n_y, n_a)")
 
     m = initial_xy.mass.reshape(n_z).astype(float).copy()
-    x_coords = (gen.base.state_grid.points if gen.base.state_grid is not None
-                else np.arange(n_x, dtype=float))
-    coords = (x_coords, gen.y_grid.points)
+    coords = (gen.base.state_points, gen.y_grid.points)
 
     def as_slice(vec):
         return DiscreteDistribution(axes=("x", "y"), coords=coords,
@@ -226,9 +224,6 @@ class ForwardProgram:
     def n_vars(self) -> int:
         return self.n_t * self.n_z * self.n_a
 
-    def var_index(self, k, x, y, a):
-        return ((k * self.n_z) + x * self.n_y + y) * self.n_a + a
-
     def terminal_objective(self, weights_xy: np.ndarray) -> np.ndarray:
         """Objective vector placing ``weights_xy`` on every terminal variable.
 
@@ -245,8 +240,7 @@ class ForwardProgram:
         c[(self.n_t - 1) * self.n_z * self.n_a:] = np.repeat(w.ravel(), self.n_a)
         return c
 
-    def trajectory_from_solution(self, x: np.ndarray,
-                                 normalize: bool = True) -> TrajectoryDistribution:
+    def trajectory_from_solution(self, x: np.ndarray) -> TrajectoryDistribution:
         """Reshape an optimal variable vector into per-time joint measures.
 
         Each slice is renormalized to unit mass (solver drift is recorded in
@@ -261,7 +255,7 @@ class ForwardProgram:
             m = cube[k]
             total = float(m.sum())
             deviation[k] = abs(total - 1.0)
-            if normalize and total > 0:
+            if total > 0:
                 m = m / total
             slices.append(DiscreteDistribution(axes=("x", "y", "a"), coords=coords, mass=m))
         return TrajectoryDistribution(times=self.t_values, slices=tuple(slices),
@@ -280,7 +274,7 @@ def assemble_forward_program(gen: AugmentedGenerator, initial_xy: DiscreteDistri
         sum_a mu_{k+1}(z, a) - dt sum_{z', a} Q_a(t_k)[z', z] mu_{k+1}(z', a)
             = sum_a mu_k(z, a)
     """
-    times = t_grid.points if isinstance(t_grid, UniformGrid) else np.asarray(t_grid, float)
+    times = grid_points(t_grid)
     n_t = len(times)
     if n_t < 2:
         raise AssemblyError(f"need at least two time points, got {n_t}")
@@ -317,11 +311,9 @@ def assemble_forward_program(gen: AugmentedGenerator, initial_xy: DiscreteDistri
         shape=(n_z * n_t, n_t * n_z * n_a))
     b_eq = np.zeros(n_z * n_t)
     b_eq[:n_z] = initial_xy.mass.reshape(n_z)
-    x_values = (gen.base.state_grid.points if gen.base.state_grid is not None
-                else np.arange(n_x, dtype=float))
     if a_values is None:
         a_values = np.arange(n_a, dtype=float)
     return ForwardProgram(a_eq=a_eq, b_eq=b_eq, n_t=n_t, n_x=n_x, n_y=n_y, n_a=n_a,
-                          t_values=times, x_values=x_values,
+                          t_values=times, x_values=gen.base.state_points,
                           y_values=gen.y_grid.points,
                           a_values=np.asarray(a_values, dtype=float))

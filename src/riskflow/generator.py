@@ -93,6 +93,13 @@ class ControlledGenerator:
     def n_actions(self) -> int:
         return len(self.per_action)
 
+    @property
+    def state_points(self) -> np.ndarray:
+        """State coordinates: the grid's angles, else ``0, 1, ..., dim - 1``."""
+        if self.state_grid is not None:
+            return self.state_grid.points
+        return np.arange(self.dim, dtype=float)
+
     def __post_init__(self):
         dims = {q.dim for q in self.per_action}
         if len(dims) != 1:

@@ -62,3 +62,8 @@ def build_uniform_grid(lo: float, hi: float, n: int) -> UniformGrid:
     points = np.linspace(float(lo), float(hi), int(n))
     return UniformGrid(lo=float(lo), hi=float(hi), n=int(n),
                        points=points, spacing=float(points[1] - points[0]))
+
+
+def grid_points(grid) -> np.ndarray:
+    """The points of a ``UniformGrid``, or an explicit array of points."""
+    return grid.points if isinstance(grid, UniformGrid) else np.asarray(grid, float)

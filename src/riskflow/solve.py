@@ -394,6 +394,17 @@ def _report_from_solution(fp, sol, rho_star, rho_linear, spec, mass_floor,
     )
 
 
+def _solve_forward_lp(fp: ForwardProgram, c: np.ndarray, tol_gap: float,
+                      max_iter: int) -> LpSolution:
+    """Minimize ``c @ mu`` over the forward polytope, which a valid initial
+    distribution makes nonempty and bounded: any other outcome is a failure."""
+    sol = solve_lp(LpProblem(a_eq=fp.a_eq, b_eq=fp.b_eq, c=c),
+                   tol_gap=tol_gap, max_iter=max_iter)
+    if sol.status in ("infeasible", "unbounded", "failed"):
+        raise LpFailureError(sol.status, f"forward program reported {sol.status}")
+    return sol
+
+
 def optimize_linear_risk(fp: ForwardProgram, spec: RiskSpec,
                          v: Optional[np.ndarray] = None,
                          tol_gap: float = DEFAULT_TOL,
@@ -413,11 +424,7 @@ def optimize_linear_risk(fp: ForwardProgram, spec: RiskSpec,
     theta_vals = _terminal_values(fp, v)
     entropic = spec.kind == "entropic_linear" and spec.theta > 0
     weights = np.exp(spec.theta * theta_vals) if entropic else theta_vals
-    lp = LpProblem(a_eq=fp.a_eq, b_eq=fp.b_eq, c=fp.terminal_objective(weights))
-    sol = solve_lp(lp, tol_gap=tol_gap, max_iter=max_iter)
-    if sol.status in ("infeasible", "unbounded", "failed"):
-        # a valid initial distribution always yields a nonempty polytope
-        raise LpFailureError(sol.status, f"forward program reported {sol.status}")
+    sol = _solve_forward_lp(fp, fp.terminal_objective(weights), tol_gap, max_iter)
     rho_linear = sol.primal_objective
     rho_star = math.log(rho_linear) / spec.theta if entropic else rho_linear
     return _report_from_solution(fp, sol, rho_star, rho_linear if entropic else None,
@@ -450,10 +457,7 @@ def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
                                    else np.zeros(fp.n_x))
 
     # start from the vertex optimal for the plain expectation
-    init = LpProblem(a_eq=fp.a_eq, b_eq=fp.b_eq, c=fp.terminal_objective(theta_vals))
-    sol = solve_lp(init, tol_gap=tol_gap, max_iter=max_iter)
-    if sol.status in ("infeasible", "unbounded", "failed"):
-        raise LpFailureError(sol.status, f"forward program reported {sol.status}")
+    sol = _solve_forward_lp(fp, fp.terminal_objective(theta_vals), tol_gap, max_iter)
     mu = sol.primal
     total_iters = sol.iterations
     best_val, best_mu = math.inf, mu
@@ -466,11 +470,8 @@ def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
             best_val, best_mu = val, mu
         grad_xy = gradient_at_values(spec, dist, theta_vals)
         c_vec = fp.terminal_objective(grad_xy)
-        sol = solve_lp(LpProblem(a_eq=fp.a_eq, b_eq=fp.b_eq, c=c_vec),
-                       tol_gap=tol_gap, max_iter=max_iter)
+        sol = _solve_forward_lp(fp, c_vec, tol_gap, max_iter)
         total_iters += sol.iterations
-        if sol.status in ("infeasible", "unbounded", "failed"):
-            raise LpFailureError(sol.status, f"forward program reported {sol.status}")
         gap = float(c_vec @ (mu - sol.primal))
         steps = fw_iter
         if gap <= tol:

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 from .errors import InvalidParameterError, PolicyEnumerationError
 from .forward import DiscreteDistribution, _policy_mixed_generator, propagate_forward
 from .generator import ControlledGenerator, augment_generator, discount_factor
-from .grids import UniformGrid
+from .grids import UniformGrid, grid_points
 from .risk import RiskSpec, apply_terminal_cost, evaluate, merge_support
 from .solve import MarkovPolicy
 
@@ -27,7 +27,7 @@ from .solve import MarkovPolicy
 
 @dataclass(frozen=True)
 class McConfig:
-    """Path count, seed, and horizon for chain simulation.
+    """Path count and seed for chain simulation.
 
     Identical (config, inputs) give bitwise-identical samples: all paths are
     advanced in vectorized lockstep rounds drawing from a single seeded
@@ -36,7 +36,6 @@ class McConfig:
 
     n_paths: int
     seed: int = 0
-    horizon: Optional[float] = None  # defaults to the end of the time grid
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -100,9 +99,7 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     """
     if alpha < 0:
         raise InvalidParameterError(f"discount rate must be nonnegative, got {alpha}")
-    times = t_grid.points if isinstance(t_grid, UniformGrid) else np.asarray(t_grid, float)
-    if cfg.horizon is not None:
-        times = times[times <= cfg.horizon + 1e-15]
+    times = grid_points(t_grid)
     n_x, n_a = gen.dim, gen.n_actions
     c = np.asarray(cost_rate, dtype=float)
     nu = np.asarray(initial_x, dtype=float)
@@ -181,7 +178,8 @@ def bounded_lipschitz_distance(p: DiscreteDistribution, q: DiscreteDistribution)
     |f_i| by a sup variable, bound adjacent increments by a Lipschitz
     variable times the gap, and cap their sum at one.
     """
-    from .solve import LpProblem, solve_lp  # deferred: solve imports this module
+    # deferred: solve imports this module
+    from .solve import LpFailureError, LpProblem, solve_lp
 
     vp, mp = p.values_1d()
     vq, mq = q.values_1d()
@@ -222,6 +220,8 @@ def bounded_lipschitz_distance(p: DiscreteDistribution, q: DiscreteDistribution)
     nonneg = np.ones(n_cols, dtype=bool)
     nonneg[:n] = False
     sol = solve_lp(LpProblem(a_eq=a_eq, b_eq=np.array(b), c=c, nonneg=nonneg))
+    if sol.status != "optimal":
+        raise LpFailureError(sol.status, f"bounded-Lipschitz LP reported {sol.status}")
     return float(-sol.primal_objective)
 
 
@@ -308,7 +308,7 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
     The state starts with law ``initial_x`` and, on the augmented chain,
     in the bottom cost cell.
     """
-    times = t_grid.points if isinstance(t_grid, UniformGrid) else np.asarray(t_grid, float)
+    times = grid_points(t_grid)
     n_t = len(times)
     c = np.asarray(cost_rate, dtype=float)
     nu = np.asarray(initial_x, dtype=float)
@@ -356,7 +356,7 @@ def enumerate_policies(gen: ControlledGenerator, cost_rate, alpha: float,
     t_k to t_{k+1} reads slice k+1, so slice 0 is irrelevant); the policy
     space size is n_a ** ((n_t - 1) * n_x * n_y).
     """
-    times = t_grid.points if isinstance(t_grid, UniformGrid) else np.asarray(t_grid, float)
+    times = grid_points(t_grid)
     n_t = len(times)
     n_x, n_a, n_y = gen.dim, gen.n_actions, y_grid.n
     cells = (n_t - 1) * n_x * n_y
@@ -367,8 +367,7 @@ def enumerate_policies(gen: ControlledGenerator, cost_rate, alpha: float,
     nu = np.asarray(initial_x, dtype=float)
     initial_xy = DiscreteDistribution(
         axes=("x", "y"),
-        coords=(gen.state_grid.points if gen.state_grid is not None
-                else np.arange(n_x, dtype=float), y_grid.points),
+        coords=(gen.state_points, y_grid.points),
         mass=np.outer(nu, np.eye(n_y)[0]))
     aug = augment_generator(gen, cost_rate, alpha, y_grid, t=float(times[0]))
     best_val, best_pol = math.inf, None

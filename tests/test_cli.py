@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ import scipy.linalg
 from riskflow import ConfigError, load_config, run, serialize
 from riskflow.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, _build_spec,
                           build_problem, main, run_oracle, run_validation)
+
+BENCH_CONFIGS = sorted((Path(__file__).parent.parent / "bench" / "configs").glob("*.json"))
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -72,6 +76,81 @@ class TestConfig:
     def test_custom_family_requires_inputs(self, tmp_path):
         with pytest.raises(ConfigError, match="generator_file"):
             load_config(write_config(tmp_path, {"family": "custom"}))
+
+
+# malformed values and the key path their error must name
+MALFORMED = [
+    ({"risk": 5}, "risk"),
+    ({"solver": {"max_iter": "abc"}}, "solver.max_iter"),
+    ({"n_t": 21.7}, "n_t"),
+    ({"solver": {"max_iter": 2.9}}, "solver.max_iter"),
+    ({"nu": {"point": 1.9}}, "nu.point"),
+    ({"validation": {"seed": 1.5}}, "validation.seed"),
+    ({"n_t": "21"}, "n_t"),
+    ({"horizon": "25"}, "horizon"),
+    ({"validation": {"paths": 0}}, "validation.paths"),
+    ({"validation": {"seed": -1}}, "validation.seed"),
+    ({"solver": {"tol_gap": -1}}, "solver.tol_gap"),
+    ({"risk": {"theta": float("inf")}}, "risk.theta"),
+    ({"risk": {"theta": float("nan")}}, "risk.theta"),
+    ({"n_x": True}, "n_x"),
+    ({"family": 5}, "family"),
+    ({"terminal_cost": [0.0, "1"]}, "terminal_cost"),
+    ({"risk.theta": 2.0}, "risk.theta"),
+]
+
+
+class TestFieldTable:
+    @pytest.mark.parametrize("payload,path", MALFORMED,
+                             ids=[json.dumps(p) for p, _ in MALFORMED])
+    def test_malformed_value_names_key_path(self, tmp_path, payload, path):
+        with pytest.raises(ConfigError, match=rf"key '?{re.escape(path)}(?![\w.])"):
+            load_config(write_config(tmp_path, payload))
+
+    @pytest.mark.parametrize("payload", [{"risk": 5}, {"solver": {"max_iter": "abc"}}])
+    def test_malformed_value_exits_with_config_code(self, tmp_path, payload, capsys):
+        cfg = write_config(tmp_path, payload)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_integral_float_accepted_for_int_key(self, tmp_path):
+        spec = load_config(write_config(tmp_path, {"validation": {"paths": 1e5}}))
+        assert spec.validation.paths == 100_000
+        assert type(spec.validation.paths) is int
+
+    def test_null_means_default_in_every_section(self):
+        spec = _build_spec({"risk": None, "nu": {"point": None},
+                            "solver": {"max_iter": None}, "validation": {"seed": None}})
+        assert spec == _build_spec({})
+
+    def test_custom_lengths_checked_against_generator_file(self, tmp_path):
+        gen_file = tmp_path / "gen.csv"
+        gen_file.write_text("0,0,1,1.0\n0,1,0,2.0\n")
+        base = {"family": "custom", "generator_file": str(gen_file),
+                "actions": [0.0], "cost": {"constant": 1.0}}
+        for extra, path in (({"terminal_cost": [1.0, 2.0, 3.0]}, "terminal_cost"),
+                            ({"nu": {"point": 5}}, "nu")):
+            with pytest.raises(ConfigError, match=f"key {path}: length"):
+                build_problem(_build_spec({**base, **extra}))
+
+    @staticmethod
+    def round_trips(spec):
+        return _build_spec(json.loads(json.dumps(serialize(spec)))) == spec
+
+    def test_round_trip_custom_family(self):
+        assert self.round_trips(_build_spec({
+            "family": "custom", "generator_file": "gen.csv", "n_states": 2,
+            "actions": [0.0, 1.0], "cost": {"table": [[0.0, 1.0], [2.0, 0.5]]},
+            "terminal_cost": [0.0, 1.5], "nu": {"vector": [0.25, 0.75]},
+            "n_y": 3, "y_max": 2.0, "risk": {"kind": "expectation"},
+        }))
+
+    def test_round_trip_circle_with_generator_file(self):
+        assert self.round_trips(_build_spec({"generator_file": "x.csv"}))
+
+    @pytest.mark.parametrize("path", BENCH_CONFIGS, ids=[p.stem for p in BENCH_CONFIGS])
+    def test_round_trip_bench_config(self, path):
+        assert self.round_trips(load_config(path))
 
 
 class TestRun:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from riskflow import (ControlledGenerator, DiscreteDistribution, MarkovPolicy,
-                      McConfig, PolicyEnumerationError, RateMatrix, RiskSpec,
+from riskflow import (ControlledGenerator, DiscreteDistribution, LpFailureError,
+                      LpSolution, MarkovPolicy, McConfig, PolicyEnumerationError, RateMatrix, RiskSpec,
                       bounded_lipschitz_distance, build_uniform_grid,
                       distribution_from_samples, enumerate_policies,
                       optimize_linear_risk, risk_neutral_dp, simulate_paths,
@@ -155,6 +155,20 @@ class TestBoundedLipschitz:
             d_bl = bounded_lipschitz_distance(p, q)
             assert d_bl <= min(2.0, wasserstein1(p, q)) + 1e-6
             assert d_bl >= -1e-9
+
+    def test_non_optimal_lp_raises(self, monkeypatch):
+        import riskflow.solve
+
+        def stalled(problem, **kw):
+            n = problem.c.size
+            return LpSolution(primal=np.zeros(n), dual=np.zeros(problem.b_eq.size),
+                              primal_objective=-0.5, dual_objective=-0.4,
+                              duality_gap=0.1, iterations=200, status="max_iter")
+
+        monkeypatch.setattr(riskflow.solve, "solve_lp", stalled)
+        with pytest.raises(LpFailureError, match="max_iter") as info:
+            bounded_lipschitz_distance(delta(0.0), delta(1.0))
+        assert info.value.status == "max_iter"
 
 
 class TestRiskNeutralDp:
