@@ -16,14 +16,15 @@ import json
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, PolicyEnumerationError, RiskflowError
 from .forward import (DiscreteDistribution, ForwardProgram,
-                      assemble_forward_program, write_grid_csv,
-                      write_trajectory_csv)
+                      assemble_forward_program, distribution_from_samples,
+                      write_grid_csv, write_trajectory_csv)
 from .generator import (ControlledGenerator, augment_generator,
                         discretize_circle_diffusion, load_generator_triplets)
 from .grids import build_circle_grid, build_uniform_grid
@@ -351,8 +352,6 @@ def run(spec: ProblemSpec, out_dir) -> SolveReport:
     (t,y,mass), policy.csv (t,x,y,a,prob), and policy_mask.csv into
     ``out_dir``.
     """
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pieces = build_problem(spec)
@@ -378,8 +377,6 @@ def run(spec: ProblemSpec, out_dir) -> SolveReport:
 
 
 def _read_policy(report_dir, pieces: ProblemPieces, n_t: int) -> MarkovPolicy:
-    from pathlib import Path
-
     rep = Path(report_dir)
     raw = np.loadtxt(rep / "policy.csv", delimiter=",", skiprows=1)
     mask_raw = np.loadtxt(rep / "policy_mask.csv", delimiter=",", skiprows=1)
@@ -391,22 +388,27 @@ def _read_policy(report_dir, pieces: ProblemPieces, n_t: int) -> MarkovPolicy:
 
 def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
                    seed: Optional[int] = None) -> dict:
-    """Monte Carlo cross-check of a solve run; writes mc_summary.json."""
-    from pathlib import Path
+    """Monte Carlo cross-check of a solve run; writes mc_summary.json.
 
+    ``paths`` and ``seed`` override the config's ``validation`` values and
+    are checked against the same rows of the field table.
+    """
+    def option(name, value):
+        if value is None:
+            return getattr(spec.validation, name)
+        path = f"validation.{name}"
+        return _convert(path, value, *_FIELDS[path][1:])
+
+    cfg = McConfig(n_paths=option("paths", paths), seed=option("seed", seed))
     rep = Path(report_dir)
     pieces = build_problem(spec)
     policy = _read_policy(rep, pieces, spec.n_t)
-    cfg = McConfig(n_paths=paths if paths is not None else spec.validation.paths,
-                   seed=seed if seed is not None else spec.validation.seed)
     result = simulate_paths(pieces.base, policy, pieces.cost, spec.alpha,
                             pieces.y_grid, pieces.nu, pieces.t_grid, cfg)
     marg = np.loadtxt(rep / "marginal_y.csv", delimiter=",", skiprows=1)
     t_last = marg[:, 0].max()
     rows = marg[marg[:, 0] == t_last]
     lp_dist = DiscreteDistribution(axes=("y",), coords=(rows[:, 1],), mass=rows[:, 2])
-    from .forward import distribution_from_samples
-
     # the LP's absorbing top cell carries min(Y, y_max), so that is the
     # law compared; the summary statistics stay those of the raw samples
     capped = np.minimum(result.samples, pieces.y_grid.hi)

@@ -22,9 +22,6 @@ from .errors import AssemblyError, InvalidParameterError, PropagationError
 from .generator import AugmentedGenerator
 from .grids import UniformGrid, grid_points
 
-MASS_SUM_TOL = 1e-10
-MASS_FLOOR = -1e-12
-
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
@@ -44,15 +41,6 @@ class DiscreteDistribution:
         if self.mass.shape != tuple(len(c) for c in self.coords):
             raise InvalidParameterError(
                 f"mass shape {self.mass.shape} does not match coordinate lengths")
-
-    def validate(self, sum_tol: float = MASS_SUM_TOL, floor: float = MASS_FLOOR):
-        total = float(self.mass.sum())
-        lo = float(self.mass.min())
-        if abs(total - 1.0) > sum_tol:
-            raise InvalidParameterError(f"mass sums to {total}, not 1")
-        if lo < floor:
-            raise InvalidParameterError(f"mass {lo} below the numerical zero floor")
-        return self
 
     def marginal(self, axes: Union[str, Sequence[str]]) -> "DiscreteDistribution":
         return marginal(self, axes)
@@ -128,9 +116,9 @@ def write_grid_csv(path, header: Sequence[str], coords: Sequence[np.ndarray],
                    header=",".join(header), comments="")
 
 
-def write_trajectory_csv(traj: TrajectoryDistribution, path, axes: Optional[Sequence[str]] = None):
-    """Write ``t,<axes...>,mass`` rows; default axes are the slice axes."""
-    axes = tuple(axes) if axes is not None else traj.slices[0].axes
+def write_trajectory_csv(traj: TrajectoryDistribution, path, axes: Sequence[str]):
+    """Write ``t,<axes...>,mass`` rows of the marginals on ``axes``."""
+    axes = tuple(axes)
     margs = [sl.marginal(axes) for sl in traj.slices]
     write_grid_csv(path, ("t",) + axes + ("mass",), (traj.times,) + margs[0].coords,
                    np.stack([m.mass for m in margs]), newline="\r\n")

@@ -118,12 +118,11 @@ def risk_gradient(spec: RiskSpec, dist: DiscreteDistribution) -> np.ndarray:
     return gradient_at_values(spec, dist, dist.values_1d()[0])
 
 
-def apply_terminal_cost(joint: DiscreteDistribution, v: np.ndarray,
-                        merge_tol: float = 1e-12) -> DiscreteDistribution:
+def apply_terminal_cost(joint: DiscreteDistribution, v: np.ndarray) -> DiscreteDistribution:
     """Push a joint (x, y) law forward under total cost ``(x, y) -> y + v(x)``.
 
     The output support is the sorted set of attained totals; masses landing
-    within ``merge_tol`` of each other are aggregated.
+    within 1e-12 of each other are aggregated.
     """
     if joint.axes != ("x", "y"):
         joint = joint.marginal(("x", "y"))
@@ -138,7 +137,7 @@ def apply_terminal_cost(joint: DiscreteDistribution, v: np.ndarray,
     hit = mass != 0.0  # support = values actually attained by mass
     if hit.any():
         totals, mass = totals[hit], mass[hit]
-    out_v, out_m = merge_support(totals, mass, merge_tol)
+    out_v, out_m = merge_support(totals, mass, 1e-12)
     return DiscreteDistribution(axes=("cost",), coords=(out_v,), mass=out_m)
 
 

@@ -1,8 +1,8 @@
 """Sparse LP core and the risk-aware outer loop.
 
 The LP solver is a Mehrotra predictor-corrector interior-point method on
-the homogeneous self-dual embedding (min c'x s.t. Ax = b, x >= 0, with
-free variables handled by splitting).  Primal-dual residuals and the
+the homogeneous self-dual embedding of the standard form min c'x s.t.
+Ax = b, x >= 0, the only form it takes.  Primal-dual residuals and the
 relative duality gap are tracked per iteration and reported first-class;
 infeasibility and unboundedness are detected from the embedding variables.
 
@@ -44,12 +44,11 @@ class LpFailureError(RiskflowError):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min c'x subject to A x = b, with x_i >= 0 where nonneg[i]."""
+    """min c'x subject to A x = b and x >= 0; every variable is nonnegative."""
 
     a_eq: sp.csr_matrix
     b_eq: np.ndarray
     c: np.ndarray
-    nonneg: Optional[np.ndarray] = None  # default: all nonnegative
 
     def __post_init__(self):
         m, n = self.a_eq.shape
@@ -105,8 +104,17 @@ def _max_step(vals, dirs):
     return float(np.min(-vals[neg] / dirs[neg]))
 
 
-def _ip_hsd(a_csr, b, c, tol, max_iter):
-    """Predictor-corrector path following on the self-dual embedding."""
+def solve_lp(problem: LpProblem, tol_gap: float = DEFAULT_TOL,
+             max_iter: int = DEFAULT_MAX_ITER) -> LpSolution:
+    """Predictor-corrector path following on the self-dual embedding;
+    deterministic for identical inputs.
+
+    ``status == "optimal"`` certifies relative primal/dual residuals and
+    duality gap at or below ``tol_gap``.
+    """
+    a_csr = problem.a_eq.tocsr()
+    b = np.asarray(problem.b_eq, dtype=float)
+    c = np.asarray(problem.c, dtype=float)
     m, n = a_csr.shape
     a_t = a_csr.T.tocsr()
     x = np.ones(n)
@@ -135,16 +143,17 @@ def _ip_hsd(a_csr, b, c, tol, max_iter):
 
         xs, ys, zs, pobj, dobj, rho_p, rho_d, rho_g = scaled_report()
         history.append((pobj, dobj, rho_p, rho_d, rho_g, mu))
-        if rho_p <= tol and rho_d <= tol and rho_g <= tol:
+        if rho_p <= tol_gap and rho_d <= tol_gap and rho_g <= tol_gap:
             status = "optimal"
             break
         # infeasibility / unboundedness via the embedding scale collapsing
         hp = np.linalg.norm(r_p) / max(1.0, norm_b)
         hd = np.linalg.norm(r_d) / max(1.0, norm_c)
         hg = abs(r_g) / max(1.0, norm_b + norm_c)
-        if ((hp <= tol and hd <= tol and hg <= tol and tau <= tol * max(1.0, kappa))
-                or (mu <= tol * max(1.0, kappa) and tau <= tol * min(1.0, kappa))):
-            status = "infeasible" if b @ y > tol else "unbounded"
+        if ((hp <= tol_gap and hd <= tol_gap and hg <= tol_gap
+                and tau <= tol_gap * max(1.0, kappa))
+                or (mu <= tol_gap * max(1.0, kappa) and tau <= tol_gap * min(1.0, kappa))):
+            status = "infeasible" if b @ y > tol_gap else "unbounded"
             break
         if iteration >= max_iter:
             status = "max_iter"
@@ -210,33 +219,6 @@ def _ip_hsd(a_csr, b, c, tol, max_iter):
                       history=tuple(history))
 
 
-def solve_lp(problem: LpProblem, tol_gap: float = DEFAULT_TOL,
-             max_iter: int = DEFAULT_MAX_ITER) -> LpSolution:
-    """Solve the LP; deterministic for identical inputs.
-
-    ``status == "optimal"`` certifies relative primal/dual residuals and
-    duality gap at or below ``tol_gap``.
-    """
-    a = problem.a_eq.tocsr()
-    c = np.asarray(problem.c, dtype=float)
-    b = np.asarray(problem.b_eq, dtype=float)
-    nonneg = (np.ones(a.shape[1], dtype=bool) if problem.nonneg is None
-              else np.asarray(problem.nonneg, dtype=bool))
-    free = np.flatnonzero(~nonneg)
-    if free.size:
-        a_split = sp.hstack([a, -a[:, free]], format="csr")
-        c_split = np.concatenate([c, -c[free]])
-        sol = _ip_hsd(a_split, b, c_split, tol_gap, max_iter)
-        primal = sol.primal[:a.shape[1]].copy()
-        primal[free] -= sol.primal[a.shape[1]:]
-        return LpSolution(primal=primal, dual=sol.dual,
-                          primal_objective=sol.primal_objective,
-                          dual_objective=sol.dual_objective,
-                          duality_gap=sol.duality_gap, iterations=sol.iterations,
-                          status=sol.status, history=sol.history)
-    return _ip_hsd(a, b, c, tol_gap, max_iter)
-
-
 # ---------------------------------------------------------------------------
 # Markov policies
 
@@ -278,13 +260,13 @@ class MarkovPolicy:
         np.put_along_axis(probs, actions[..., None], 1.0, axis=-1)
         return cls(probs=probs, mask=np.ones(actions.shape, dtype=bool))
 
-    def strictness(self, threshold: float = 0.99) -> float:
-        """Fraction of reachable cells putting >= threshold on one action."""
+    def strictness(self) -> float:
+        """Fraction of reachable cells putting >= 0.99 on one action."""
         peak = self.probs.max(axis=-1)
         reach = self.mask
         if not reach.any():
             return 1.0
-        return float((peak[reach] >= threshold).mean())
+        return float((peak[reach] >= 0.99).mean())
 
 
 def extract_policy(traj: TrajectoryDistribution, mass_floor: float = MASS_FLOOR) -> MarkovPolicy:
@@ -332,7 +314,6 @@ class SolveReport:
     fw_gap: Optional[float] = None
     policy: Optional[MarkovPolicy] = None
     trajectory: Optional[TrajectoryDistribution] = None
-    lp: Optional[LpSolution] = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -366,19 +347,21 @@ def _terminal_values(fp: ForwardProgram, v: Optional[np.ndarray]) -> np.ndarray:
     return theta
 
 
-def _report_from_solution(fp, sol, rho_star, rho_linear, spec, mass_floor,
-                          fw_iterations=None, fw_gap=None, extra_iters=0):
+def _solve_report(fp, primal, status, duality_gap, iterations, mass_floor,
+                  rho_star, rho_linear=None, fw_iterations=None, fw_gap=None):
+    """Diagnose the measure ``primal`` and its policy; the status, gap and
+    iteration count are reported as given."""
     from .validate import wasserstein1  # deferred: validate pulls in solve_lp
 
-    traj = fp.trajectory_from_solution(sol.primal)
+    traj = fp.trajectory_from_solution(primal)
     policy = extract_policy(traj, mass_floor=mass_floor)
     y_last = traj.slices[-1].marginal("y")
     y_prev = traj.slices[-2].marginal("y")
     return SolveReport(
         rho_star=rho_star,
-        duality_gap=sol.duality_gap,
-        iterations=sol.iterations + extra_iters,
-        status=sol.status,
+        duality_gap=duality_gap,
+        iterations=iterations,
+        status=status,
         stationarity_w1=wasserstein1(y_last, y_prev),
         boundary_mass=float(y_last.mass[-1]),
         strictness_fraction=policy.strictness(),
@@ -390,7 +373,6 @@ def _report_from_solution(fp, sol, rho_star, rho_linear, spec, mass_floor,
         fw_gap=fw_gap,
         policy=policy,
         trajectory=traj,
-        lp=sol,
     )
 
 
@@ -427,8 +409,8 @@ def optimize_linear_risk(fp: ForwardProgram, spec: RiskSpec,
     sol = _solve_forward_lp(fp, fp.terminal_objective(weights), tol_gap, max_iter)
     rho_linear = sol.primal_objective
     rho_star = math.log(rho_linear) / spec.theta if entropic else rho_linear
-    return _report_from_solution(fp, sol, rho_star, rho_linear if entropic else None,
-                                 spec, mass_floor)
+    return _solve_report(fp, sol.primal, sol.status, sol.duality_gap, sol.iterations,
+                         mass_floor, rho_star, rho_linear if entropic else None)
 
 
 def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
@@ -443,7 +425,8 @@ def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
     distribution, calls the LP for the descent vertex, and mixes with step
     ``2 / (k + 2)``; it stops when the Frank-Wolfe gap drops to ``tol``.
     The best iterate seen is returned (the risk surface need not be convex
-    in the measure).
+    in the measure), with the last LP's status and duality gap and the
+    iteration count summed over all LPs.
     """
     theta_vals = _terminal_values(fp, v)
 
@@ -481,9 +464,5 @@ def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
     final = evaluate(spec, terminal_dist(mu))
     if final < best_val:
         best_val, best_mu = final, mu
-    sol_best = LpSolution(primal=best_mu, dual=sol.dual,
-                          primal_objective=best_val, dual_objective=sol.dual_objective,
-                          duality_gap=sol.duality_gap, iterations=total_iters,
-                          status=sol.status)
-    return _report_from_solution(fp, sol_best, best_val, None, spec, mass_floor,
-                                 fw_iterations=steps, fw_gap=gap)
+    return _solve_report(fp, best_mu, sol.status, sol.duality_gap, total_iters,
+                         mass_floor, best_val, fw_iterations=steps, fw_gap=gap)

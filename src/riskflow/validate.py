@@ -174,9 +174,11 @@ def wasserstein1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 def bounded_lipschitz_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """sup of integral differences over f with sup-norm + Lipschitz-norm <= 1.
 
-    Solved as a small LP over function values on the merged support: bound
-    |f_i| by a sup variable, bound adjacent increments by a Lipschitz
-    variable times the gap, and cap their sum at one.
+    Solved as a small standard-form LP on the merged support, over the
+    shifted values g = f + s >= 0 with s the sup variable: ``g_i <= 2 s``
+    bounds ``|f_i|`` by ``s``, adjacent increments of g (those of f) are
+    bounded by a Lipschitz variable l times the gap, and ``s + l <= 1``.
+    The objective ``wt . f = wt . g - s sum(wt)`` is exact for any weights.
     """
     # deferred: solve imports this module
     from .solve import LpFailureError, LpProblem, solve_lp
@@ -187,39 +189,20 @@ def bounded_lipschitz_distance(p: DiscreteDistribution, q: DiscreteDistribution)
     n = len(sup)
     if np.abs(wt).max() < 1e-15:
         return 0.0
-    gaps = np.diff(sup)
-    # columns: f (n, free) | s | l | slacks (4n - 1 of them)
-    n_slack = 2 * n + 2 * (n - 1) + 1
-    n_cols = n + 2 + n_slack
-    rows, cols, data, b = [], [], [], []
-
-    def add_row(entries, rhs):
-        r = len(b)
-        for col, val in entries:
-            rows.append(r)
-            cols.append(col)
-            data.append(val)
-        b.append(rhs)
-
-    s_col, l_col = n, n + 1
-    slack = n + 2
-    for i in range(n):  # f_i <= s and -f_i <= s
-        add_row([(i, 1.0), (s_col, -1.0), (slack, 1.0)], 0.0)
-        slack += 1
-        add_row([(i, -1.0), (s_col, -1.0), (slack, 1.0)], 0.0)
-        slack += 1
-    for i in range(n - 1):  # |f_{i+1} - f_i| <= l * gap_i
-        add_row([(i + 1, 1.0), (i, -1.0), (l_col, -gaps[i]), (slack, 1.0)], 0.0)
-        slack += 1
-        add_row([(i + 1, -1.0), (i, 1.0), (l_col, -gaps[i]), (slack, 1.0)], 0.0)
-        slack += 1
-    add_row([(s_col, 1.0), (l_col, 1.0), (slack, 1.0)], 1.0)
-    a_eq = sp.csr_matrix((data, (rows, cols)), shape=(len(b), n_cols))
-    c = np.zeros(n_cols)
-    c[:n] = -wt  # maximize wt . f
-    nonneg = np.ones(n_cols, dtype=bool)
-    nonneg[:n] = False
-    sol = solve_lp(LpProblem(a_eq=a_eq, b_eq=np.array(b), c=c, nonneg=nonneg))
+    diff = sp.diags([-1.0, 1.0], [0, 1], shape=(n - 1, n))
+    gaps = sp.csr_matrix(np.diff(sup)[:, None])
+    one = sp.csr_matrix([[1.0]])
+    # columns: g (n) | s | l | one slack per row (3n - 1)
+    rows = sp.bmat([[sp.identity(n), sp.csr_matrix(np.full((n, 1), -2.0)), None],
+                    [diff, None, -gaps],
+                    [-diff, None, -gaps],
+                    [None, one, one]])
+    n_rows = 3 * n - 1
+    a_eq = sp.hstack([rows, sp.identity(n_rows)], format="csr")
+    b_eq = np.zeros(n_rows)
+    b_eq[-1] = 1.0
+    c = np.concatenate([-wt, [wt.sum(), 0.0], np.zeros(n_rows)])  # maximize wt . f
+    sol = solve_lp(LpProblem(a_eq=a_eq, b_eq=b_eq, c=c))
     if sol.status != "optimal":
         raise LpFailureError(sol.status, f"bounded-Lipschitz LP reported {sol.status}")
     return float(-sol.primal_objective)
@@ -342,7 +325,6 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
 @dataclass(frozen=True)
 class EnumerationResult:
     value: float
-    policy: MarkovPolicy
     n_policies: int
 
 
@@ -370,7 +352,7 @@ def enumerate_policies(gen: ControlledGenerator, cost_rate, alpha: float,
         coords=(gen.state_points, y_grid.points),
         mass=np.outer(nu, np.eye(n_y)[0]))
     aug = augment_generator(gen, cost_rate, alpha, y_grid, t=float(times[0]))
-    best_val, best_pol = math.inf, None
+    best_val = math.inf
     v_table = None if v is None else np.asarray(v, dtype=float)
     for assignment in itertools.product(range(n_a), repeat=cells):
         table = np.zeros((n_t, n_x, n_y), dtype=np.int64)
@@ -381,7 +363,5 @@ def enumerate_policies(gen: ControlledGenerator, cost_rate, alpha: float,
             dist = traj.slices[-1].marginal("y")
         else:
             dist = apply_terminal_cost(traj.slices[-1], v_table)
-        val = evaluate(spec, dist)
-        if val < best_val:
-            best_val, best_pol = val, pol
-    return EnumerationResult(value=best_val, policy=best_pol, n_policies=count)
+        best_val = min(best_val, evaluate(spec, dist))
+    return EnumerationResult(value=best_val, n_policies=count)

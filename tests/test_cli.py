@@ -279,3 +279,15 @@ class TestMain:
                      "--paths", "500", "--seed", "7"])
         assert code == EXIT_OK
         assert (out / "mc_summary.json").exists()
+
+    def test_validate_flags_obey_field_table(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_CIRCLE)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        for flag, value, key in (("--seed", "-1", "validation.seed"),
+                                 ("--paths", "0", "validation.paths")):
+            code = main(["validate", "--config", str(cfg), "--report", str(out),
+                         flag, value])
+            assert code == EXIT_CONFIG
+            assert f"config key {key}:" in capsys.readouterr().err
+        assert not (out / "mc_summary.json").exists()

@@ -12,10 +12,9 @@ from riskflow.errors import AssemblyError
 from riskflow.forward import TrajectoryDistribution
 
 
-def lp(a, b, c, nonneg=None):
+def lp(a, b, c):
     return LpProblem(a_eq=sp.csr_matrix(np.atleast_2d(np.asarray(a, float))),
-                     b_eq=np.asarray(b, float), c=np.asarray(c, float),
-                     nonneg=None if nonneg is None else np.asarray(nonneg, bool))
+                     b_eq=np.asarray(b, float), c=np.asarray(c, float))
 
 
 class TestLpCore:
@@ -41,19 +40,6 @@ class TestLpCore:
     def test_unbounded_ray(self):
         sol = solve_lp(lp([[1.0, -1.0]], [0.0], [-1.0, -1.0]))
         assert sol.status == "unbounded"
-
-    def test_free_variable_unbounded(self):
-        # min f s.t. f + s = 1, s >= 0, f free: f = 1 - s has no lower bound
-        sol = solve_lp(lp([[1.0, 1.0]], [1.0], [1.0, 0.0], nonneg=[False, True]))
-        assert sol.status == "unbounded"
-
-    def test_free_variable_split(self):
-        # min f s.t. f = s - 2 and s <= 1 (slack u): optimum f = -2 at s = 0
-        a = [[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]]
-        sol = solve_lp(lp(a, [-2.0, 1.0], [1.0, 0.0, 0.0], nonneg=[False, True, True]))
-        assert sol.status == "optimal"
-        assert sol.primal[0] == pytest.approx(sol.primal[1] - 2.0, abs=1e-7)
-        assert sol.primal_objective == pytest.approx(-2.0, abs=1e-7)
 
     def test_weak_duality_with_residual_slack(self):
         # for a minimization, dual <= primal up to the residual cross terms

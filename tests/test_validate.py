@@ -156,6 +156,39 @@ class TestBoundedLipschitz:
             assert d_bl <= min(2.0, wasserstein1(p, q)) + 1e-6
             assert d_bl >= -1e-9
 
+    def test_matches_highs_on_free_variable_form(self):
+        # reference: max wt . f over free f, s, l >= 0 with |f_i| <= s,
+        # |f_{i+1} - f_i| <= l gap_i and s + l <= 1, solved by HiGHS
+        from scipy.optimize import linprog
+        from riskflow.risk import merge_support
+
+        def highs(p, q):
+            sup, wt = merge_support(np.concatenate([p.coords[0], q.coords[0]]),
+                                    np.concatenate([p.mass, -q.mass]))
+            n = len(sup)
+            eye, diff = np.eye(n), np.diff(np.eye(n), axis=0)
+            gap = np.diff(sup)[:, None]
+            a_ub = np.block([[eye, -np.ones((n, 1)), np.zeros((n, 1))],
+                             [-eye, -np.ones((n, 1)), np.zeros((n, 1))],
+                             [diff, np.zeros((n - 1, 1)), -gap],
+                             [-diff, np.zeros((n - 1, 1)), -gap],
+                             [np.zeros((1, n)), np.ones((1, 2))]])
+            b_ub = np.zeros(a_ub.shape[0])
+            b_ub[-1] = 1.0
+            res = linprog(np.concatenate([-wt, [0.0, 0.0]]), A_ub=a_ub, b_ub=b_ub,
+                          bounds=[(None, None)] * n + [(0, None)] * 2, method="highs")
+            assert res.status == 0
+            return -res.fun
+
+        rng = np.random.default_rng(11)
+        for k in range(30):
+            n, m = rng.integers(1, 8), rng.integers(1, 8)
+            # every third pair has unequal total masses, so sum(wt) != 0
+            scale = rng.uniform(0.5, 2.0) if k % 3 == 0 else 1.0
+            p = dist(np.sort(rng.uniform(0, 3, n)), scale * rng.dirichlet(np.ones(n)))
+            q = dist(np.sort(rng.uniform(0, 3, m)), rng.dirichlet(np.ones(m)))
+            assert bounded_lipschitz_distance(p, q) == pytest.approx(highs(p, q), abs=1e-7)
+
     def test_non_optimal_lp_raises(self, monkeypatch):
         import riskflow.solve
 
