@@ -22,7 +22,7 @@ class AssemblyError(RiskflowError):
 
 
 class PropagationError(RiskflowError):
-    """A forward-propagation linear solve failed."""
+    """An implicit-step solve failed or gave a non-finite result."""
 
 
 class PolicyEnumerationError(RiskflowError):

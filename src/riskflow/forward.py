@@ -1,12 +1,14 @@
 """Time discretization of the forward (Fokker-Planck / master) equation.
 
-Two consumers share the same implicit-Euler scheme: ``propagate_forward``
-pushes a distribution through time under a fixed policy, and
-``assemble_forward_program`` emits the whole evolution as sparse equality
-constraints over time-indexed joint measures ``mu_k(x, y, a)`` for the
-optimizer.  Controls are attached to the new time slice: the step from
-``t_k`` to ``t_{k+1}`` mixes actions with the policy (or measure) at slice
-``k + 1`` and evaluates the generator at the left endpoint ``t_k``.
+Three consumers share one implicit-Euler step over (product state, action),
+``[z = z'] - dt Q_a(t_k)[z, z']``: ``assemble_forward_program`` emits the
+whole evolution as sparse equality constraints over time-indexed joint
+measures ``mu_k(x, y, a)`` for the optimizer, ``propagate_forward`` pushes
+a distribution through time under a fixed policy, and the Bellman step of
+``validate.risk_neutral_dp`` takes it backward; the last two solve through
+``implicit_step``.  Controls are attached to the new time slice: the step
+from ``t_k`` to ``t_{k+1}`` mixes actions with the policy (or measure) at
+slice ``k + 1`` and evaluates the generator at the left endpoint ``t_k``.
 """
 
 from __future__ import annotations
@@ -124,13 +126,27 @@ def write_trajectory_csv(traj: TrajectoryDistribution, path, axes: Sequence[str]
                    np.stack([m.mass for m in margs]), newline="\r\n")
 
 
-def _policy_mixed_generator(gen_slice, weights: np.ndarray) -> sp.csr_matrix:
-    """Row-wise action mixture sum_a diag(w_a) Q_a of a base or augmented generator."""
-    n_z = gen_slice.dim
-    mixed = sp.csr_matrix((n_z, n_z))
-    for a in range(len(gen_slice.per_action)):
-        mixed = mixed + sp.diags(weights[:, a]) @ gen_slice.per_action[a].matrix
-    return mixed.tocsr()
+def implicit_step(stacked: sp.csr_matrix, weights: np.ndarray, dt: float,
+                  rhs: np.ndarray, transpose: bool) -> np.ndarray:
+    """One implicit-Euler step of the action mixture of a stacked generator.
+
+    ``stacked`` holds ``Q_a`` row ``z`` in row ``z * n_a + a`` and
+    ``weights[z, a]`` mixes the actions row-wise into
+    ``Q_w = sum_a diag(w_a) Q_a``.  Solves ``(I - dt Q_w)^T m = rhs``
+    (forward, ``transpose=True``) or ``(I - dt Q_w) V = rhs`` (backward).
+    """
+    n, n_a = weights.shape
+    mixing = sp.csr_matrix((weights.ravel(), np.arange(n * n_a),
+                            np.arange(0, n * n_a + 1, n_a)), shape=(n, n * n_a))
+    q_w = mixing @ stacked
+    system = (sp.identity(n, format="csr") - dt * (q_w.T if transpose else q_w)).tocsc()
+    try:
+        out = spla.spsolve(system, rhs)
+    except RuntimeError as exc:
+        raise PropagationError(f"implicit step failed: {exc}") from exc
+    if not np.all(np.isfinite(out)):
+        raise PropagationError("implicit step produced a non-finite solution")
+    return out
 
 
 def propagate_forward(gen: AugmentedGenerator, policy, initial_xy: DiscreteDistribution,
@@ -163,18 +179,10 @@ def propagate_forward(gen: AugmentedGenerator, policy, initial_xy: DiscreteDistr
     slices = [as_slice(m)]
     deviations = np.zeros(len(times) - 1)
     min_mass = float(m.min())
-    eye = sp.identity(n_z, format="csr")
     for k in range(len(times) - 1):
         dt = float(times[k + 1] - times[k])
-        gen_k = gen.at(times[k], step=dt)
-        mixed = _policy_mixed_generator(gen_k, probs[k + 1].reshape(n_z, -1))
-        system = (eye - dt * mixed.T).tocsc()
-        try:
-            m_next = spla.spsolve(system, m)
-        except RuntimeError as exc:
-            raise PropagationError(f"implicit step {k} failed: {exc}") from exc
-        if not np.all(np.isfinite(m_next)):
-            raise PropagationError(f"implicit step {k} produced non-finite mass")
+        m_next = implicit_step(gen.at(times[k], step=dt).matrix,
+                               probs[k + 1].reshape(n_z, -1), dt, m, transpose=True)
         deviations[k] = abs(float(m_next.sum()) - float(m.sum()))
         min_mass = min(min_mass, float(m_next.min()))
         m = m_next
@@ -272,31 +280,14 @@ def assemble_forward_program(gen: AugmentedGenerator, initial_xy: DiscreteDistri
         raise AssemblyError(
             f"initial distribution shape {initial_xy.mass.shape} != ({n_x}, {n_y})")
 
-    rows, cols, data = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        data.append(v)
-
-    z_idx = np.arange(n_z)
-    # initial condition rows 0 .. n_z-1
-    for a in range(n_a):
-        add(z_idx, z_idx * n_a + a, np.ones(n_z))
-    eye = sp.identity(n_z, format="csr")
+    ones = sp.kron(sp.identity(n_z), np.ones((n_a, 1)), format="csr")
+    blocks = [[None] * n_t for _ in range(n_t)]
+    blocks[0][0] = ones.T
     for k in range(n_t - 1):
         dt = float(times[k + 1] - times[k])
-        gen_k = gen.at(times[k], step=dt)
-        row0 = n_z + k * n_z
-        col_new = (k + 1) * n_z * n_a
-        col_old = k * n_z * n_a
-        for a in range(n_a):
-            block = (eye - dt * gen_k.per_action[a].matrix).T.tocoo()
-            add(row0 + block.row, col_new + block.col * n_a + a, block.data)
-            add(row0 + z_idx, col_old + z_idx * n_a + a, -np.ones(n_z))
-    a_eq = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_z * n_t, n_t * n_z * n_a))
+        blocks[k + 1][k] = -ones.T
+        blocks[k + 1][k + 1] = (ones - dt * gen.at(times[k], step=dt).matrix).T
+    a_eq = sp.bmat(blocks, format="csr")
     b_eq = np.zeros(n_z * n_t)
     b_eq[:n_z] = initial_xy.mass.reshape(n_z)
     if a_values is None:

@@ -120,24 +120,32 @@ def discount_factor(alpha: float, t: float, step: Optional[float] = None) -> flo
     return float((np.exp(-alpha * t) - np.exp(-alpha * (t + step))) / (alpha * step))
 
 
+def stack_actions(mats) -> sp.csr_matrix:
+    """One matrix whose row ``z * n_a + a`` is row ``z`` of ``mats[a]``: the
+    (state, action) order of the forward program's variables."""
+    n_a, n = len(mats), mats[0].shape[0]
+    return sp.vstack(mats, format="csr")[np.arange(n * n_a).reshape(n_a, n).T.ravel()]
+
+
 @dataclass(frozen=True)
 class AugmentedGenerator:
     """Generator of the joint (state, running-cost) chain at a fixed time.
 
-    State transitions copy the base rates at every cost level:
-    ``state_parts[a] = kron(Q_a, I_y)``.  Cost accumulation is upwind
-    transport to the next cost level at rate ``c(x, a) / dy``, dropped at
-    the top cost cell (absorbing boundary) so rows still sum to zero:
-    ``cost_parts[a]``.  Both are built once; time enters only through the
-    discount, ``per_action[a] = state_parts[a] + discount * cost_parts[a]``.
+    State transitions copy the base rates at every cost level,
+    ``kron(Q_a, I_y)``.  Cost accumulation is upwind transport to the next
+    cost level at rate ``c(x, a) / dy``, dropped at the top cost cell
+    (absorbing boundary) so rows still sum to zero.  Both are stacked over
+    actions (``stack_actions``) into ``state_part`` and ``cost_part`` once;
+    time enters only through the discount,
+    ``matrix = state_part + discount * cost_part``.
     """
 
     base: ControlledGenerator
     alpha: float
     y_grid: UniformGrid
-    state_parts: tuple[sp.csr_matrix, ...]
-    cost_parts: tuple[sp.csr_matrix, ...]
-    per_action: tuple[RateMatrix, ...]
+    state_part: sp.csr_matrix
+    cost_part: sp.csr_matrix
+    matrix: sp.csr_matrix
 
     @property
     def dim(self) -> int:
@@ -146,9 +154,7 @@ class AugmentedGenerator:
     def at(self, t: float, step: Optional[float] = None) -> "AugmentedGenerator":
         """The same generator with the discount taken at another time point."""
         disc = discount_factor(self.alpha, t, step)
-        return replace(self, per_action=tuple(
-            RateMatrix((x_part + disc * y_part).tocsr())
-            for x_part, y_part in zip(self.state_parts, self.cost_parts)))
+        return replace(self, matrix=(self.state_part + disc * self.cost_part).tocsr())
 
 
 def _cost_shift(n_y: int) -> sp.csr_matrix:
@@ -180,12 +186,13 @@ def augment_generator(base: ControlledGenerator, cost_rate, alpha: float,
         raise InvalidParameterError(f"discount rate must be nonnegative, got {alpha}")
     eye_y = sp.identity(y_grid.n, format="csr")
     shift = _cost_shift(y_grid.n)
-    state_parts = tuple(sp.kron(q.matrix, eye_y, format="csr") for q in base.per_action)
-    cost_parts = tuple(sp.kron(sp.diags(c[:, a] / y_grid.spacing), shift, format="csr")
-                       for a in range(base.n_actions))
+    state_part = stack_actions([sp.kron(q.matrix, eye_y, format="csr")
+                                for q in base.per_action])
+    cost_part = stack_actions([sp.kron(sp.diags(c[:, a] / y_grid.spacing), shift, format="csr")
+                               for a in range(base.n_actions)])
     return AugmentedGenerator(base=base, alpha=float(alpha), y_grid=y_grid,
-                              state_parts=state_parts, cost_parts=cost_parts,
-                              per_action=()).at(t, step)
+                              state_part=state_part, cost_part=cost_part,
+                              matrix=None).at(t, step)
 
 
 def load_generator_triplets(path, n_states: Optional[int] = None,

@@ -60,12 +60,23 @@ def eval_entropic_linear(dist: DiscreteDistribution, theta: float) -> float:
 
 
 def eval_entropic(dist: DiscreteDistribution, theta: float) -> float:
-    """Entropic risk ``log(sum exp(theta y) m) / theta``; expectation at theta=0."""
+    """Entropic risk ``log(sum exp(theta y) m) / theta``; expectation at theta=0.
+
+    Where the exponential moment overflows float64 it is evaluated as
+    ``top + log(sum exp(theta (y - top)) m) / theta``, with ``top`` the
+    largest value carrying mass.
+    """
     if theta < 0:
         raise InvalidParameterError(f"theta must be >= 0, got {theta}")
     if theta == 0:
         return eval_expectation(dist)
-    return math.log(eval_entropic_linear(dist, theta)) / theta
+    with np.errstate(over="ignore"):
+        linear = eval_entropic_linear(dist, theta)
+    if math.isfinite(linear):
+        return math.log(linear) / theta
+    values, mass = dist.values_1d()
+    top = float(values[mass > 0].max())
+    return top + math.log(float(np.exp(theta * (values - top)) @ mass)) / theta
 
 
 def eval_mean_semideviation(dist: DiscreteDistribution, beta: float) -> float:
@@ -104,8 +115,8 @@ def gradient_at_values(spec: RiskSpec, dist: DiscreteDistribution,
     if spec.kind == "entropic":
         if spec.theta == 0:
             return values.copy()
-        z = eval_entropic_linear(dist, spec.theta)
-        return np.exp(spec.theta * values) / (spec.theta * z)
+        # exp(theta y) / (theta E exp(theta Y)), without forming either moment
+        return np.exp(spec.theta * (values - eval_entropic(dist, spec.theta))) / spec.theta
     # mean semideviation
     sup, mass = dist.values_1d()
     mean = float(sup @ mass)

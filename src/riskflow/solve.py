@@ -66,7 +66,7 @@ class LpSolution:
     dual: np.ndarray
     primal_objective: float
     dual_objective: float
-    duality_gap: float  # |primal - dual| / max(1, |primal|)
+    duality_gap: float  # |primal - dual| / (1 + |primal| + |dual|), the stop test's
     iterations: int
     status: str  # optimal | infeasible | unbounded | max_iter | failed
     history: tuple = ()
@@ -97,6 +97,16 @@ def _normal_solver(a_csr, a_t_csr, d_vec):
     raise LpFailureError("failed", "normal-equation factorization failed")
 
 
+def _dot(a, b) -> float:
+    """Inner product in numpy's own summation order: BLAS ``ddot`` splits
+    long vectors by thread count, which would make results depend on it."""
+    return float(np.add.reduce(a * b))
+
+
+def _norm(a) -> float:
+    return math.sqrt(_dot(a, a))
+
+
 def _max_step(vals, dirs):
     neg = dirs < 0
     if not neg.any():
@@ -121,25 +131,25 @@ def solve_lp(problem: LpProblem, tol_gap: float = DEFAULT_TOL,
     y = np.zeros(m)
     z = np.ones(n)
     tau, kappa = 1.0, 1.0
-    norm_b, norm_c = np.linalg.norm(b), np.linalg.norm(c)
+    norm_b, norm_c = _norm(b), _norm(c)
     status = "max_iter"
     history = []
     iteration = 0
 
     def scaled_report():
         xs, ys, zs = x / tau, y / tau, z / tau
-        pobj = float(c @ xs)
-        dobj = float(b @ ys)
-        rho_p = np.linalg.norm(a_csr @ xs - b) / (1.0 + norm_b)
-        rho_d = np.linalg.norm(a_t @ ys + zs - c) / (1.0 + norm_c)
+        pobj = _dot(c, xs)
+        dobj = _dot(b, ys)
+        rho_p = _norm(a_csr @ xs - b) / (1.0 + norm_b)
+        rho_d = _norm(a_t @ ys + zs - c) / (1.0 + norm_c)
         rho_g = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         return xs, ys, zs, pobj, dobj, rho_p, rho_d, rho_g
 
     while True:
         r_p = b * tau - a_csr @ x
         r_d = c * tau - a_t @ y - z
-        r_g = float(c @ x - b @ y + kappa)
-        mu = (x @ z + tau * kappa) / (n + 1)
+        r_g = _dot(c, x) - _dot(b, y) + kappa
+        mu = (_dot(x, z) + tau * kappa) / (n + 1)
 
         xs, ys, zs, pobj, dobj, rho_p, rho_d, rho_g = scaled_report()
         history.append((pobj, dobj, rho_p, rho_d, rho_g, mu))
@@ -147,13 +157,13 @@ def solve_lp(problem: LpProblem, tol_gap: float = DEFAULT_TOL,
             status = "optimal"
             break
         # infeasibility / unboundedness via the embedding scale collapsing
-        hp = np.linalg.norm(r_p) / max(1.0, norm_b)
-        hd = np.linalg.norm(r_d) / max(1.0, norm_c)
+        hp = _norm(r_p) / max(1.0, norm_b)
+        hd = _norm(r_d) / max(1.0, norm_c)
         hg = abs(r_g) / max(1.0, norm_b + norm_c)
         if ((hp <= tol_gap and hd <= tol_gap and hg <= tol_gap
                 and tau <= tol_gap * max(1.0, kappa))
                 or (mu <= tol_gap * max(1.0, kappa) and tau <= tol_gap * min(1.0, kappa))):
-            status = "infeasible" if b @ y > tol_gap else "unbounded"
+            status = "infeasible" if _dot(b, y) > tol_gap else "unbounded"
             break
         if iteration >= max_iter:
             status = "max_iter"
@@ -175,8 +185,8 @@ def solve_lp(problem: LpProblem, tol_gap: float = DEFAULT_TOL,
 
         def direction(eta, rxs, rtk):
             u, v = sym_solve(eta * r_d - rxs / x, eta * r_p)
-            d_tau = ((eta * r_g + rtk / tau - (-c @ u + b @ v))
-                     / (kappa / tau + (-c @ p_vec + b @ q_vec)))
+            d_tau = ((eta * r_g + rtk / tau - (_dot(b, v) - _dot(c, u)))
+                     / (kappa / tau + (_dot(b, q_vec) - _dot(c, p_vec))))
             d_x = u + p_vec * d_tau
             d_y = v + q_vec * d_tau
             d_z = (rxs - z * d_x) / x
@@ -193,7 +203,7 @@ def solve_lp(problem: LpProblem, tol_gap: float = DEFAULT_TOL,
         alpha_aff = min(1.0, _max_step(x, dxa), _max_step(z, dza),
                         _max_step(np.array([tau]), np.array([dta])),
                         _max_step(np.array([kappa]), np.array([dka])))
-        mu_aff = (((x + alpha_aff * dxa) @ (z + alpha_aff * dza)
+        mu_aff = ((_dot(x + alpha_aff * dxa, z + alpha_aff * dza)
                    + (tau + alpha_aff * dta) * (kappa + alpha_aff * dka)) / (n + 1))
         gamma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
         # corrector
@@ -212,10 +222,9 @@ def solve_lp(problem: LpProblem, tol_gap: float = DEFAULT_TOL,
         tau = tau + alpha * d_tau
         kappa = kappa + alpha * d_kappa
 
-    xs, ys, zs, pobj, dobj, _, _, _ = scaled_report()
-    gap = abs(pobj - dobj) / max(1.0, abs(pobj))
+    xs, ys, zs, pobj, dobj, _, _, rho_g = scaled_report()
     return LpSolution(primal=xs, dual=ys, primal_objective=pobj, dual_objective=dobj,
-                      duality_gap=gap, iterations=iteration, status=status,
+                      duality_gap=rho_g, iterations=iteration, status=status,
                       history=tuple(history))
 
 
@@ -395,22 +404,28 @@ def optimize_linear_risk(fp: ForwardProgram, spec: RiskSpec,
     """Minimize a measure-linear risk of the terminal cost distribution.
 
     The objective places the risk coefficients (``y + v(x)`` for the
-    expectation, ``exp(theta (y + v(x)))`` for the exponential form) on the
-    terminal-slice variables.  For the exponential form the reported
-    ``rho_star`` is the log-form value ``log(optimum) / theta``; the raw
-    linear optimum is kept in ``rho_linear``.
+    expectation, ``exp(theta (y + v(x) - top))`` with ``top = max(y + v)``
+    for the exponential form) on the terminal-slice variables; the shift
+    keeps them in ``(0, 1]`` for any ``theta``.  For the exponential form the
+    reported ``rho_star`` is the log-form value ``top + log(optimum) / theta``;
+    the exponential moment ``exp(theta rho_star)`` is kept in ``rho_linear``
+    when float64 can hold it.
     """
     if not spec.is_linear:
         raise InvalidParameterError(
             f"optimize_linear_risk needs a measure-linear risk, got {spec.kind!r}")
     theta_vals = _terminal_values(fp, v)
     entropic = spec.kind == "entropic_linear" and spec.theta > 0
-    weights = np.exp(spec.theta * theta_vals) if entropic else theta_vals
+    top = float(theta_vals.max())
+    weights = np.exp(spec.theta * (theta_vals - top)) if entropic else theta_vals
     sol = _solve_forward_lp(fp, fp.terminal_objective(weights), tol_gap, max_iter)
-    rho_linear = sol.primal_objective
-    rho_star = math.log(rho_linear) / spec.theta if entropic else rho_linear
+    rho_star, rho_linear = sol.primal_objective, None
+    if entropic:
+        rho_star = top + math.log(rho_star) / spec.theta
+        if spec.theta * rho_star < math.log(np.finfo(float).max):
+            rho_linear = math.exp(spec.theta * rho_star)
     return _solve_report(fp, sol.primal, sol.status, sol.duality_gap, sol.iterations,
-                         mass_floor, rho_star, rho_linear if entropic else None)
+                         mass_floor, rho_star, rho_linear)
 
 
 def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
@@ -425,8 +440,10 @@ def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
     distribution, calls the LP for the descent vertex, and mixes with step
     ``2 / (k + 2)``; it stops when the Frank-Wolfe gap drops to ``tol``.
     The best iterate seen is returned (the risk surface need not be convex
-    in the measure), with the last LP's status and duality gap and the
-    iteration count summed over all LPs.
+    in the measure), with the last LP's duality gap and the iteration count
+    summed over all LPs.  The status is ``optimal`` only when the
+    Frank-Wolfe gap reached ``tol`` against an optimal descent vertex, and
+    ``max_iter`` otherwise.
     """
     theta_vals = _terminal_values(fp, v)
 
@@ -455,7 +472,7 @@ def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
         c_vec = fp.terminal_objective(grad_xy)
         sol = _solve_forward_lp(fp, c_vec, tol_gap, max_iter)
         total_iters += sol.iterations
-        gap = float(c_vec @ (mu - sol.primal))
+        gap = _dot(c_vec, mu - sol.primal)
         steps = fw_iter
         if gap <= tol:
             break
@@ -464,5 +481,6 @@ def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
     final = evaluate(spec, terminal_dist(mu))
     if final < best_val:
         best_val, best_mu = final, mu
-    return _solve_report(fp, best_mu, sol.status, sol.duality_gap, total_iters,
+    status = "optimal" if gap <= tol and sol.status == "optimal" else "max_iter"
+    return _solve_report(fp, best_mu, status, sol.duality_gap, total_iters,
                          mass_floor, best_val, fw_iterations=steps, fw_gap=gap)

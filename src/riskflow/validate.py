@@ -11,11 +11,11 @@ from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import InvalidParameterError, PolicyEnumerationError
-from .forward import DiscreteDistribution, _policy_mixed_generator, propagate_forward
-from .generator import ControlledGenerator, augment_generator, discount_factor
+from .forward import DiscreteDistribution, implicit_step, propagate_forward
+from .generator import (ControlledGenerator, augment_generator, discount_factor,
+                        stack_actions)
 from .grids import UniformGrid, grid_points
 from .risk import RiskSpec, apply_terminal_cost, evaluate, merge_support
 from .solve import MarkovPolicy
@@ -239,9 +239,10 @@ class DpResult:
 DP_TIE_TOL = 1e-10
 
 
-def _implicit_bellman_step(gen_k, rhs: np.ndarray, dt: float):
+def _implicit_bellman_step(stacked: sp.csr_matrix, rhs: np.ndarray, dt: float):
     """Solve ``V = min_a [rhs_a + dt Q_a V]`` row by row by Howard's policy
-    iteration; ``rhs`` is ``(n_a, n)``.
+    iteration; ``stacked`` is the generator stacked over actions
+    (``generator.stack_actions``) and ``rhs`` is ``(n, n_a)``.
 
     Each evaluation solves ``(I - dt Q_pi) V = rhs_pi`` for a deterministic
     policy ``pi``.  ``I - dt Q_pi`` is an M-matrix, so every improvement
@@ -249,21 +250,18 @@ def _implicit_bellman_step(gen_k, rhs: np.ndarray, dt: float):
     state switches action only when that lowers its value by more than
     ``DP_TIE_TOL`` relative to the value scale: exact ties would cycle.
     """
-    n_a, n = rhs.shape
+    n, n_a = rhs.shape
     rows = np.arange(n)
-    eye = sp.identity(n, format="csr")
 
     def candidates(val):
-        return np.stack([rhs[a] + dt * (gen_k.per_action[a].matrix @ val)
-                         for a in range(n_a)])
+        return rhs + dt * (stacked @ val).reshape(n, n_a)
 
-    pol = candidates(rhs.min(axis=0)).argmin(axis=0)
+    pol = candidates(rhs.min(axis=1)).argmin(axis=1)
     while True:
-        mixed = _policy_mixed_generator(gen_k, np.eye(n_a)[pol])
-        val = spla.spsolve((eye - dt * mixed).tocsc(), rhs[pol, rows])
+        val = implicit_step(stacked, np.eye(n_a)[pol], dt, rhs[rows, pol], transpose=False)
         cand = candidates(val)
-        best = cand.argmin(axis=0)
-        switch = cand[best, rows] < cand[pol, rows] - DP_TIE_TOL * np.abs(val).max()
+        best = cand.argmin(axis=1)
+        switch = cand[rows, best] < cand[rows, pol] - DP_TIE_TOL * np.abs(val).max()
         if not switch.any():
             return val, pol
         pol = np.where(switch, best, pol)
@@ -299,6 +297,8 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
     if y_grid is not None:
         aug = augment_generator(gen, c, alpha, y_grid, t=float(times[0]))
         terminal = terminal[:, None] + y_grid.points[None, :]
+    else:
+        stacked = stack_actions([q.matrix for q in gen.per_action])
     values = np.zeros((n_t,) + terminal.shape)
     values[-1] = terminal
     actions = np.zeros((n_t - 1,) + terminal.shape, dtype=np.int64)
@@ -306,12 +306,11 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
         dt = float(times[k + 1] - times[k])
         v_next = values[k + 1].ravel()
         if y_grid is None:
-            gen_k = gen
-            rhs = dt * discount_factor(alpha, times[k], step=dt) * c.T + v_next
+            rhs = dt * discount_factor(alpha, times[k], step=dt) * c + v_next[:, None]
         else:
-            gen_k = aug.at(times[k], step=dt)
-            rhs = np.broadcast_to(v_next, (gen.n_actions, v_next.size))
-        val, pol = _implicit_bellman_step(gen_k, rhs, dt)
+            stacked = aug.at(times[k], step=dt).matrix
+            rhs = np.broadcast_to(v_next[:, None], (v_next.size, gen.n_actions))
+        val, pol = _implicit_bellman_step(stacked, rhs, dt)
         values[k] = val.reshape(terminal.shape)
         actions[k] = pol.reshape(terminal.shape)
     start = values[0] if y_grid is None else values[0][:, 0]

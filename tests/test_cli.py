@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +234,30 @@ class TestRun:
                      "policy_mask.csv", "report.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("payload", [
+        {"n_x": 9, "n_y": 9, "n_a": 9, "n_t": 15},
+        {"n_x": 11, "n_y": 11, "n_a": 7, "n_t": 13,
+         "risk": {"kind": "mean_semideviation", "beta": 0.5}},
+    ], ids=["entropic", "semideviation"])
+    def test_artifacts_independent_of_blas_threads(self, tmp_path, payload):
+        # about 1e4 LP variables: long enough for BLAS to split inner
+        # products across threads, which would change their rounding
+        config = write_config(tmp_path, payload)
+        src = str(Path(__file__).parent.parent / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run([sys.executable, "-m", "riskflow.cli", "solve",
+                                   "--config", str(config), "--out", str(out)],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outs.append(out)
+        for name in ("marginal_x.csv", "marginal_y.csv", "policy.csv",
+                     "policy_mask.csv", "report.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestValidationCommand:

@@ -9,6 +9,8 @@ from riskflow import (ControlledGenerator, DiscreteDistribution,
                       build_circle_grid, build_uniform_grid, discount_factor,
                       discretize_circle_diffusion, marginal,
                       propagate_forward, write_trajectory_csv)
+from riskflow.forward import implicit_step
+from riskflow.generator import stack_actions
 
 
 def two_state_gen(q01=1.0, q10=2.0):
@@ -229,3 +231,77 @@ class TestAssembly:
         assert rows.shape == (6, 3)
         got = rows[rows[:, 0] == 1.0][:, 2]
         assert np.allclose(got, traj.slices[-1].marginal("y").mass)
+
+
+def random_generator(rng, n_x, n_a):
+    """Dense random rate matrices, zero row sums, some rates exactly zero."""
+    mats = []
+    for _ in range(n_a):
+        q = rng.uniform(0, 2, (n_x, n_x)) * (rng.uniform(size=(n_x, n_x)) < 0.6)
+        np.fill_diagonal(q, 0.0)
+        np.fill_diagonal(q, -q.sum(axis=1))
+        mats.append(RateMatrix(sp.csr_matrix(q)))
+    return ControlledGenerator(per_action=tuple(mats))
+
+
+class TestImplicitStepKernel:
+    """The LP rows, the forward step and the backward step share one
+    stacked (state, action) generator."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_eq_matches_per_action_formula(self, seed):
+        # the evolution rows written out action by action, as a dense matrix
+        rng = np.random.default_rng(seed)
+        n_x, n_y, n_a = int(rng.integers(2, 5)), int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        gen = random_generator(rng, n_x, n_a)
+        cost = rng.uniform(0, 1.5, (n_x, n_a))
+        alpha = float(rng.uniform(0.1, 1.0))
+        yg = build_uniform_grid(0.0, float(rng.uniform(0.5, 3.0)), n_y)
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 0.9, 3))])
+        init = start_at(0, n_x, n_y, coords=(np.arange(float(n_x)), yg.points))
+        fp = assemble_forward_program(augment_generator(gen, cost, alpha, yg, t=0.0),
+                                      init, times)
+        n_z = n_x * n_y
+        shift = np.eye(n_y, k=1) - np.eye(n_y)
+        shift[-1] = 0.0
+        want = np.zeros((len(times) * n_z, len(times) * n_z * n_a))
+        z = np.arange(n_z)
+        for a in range(n_a):
+            want[z, z * n_a + a] = 1.0
+        for k in range(len(times) - 1):
+            dt = times[k + 1] - times[k]
+            disc = discount_factor(alpha, times[k], dt)
+            rows = (k + 1) * n_z + z
+            for a in range(n_a):
+                q_a = (np.kron(gen.per_action[a].matrix.toarray(), np.eye(n_y))
+                       + disc * np.kron(np.diag(cost[:, a] / yg.spacing), shift))
+                block = (np.eye(n_z) - dt * q_a).T
+                want[np.ix_(rows, ((k + 1) * n_z + z) * n_a + a)] = block
+                want[rows, (k * n_z + z) * n_a + a] = -1.0
+        np.testing.assert_allclose(fp.a_eq.toarray(), want, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("transpose", [True, False])
+    def test_implicit_step_matches_dense_solve(self, transpose):
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            n, n_a = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+            gen = random_generator(rng, n, n_a)
+            weights = rng.dirichlet(np.ones(n_a), size=n)
+            dt = float(rng.uniform(0.05, 2.0))
+            rhs = rng.uniform(-1, 1, n)
+            q_w = sum(weights[:, [a]] * gen.per_action[a].matrix.toarray()
+                      for a in range(n_a))
+            system = np.eye(n) - dt * q_w
+            want = np.linalg.solve(system.T if transpose else system, rhs)
+            stacked = stack_actions([q.matrix for q in gen.per_action])
+            got = implicit_step(stacked, weights, dt, rhs, transpose=transpose)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_stack_actions_order(self):
+        rng = np.random.default_rng(6)
+        gen = random_generator(rng, 4, 3)
+        stacked = stack_actions([q.matrix for q in gen.per_action]).toarray()
+        for z in range(4):
+            for a in range(3):
+                assert np.array_equal(stacked[z * 3 + a],
+                                      gen.per_action[a].matrix.toarray()[z])

@@ -17,6 +17,12 @@ def circle_gen(n=5, sigma=1.0, actions=(0.0,)):
         state_grid=grid)
 
 
+def per_action(aug):
+    """Each action's augmented generator: rows ``a::n_a`` of the stacked matrix."""
+    n_a = aug.base.n_actions
+    return tuple(RateMatrix(aug.matrix[a::n_a]) for a in range(n_a))
+
+
 class TestStencil:
     def test_pure_diffusion_rates(self):
         grid = build_circle_grid(4)
@@ -82,7 +88,7 @@ class TestAugmentation:
         yg = build_uniform_grid(0.0, 1.0, 4)
         aug = augment_generator(gen, np.zeros((5, 1)), 0.5, yg, t=0.0)
         expect = sp.kron(gen.per_action[0].matrix, sp.identity(4)).toarray()
-        assert np.allclose(aug.per_action[0].matrix.toarray(), expect)
+        assert np.allclose(per_action(aug)[0].matrix.toarray(), expect)
 
     def test_reference_transport_rate(self):
         # cost rate (1 - cos x + 2 a^2) over dy = 0.125, no discount at t=0
@@ -96,7 +102,7 @@ class TestAugmentation:
         aug = augment_generator(gen, cost, 0.25, yg, t=0.0)
         n_y = 21
         for a in (0, 10, 20):
-            m = aug.per_action[a].matrix
+            m = per_action(aug)[a].matrix
             for x in (0, 5, 13):
                 z = x * n_y + 3  # some interior cost level
                 assert m[z, z + 1] == pytest.approx(cost[x, a] / 0.125, rel=1e-12)
@@ -106,11 +112,11 @@ class TestAugmentation:
         yg = build_uniform_grid(0.0, 2.0, 5)
         cost = np.abs(np.random.default_rng(1).normal(size=(4, 2)))
         aug = augment_generator(gen, cost, 0.3, yg, t=1.7)
-        for q in aug.per_action:
+        for q in per_action(aug):
             assert validate_generator(q).ok
         # top cost level has no upward transport left: the row reduces to
         # pure state transitions at fixed y
-        m = aug.per_action[0].matrix.toarray()
+        m = per_action(aug)[0].matrix.toarray()
         top = 4  # y index n_y - 1
         for x in range(4):
             row = m[x * 5 + top].reshape(4, 5)
@@ -121,10 +127,10 @@ class TestAugmentation:
         grid, gen = circle_gen(4, actions=(0.0,))
         yg = build_uniform_grid(0.0, 1.0, 4)
         cost = np.full((4, 1), 0.5)
-        base = augment_generator(gen, cost, 0.0, yg, t=0.0).per_action[0].matrix.toarray()
+        base = per_action(augment_generator(gen, cost, 0.0, yg, t=0.0))[0].matrix.toarray()
         bumped_cost = cost.copy()
         bumped_cost[2, 0] += 0.25
-        bumped = augment_generator(gen, bumped_cost, 0.0, yg, t=0.0).per_action[0].matrix.toarray()
+        bumped = per_action(augment_generator(gen, bumped_cost, 0.0, yg, t=0.0))[0].matrix.toarray()
         delta = bumped - base
         # only transport entries of state 2 changed, all upward
         changed = np.argwhere(np.abs(delta) > 1e-14)
@@ -146,9 +152,9 @@ class TestAugmentation:
         for t in (0.0, 0.5, 2.0, 7.3):
             moved = aug.at(t, step)
             fresh = augment_generator(gen, cost, alpha, yg, t=t, step=step)
-            assert len(moved.per_action) == len(fresh.per_action) == 3
+            assert len(per_action(moved)) == len(per_action(fresh)) == 3
             disc = discount_factor(alpha, t, step)
-            for a, (got, want) in enumerate(zip(moved.per_action, fresh.per_action)):
+            for a, (got, want) in enumerate(zip(per_action(moved), per_action(fresh))):
                 for attr in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(got.matrix, attr),
                                           getattr(want.matrix, attr))
@@ -166,11 +172,11 @@ class TestAugmentation:
         grid, gen = circle_gen(4, actions=(0.1,))
         yg = build_uniform_grid(0.0, 1.0, 4)
         cost = np.full((4, 1), 0.7)
-        a0 = augment_generator(gen, cost, 0.0, yg, t=0.0).per_action[0].matrix
-        a5 = augment_generator(gen, cost, 0.0, yg, t=5.0).per_action[0].matrix
+        a0 = per_action(augment_generator(gen, cost, 0.0, yg, t=0.0))[0].matrix
+        a5 = per_action(augment_generator(gen, cost, 0.0, yg, t=5.0))[0].matrix
         assert np.allclose(a0.toarray(), a5.toarray())  # alpha = 0: time independent
-        b0 = augment_generator(gen, cost, 0.4, yg, t=0.0).per_action[0].matrix.toarray()
-        b5 = augment_generator(gen, cost, 0.4, yg, t=5.0).per_action[0].matrix.toarray()
+        b0 = per_action(augment_generator(gen, cost, 0.4, yg, t=0.0))[0].matrix.toarray()
+        b5 = per_action(augment_generator(gen, cost, 0.4, yg, t=5.0))[0].matrix.toarray()
         x_part = sp.kron(gen.per_action[0].matrix, sp.identity(4)).toarray()
         ratio = np.exp(-0.4 * 5.0)
         assert np.allclose(b5 - x_part, ratio * (b0 - x_part))

@@ -68,6 +68,23 @@ class TestEntropic:
             gap = eval_entropic(COIN, theta) - 0.5
             assert gap / theta == pytest.approx(var / 2, rel=1e-3)
 
+    def test_finite_where_the_moment_overflows(self):
+        # exp(1000 y) overflows float64 at y = 1; the risk itself is near 1
+        with np.errstate(over="ignore"):
+            assert math.isinf(eval_entropic_linear(COIN, 1000.0))
+        value = eval_entropic(COIN, 1000.0)
+        assert value == pytest.approx(1.0 + math.log(0.5) / 1000.0, abs=1e-12)
+        far = dist([0.0, 800.0], [0.5, 0.5])
+        assert eval_entropic(far, 1000.0) == pytest.approx(800.0 + math.log(0.5) / 1000.0)
+        # d/dm of log(E exp(theta Y)) / theta is exp(theta y) / (theta E exp(theta Y))
+        grad = gradient_at_values(RiskSpec(kind="entropic", theta=1000.0), COIN,
+                                  np.array([0.0, 1.0]))
+        assert np.all(np.isfinite(grad))
+        assert grad == pytest.approx([0.0, 2.0 / 1000.0], abs=1e-15)
+        grad = gradient_at_values(RiskSpec(kind="entropic", theta=1.0), COIN,
+                                  np.array([0.0, 1.0]))
+        assert grad == pytest.approx(np.exp([0.0, 1.0]) / ((1 + math.e) / 2), rel=1e-14)
+
     def test_negative_theta_rejected(self):
         with pytest.raises(InvalidParameterError):
             eval_entropic(COIN, -0.5)

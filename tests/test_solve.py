@@ -155,6 +155,74 @@ class TestOptimizeLinear:
             assert np.abs(folded - sl_prop.mass).max() < 1e-6
 
 
+def circle_program(payload):
+    from riskflow.cli import _build_spec, _forward_program, build_problem
+
+    spec = _build_spec(payload)
+    pieces = build_problem(spec)
+    return pieces, _forward_program(spec, pieces)
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("theta", [1.0, 20.0, 60.0, 150.0, 300.0])
+    def test_entropic_theta_sweep_matches_highs(self, theta):
+        # weights exp(theta (y - top)) stay in (0, 1] however large theta is
+        from scipy.optimize import linprog
+
+        pieces, fp = circle_program({"n_x": 9, "n_y": 9, "n_a": 5, "n_t": 9})
+        rep = optimize_linear_risk(fp, RiskSpec(kind="entropic_linear", theta=theta))
+        assert rep.status == "optimal"
+        total = np.broadcast_to(fp.y_values, (fp.n_x, fp.n_y))
+        top = total.max()
+        ref = linprog(fp.terminal_objective(np.exp(theta * (total - top))),
+                      A_eq=fp.a_eq, b_eq=fp.b_eq, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        assert rep.rho_star == pytest.approx(top + np.log(ref.fun) / theta, abs=1e-8)
+        if rep.rho_linear is None:
+            assert theta * top + np.log(ref.fun) > np.log(np.finfo(float).max)
+        else:
+            assert rep.rho_linear == pytest.approx(np.exp(theta * top) * ref.fun, rel=1e-7)
+        assert all(np.isfinite(v) for v in rep.to_json_dict().values()
+                   if isinstance(v, float))
+
+    @pytest.mark.parametrize("theta", [1.0, 40.0, 2000.0])
+    def test_entropic_matches_enumeration_at_large_theta(self, theta):
+        from riskflow import enumerate_policies
+
+        cost = [[0.3, 1.1], [0.9, 0.2]]
+        gen, yg, times, nu, start, aug, fp = tiny_instance([(1.0, 2.0), (0.5, 0.3)], cost)
+        rep = optimize_linear_risk(fp, RiskSpec(kind="entropic_linear", theta=theta),
+                                   tol_gap=1e-11)
+        enum = enumerate_policies(gen, cost, 0.25, yg, times, nu,
+                                  RiskSpec(kind="entropic", theta=theta))
+        assert rep.status == "optimal"
+        assert rep.rho_star == pytest.approx(enum.value, abs=1e-8)
+
+    @pytest.mark.parametrize("payload", [
+        {"n_x": 5, "n_y": 4, "n_a": 3, "n_t": 4, "horizon": 4.0},
+        {"n_x": 7, "n_y": 5, "n_a": 3, "n_t": 5, "risk": {"kind": "expectation"}},
+    ])
+    def test_optimal_reports_gap_within_tolerance(self, payload):
+        # the reported gap is the quantity the stop test compares with tol_gap
+        pieces, fp = circle_program(payload)
+        risk = (RiskSpec(kind="expectation") if "risk" in payload
+                else RiskSpec(kind="entropic_linear", theta=1.0))
+        for tol in np.logspace(-4, -10, 25):
+            rep = optimize_linear_risk(fp, risk, tol_gap=tol)
+            assert rep.status == "optimal"
+            assert rep.duality_gap <= tol
+
+    def test_frank_wolfe_status_needs_small_gap(self):
+        # the expectation vertex is not optimal here: one round leaves a gap
+        pieces, fp = circle_program({"n_x": 9, "n_y": 9, "n_a": 7, "n_t": 9})
+        spec = RiskSpec(kind="mean_semideviation", beta=0.5)
+        short = optimize_smooth_risk(fp, spec, max_fw_iter=1)
+        assert short.fw_gap > 1e-8
+        assert short.status == "max_iter"
+        full = optimize_smooth_risk(fp, spec)
+        assert full.fw_gap <= 1e-8
+        assert full.status == "optimal"
+
 class TestOptimizeSmooth:
     def test_linear_converges_in_one_step(self):
         *_, fp = tiny_instance([(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])

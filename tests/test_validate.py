@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from riskflow import (ControlledGenerator, DiscreteDistribution, LpFailureError,
-                      LpSolution, MarkovPolicy, McConfig, PolicyEnumerationError, RateMatrix, RiskSpec,
+                      LpSolution, MarkovPolicy, McConfig, PolicyEnumerationError,
+                      PropagationError, RateMatrix, RiskSpec,
                       bounded_lipschitz_distance, build_uniform_grid,
                       distribution_from_samples, enumerate_policies,
                       optimize_linear_risk, risk_neutral_dp, simulate_paths,
@@ -309,6 +310,19 @@ class TestRiskNeutralDpCostAxis:
         traj = propagate_forward(aug, base.greedy_policy(yg.n, 2), designated_start(yg),
                                  DESIGNATED_TIMES)
         assert traj.slices[-1].marginal("y").mean() == pytest.approx(base.value, abs=1e-10)
+
+    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+    def test_infinite_cost_fails_loudly_on_cost_axis(self):
+        # an infinite rate makes the augmented implicit step singular; the
+        # base chain only sees it in the stage cost, which the minimum avoids
+        gen = two_state_gen(DESIGNATED_RATES)
+        cost = DESIGNATED_COST.copy()
+        cost[0, 1] = np.inf
+        with pytest.raises(PropagationError):
+            risk_neutral_dp(gen, cost, 0.25, DESIGNATED_TIMES, DESIGNATED_NU,
+                            y_grid=build_uniform_grid(0.0, 0.4, 2))
+        base = risk_neutral_dp(gen, cost, 0.25, DESIGNATED_TIMES, DESIGNATED_NU)
+        assert base.value == pytest.approx(0.2310, abs=1e-4)
 
 
 class TestEnumeration:
