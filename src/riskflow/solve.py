@@ -32,6 +32,9 @@ DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
 MASS_FLOOR = 1e-12
 STEP_SCALE = 0.99995  # fraction of the distance to the boundary taken per step
+# largest log of an entropic LP weight; from about 30 on, the IPM's
+# infeasibility test fires on feasible programs
+ENTROPIC_LOG_SPAN = 15.0
 
 
 class LpFailureError(RiskflowError):
@@ -404,28 +407,39 @@ def optimize_linear_risk(fp: ForwardProgram, spec: RiskSpec,
     """Minimize a measure-linear risk of the terminal cost distribution.
 
     The objective places the risk coefficients (``y + v(x)`` for the
-    expectation, ``exp(theta (y + v(x) - top))`` with ``top = max(y + v)``
-    for the exponential form) on the terminal-slice variables; the shift
-    keeps them in ``(0, 1]`` for any ``theta``.  For the exponential form the
-    reported ``rho_star`` is the log-form value ``top + log(optimum) / theta``;
-    the exponential moment ``exp(theta rho_star)`` is kept in ``rho_linear``
-    when float64 can hold it.
+    expectation, ``exp(theta (y + v(x) - top))`` for the exponential form)
+    on the terminal-slice variables.  The shift ``top`` is the smallest cost
+    on the grid, raised just enough that no weight exceeds
+    ``exp(ENTROPIC_LOG_SPAN)``, which keeps the LP well scaled for any
+    ``theta``.  The reported ``rho_star`` is ``top + log(optimum) / theta``;
+    an optimum below 1 is re-solved with the gap tolerance scaled by it, so
+    that ``optimal`` bounds the gap's share of the error in ``rho_star`` by
+    about ``3 tol_gap / theta`` either way.  The exponential moment
+    ``exp(theta top) optimum`` is kept in ``rho_linear`` when float64 can
+    hold it.
     """
     if not spec.is_linear:
         raise InvalidParameterError(
             f"optimize_linear_risk needs a measure-linear risk, got {spec.kind!r}")
     theta_vals = _terminal_values(fp, v)
-    entropic = spec.kind == "entropic_linear" and spec.theta > 0
-    top = float(theta_vals.max())
-    weights = np.exp(spec.theta * (theta_vals - top)) if entropic else theta_vals
-    sol = _solve_forward_lp(fp, fp.terminal_objective(weights), tol_gap, max_iter)
-    rho_star, rho_linear = sol.primal_objective, None
-    if entropic:
-        rho_star = top + math.log(rho_star) / spec.theta
-        if spec.theta * rho_star < math.log(np.finfo(float).max):
-            rho_linear = math.exp(spec.theta * rho_star)
+    if spec.kind != "entropic_linear" or spec.theta == 0:
+        sol = _solve_forward_lp(fp, fp.terminal_objective(theta_vals), tol_gap, max_iter)
+        return _solve_report(fp, sol.primal, sol.status, sol.duality_gap, sol.iterations,
+                             mass_floor, sol.primal_objective)
+    theta = spec.theta
+    top = max(float(theta_vals.min()),
+              float(theta_vals.max()) - ENTROPIC_LOG_SPAN / theta)
+    c = fp.terminal_objective(np.exp(theta * (theta_vals - top)))
+    sol = _solve_forward_lp(fp, c, tol_gap, max_iter)
+    if sol.status == "optimal" and sol.primal_objective < 1.0:
+        # the stop test is relative only for optima of at least 1
+        sol = _solve_forward_lp(fp, c, tol_gap * sol.primal_objective, max_iter)
+    opt = sol.primal_objective
+    with np.errstate(over="ignore"):
+        rho_linear = float(np.exp(theta * top) * opt)
     return _solve_report(fp, sol.primal, sol.status, sol.duality_gap, sol.iterations,
-                         mass_floor, rho_star, rho_linear)
+                         mass_floor, top + math.log(opt) / theta,
+                         rho_linear if math.isfinite(rho_linear) else None)
 
 
 def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
@@ -439,11 +453,11 @@ def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
     Each round linearizes the risk at the current terminal cost
     distribution, calls the LP for the descent vertex, and mixes with step
     ``2 / (k + 2)``; it stops when the Frank-Wolfe gap drops to ``tol``.
-    The best iterate seen is returned (the risk surface need not be convex
-    in the measure), with the last LP's duality gap and the iteration count
-    summed over all LPs.  The status is ``optimal`` only when the
-    Frank-Wolfe gap reached ``tol`` against an optimal descent vertex, and
-    ``max_iter`` otherwise.
+    When that gap is reached against an optimal descent vertex, the status
+    is ``optimal`` and the iterate it certifies is returned.  Otherwise the
+    status is ``max_iter`` and the best iterate seen is returned (the risk
+    surface need not be convex in the measure).  The report carries the
+    last LP's duality gap and the iteration count summed over all LPs.
     """
     theta_vals = _terminal_values(fp, v)
 
@@ -478,9 +492,12 @@ def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
             break
         step = 2.0 / ((fw_iter - 1) + 2.0)
         mu = (1.0 - step) * mu + step * sol.primal
-    final = evaluate(spec, terminal_dist(mu))
-    if final < best_val:
-        best_val, best_mu = final, mu
     status = "optimal" if gap <= tol and sol.status == "optimal" else "max_iter"
+    if status == "optimal":
+        best_val, best_mu = val, mu
+    else:
+        final = evaluate(spec, terminal_dist(mu))
+        if final < best_val:
+            best_val, best_mu = final, mu
     return _solve_report(fp, best_mu, status, sol.duality_gap, total_iters,
                          mass_floor, best_val, fw_iterations=steps, fw_gap=gap)

@@ -294,22 +294,25 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
     c = np.asarray(cost_rate, dtype=float)
     nu = np.asarray(initial_x, dtype=float)
     terminal = np.zeros(gen.dim) if v is None else np.asarray(v, dtype=float)
-    if y_grid is not None:
+    # step(t, dt, v_next) gives one step's stacked generator and Bellman rhs
+    if y_grid is None:
+        base = stack_actions([q.matrix for q in gen.per_action])
+
+        def step(t, dt, v_next):
+            return base, dt * discount_factor(alpha, t, step=dt) * c + v_next[:, None]
+    else:
         aug = augment_generator(gen, c, alpha, y_grid, t=float(times[0]))
         terminal = terminal[:, None] + y_grid.points[None, :]
-    else:
-        stacked = stack_actions([q.matrix for q in gen.per_action])
+
+        def step(t, dt, v_next):
+            return (aug.at(t, step=dt).matrix,
+                    np.broadcast_to(v_next[:, None], (v_next.size, gen.n_actions)))
     values = np.zeros((n_t,) + terminal.shape)
     values[-1] = terminal
     actions = np.zeros((n_t - 1,) + terminal.shape, dtype=np.int64)
     for k in range(n_t - 2, -1, -1):
         dt = float(times[k + 1] - times[k])
-        v_next = values[k + 1].ravel()
-        if y_grid is None:
-            rhs = dt * discount_factor(alpha, times[k], step=dt) * c + v_next[:, None]
-        else:
-            stacked = aug.at(times[k], step=dt).matrix
-            rhs = np.broadcast_to(v_next[:, None], (v_next.size, gen.n_actions))
+        stacked, rhs = step(times[k], dt, values[k + 1].ravel())
         val, pol = _implicit_bellman_step(stacked, rhs, dt)
         values[k] = val.reshape(terminal.shape)
         actions[k] = pol.reshape(terminal.shape)

@@ -166,7 +166,7 @@ def circle_program(payload):
 class TestCertificates:
     @pytest.mark.parametrize("theta", [1.0, 20.0, 60.0, 150.0, 300.0])
     def test_entropic_theta_sweep_matches_highs(self, theta):
-        # weights exp(theta (y - top)) stay in (0, 1] however large theta is
+        # shifted weights exp(theta (y - top)) stay below exp(15) however large theta is
         from scipy.optimize import linprog
 
         pieces, fp = circle_program({"n_x": 9, "n_y": 9, "n_a": 5, "n_t": 9})
@@ -184,6 +184,27 @@ class TestCertificates:
             assert rep.rho_linear == pytest.approx(np.exp(theta * top) * ref.fun, rel=1e-7)
         assert all(np.isfinite(v) for v in rep.to_json_dict().values()
                    if isinstance(v, float))
+
+    @pytest.mark.parametrize("theta", [1.0, 5.0])
+    @pytest.mark.parametrize("rates, y_max, v", [
+        # rho_star far below the grid's top cost cell
+        ([(1.0, 2.0), (0.5, 0.3)], 60.0, None),
+        # a costly state reached with probability ~1e-7: the LP optimum is below 1
+        ([(1e-7, 2.0), (2e-7, 0.3)], 2.0, [0.0, 40.0]),
+    ])
+    def test_entropic_error_within_gap_bound(self, theta, rates, y_max, v):
+        # the stop test certifies rho_star to ~3 tol_gap / theta, not to
+        # tol_gap times exp(theta (top - rho_star))
+        from riskflow import enumerate_policies
+
+        cost = [[0.3, 1.1], [0.9, 0.2]]
+        gen, yg, times, nu, start, aug, fp = tiny_instance(rates, cost, n_y=3, y_max=y_max)
+        v = None if v is None else np.array(v)
+        rep = optimize_linear_risk(fp, RiskSpec(kind="entropic_linear", theta=theta), v=v)
+        enum = enumerate_policies(gen, cost, 0.25, yg, times, nu,
+                                  RiskSpec(kind="entropic", theta=theta), v=v)
+        assert rep.status == "optimal"
+        assert rep.rho_star == pytest.approx(enum.value, abs=3e-9 / theta)
 
     @pytest.mark.parametrize("theta", [1.0, 40.0, 2000.0])
     def test_entropic_matches_enumeration_at_large_theta(self, theta):
