@@ -12,6 +12,7 @@ README; unknown keys are rejected with their full key path.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
@@ -263,6 +264,12 @@ def serialize(spec: ProblemSpec) -> dict:
     return out
 
 
+def config_digest(spec: ProblemSpec) -> str:
+    """sha256 of all a solve run depends on: the spec without ``validation``."""
+    solved = {k: v for k, v in serialize(spec).items() if k != "validation"}
+    return hashlib.sha256(json.dumps(solved, sort_keys=True).encode()).hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # Problem assembly
 
@@ -368,7 +375,8 @@ def run(spec: ProblemSpec, out_dir) -> SolveReport:
                                       tol_gap=opts.tol_gap, max_iter=opts.max_iter,
                                       mass_floor=opts.mass_floor)
     with open(out / "report.json", "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(dict(report.to_json_dict(), config_digest=config_digest(spec)),
+                  fh, indent=2, sort_keys=True)
         fh.write("\n")
     write_trajectory_csv(report.trajectory, out / "marginal_x.csv", axes=("x",))
     write_trajectory_csv(report.trajectory, out / "marginal_y.csv", axes=("y",))
@@ -391,7 +399,8 @@ def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
     """Monte Carlo cross-check of a solve run; writes mc_summary.json.
 
     ``paths`` and ``seed`` override the config's ``validation`` values and
-    are checked against the same rows of the field table.
+    are checked against the same rows of the field table.  A run solved
+    for another spec (``config_digest``) raises ``ConfigError``.
     """
     def option(name, value):
         if value is None:
@@ -401,6 +410,9 @@ def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
 
     cfg = McConfig(n_paths=option("paths", paths), seed=option("seed", seed))
     rep = Path(report_dir)
+    solved = json.loads((rep / "report.json").read_text()).get("config_digest")
+    if solved != config_digest(spec):
+        raise ConfigError(f"config_digest of {rep} is not this config's; solve it again")
     pieces = build_problem(spec)
     policy = _read_policy(rep, pieces, spec.n_t)
     result = simulate_paths(pieces.base, policy, pieces.cost, spec.alpha,

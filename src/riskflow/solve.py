@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -75,17 +74,9 @@ class LpSolution:
     history: tuple = ()
 
 
-def _factorize(m_mat: sp.spmatrix):
-    size = m_mat.shape[0]
-    if size <= 400:
-        cf = scipy.linalg.cho_factor(m_mat.toarray())
-        return lambda r: scipy.linalg.cho_solve(cf, r)
-    lu = spla.splu(m_mat.tocsc(), permc_spec="COLAMD")
-    return lu.solve
-
-
 def _normal_solver(a_csr, a_t_csr, d_vec):
-    """Factor A diag(d) A' with escalating regularization on breakdown."""
+    """Factor the positive definite A diag(d) A' by SuperLU in symmetric mode
+    (diagonal pivots), escalating a regularization on breakdown."""
     scaled = a_csr.copy()
     scaled.data = scaled.data * d_vec[a_csr.indices]
     m_mat = (scaled @ a_t_csr).tocsc()
@@ -94,8 +85,9 @@ def _normal_solver(a_csr, a_t_csr, d_vec):
     for _ in range(4):
         try:
             mat = m_mat if reg == 0.0 else m_mat + reg * sp.identity(m_mat.shape[0], format="csc")
-            return _factorize(mat)
-        except (RuntimeError, ValueError, np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+            return spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                             options=dict(SymmetricMode=True)).solve
+        except RuntimeError:
             reg = base * 1e-12 if reg == 0.0 else reg * 1e4
     raise LpFailureError("failed", "normal-equation factorization failed")
 
@@ -321,7 +313,6 @@ class SolveReport:
     mass_deviation_max: float
     min_mass: float
     terminal_cost_mean: float = float("nan")
-    rho_linear: Optional[float] = None
     fw_iterations: Optional[int] = None
     fw_gap: Optional[float] = None
     policy: Optional[MarkovPolicy] = None
@@ -340,8 +331,6 @@ class SolveReport:
             "min_mass": self.min_mass,
             "terminal_cost_mean": self.terminal_cost_mean,
         }
-        if self.rho_linear is not None:
-            out["rho_linear"] = self.rho_linear
         if self.fw_iterations is not None:
             out["fw_iterations"] = self.fw_iterations
             out["fw_gap"] = self.fw_gap
@@ -360,7 +349,7 @@ def _terminal_values(fp: ForwardProgram, v: Optional[np.ndarray]) -> np.ndarray:
 
 
 def _solve_report(fp, primal, status, duality_gap, iterations, mass_floor,
-                  rho_star, rho_linear=None, fw_iterations=None, fw_gap=None):
+                  rho_star, fw_iterations=None, fw_gap=None):
     """Diagnose the measure ``primal`` and its policy; the status, gap and
     iteration count are reported as given."""
     from .validate import wasserstein1  # deferred: validate pulls in solve_lp
@@ -380,7 +369,6 @@ def _solve_report(fp, primal, status, duality_gap, iterations, mass_floor,
         mass_deviation_max=float(traj.mass_deviation.max()),
         min_mass=traj.min_mass,
         terminal_cost_mean=y_last.mean(),
-        rho_linear=rho_linear,
         fw_iterations=fw_iterations,
         fw_gap=fw_gap,
         policy=policy,
@@ -414,9 +402,7 @@ def optimize_linear_risk(fp: ForwardProgram, spec: RiskSpec,
     ``theta``.  The reported ``rho_star`` is ``top + log(optimum) / theta``;
     an optimum below 1 is re-solved with the gap tolerance scaled by it, so
     that ``optimal`` bounds the gap's share of the error in ``rho_star`` by
-    about ``3 tol_gap / theta`` either way.  The exponential moment
-    ``exp(theta top) optimum`` is kept in ``rho_linear`` when float64 can
-    hold it.
+    about ``3 tol_gap / theta`` either way.
     """
     if not spec.is_linear:
         raise InvalidParameterError(
@@ -434,12 +420,8 @@ def optimize_linear_risk(fp: ForwardProgram, spec: RiskSpec,
     if sol.status == "optimal" and sol.primal_objective < 1.0:
         # the stop test is relative only for optima of at least 1
         sol = _solve_forward_lp(fp, c, tol_gap * sol.primal_objective, max_iter)
-    opt = sol.primal_objective
-    with np.errstate(over="ignore"):
-        rho_linear = float(np.exp(theta * top) * opt)
     return _solve_report(fp, sol.primal, sol.status, sol.duality_gap, sol.iterations,
-                         mass_floor, top + math.log(opt) / theta,
-                         rho_linear if math.isfinite(rho_linear) else None)
+                         mass_floor, top + math.log(sol.primal_objective) / theta)
 
 
 def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,

@@ -318,3 +318,25 @@ class TestMain:
             assert code == EXIT_CONFIG
             assert f"config key {key}:" in capsys.readouterr().err
         assert not (out / "mc_summary.json").exists()
+
+    def test_validate_refuses_stale_solve_dir(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_CIRCLE)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        edited = write_config(tmp_path, dict(SMALL_CIRCLE, n_t=5), name="edited.json")
+        assert main(["validate", "--config", str(edited), "--report", str(out),
+                     "--paths", "200"]) == EXIT_CONFIG
+        assert "config_digest" in capsys.readouterr().err
+        assert not (out / "mc_summary.json").exists()
+        # the validation section is not part of what was solved
+        rerun = write_config(tmp_path, dict(SMALL_CIRCLE, validation={"seed": 3}),
+                             name="rerun.json")
+        for config in (cfg, rerun):
+            assert main(["validate", "--config", str(config), "--report", str(out),
+                         "--paths", "200"]) == EXIT_OK
+        # a report written before the digest existed is refused too
+        report = json.loads((out / "report.json").read_text())
+        del report["config_digest"]
+        (out / "report.json").write_text(json.dumps(report))
+        assert main(["validate", "--config", str(cfg), "--report", str(out),
+                     "--paths", "200"]) == EXIT_CONFIG

@@ -110,7 +110,6 @@ class TestOptimizeLinear:
         *_, fp = tiny_instance([(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])
         rep = optimize_linear_risk(fp, RiskSpec(kind="expectation"))
         assert rep.status == "optimal"
-        assert rep.rho_linear is None
         assert rep.rho_star == pytest.approx(
             rep.trajectory.slices[-1].marginal("y").mean(), abs=1e-6)
 
@@ -177,11 +176,9 @@ class TestCertificates:
         ref = linprog(fp.terminal_objective(np.exp(theta * (total - top))),
                       A_eq=fp.a_eq, b_eq=fp.b_eq, bounds=(0, None), method="highs")
         assert ref.status == 0
-        assert rep.rho_star == pytest.approx(top + np.log(ref.fun) / theta, abs=1e-8)
-        if rep.rho_linear is None:
-            assert theta * top + np.log(ref.fun) > np.log(np.finfo(float).max)
-        else:
-            assert rep.rho_linear == pytest.approx(np.exp(theta * top) * ref.fun, rel=1e-7)
+        # the moment exp(theta rho_star) to 1e-7 relative, where float64 holds it
+        assert rep.rho_star == pytest.approx(top + np.log(ref.fun) / theta,
+                                             abs=min(1e-8, 1e-7 / theta))
         assert all(np.isfinite(v) for v in rep.to_json_dict().values()
                    if isinstance(v, float))
 
@@ -244,6 +241,79 @@ class TestCertificates:
         assert full.fw_gap <= 1e-8
         assert full.status == "optimal"
 
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Each call of ``scipy.sparse.linalg.splu``: its keywords and whether it raised."""
+    import scipy.sparse.linalg as spla
+
+    calls, real = [], spla.splu
+
+    def spy(mat, **kw):
+        calls.append({"kw": kw, "raised": True})
+        lu = real(mat, **kw)
+        calls[-1]["raised"] = False
+        return lu
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return calls
+
+
+class TestNormalEquations:
+    """A diag(d) A' is symmetric positive definite: one symmetric-mode SuperLU
+    factor serves every LP size."""
+
+    def normal_matrix(self, fp, d):
+        a = fp.a_eq.tocsr()
+        return a, a.T.tocsr(), (a @ sp.diags(d) @ a.T).tocsc()
+
+    def test_symmetric_factor_on_wide_scaling(self):
+        from riskflow.solve import _normal_solver
+
+        pieces, fp = circle_program({"n_x": 9, "n_y": 9, "n_a": 5, "n_t": 9})
+        assert fp.a_eq.shape[0] > 400
+        rng = np.random.default_rng(3)
+        d = 10.0 ** rng.uniform(-14, 10, fp.a_eq.shape[1])
+        a, a_t, m = self.normal_matrix(fp, d)
+        solve = _normal_solver(a, a_t, d)
+        rhs = m @ rng.standard_normal(m.shape[0])
+        v = solve(rhs)
+        assert np.linalg.norm(m @ v - rhs) <= 1e-9 * np.linalg.norm(rhs)
+        # diagonal pivots: the row permutation is the symmetric ordering
+        lu = solve.__self__
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+
+    def test_zeroed_row_goes_through_regularized_retry(self, splu_calls):
+        from riskflow.solve import _normal_solver
+
+        pieces, fp = circle_program({"n_x": 9, "n_y": 9, "n_a": 5, "n_t": 9})
+        rng = np.random.default_rng(4)
+        d = rng.uniform(0.5, 2.0, fp.a_eq.shape[1])
+        d[fp.a_eq.tocsr()[17].indices] = 0.0  # row and column 17 of A D A' vanish
+        a, a_t, m = self.normal_matrix(fp, d)
+        solve = _normal_solver(a, a_t, d)
+        assert [c["raised"] for c in splu_calls] == [True, False]
+        rhs = m @ rng.standard_normal(m.shape[0])  # zero in row 17
+        v = solve(rhs)
+        assert np.linalg.norm(m @ v - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+    def test_duplicated_row_small_lp_matches_highs(self, splu_calls):
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(5)
+        a4 = rng.uniform(0, 1, (4, 9))
+        a = np.vstack([a4, a4[2]])  # rank 4: A D A' is singular in exact arithmetic
+        b = a @ rng.uniform(0.1, 1, 9)
+        c = rng.uniform(-1, 1, 9)
+        sol = solve_lp(lp(a, b, c))
+        ref = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        assert sol.status == "optimal" and ref.status == 0
+        assert sol.primal_objective == pytest.approx(ref.fun, abs=1e-7)
+        # one factor per iteration, some after a regularized retry
+        assert sum(not c["raised"] for c in splu_calls) == sol.iterations
+        assert all(c["kw"]["permc_spec"] == "MMD_AT_PLUS_A" for c in splu_calls)
+
+
 class TestOptimizeSmooth:
     def test_linear_converges_in_one_step(self):
         *_, fp = tiny_instance([(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])
@@ -251,7 +321,7 @@ class TestOptimizeSmooth:
         direct = optimize_linear_risk(fp, spec, tol_gap=1e-10)
         fw = optimize_smooth_risk(fp, spec, tol=1e-7, tol_gap=1e-10)
         assert fw.fw_iterations == 1
-        assert fw.rho_star == pytest.approx(direct.rho_linear, abs=1e-6)
+        assert fw.rho_star == pytest.approx(np.exp(1.0 * direct.rho_star), abs=1e-6)
 
     def test_semideviation_beta_zero_is_expectation(self):
         *_, fp = tiny_instance([(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])
