@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, PolicyEnumerationError, RiskflowError
+from .errors import (ConfigError, InvalidParameterError, PolicyEnumerationError,
+                     RiskflowError)
 from .forward import (DiscreteDistribution, ForwardProgram,
                       assemble_forward_program, distribution_from_samples,
                       write_grid_csv, write_trajectory_csv)
@@ -391,7 +392,10 @@ def _read_policy(report_dir, pieces: ProblemPieces, n_t: int) -> MarkovPolicy:
     n_x, n_y, n_a = pieces.base.dim, pieces.y_grid.n, len(pieces.a_values)
     probs = raw[:, 4].reshape(n_t, n_x, n_y, n_a)
     mask = mask_raw[:, 3].reshape(n_t, n_x, n_y).astype(bool)
-    return MarkovPolicy(probs=probs, mask=mask)
+    try:
+        return MarkovPolicy(probs=probs, mask=mask).validate()
+    except InvalidParameterError as exc:
+        raise ConfigError(f"{rep / 'policy.csv'} is not a policy: {exc}") from exc
 
 
 def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,

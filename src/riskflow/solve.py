@@ -246,9 +246,12 @@ class MarkovPolicy:
             raise InvalidParameterError("policy arrays have inconsistent shapes")
 
     def validate(self, tol: float = 1e-10) -> "MarkovPolicy":
+        """Raise unless every cell's action probabilities are >= 0 and sum to 1."""
         dev = np.abs(self.probs.sum(axis=-1) - 1.0).max()
-        if dev > tol:
+        if not dev <= tol:  # NaN fails too
             raise InvalidParameterError(f"conditional action mass off by {dev}")
+        if self.probs.min() < 0:
+            raise InvalidParameterError(f"negative action probability {self.probs.min()}")
         return self
 
     @classmethod

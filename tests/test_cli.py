@@ -340,3 +340,16 @@ class TestMain:
         (out / "report.json").write_text(json.dumps(report))
         assert main(["validate", "--config", str(cfg), "--report", str(out),
                      "--paths", "200"]) == EXIT_CONFIG
+
+    def test_validate_refuses_policy_that_is_not_a_distribution(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_CIRCLE)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        table = np.loadtxt(out / "policy.csv", delimiter=",", skiprows=1)
+        table[:, 4] = 0.0
+        np.savetxt(out / "policy.csv", table, delimiter=",", header="t,x,y,a,prob",
+                   comments="")
+        assert main(["validate", "--config", str(cfg), "--report", str(out),
+                     "--paths", "200"]) == EXIT_CONFIG
+        assert "policy.csv" in capsys.readouterr().err
+        assert not (out / "mc_summary.json").exists()

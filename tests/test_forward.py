@@ -282,20 +282,27 @@ class TestImplicitStepKernel:
 
     @pytest.mark.parametrize("transpose", [True, False])
     def test_implicit_step_matches_dense_solve(self, transpose):
+        # a batch of n_b mixtures is one block-diagonal solve; each of its
+        # rows must be the single call's solution
         rng = np.random.default_rng(5)
-        for _ in range(5):
+        for n_b in (1, 1, 1, 4, 4):
             n, n_a = int(rng.integers(2, 9)), int(rng.integers(1, 4))
             gen = random_generator(rng, n, n_a)
-            weights = rng.dirichlet(np.ones(n_a), size=n)
+            weights = rng.dirichlet(np.ones(n_a), size=(n_b, n))
             dt = float(rng.uniform(0.05, 2.0))
-            rhs = rng.uniform(-1, 1, n)
-            q_w = sum(weights[:, [a]] * gen.per_action[a].matrix.toarray()
-                      for a in range(n_a))
-            system = np.eye(n) - dt * q_w
-            want = np.linalg.solve(system.T if transpose else system, rhs)
+            rhs = rng.uniform(-1, 1, (n_b, n))
             stacked = stack_actions([q.matrix for q in gen.per_action])
+            singles = []
+            for w, r in zip(weights, rhs):
+                q_w = sum(w[:, [a]] * gen.per_action[a].matrix.toarray()
+                          for a in range(n_a))
+                system = np.eye(n) - dt * q_w
+                want = np.linalg.solve(system.T if transpose else system, r)
+                singles.append(implicit_step(stacked, w, dt, r, transpose=transpose))
+                np.testing.assert_allclose(singles[-1], want, rtol=1e-12, atol=1e-12)
             got = implicit_step(stacked, weights, dt, rhs, transpose=transpose)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert got.shape == (n_b, n)
+            np.testing.assert_allclose(got, singles, rtol=1e-14, atol=1e-14)
 
     def test_stack_actions_order(self):
         rng = np.random.default_rng(6)

@@ -8,7 +8,7 @@ from riskflow import (ControlledGenerator, DiscreteDistribution, LpProblem,
                       build_uniform_grid, extract_policy,
                       optimize_linear_risk, optimize_smooth_risk,
                       propagate_forward, solve_lp)
-from riskflow.errors import AssemblyError
+from riskflow.errors import AssemblyError, InvalidParameterError
 from riskflow.forward import TrajectoryDistribution
 
 
@@ -393,3 +393,10 @@ class TestExtractPolicy:
         pol.validate()
         assert pol.probs[0, 0, 0, 1] == 1.0
         assert pol.probs[0, 1, 0, 0] == 1.0
+
+    @pytest.mark.parametrize("row", [[0.5, 0.4], [1.5, -0.5], [np.nan, 1.0]])
+    def test_validate_rejects_non_distributions(self, row):
+        probs = np.full((1, 1, 2, 2), 0.5)
+        probs[0, 0, 1] = row
+        with pytest.raises(InvalidParameterError):
+            MarkovPolicy(probs=probs, mask=np.ones((1, 1, 2), bool)).validate()

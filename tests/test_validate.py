@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import riskflow.validate as validate_module
 from riskflow import (ControlledGenerator, DiscreteDistribution, LpFailureError,
                       LpSolution, MarkovPolicy, McConfig, PolicyEnumerationError,
                       PropagationError, RateMatrix, RiskSpec,
@@ -11,6 +14,7 @@ from riskflow import (ControlledGenerator, DiscreteDistribution, LpFailureError,
                       wasserstein1)
 from riskflow.forward import assemble_forward_program, propagate_forward
 from riskflow.generator import augment_generator
+from riskflow.risk import apply_terminal_cost, evaluate
 
 
 def delta(v):
@@ -105,6 +109,19 @@ class TestSimulation:
                              np.array([1.0, 0.0]), np.linspace(0, 1, 3),
                              McConfig(n_paths=10, seed=0))
         assert res.fallback_lookups > 0
+
+    def test_short_action_mass_never_selects_past_last_action(self):
+        # rows summing to 0.5 put the rest of [0, 1) on the last action
+        # instead of indexing action n_a
+        gen = two_state_gen([(1.0, 1.0), (2.0, 2.0)])
+        yg = build_uniform_grid(0.0, 1.0, 2)
+        probs = np.zeros((3, 2, 2, 2))
+        probs[..., 0] = 0.5
+        pol = MarkovPolicy(probs=probs, mask=np.ones((3, 2, 2), bool))
+        cost = np.array([[0.0, 1.0], [0.0, 1.0]])
+        res = simulate_paths(gen, pol, cost, 0.0, yg, np.array([1.0, 0.0]),
+                             np.linspace(0, 1, 3), McConfig(n_paths=2000, seed=0))
+        assert 0.4 < res.mean < 0.6  # half the time on the unit-cost action
 
 
 class TestWasserstein:
@@ -266,7 +283,7 @@ class TestRiskNeutralDpCostAxis:
     """With a cost grid the DP sweeps the LP's own augmented chain."""
 
     @pytest.mark.parametrize("v", [None, np.array([0.7, 0.1])])
-    def test_capped_value_matches_lp_and_enumeration(self, v):
+    def test_capped_value_matches_lp_and_enumeration(self, v, monkeypatch):
         gen = two_state_gen(DESIGNATED_RATES)
         yg = build_uniform_grid(0.0, 0.4, 2)
         dp = risk_neutral_dp(gen, DESIGNATED_COST, 0.25, DESIGNATED_TIMES,
@@ -281,6 +298,11 @@ class TestRiskNeutralDpCostAxis:
                                   DESIGNATED_NU, RiskSpec(kind="expectation"), v=v)
         assert dp.value == pytest.approx(lp.rho_star, abs=1e-8)
         assert dp.value == pytest.approx(enum.value, abs=1e-8)
+        # 256 policies in chunks of 7: the last chunk is partial
+        monkeypatch.setattr(validate_module, "ENUM_CHUNK", 7)
+        chunked = enumerate_policies(gen, DESIGNATED_COST, 0.25, yg, DESIGNATED_TIMES,
+                                     DESIGNATED_NU, RiskSpec(kind="expectation"), v=v)
+        assert (chunked.value, chunked.n_policies) == (enum.value, 256)
 
     @pytest.mark.parametrize("y_max, n_y", [(0.4, 2), (0.5, 3), (2.0, 5)])
     def test_greedy_policy_reproduces_value(self, y_max, n_y):
@@ -326,6 +348,31 @@ class TestRiskNeutralDpCostAxis:
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("spec, v", [
+        (RiskSpec(kind="entropic", theta=2.0), None),
+        (RiskSpec(kind="mean_semideviation", beta=0.5), np.array([0.3, 0.0])),
+    ])
+    def test_matches_per_policy_loop(self, spec, v, monkeypatch):
+        # the reference: every action table in itertools.product order,
+        # propagated one policy at a time
+        gen = two_state_gen(DESIGNATED_RATES)
+        yg = build_uniform_grid(0.0, 0.6, 2)
+        aug = augment_generator(gen, DESIGNATED_COST, 0.25, yg, t=0.0)
+        want = np.inf
+        for assignment in itertools.product(range(2), repeat=8):
+            table = np.zeros((3, 2, 2), dtype=np.int64)
+            table[1:] = np.reshape(assignment, (2, 2, 2))
+            traj = propagate_forward(aug, MarkovPolicy.from_actions(table, 2),
+                                     designated_start(yg), DESIGNATED_TIMES)
+            law = (traj.slices[-1].marginal("y") if v is None
+                   else apply_terminal_cost(traj.slices[-1], v))
+            want = min(want, evaluate(spec, law))
+        monkeypatch.setattr(validate_module, "ENUM_CHUNK", 100)
+        res = enumerate_policies(gen, DESIGNATED_COST, 0.25, yg, DESIGNATED_TIMES,
+                                 DESIGNATED_NU, spec, v=v)
+        assert res.n_policies == 256
+        assert res.value == pytest.approx(want, rel=1e-14, abs=1e-14)
+
     def test_single_action_unique_value(self):
         gen = two_state_gen([(1.0, 2.0)])
         yg = build_uniform_grid(0.0, 2.0, 3)
