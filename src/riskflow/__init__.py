@@ -18,7 +18,7 @@ from .forward import (DiscreteDistribution, ForwardProgram,
                       distribution_from_samples, marginal, propagate_forward,
                       write_trajectory_csv)
 from .generator import (AugmentedGenerator, ControlledGenerator,
-                        GeneratorDiagnostics, RateMatrix, augment_generator,
+                        GeneratorDiagnostics, augment_generator,
                         discount_factor, discretize_circle_diffusion,
                         load_generator_triplets, validate_generator)
 from .grids import (CircleGrid, UniformGrid, build_circle_grid,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -348,9 +349,8 @@ def _write_policy_csvs(policy: MarkovPolicy, pieces: ProblemPieces, out_dir):
 
 
 def _forward_program(spec: ProblemSpec, pieces: ProblemPieces) -> ForwardProgram:
-    aug = augment_generator(pieces.base, pieces.cost, spec.alpha, pieces.y_grid, t=0.0)
-    return assemble_forward_program(aug, pieces.initial_xy, pieces.t_grid,
-                                    a_values=pieces.a_values)
+    aug = augment_generator(pieces.base, pieces.cost, spec.alpha, pieces.y_grid)
+    return assemble_forward_program(aug, pieces.initial_xy, pieces.t_grid)
 
 
 def run(spec: ProblemSpec, out_dir) -> SolveReport:
@@ -387,11 +387,16 @@ def run(spec: ProblemSpec, out_dir) -> SolveReport:
 
 def _read_policy(report_dir, pieces: ProblemPieces, n_t: int) -> MarkovPolicy:
     rep = Path(report_dir)
-    raw = np.loadtxt(rep / "policy.csv", delimiter=",", skiprows=1)
-    mask_raw = np.loadtxt(rep / "policy_mask.csv", delimiter=",", skiprows=1)
-    n_x, n_y, n_a = pieces.base.dim, pieces.y_grid.n, len(pieces.a_values)
-    probs = raw[:, 4].reshape(n_t, n_x, n_y, n_a)
-    mask = mask_raw[:, 3].reshape(n_t, n_x, n_y).astype(bool)
+    shape = (n_t, pieces.base.dim, pieces.y_grid.n)
+
+    def column(name, col, dims):
+        table = np.loadtxt(rep / name, delimiter=",", skiprows=1, ndmin=2)
+        if len(table) != math.prod(dims):
+            raise ConfigError(f"{rep / name} has {len(table)} rows, not {math.prod(dims)}")
+        return table[:, col].reshape(dims)
+
+    probs = column("policy.csv", 4, shape + (len(pieces.a_values),))
+    mask = column("policy_mask.csv", 3, shape).astype(bool)
     try:
         return MarkovPolicy(probs=probs, mask=mask).validate()
     except InvalidParameterError as exc:

@@ -1,7 +1,8 @@
 """Time discretization of the forward (Fokker-Planck / master) equation.
 
-Three consumers share one implicit-Euler step over (product state, action),
-``[z = z'] - dt Q_a(t_k)[z, z']``: ``assemble_forward_program`` emits the
+Four consumers share one implicit-Euler step over (product state, action),
+``[z = z'] - dt Q_a(t_k)[z, z']``, with the ``(dt, Q(t_k))`` pairs of
+``AugmentedGenerator.steps``: ``assemble_forward_program`` emits the
 whole evolution as sparse equality constraints over time-indexed joint
 measures ``mu_k(x, y, a)`` for the optimizer, ``propagate_forward`` pushes
 a distribution through time under a fixed policy, and the Bellman step of
@@ -15,7 +16,7 @@ evaluates the generator at the left endpoint ``t_k``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -156,9 +157,9 @@ def propagate_forward(gen: AugmentedGenerator, policy, initial_xy: DiscreteDistr
     """Implicit-Euler propagation of the joint (x, y) law under a policy.
 
     Each step solves ``(I - dt Q^T) m_{k+1} = m_k`` with ``Q`` the
-    policy-mixed augmented generator built at the left endpoint of the step
-    (step-averaged discount).  No renormalization is applied; total-mass
-    drift and the most negative entry are reported as diagnostics.
+    policy-mixed generator of ``gen.steps``.  No renormalization is
+    applied; total-mass drift and the most negative entry are reported as
+    diagnostics.
     """
     times = grid_points(t_grid)
     n_x, n_y = gen.base.dim, gen.y_grid.n
@@ -181,10 +182,8 @@ def propagate_forward(gen: AugmentedGenerator, policy, initial_xy: DiscreteDistr
     slices = [as_slice(m)]
     deviations = np.zeros(len(times) - 1)
     min_mass = float(m.min())
-    for k in range(len(times) - 1):
-        dt = float(times[k + 1] - times[k])
-        m_next = implicit_step(gen.at(times[k], step=dt).matrix,
-                               probs[k + 1].reshape(n_z, -1), dt, m, transpose=True)
+    for k, (dt, q) in enumerate(gen.steps(times)):
+        m_next = implicit_step(q, probs[k + 1].reshape(n_z, -1), dt, m, transpose=True)
         deviations[k] = abs(float(m_next.sum()) - float(m.sum()))
         min_mass = min(min_mass, float(m_next.min()))
         m = m_next
@@ -212,7 +211,6 @@ class ForwardProgram:
     t_values: np.ndarray
     x_values: np.ndarray
     y_values: np.ndarray
-    a_values: np.ndarray
 
     @property
     def n_z(self) -> int:
@@ -241,12 +239,12 @@ class ForwardProgram:
     def trajectory_from_solution(self, x: np.ndarray) -> TrajectoryDistribution:
         """Reshape an optimal variable vector into per-time joint measures.
 
-        Each slice is renormalized to unit mass (solver drift is recorded in
-        ``mass_deviation``) so downstream marginals satisfy the distribution
-        invariants.
+        Actions are labeled by index.  Each slice is renormalized to unit
+        mass (solver drift is recorded in ``mass_deviation``) so downstream
+        marginals satisfy the distribution invariants.
         """
         cube = np.asarray(x, dtype=float).reshape(self.n_t, self.n_x, self.n_y, self.n_a)
-        coords = (self.x_values, self.y_values, self.a_values)
+        coords = (self.x_values, self.y_values, np.arange(self.n_a, dtype=float))
         slices = []
         deviation = np.zeros(self.n_t)
         for k in range(self.n_t):
@@ -262,8 +260,7 @@ class ForwardProgram:
 
 
 def assemble_forward_program(gen: AugmentedGenerator, initial_xy: DiscreteDistribution,
-                             t_grid: Union[UniformGrid, np.ndarray],
-                             a_values: Optional[np.ndarray] = None) -> ForwardProgram:
+                             t_grid: Union[UniformGrid, np.ndarray]) -> ForwardProgram:
     """Stack the implicit-Euler evolution into equality constraints.
 
     Initial rows: ``sum_a mu_0(z, a) = initial(z)``.  Evolution rows for
@@ -285,16 +282,12 @@ def assemble_forward_program(gen: AugmentedGenerator, initial_xy: DiscreteDistri
     ones = sp.kron(sp.identity(n_z), np.ones((n_a, 1)), format="csr")
     blocks = [[None] * n_t for _ in range(n_t)]
     blocks[0][0] = ones.T
-    for k in range(n_t - 1):
-        dt = float(times[k + 1] - times[k])
+    for k, (dt, q) in enumerate(gen.steps(times)):
         blocks[k + 1][k] = -ones.T
-        blocks[k + 1][k + 1] = (ones - dt * gen.at(times[k], step=dt).matrix).T
+        blocks[k + 1][k + 1] = (ones - dt * q).T
     a_eq = sp.bmat(blocks, format="csr")
     b_eq = np.zeros(n_z * n_t)
     b_eq[:n_z] = initial_xy.mass.reshape(n_z)
-    if a_values is None:
-        a_values = np.arange(n_a, dtype=float)
     return ForwardProgram(a_eq=a_eq, b_eq=b_eq, n_t=n_t, n_x=n_x, n_y=n_y, n_a=n_a,
                           t_values=times, x_values=gen.base.state_points,
-                          y_values=gen.y_grid.points,
-                          a_values=np.asarray(a_values, dtype=float))
+                          y_values=gen.y_grid.points)

@@ -8,32 +8,17 @@ are flattened x-major: ``z = x * n_y + y``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidCostError, InvalidParameterError
-from .grids import CircleGrid, UniformGrid
+from .errors import ConfigError, InvalidCostError, InvalidParameterError
+from .grids import CircleGrid, UniformGrid, grid_points
 
 ROW_SUM_TOL = 1e-10
 OFF_DIAG_TOL = -1e-12
-
-
-@dataclass(frozen=True)
-class RateMatrix:
-    """Sparse generator of a finite-state continuous-time Markov chain.
-
-    Off-diagonal entries are jump rates (>= 0); every row sums to zero, so
-    constants are annihilated and total probability mass is conserved.
-    """
-
-    matrix: sp.csr_matrix
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -47,17 +32,17 @@ class GeneratorDiagnostics:
                 and self.min_off_diagonal >= OFF_DIAG_TOL)
 
 
-def validate_generator(q: RateMatrix) -> GeneratorDiagnostics:
-    """Check the conservation (zero row sums) and sign structure of ``q``."""
-    m = q.matrix.tocoo()
-    row_sums = np.asarray(q.matrix.sum(axis=1)).ravel()
+def validate_generator(q: sp.csr_matrix) -> GeneratorDiagnostics:
+    """Check the generator properties of ``q``: zero row sums, rates >= 0."""
+    m = q.tocoo()
+    row_sums = np.asarray(q.sum(axis=1)).ravel()
     off = m.data[m.row != m.col]
     min_off = float(off.min()) if off.size else 0.0
     dev = float(np.abs(row_sums).max()) if row_sums.size else 0.0
     return GeneratorDiagnostics(max_row_sum_deviation=dev, min_off_diagonal=min_off)
 
 
-def discretize_circle_diffusion(grid: CircleGrid, a: float, sigma: float) -> RateMatrix:
+def discretize_circle_diffusion(grid: CircleGrid, a: float, sigma: float) -> sp.csr_matrix:
     """Finite-volume rates for drift ``a`` plus diffusion ``sigma`` on the circle.
 
     First-order upwind drift and central diffusion: both neighbor rates get
@@ -75,19 +60,19 @@ def discretize_circle_diffusion(grid: CircleGrid, a: float, sigma: float) -> Rat
     cols = np.concatenate([(idx + 1) % n, (idx - 1) % n, idx])
     data = np.concatenate([np.full(n, right), np.full(n, left),
                            np.full(n, -(right + left))])
-    return RateMatrix(sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 @dataclass(frozen=True)
 class ControlledGenerator:
-    """One rate matrix per action over a shared state space."""
+    """One sparse rate matrix per action over a shared state space."""
 
-    per_action: tuple[RateMatrix, ...]
+    per_action: tuple[sp.csr_matrix, ...]
     state_grid: Optional[CircleGrid] = None
 
     @property
     def dim(self) -> int:
-        return self.per_action[0].dim
+        return self.per_action[0].shape[0]
 
     @property
     def n_actions(self) -> int:
@@ -101,22 +86,17 @@ class ControlledGenerator:
         return np.arange(self.dim, dtype=float)
 
     def __post_init__(self):
-        dims = {q.dim for q in self.per_action}
+        dims = {q.shape[0] for q in self.per_action}
         if len(dims) != 1:
             raise InvalidParameterError(f"per-action matrices disagree on dimension: {sorted(dims)}")
 
 
-def discount_factor(alpha: float, t: float, step: Optional[float] = None) -> float:
-    """Discount weight applied to the cost-transport rate.
-
-    With ``step=None`` this is the point value ``exp(-alpha t)``; otherwise
-    it is the average of ``exp(-alpha s)`` over ``[t, t + step]``, which makes
-    the accumulated cost of a constant rate exact for any step size.
-    """
+def discount_factor(alpha: float, t: float, step: float) -> float:
+    """Discount weight applied to the cost-transport rate over one time step:
+    the average of ``exp(-alpha s)`` over ``[t, t + step]``, which makes the
+    accumulated cost of a constant rate exact for any step size."""
     if alpha == 0.0:
         return 1.0
-    if step is None:
-        return float(np.exp(-alpha * t))
     return float((np.exp(-alpha * t) - np.exp(-alpha * (t + step))) / (alpha * step))
 
 
@@ -129,15 +109,14 @@ def stack_actions(mats) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class AugmentedGenerator:
-    """Generator of the joint (state, running-cost) chain at a fixed time.
+    """Generator of the joint (state, running-cost) chain.
 
     State transitions copy the base rates at every cost level,
     ``kron(Q_a, I_y)``.  Cost accumulation is upwind transport to the next
     cost level at rate ``c(x, a) / dy``, dropped at the top cost cell
     (absorbing boundary) so rows still sum to zero.  Both are stacked over
     actions (``stack_actions``) into ``state_part`` and ``cost_part`` once;
-    time enters only through the discount,
-    ``matrix = state_part + discount * cost_part``.
+    time enters only through the discount (see ``steps``).
     """
 
     base: ControlledGenerator
@@ -145,16 +124,14 @@ class AugmentedGenerator:
     y_grid: UniformGrid
     state_part: sp.csr_matrix
     cost_part: sp.csr_matrix
-    matrix: sp.csr_matrix
 
-    @property
-    def dim(self) -> int:
-        return self.base.dim * self.y_grid.n
-
-    def at(self, t: float, step: Optional[float] = None) -> "AugmentedGenerator":
-        """The same generator with the discount taken at another time point."""
-        disc = discount_factor(self.alpha, t, step)
-        return replace(self, matrix=(self.state_part + disc * self.cost_part).tocsr())
+    def steps(self, t_grid) -> list[tuple[float, sp.csr_matrix]]:
+        """The chain's one time discretization: a ``(dt, Q_k)`` per step of
+        ``t_grid``, the stacked generator at the left endpoint ``t_k`` with
+        the discount averaged over the step (``discount_factor``)."""
+        times = grid_points(t_grid)
+        return [(dt, (self.state_part + discount_factor(self.alpha, t, dt) * self.cost_part).tocsr())
+                for t, dt in zip(times, np.diff(times).tolist())]
 
 
 def _cost_shift(n_y: int) -> sp.csr_matrix:
@@ -166,14 +143,11 @@ def _cost_shift(n_y: int) -> sp.csr_matrix:
 
 
 def augment_generator(base: ControlledGenerator, cost_rate, alpha: float,
-                      y_grid: UniformGrid, t: float,
-                      step: Optional[float] = None) -> AugmentedGenerator:
-    """Assemble the joint (state, cost) generator at time ``t``.
+                      y_grid: UniformGrid) -> AugmentedGenerator:
+    """Assemble the joint (state, cost) generator.
 
     ``cost_rate`` has shape ``(n_states, n_actions)`` and must be
-    nonnegative.  ``step`` selects the discount sampling: ``None`` uses the
-    point value ``exp(-alpha t)``, a positive value averages the discount
-    over ``[t, t + step]`` (what the time stepper uses).
+    nonnegative.
     """
     c = np.asarray(cost_rate, dtype=float)
     if c.shape != (base.dim, base.n_actions):
@@ -186,13 +160,12 @@ def augment_generator(base: ControlledGenerator, cost_rate, alpha: float,
         raise InvalidParameterError(f"discount rate must be nonnegative, got {alpha}")
     eye_y = sp.identity(y_grid.n, format="csr")
     shift = _cost_shift(y_grid.n)
-    state_part = stack_actions([sp.kron(q.matrix, eye_y, format="csr")
+    state_part = stack_actions([sp.kron(q, eye_y, format="csr")
                                 for q in base.per_action])
     cost_part = stack_actions([sp.kron(sp.diags(c[:, a] / y_grid.spacing), shift, format="csr")
                                for a in range(base.n_actions)])
     return AugmentedGenerator(base=base, alpha=float(alpha), y_grid=y_grid,
-                              state_part=state_part, cost_part=cost_part,
-                              matrix=None).at(t, step)
+                              state_part=state_part, cost_part=cost_part)
 
 
 def load_generator_triplets(path, n_states: Optional[int] = None,
@@ -200,25 +173,36 @@ def load_generator_triplets(path, n_states: Optional[int] = None,
     """Read a controlled generator from a CSV of ``action,row,col,rate`` rows.
 
     Off-diagonal rates must be nonnegative.  Diagonal entries may be
-    omitted; each missing diagonal is filled with minus the row sum.
-    A header line is allowed and skipped.
+    omitted; each missing diagonal is filled with minus the row sum.  The
+    first non-comment line may be a header without digits and is skipped;
+    any other line that is not four numbers with indices in range raises
+    ``ConfigError`` naming the file and line.
     """
-    triplets = []
     with open(path, newline="") as fh:
-        for rec in csv.reader(fh):
-            if not rec or rec[0].strip().startswith("#"):
-                continue
-            try:
-                a, i, j = int(rec[0]), int(rec[1]), int(rec[2])
-                r = float(rec[3])
-            except ValueError:
-                continue  # header
-            triplets.append((a, i, j, r))
-    if not triplets:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, rec) for rec in reader
+                if rec and not rec[0].strip().startswith("#")]
+    if rows and not any(c.isdigit() for c in "".join(rows[0][1])):
+        rows = rows[1:]  # header
+    if not rows:
         raise InvalidParameterError(f"no generator entries found in {path}")
+    triplets = []
+    for line, rec in rows:
+        try:
+            if len(rec) != 4 or not np.isfinite(float(rec[3])):
+                raise ValueError("need four fields: integer action, row and col, finite rate")
+            triplets.append((int(rec[0]), int(rec[1]), int(rec[2]), float(rec[3])))
+        except ValueError as exc:
+            raise ConfigError(f"{path}, line {line}: malformed generator entry "
+                              f"{','.join(rec)!r}: {exc}") from exc
     arr = np.array(triplets)
     na = int(arr[:, 0].max()) + 1 if n_actions is None else n_actions
     ns = int(max(arr[:, 1].max(), arr[:, 2].max())) + 1 if n_states is None else n_states
+    out = (arr[:, :3] < 0).any(axis=1) | (arr[:, 0] >= na) | (arr[:, 1:3] >= ns).any(axis=1)
+    if out.any():
+        k = int(np.argmax(out))
+        raise ConfigError(f"{path}, line {rows[k][0]}: entry {','.join(rows[k][1])!r} "
+                          f"is out of range for {na} actions and {ns} states")
     mats = []
     for a in range(na):
         sel = arr[arr[:, 0] == a]
@@ -234,5 +218,5 @@ def load_generator_triplets(path, n_states: Optional[int] = None,
         if bad.size:
             raise InvalidParameterError(
                 f"negative off-diagonal rate {bad.min()} for action {a} in {path}")
-        mats.append(RateMatrix(m))
+        mats.append(m)
     return ControlledGenerator(per_action=tuple(mats))

@@ -45,7 +45,6 @@ class McConfig:
 @dataclass(frozen=True)
 class McResult:
     samples: np.ndarray      # terminal discounted costs, never clamped
-    occupancy: np.ndarray    # time-weighted state occupancy, normalized
     stderr: float            # standard error of the sample mean
     fallback_lookups: int    # policy lookups that hit a masked cell
 
@@ -61,13 +60,13 @@ def _jump_tables(gen: ControlledGenerator):
     support = []
     width = 1
     for a in range(n_a):
-        m = gen.per_action[a].matrix.tocoo()
+        m = gen.per_action[a].tocoo()
         rows = [[] for _ in range(n_x)]
         for i, j, r in zip(m.row, m.col, m.data):
             if i != j and r > 0:
                 rows[i].append((j, r))
         support.append(rows)
-        exit_rate[a] = -gen.per_action[a].matrix.diagonal()
+        exit_rate[a] = -gen.per_action[a].diagonal()
         width = max(width, max((len(r) for r in rows), default=1))
     targets = np.zeros((n_a, n_x, width), dtype=np.int64)
     cumprob = np.ones((n_a, n_x, width))
@@ -112,7 +111,6 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     n = cfg.n_paths
     x = rng.choice(n_x, size=n, p=nu / nu.sum())
     y = np.zeros(n)
-    occupancy = np.zeros(n_x)
     fallback = 0
 
     def snap(yv):
@@ -140,7 +138,6 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
             t_event = t_cur[active] + wait
             t_new = np.minimum(t_event, t_hi)
             y[active] += accrue(c[xs, acts], t_cur[active], t_new)
-            np.add.at(occupancy, xs, t_new - t_cur[active])
             t_cur[active] = t_new
             jumped = t_event < t_hi
             if jumped.any():
@@ -150,8 +147,7 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
                 x[sub] = targets[acts[jumped], x[sub], sel]
             active = active[jumped]
     stderr = float(y.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return McResult(samples=y, occupancy=occupancy / occupancy.sum(),
-                    stderr=stderr, fallback_lookups=fallback)
+    return McResult(samples=y, stderr=stderr, fallback_lookups=fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +278,7 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
       (step-averaged discount) and terminal value ``v`` (zero if absent).
       The accumulated cost is uncapped.
     - ``y_grid`` given: the cost-augmented chain that the forward program
-      optimizes, with the same ``augment_generator(...).at(t_k, step=dt)``
+      optimizes, with the same ``augment_generator(...).steps(t_grid)``
       matrices, no stage cost and terminal value ``y + v(x)``, so mass that
       reaches the absorbing top cost cell stays capped at ``y_max``.  The
       value equals the forward program's expectation optimum.
@@ -295,26 +291,20 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
     c = np.asarray(cost_rate, dtype=float)
     nu = np.asarray(initial_x, dtype=float)
     terminal = np.zeros(gen.dim) if v is None else np.asarray(v, dtype=float)
-    # step(t, dt, v_next) gives one step's stacked generator and Bellman rhs
     if y_grid is None:
-        base = stack_actions([q.matrix for q in gen.per_action])
-
-        def step(t, dt, v_next):
-            return base, dt * discount_factor(alpha, t, step=dt) * c + v_next[:, None]
+        stacked = stack_actions(gen.per_action)
+        steps = [(float(dt), stacked) for dt in np.diff(times)]
+        stage = [dt * discount_factor(alpha, t, dt) * c for t, (dt, _) in zip(times, steps)]
     else:
-        aug = augment_generator(gen, c, alpha, y_grid, t=float(times[0]))
+        steps = augment_generator(gen, c, alpha, y_grid).steps(times)
+        stage = np.zeros((len(steps), 1, gen.n_actions))
         terminal = terminal[:, None] + y_grid.points[None, :]
-
-        def step(t, dt, v_next):
-            return (aug.at(t, step=dt).matrix,
-                    np.broadcast_to(v_next[:, None], (v_next.size, gen.n_actions)))
     values = np.zeros((n_t,) + terminal.shape)
     values[-1] = terminal
     actions = np.zeros((n_t - 1,) + terminal.shape, dtype=np.int64)
     for k in range(n_t - 2, -1, -1):
-        dt = float(times[k + 1] - times[k])
-        stacked, rhs = step(times[k], dt, values[k + 1].ravel())
-        val, pol = _implicit_bellman_step(stacked, rhs, dt)
+        dt, stacked = steps[k]
+        val, pol = _implicit_bellman_step(stacked, stage[k] + values[k + 1].reshape(-1, 1), dt)
         values[k] = val.reshape(terminal.shape)
         actions[k] = pol.reshape(terminal.shape)
     start = values[0] if y_grid is None else values[0][:, 0]
@@ -347,27 +337,23 @@ def enumerate_policies(gen: ControlledGenerator, cost_rate, alpha: float,
     space size is n_a ** ((n_t - 1) * n_x * n_y).  Policy ``i`` plays the
     base-``n_a`` digits of ``i`` on those cells, the first cell most significant.
     """
-    times = grid_points(t_grid)
-    n_t = len(times)
+    steps = augment_generator(gen, cost_rate, alpha, y_grid).steps(t_grid)
     n_x, n_a, n_y = gen.dim, gen.n_actions, y_grid.n
-    cells = (n_t - 1) * n_x * n_y
+    cells = len(steps) * n_x * n_y
     count = n_a ** cells
     if count > max_policies:
         raise PolicyEnumerationError(
             f"{count} deterministic policies exceed the cap of {max_policies}")
     start = np.outer(np.asarray(initial_x, dtype=float), np.eye(n_y)[0]).ravel()
     coords = (gen.state_points, y_grid.points)
-    aug = augment_generator(gen, cost_rate, alpha, y_grid, t=float(times[0]))
     place = n_a ** np.arange(cells - 1, -1, -1, dtype=np.int64)
     best_val = math.inf
     for lo in range(0, count, ENUM_CHUNK):
         index = np.arange(lo, min(lo + ENUM_CHUNK, count), dtype=np.int64)
-        actions = (index[:, None] // place % n_a).reshape(index.size, n_t - 1, start.size)
+        actions = (index[:, None] // place % n_a).reshape(index.size, len(steps), start.size)
         m = np.broadcast_to(start, (index.size, start.size))
-        for k in range(n_t - 1):
-            dt = float(times[k + 1] - times[k])
-            m = implicit_step(aug.at(times[k], step=dt).matrix, np.eye(n_a)[actions[:, k]],
-                              dt, m, transpose=True)
+        for k, (dt, q) in enumerate(steps):
+            m = implicit_step(q, np.eye(n_a)[actions[:, k]], dt, m, transpose=True)
         for mass in m.reshape(index.size, n_x, n_y):
             joint = DiscreteDistribution(axes=("x", "y"), coords=coords, mass=mass)
             dist = joint.marginal("y") if v is None else apply_terminal_cost(joint, v)

@@ -32,9 +32,8 @@ def line(idx, ok, detail):
 def reference_pieces():
     spec = ProblemSpec()
     pieces = build_problem(spec)
-    aug = augment_generator(pieces.base, pieces.cost, spec.alpha, pieces.y_grid, t=0.0)
-    fp = rf.assemble_forward_program(aug, pieces.initial_xy, pieces.t_grid,
-                                     a_values=pieces.a_values)
+    aug = augment_generator(pieces.base, pieces.cost, spec.alpha, pieces.y_grid)
+    fp = rf.assemble_forward_program(aug, pieces.initial_xy, pieces.t_grid)
     return spec, pieces, fp
 
 
@@ -124,9 +123,9 @@ def test_criterion_5_monte_carlo_consistency(reference_pieces, reference_run):
 
 def test_criterion_6_propagation_exactness():
     q = np.array([[-1.0, 1.0], [2.0, -2.0]])
-    gen = rf.ControlledGenerator(per_action=(rf.RateMatrix(sp.csr_matrix(q)),))
+    gen = rf.ControlledGenerator(per_action=(sp.csr_matrix(q),))
     yg = rf.build_uniform_grid(0.0, 1.0, 2)
-    aug = augment_generator(gen, np.zeros((2, 1)), 0.0, yg, t=0.0)
+    aug = augment_generator(gen, np.zeros((2, 1)), 0.0, yg)
     exact = scipy.linalg.expm(q.T) @ np.array([1.0, 0.0])
 
     def propagate_error(dt):
@@ -154,7 +153,7 @@ def test_criterion_6_propagation_exactness():
 
 def test_criterion_7_oracle_equality():
     def tiny(rates, cost, seed_tag=""):
-        mats = [rf.RateMatrix(sp.csr_matrix(np.array([[-a, a], [b, -b]])))
+        mats = [sp.csr_matrix(np.array([[-a, a], [b, -b]]))
                 for a, b in rates]
         gen = rf.ControlledGenerator(per_action=tuple(mats))
         yg = rf.build_uniform_grid(0.0, 2.0, 2)
@@ -164,7 +163,7 @@ def test_criterion_7_oracle_equality():
         mass[:, 0] = nu
         start = rf.DiscreteDistribution(axes=("x", "y"),
                                         coords=(np.arange(2.0), yg.points), mass=mass)
-        aug = augment_generator(gen, np.asarray(cost, float), 0.25, yg, t=0.0)
+        aug = augment_generator(gen, np.asarray(cost, float), 0.25, yg)
         fp = rf.assemble_forward_program(aug, start, times)
         rep = rf.optimize_linear_risk(fp, rf.RiskSpec(kind="entropic_linear", theta=1.0),
                                       tol_gap=1e-11)
@@ -203,13 +202,13 @@ def test_criterion_8_conservation_suite():
         for _ in range(n_a):
             off = rng.uniform(0, 4, (n_x, n_x))
             np.fill_diagonal(off, 0.0)
-            mats.append(rf.RateMatrix(sp.csr_matrix(off - np.diag(off.sum(axis=1)))))
+            mats.append(sp.csr_matrix(off - np.diag(off.sum(axis=1))))
         gen = rf.ControlledGenerator(per_action=tuple(mats))
         for rm in gen.per_action:
             assert rf.validate_generator(rm).ok
         cost = rng.uniform(0, 2, (n_x, n_a))
         yg = rf.build_uniform_grid(0.0, float(rng.uniform(0.5, 3.0)), n_y)
-        aug = augment_generator(gen, cost, float(rng.uniform(0, 1)), yg, t=0.0)
+        aug = augment_generator(gen, cost, float(rng.uniform(0, 1)), yg)
         probs = rng.dirichlet(np.ones(n_a), size=(n_t, n_x, n_y))
         policy = rf.MarkovPolicy(probs=probs, mask=np.ones((n_t, n_x, n_y), bool))
         mass = rng.dirichlet(np.ones(n_x * n_y)).reshape(n_x, n_y)

@@ -196,7 +196,7 @@ class TestRun:
         pieces = build_problem(spec)
         lines = ["action,row,col,rate"]
         for a, rm in enumerate(pieces.base.per_action):
-            coo = rm.matrix.tocoo()
+            coo = rm.tocoo()
             lines += [f"{a},{i},{j},{v}" for i, j, v in zip(coo.row, coo.col, coo.data)]
         gen_file = tmp_path / "gen.csv"
         gen_file.write_text("\n".join(lines))
@@ -353,3 +353,23 @@ class TestMain:
                      "--paths", "200"]) == EXIT_CONFIG
         assert "policy.csv" in capsys.readouterr().err
         assert not (out / "mc_summary.json").exists()
+
+    @pytest.mark.parametrize("name", ["policy.csv", "policy_mask.csv"])
+    def test_validate_refuses_policy_with_wrong_row_count(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, SMALL_CIRCLE)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        lines = (out / name).read_text().splitlines(keepends=True)
+        (out / name).write_text("".join(lines[:-1]))  # truncated by one row
+        assert main(["validate", "--config", str(cfg), "--report", str(out),
+                     "--paths", "200"]) == EXIT_CONFIG
+        assert f"{name} has {len(lines) - 2} rows" in capsys.readouterr().err
+        assert not (out / "mc_summary.json").exists()
+
+    def test_malformed_generator_file_exits_with_config_code(self, tmp_path, capsys):
+        gen_file = tmp_path / "gen.csv"
+        gen_file.write_text("action,row,col,rate\n0,0,1,1.0\n0,1,0,2.O\n")
+        cfg = write_config(tmp_path, {"family": "custom", "generator_file": str(gen_file),
+                                      "actions": [0.0], "cost": {"constant": 1.0}})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "gen.csv, line 3:" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from riskflow import (ControlledGenerator, DiscreteDistribution,
-                      InvalidParameterError, MarkovPolicy, RateMatrix,
+                      InvalidParameterError, MarkovPolicy,
                       assemble_forward_program, augment_generator,
                       build_circle_grid, build_uniform_grid, discount_factor,
                       discretize_circle_diffusion, marginal,
@@ -15,7 +15,7 @@ from riskflow.generator import stack_actions
 
 def two_state_gen(q01=1.0, q10=2.0):
     m = sp.csr_matrix(np.array([[-q01, q01], [q10, -q10]]))
-    return ControlledGenerator(per_action=(RateMatrix(m),))
+    return ControlledGenerator(per_action=(m,))
 
 
 def start_at(index, n_x, n_y, coords=None):
@@ -63,9 +63,9 @@ class TestMarginal:
 
 class TestPropagation:
     def test_zero_generator_freezes_mass(self):
-        gen = ControlledGenerator(per_action=(RateMatrix(sp.csr_matrix((3, 3))),))
+        gen = ControlledGenerator(per_action=(sp.csr_matrix((3, 3)),))
         yg = build_uniform_grid(0.0, 1.0, 2)
-        aug = augment_generator(gen, np.zeros((3, 1)), 0.0, yg, t=0.0)
+        aug = augment_generator(gen, np.zeros((3, 1)), 0.0, yg)
         init = start_at(1, 3, 2, coords=(np.arange(3.), yg.points))
         traj = propagate_forward(aug, MarkovPolicy.uniform(4, 3, 2, 1), init,
                                  np.linspace(0, 1, 4))
@@ -76,7 +76,7 @@ class TestPropagation:
         q = np.array([[-1.0, 1.0], [2.0, -2.0]])
         gen = two_state_gen()
         yg = build_uniform_grid(0.0, 1.0, 2)
-        aug = augment_generator(gen, np.zeros((2, 1)), 0.0, yg, t=0.0)
+        aug = augment_generator(gen, np.zeros((2, 1)), 0.0, yg)
         n_t = 101  # dt = 0.01 over t = 1
         times = np.linspace(0.0, 1.0, n_t)
         init = start_at(0, 2, 2, coords=(np.arange(2.), yg.points))
@@ -93,7 +93,7 @@ class TestPropagation:
             per_action=(discretize_circle_diffusion(grid, 0.0, 1.0),),
             state_grid=grid)
         yg = build_uniform_grid(0.0, 1.0, 3)
-        aug = augment_generator(gen, np.zeros((7, 1)), 0.0, yg, t=0.0)
+        aug = augment_generator(gen, np.zeros((7, 1)), 0.0, yg)
         mass = np.zeros((7, 3))
         mass[:, 0] = 1.0 / 7.0
         init = DiscreteDistribution(axes=("x", "y"), coords=(grid.points, yg.points),
@@ -112,11 +112,11 @@ class TestPropagation:
                 off = rng.uniform(0, 3, (n_x, n_x))
                 np.fill_diagonal(off, 0.0)
                 q = off - np.diag(off.sum(axis=1))
-                mats.append(RateMatrix(sp.csr_matrix(q)))
+                mats.append(sp.csr_matrix(q))
             gen = ControlledGenerator(per_action=tuple(mats))
             cost = rng.uniform(0, 2, (n_x, n_a))
             yg = build_uniform_grid(0.0, 1.5, n_y)
-            aug = augment_generator(gen, cost, rng.uniform(0, 1), yg, t=0.0)
+            aug = augment_generator(gen, cost, rng.uniform(0, 1), yg)
             probs = rng.dirichlet(np.ones(n_a), size=(4, n_x, n_y))
             policy = MarkovPolicy(probs=probs, mask=np.ones((4, n_x, n_y), bool))
             mass = rng.dirichlet(np.ones(n_x * n_y)).reshape(n_x, n_y)
@@ -138,7 +138,7 @@ class TestPropagation:
         cost = rng.uniform(0, 1.5, (5, 2))
         alpha = 0.3
         yg = build_uniform_grid(0.0, 2.0, 9)
-        aug = augment_generator(gen, cost, alpha, yg, t=0.0)
+        aug = augment_generator(gen, cost, alpha, yg)
         times = np.linspace(0.0, 2.0, 6)
         probs = rng.dirichlet(np.ones(2), size=(6, 5, 9))
         policy = MarkovPolicy(probs=probs, mask=np.ones((6, 5, 9), bool))
@@ -158,7 +158,7 @@ class TestPropagation:
     def test_policy_shape_checked(self):
         gen = two_state_gen()
         yg = build_uniform_grid(0.0, 1.0, 2)
-        aug = augment_generator(gen, np.zeros((2, 1)), 0.0, yg, t=0.0)
+        aug = augment_generator(gen, np.zeros((2, 1)), 0.0, yg)
         init = start_at(0, 2, 2, coords=(np.arange(2.), yg.points))
         with pytest.raises(InvalidParameterError):
             propagate_forward(aug, MarkovPolicy.uniform(3, 2, 2, 1), init,
@@ -167,9 +167,9 @@ class TestPropagation:
 
 class TestAssembly:
     def test_degenerate_single_cell(self):
-        gen = ControlledGenerator(per_action=(RateMatrix(sp.csr_matrix((1, 1))),))
+        gen = ControlledGenerator(per_action=(sp.csr_matrix((1, 1)),))
         yg = build_uniform_grid(0.0, 1.0, 2)
-        aug = augment_generator(gen, np.zeros((1, 1)), 0.0, yg, t=0.0)
+        aug = augment_generator(gen, np.zeros((1, 1)), 0.0, yg)
         init = start_at(0, 1, 2, coords=(np.zeros(1), yg.points))
         fp = assemble_forward_program(aug, init, np.linspace(0, 1, 2))
         assert fp.n_vars == 4  # 2 slices x 2 cost levels x 1 action
@@ -183,10 +183,9 @@ class TestAssembly:
             state_grid=grid)
         cost = (1 - np.cos(grid.points))[:, None] + 2.0 * a_vals[None, :] ** 2
         yg = build_uniform_grid(0.0, 2.5, 21)
-        aug = augment_generator(gen, cost, 0.25, yg, t=0.0)
+        aug = augment_generator(gen, cost, 0.25, yg)
         init = start_at(0, 21, 21, coords=(grid.points, yg.points))
-        fp = assemble_forward_program(aug, init, build_uniform_grid(0.0, 25.0, 21),
-                                      a_values=a_vals)
+        fp = assemble_forward_program(aug, init, build_uniform_grid(0.0, 25.0, 21))
         assert fp.n_vars == 21 * 21 * 21 * 21 == 194_481
         assert fp.a_eq.shape[0] == 20 * 441 + 441 == 9_261
         assert np.diff(fp.a_eq.tocsr().indptr).min() >= 1
@@ -204,7 +203,7 @@ class TestAssembly:
             state_grid=grid)
         cost = rng.uniform(0, 1, (4, 2))
         yg = build_uniform_grid(0.0, 1.0, 3)
-        aug = augment_generator(gen, cost, 0.2, yg, t=0.0)
+        aug = augment_generator(gen, cost, 0.2, yg)
         init = start_at(0, 4, 3, coords=(grid.points, yg.points))
         times = np.linspace(0, 1, 3)
         fp = assemble_forward_program(aug, init, times)
@@ -221,7 +220,7 @@ class TestAssembly:
     def test_csv_export_round_trip(self, tmp_path):
         gen = two_state_gen()
         yg = build_uniform_grid(0.0, 1.0, 2)
-        aug = augment_generator(gen, np.full((2, 1), 0.4), 0.0, yg, t=0.0)
+        aug = augment_generator(gen, np.full((2, 1), 0.4), 0.0, yg)
         init = start_at(0, 2, 2, coords=(np.arange(2.), yg.points))
         traj = propagate_forward(aug, MarkovPolicy.uniform(3, 2, 2, 1), init,
                                  np.linspace(0, 1, 3))
@@ -240,7 +239,7 @@ def random_generator(rng, n_x, n_a):
         q = rng.uniform(0, 2, (n_x, n_x)) * (rng.uniform(size=(n_x, n_x)) < 0.6)
         np.fill_diagonal(q, 0.0)
         np.fill_diagonal(q, -q.sum(axis=1))
-        mats.append(RateMatrix(sp.csr_matrix(q)))
+        mats.append(sp.csr_matrix(q))
     return ControlledGenerator(per_action=tuple(mats))
 
 
@@ -259,7 +258,7 @@ class TestImplicitStepKernel:
         yg = build_uniform_grid(0.0, float(rng.uniform(0.5, 3.0)), n_y)
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 0.9, 3))])
         init = start_at(0, n_x, n_y, coords=(np.arange(float(n_x)), yg.points))
-        fp = assemble_forward_program(augment_generator(gen, cost, alpha, yg, t=0.0),
+        fp = assemble_forward_program(augment_generator(gen, cost, alpha, yg),
                                       init, times)
         n_z = n_x * n_y
         shift = np.eye(n_y, k=1) - np.eye(n_y)
@@ -273,7 +272,7 @@ class TestImplicitStepKernel:
             disc = discount_factor(alpha, times[k], dt)
             rows = (k + 1) * n_z + z
             for a in range(n_a):
-                q_a = (np.kron(gen.per_action[a].matrix.toarray(), np.eye(n_y))
+                q_a = (np.kron(gen.per_action[a].toarray(), np.eye(n_y))
                        + disc * np.kron(np.diag(cost[:, a] / yg.spacing), shift))
                 block = (np.eye(n_z) - dt * q_a).T
                 want[np.ix_(rows, ((k + 1) * n_z + z) * n_a + a)] = block
@@ -291,10 +290,10 @@ class TestImplicitStepKernel:
             weights = rng.dirichlet(np.ones(n_a), size=(n_b, n))
             dt = float(rng.uniform(0.05, 2.0))
             rhs = rng.uniform(-1, 1, (n_b, n))
-            stacked = stack_actions([q.matrix for q in gen.per_action])
+            stacked = stack_actions(gen.per_action)
             singles = []
             for w, r in zip(weights, rhs):
-                q_w = sum(w[:, [a]] * gen.per_action[a].matrix.toarray()
+                q_w = sum(w[:, [a]] * gen.per_action[a].toarray()
                           for a in range(n_a))
                 system = np.eye(n) - dt * q_w
                 want = np.linalg.solve(system.T if transpose else system, r)
@@ -307,8 +306,8 @@ class TestImplicitStepKernel:
     def test_stack_actions_order(self):
         rng = np.random.default_rng(6)
         gen = random_generator(rng, 4, 3)
-        stacked = stack_actions([q.matrix for q in gen.per_action]).toarray()
+        stacked = stack_actions(gen.per_action).toarray()
         for z in range(4):
             for a in range(3):
                 assert np.array_equal(stacked[z * 3 + a],
-                                      gen.per_action[a].matrix.toarray()[z])
+                                      gen.per_action[a].toarray()[z])

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from riskflow import (ControlledGenerator, DiscreteDistribution, LpProblem,
-                      MarkovPolicy, RateMatrix, RiskSpec,
+                      MarkovPolicy, RiskSpec,
                       assemble_forward_program, augment_generator,
                       build_uniform_grid, extract_policy,
                       optimize_linear_risk, optimize_smooth_risk,
@@ -71,7 +71,7 @@ class TestLpCore:
 
 
 def tiny_instance(rates, cost, alpha=0.25, n_y=2, y_max=2.0, n_t=3, horizon=1.0):
-    mats = [RateMatrix(sp.csr_matrix(np.array([[-q01, q01], [q10, -q10]])))
+    mats = [sp.csr_matrix(np.array([[-q01, q01], [q10, -q10]]))
             for q01, q10 in rates]
     gen = ControlledGenerator(per_action=tuple(mats))
     yg = build_uniform_grid(0.0, y_max, n_y)
@@ -81,7 +81,7 @@ def tiny_instance(rates, cost, alpha=0.25, n_y=2, y_max=2.0, n_t=3, horizon=1.0)
     init[:, 0] = nu
     start = DiscreteDistribution(axes=("x", "y"),
                                  coords=(np.arange(2.0), yg.points), mass=init)
-    aug = augment_generator(gen, np.asarray(cost, float), alpha, yg, t=0.0)
+    aug = augment_generator(gen, np.asarray(cost, float), alpha, yg)
     fp = assemble_forward_program(aug, start, times)
     return gen, yg, times, nu, start, aug, fp
 

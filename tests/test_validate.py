@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import riskflow.validate as validate_module
 from riskflow import (ControlledGenerator, DiscreteDistribution, LpFailureError,
                       LpSolution, MarkovPolicy, McConfig, PolicyEnumerationError,
-                      PropagationError, RateMatrix, RiskSpec,
+                      PropagationError, RiskSpec,
                       bounded_lipschitz_distance, build_uniform_grid,
                       distribution_from_samples, enumerate_policies,
                       optimize_linear_risk, risk_neutral_dp, simulate_paths,
@@ -28,11 +28,11 @@ def dist(values, masses):
 
 
 def single_state_gen():
-    return ControlledGenerator(per_action=(RateMatrix(sp.csr_matrix((1, 1))),))
+    return ControlledGenerator(per_action=(sp.csr_matrix((1, 1)),))
 
 
 def two_state_gen(pairs):
-    mats = [RateMatrix(sp.csr_matrix(np.array([[-a, a], [b, -b]]))) for a, b in pairs]
+    mats = [sp.csr_matrix(np.array([[-a, a], [b, -b]])) for a, b in pairs]
     return ControlledGenerator(per_action=tuple(mats))
 
 
@@ -92,7 +92,7 @@ class TestSimulation:
         init[0, 0] = 1.0
         start = DiscreteDistribution(axes=("x", "y"),
                                      coords=(np.arange(2.0), yg.points), mass=init)
-        aug = augment_generator(gen, cost, alpha, yg, t=0.0)
+        aug = augment_generator(gen, cost, alpha, yg)
         traj = propagate_forward(aug, pol, start, times)
         lp_mean = traj.slices[-1].marginal("y").mean()
         res = simulate_paths(gen, pol, cost, alpha, yg, np.array([1.0, 0.0]),
@@ -260,7 +260,7 @@ class TestRiskNeutralDp:
             start = DiscreteDistribution(axes=("x", "y"),
                                          coords=(np.arange(2.0), yg.points),
                                          mass=init)
-            aug = augment_generator(gen, cost, 0.25, yg, t=0.0)
+            aug = augment_generator(gen, cost, 0.25, yg)
             traj = propagate_forward(aug, pol, start, times)
             assert dp.value <= traj.slices[-1].marginal("y").mean() + 1e-8
 
@@ -291,7 +291,7 @@ class TestRiskNeutralDpCostAxis:
         uncapped = risk_neutral_dp(gen, DESIGNATED_COST, 0.25, DESIGNATED_TIMES,
                                    DESIGNATED_NU, v=v)
         assert dp.value < uncapped.value - 1e-2  # the ceiling binds
-        aug = augment_generator(gen, DESIGNATED_COST, 0.25, yg, t=0.0)
+        aug = augment_generator(gen, DESIGNATED_COST, 0.25, yg)
         fp = assemble_forward_program(aug, designated_start(yg), DESIGNATED_TIMES)
         lp = optimize_linear_risk(fp, RiskSpec(kind="expectation"), v=v, tol_gap=1e-11)
         enum = enumerate_policies(gen, DESIGNATED_COST, 0.25, yg, DESIGNATED_TIMES,
@@ -313,7 +313,7 @@ class TestRiskNeutralDpCostAxis:
         dp = risk_neutral_dp(gen, DESIGNATED_COST, 0.25, DESIGNATED_TIMES,
                              DESIGNATED_NU, y_grid=yg)
         assert dp.actions.shape == (2, 2, n_y)
-        aug = augment_generator(gen, DESIGNATED_COST, 0.25, yg, t=0.0)
+        aug = augment_generator(gen, DESIGNATED_COST, 0.25, yg)
         traj = propagate_forward(aug, dp.greedy_policy(n_y, 2), designated_start(yg),
                                  DESIGNATED_TIMES)
         assert traj.slices[-1].marginal("y").mean() == pytest.approx(dp.value, abs=1e-10)
@@ -328,7 +328,7 @@ class TestRiskNeutralDpCostAxis:
         tall = risk_neutral_dp(gen, DESIGNATED_COST, 0.25, DESIGNATED_TIMES,
                                DESIGNATED_NU, y_grid=yg)
         assert base.value == pytest.approx(tall.value, abs=1e-10)
-        aug = augment_generator(gen, DESIGNATED_COST, 0.25, yg, t=0.0)
+        aug = augment_generator(gen, DESIGNATED_COST, 0.25, yg)
         traj = propagate_forward(aug, base.greedy_policy(yg.n, 2), designated_start(yg),
                                  DESIGNATED_TIMES)
         assert traj.slices[-1].marginal("y").mean() == pytest.approx(base.value, abs=1e-10)
@@ -357,7 +357,7 @@ class TestEnumeration:
         # propagated one policy at a time
         gen = two_state_gen(DESIGNATED_RATES)
         yg = build_uniform_grid(0.0, 0.6, 2)
-        aug = augment_generator(gen, DESIGNATED_COST, 0.25, yg, t=0.0)
+        aug = augment_generator(gen, DESIGNATED_COST, 0.25, yg)
         want = np.inf
         for assignment in itertools.product(range(2), repeat=8):
             table = np.zeros((3, 2, 2), dtype=np.int64)
