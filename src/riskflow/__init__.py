@@ -4,7 +4,8 @@ The pipeline: discretize a controlled circle diffusion into per-action
 rate matrices, augment the chain with a discounted running-cost
 coordinate, stack the implicit-Euler forward equation into a sparse
 linear program over time-indexed joint measures, minimize a law-invariant
-risk of the terminal cost distribution with an interior-point method, and
+risk of the terminal cost distribution by backward Bellman sweeps that
+solve the program through its dual and certify the primal-dual pair, and
 extract the time-state-cost Markov policy.  Monte Carlo simulation,
 dynamic programming, and brute-force policy enumeration serve as
 independent cross-checks.

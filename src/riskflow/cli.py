@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -24,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ConfigError, InvalidParameterError, PolicyEnumerationError,
-                     RiskflowError)
+                     PropagationError, RiskflowError)
 from .forward import (DiscreteDistribution, ForwardProgram,
                       assemble_forward_program, distribution_from_samples,
                       write_grid_csv, write_trajectory_csv)
@@ -32,14 +31,13 @@ from .generator import (ControlledGenerator, augment_generator,
                         discretize_circle_diffusion, load_generator_triplets)
 from .grids import build_circle_grid, build_uniform_grid
 from .risk import KINDS, RiskSpec
-from .solve import (LpFailureError, MarkovPolicy, SolveReport,
-                    optimize_linear_risk, optimize_smooth_risk)
+from .solve import (MarkovPolicy, SolveReport, optimize_linear_risk,
+                    optimize_smooth_risk)
 from .validate import McConfig, simulate_paths, wasserstein1, enumerate_policies
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CONFIG = 2
-EXIT_INFEASIBLE = 3
 EXIT_MAX_ITER = 4
 EXIT_IO = 5
 
@@ -339,13 +337,17 @@ def _risk_spec(spec: ProblemSpec) -> RiskSpec:
     return RiskSpec(kind="mean_semideviation", beta=spec.beta)
 
 
+def _policy_tables(pieces: ProblemPieces):
+    """Name, header and ij-ordered coordinate grids of the two policy tables."""
+    txy = (pieces.t_grid.points, pieces.base.state_points, pieces.y_grid.points)
+    return (("policy.csv", ("t", "x", "y", "a", "prob"), txy + (pieces.a_values,)),
+            ("policy_mask.csv", ("t", "x", "y", "reachable"), txy))
+
+
 def _write_policy_csvs(policy: MarkovPolicy, pieces: ProblemPieces, out_dir):
-    t, y = pieces.t_grid.points, pieces.y_grid.points
-    x = pieces.base.state_points
-    write_grid_csv(out_dir / "policy.csv", ("t", "x", "y", "a", "prob"),
-                   (t, x, y, pieces.a_values), policy.probs, newline="\n")
-    write_grid_csv(out_dir / "policy_mask.csv", ("t", "x", "y", "reachable"),
-                   (t, x, y), policy.mask, newline="\n")
+    for (name, header, coords), values in zip(_policy_tables(pieces),
+                                              (policy.probs, policy.mask)):
+        write_grid_csv(out_dir / name, header, coords, values, newline="\n")
 
 
 def _forward_program(spec: ProblemSpec, pieces: ProblemPieces) -> ForwardProgram:
@@ -385,22 +387,30 @@ def run(spec: ProblemSpec, out_dir) -> SolveReport:
     return report
 
 
-def _read_policy(report_dir, pieces: ProblemPieces, n_t: int) -> MarkovPolicy:
-    rep = Path(report_dir)
-    shape = (n_t, pieces.base.dim, pieces.y_grid.n)
-
-    def column(name, col, dims):
-        table = np.loadtxt(rep / name, delimiter=",", skiprows=1, ndmin=2)
-        if len(table) != math.prod(dims):
-            raise ConfigError(f"{rep / name} has {len(table)} rows, not {math.prod(dims)}")
-        return table[:, col].reshape(dims)
-
-    probs = column("policy.csv", 4, shape + (len(pieces.a_values),))
-    mask = column("policy_mask.csv", 3, shape).astype(bool)
+def _read_policy(report_dir, pieces: ProblemPieces) -> MarkovPolicy:
+    """The policy ``run`` wrote for ``pieces``, else ``ConfigError``."""
+    tables = []
+    for name, header, coords in _policy_tables(pieces):
+        path = Path(report_dir) / name
+        grid = np.column_stack([g.ravel() for g in np.meshgrid(*coords, indexing="ij")])
+        try:
+            with open(path) as fh:
+                head = fh.readline().strip()
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not a numeric table: {exc}") from exc
+        if head != ",".join(header):
+            raise ConfigError(f"{path} has header {head!r}, not {','.join(header)!r}")
+        if table.shape != (len(grid), len(header)):
+            raise ConfigError(f"{path} has {len(table)} rows of {table.shape[1]} columns, "
+                              f"not {len(grid)} of {len(header)}")
+        if not np.allclose(table[:, :-1], grid, rtol=1e-12, atol=1e-12):
+            raise ConfigError(f"{path}: coordinate columns do not follow the config's grids")
+        tables.append(table[:, -1].reshape([len(c) for c in coords]))
     try:
-        return MarkovPolicy(probs=probs, mask=mask).validate()
+        return MarkovPolicy(probs=tables[0], mask=tables[1].astype(bool)).validate()
     except InvalidParameterError as exc:
-        raise ConfigError(f"{rep / 'policy.csv'} is not a policy: {exc}") from exc
+        raise ConfigError(f"{Path(report_dir) / 'policy.csv'} is not a policy: {exc}") from exc
 
 
 def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
@@ -423,7 +433,7 @@ def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
     if solved != config_digest(spec):
         raise ConfigError(f"config_digest of {rep} is not this config's; solve it again")
     pieces = build_problem(spec)
-    policy = _read_policy(rep, pieces, spec.n_t)
+    policy = _read_policy(rep, pieces)
     result = simulate_paths(pieces.base, policy, pieces.cost, spec.alpha,
                             pieces.y_grid, pieces.nu, pieces.t_grid, cfg)
     marg = np.loadtxt(rep / "marginal_y.csv", delimiter=",", skiprows=1)
@@ -511,9 +521,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except LpFailureError as exc:
+    except PropagationError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE if exc.status in ("infeasible", "unbounded") else EXIT_MAX_ITER
+        return EXIT_MAX_ITER
     except PolicyEnumerationError as exc:
         print(f"enumeration refused: {exc}", file=sys.stderr)
         return EXIT_ERROR

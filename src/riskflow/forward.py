@@ -5,8 +5,8 @@ Four consumers share one implicit-Euler step over (product state, action),
 ``AugmentedGenerator.steps``: ``assemble_forward_program`` emits the
 whole evolution as sparse equality constraints over time-indexed joint
 measures ``mu_k(x, y, a)`` for the optimizer, ``propagate_forward`` pushes
-a distribution through time under a fixed policy, and the Bellman step of
-``validate.risk_neutral_dp`` takes it backward; these two and the batched
+a distribution through time under a fixed policy, and the Bellman sweep
+``solve.bellman_sweep`` takes it backward; these two and the batched
 ``validate.enumerate_policies`` solve through ``implicit_step``.  Controls
 are attached to the new time slice: the step from ``t_k`` to ``t_{k+1}``
 mixes actions with the policy (or measure) at slice ``k + 1`` and
@@ -199,7 +199,7 @@ class ForwardProgram:
     Decision variables are ``mu_k(x, y, a) >= 0`` flattened as
     ``column = ((k * n_z) + x * n_y + y) * n_a + a``.  Rows are the initial
     condition (one per product state) followed by one evolution row per
-    (step, product state).
+    (step, product state), built from the ``(dt, Q_k)`` pairs in ``steps``.
     """
 
     a_eq: sp.csr_matrix
@@ -211,6 +211,7 @@ class ForwardProgram:
     t_values: np.ndarray
     x_values: np.ndarray
     y_values: np.ndarray
+    steps: tuple
 
     @property
     def n_z(self) -> int:
@@ -282,7 +283,8 @@ def assemble_forward_program(gen: AugmentedGenerator, initial_xy: DiscreteDistri
     ones = sp.kron(sp.identity(n_z), np.ones((n_a, 1)), format="csr")
     blocks = [[None] * n_t for _ in range(n_t)]
     blocks[0][0] = ones.T
-    for k, (dt, q) in enumerate(gen.steps(times)):
+    steps = tuple(gen.steps(times))
+    for k, (dt, q) in enumerate(steps):
         blocks[k + 1][k] = -ones.T
         blocks[k + 1][k + 1] = (ones - dt * q).T
     a_eq = sp.bmat(blocks, format="csr")
@@ -290,4 +292,4 @@ def assemble_forward_program(gen: AugmentedGenerator, initial_xy: DiscreteDistri
     b_eq[:n_z] = initial_xy.mass.reshape(n_z)
     return ForwardProgram(a_eq=a_eq, b_eq=b_eq, n_t=n_t, n_x=n_x, n_y=n_y, n_a=n_a,
                           t_values=times, x_values=gen.base.state_points,
-                          y_values=gen.y_grid.points)
+                          y_values=gen.y_grid.points, steps=steps)

@@ -175,8 +175,8 @@ def load_generator_triplets(path, n_states: Optional[int] = None,
     Off-diagonal rates must be nonnegative.  Diagonal entries may be
     omitted; each missing diagonal is filled with minus the row sum.  The
     first non-comment line may be a header without digits and is skipped;
-    any other line that is not four numbers with indices in range raises
-    ``ConfigError`` naming the file and line.
+    any other line must be four numbers with indices in range and a
+    nonnegative off-diagonal rate, else ``ConfigError`` names file and line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -185,7 +185,7 @@ def load_generator_triplets(path, n_states: Optional[int] = None,
     if rows and not any(c.isdigit() for c in "".join(rows[0][1])):
         rows = rows[1:]  # header
     if not rows:
-        raise InvalidParameterError(f"no generator entries found in {path}")
+        raise ConfigError(f"no generator entries found in {path}")
     triplets = []
     for line, rec in rows:
         try:
@@ -198,11 +198,15 @@ def load_generator_triplets(path, n_states: Optional[int] = None,
     arr = np.array(triplets)
     na = int(arr[:, 0].max()) + 1 if n_actions is None else n_actions
     ns = int(max(arr[:, 1].max(), arr[:, 2].max())) + 1 if n_states is None else n_states
-    out = (arr[:, :3] < 0).any(axis=1) | (arr[:, 0] >= na) | (arr[:, 1:3] >= ns).any(axis=1)
-    if out.any():
-        k = int(np.argmax(out))
-        raise ConfigError(f"{path}, line {rows[k][0]}: entry {','.join(rows[k][1])!r} "
-                          f"is out of range for {na} actions and {ns} states")
+
+    def refuse(bad, what):
+        if bad.any():
+            line, rec = rows[int(np.argmax(bad))]
+            raise ConfigError(f"{path}, line {line}: entry {','.join(rec)!r} {what}")
+
+    refuse((arr[:, :3] < 0).any(axis=1) | (arr[:, 0] >= na) | (arr[:, 1:3] >= ns).any(axis=1),
+           f"is out of range for {na} actions and {ns} states")
+    refuse((arr[:, 1] != arr[:, 2]) & (arr[:, 3] < 0), "is a negative off-diagonal rate")
     mats = []
     for a in range(na):
         sel = arr[arr[:, 0] == a]
@@ -211,12 +215,5 @@ def load_generator_triplets(path, n_states: Optional[int] = None,
         has_diag = np.zeros(ns, dtype=bool)
         has_diag[sel[sel[:, 1] == sel[:, 2]][:, 1].astype(int)] = True
         row_sums = np.asarray(m.sum(axis=1)).ravel()
-        fill = np.where(has_diag, 0.0, -row_sums)
-        m = (m + sp.diags(fill)).tocsr()
-        off = m.tocoo()
-        bad = off.data[(off.row != off.col) & (off.data < 0)]
-        if bad.size:
-            raise InvalidParameterError(
-                f"negative off-diagonal rate {bad.min()} for action {a} in {path}")
-        mats.append(m)
+        mats.append((m + sp.diags(np.where(has_diag, 0.0, -row_sums))).tocsr())
     return ControlledGenerator(per_action=tuple(mats))

@@ -1,10 +1,14 @@
-"""Sparse LP core and the risk-aware outer loop.
+"""Sparse LP core, the forward LP's dual sweep and the risk-aware outer loop.
 
 The LP solver is a Mehrotra predictor-corrector interior-point method on
 the homogeneous self-dual embedding of the standard form min c'x s.t.
 Ax = b, x >= 0, the only form it takes.  Primal-dual residuals and the
 relative duality gap are tracked per iteration and reported first-class;
 infeasibility and unboundedness are detected from the embedding variables.
+
+Every LP over the forward-equation polytope is a dynamic program on the
+augmented chain whose values are its dual: ``_solve_forward_lp`` solves it
+by a backward Howard sweep and certifies the pair with the IPM's stop test.
 
 On top of it sit the two optimizers over the forward-equation polytope:
 a direct solve for risks linear in the terminal measure, and a
@@ -24,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, InvalidParameterError, RiskflowError
 from .forward import (DiscreteDistribution, ForwardProgram,
-                      TrajectoryDistribution)
+                      TrajectoryDistribution, implicit_step)
 from .risk import RiskSpec, apply_terminal_cost, evaluate, gradient_at_values
 
 DEFAULT_TOL = 1e-9
@@ -34,6 +38,7 @@ STEP_SCALE = 0.99995  # fraction of the distance to the boundary taken per step
 # largest log of an entropic LP weight; from about 30 on, the IPM's
 # infeasibility test fires on feasible programs
 ENTROPIC_LOG_SPAN = 15.0
+DP_TIE_TOL = 1e-10  # relative margin of a Bellman step's action switches and ties
 
 
 class LpFailureError(RiskflowError):
@@ -299,6 +304,59 @@ def extract_policy(traj: TrajectoryDistribution, mass_floor: float = MASS_FLOOR)
 
 
 # ---------------------------------------------------------------------------
+# Backward Bellman sweep: the forward program's dual
+
+
+def _implicit_bellman_step(stacked: sp.csr_matrix, rhs: np.ndarray, dt: float,
+                           max_iter: int):
+    """Solve ``V = min_a [rhs_a + dt Q_a V]`` row by row by Howard's policy
+    iteration in at most ``max_iter`` evaluations; ``stacked`` is the
+    generator stacked over actions (``generator.stack_actions``), ``rhs`` is
+    ``(n, n_a)``.
+
+    Each evaluation solves ``(I - dt Q_pi) V = rhs_pi`` for a deterministic
+    policy ``pi``.  ``I - dt Q_pi`` is an M-matrix, so every improvement
+    lowers ``V`` componentwise and the loop ends at the least solution.  A
+    state switches action only when that lowers its value by more than
+    ``DP_TIE_TOL |V(z)|``: exact ties would cycle.  Returns the values, the
+    policy, the ties (actions within that margin of the best) and the count.
+    """
+    n, n_a = rhs.shape
+    rows = np.arange(n)
+
+    def candidates(val):
+        return rhs + dt * (stacked @ val).reshape(n, n_a)
+
+    pol = candidates(rhs.min(axis=1)).argmin(axis=1)
+    for rounds in range(1, max_iter + 1):
+        val = implicit_step(stacked, np.eye(n_a)[pol], dt, rhs[rows, pol], transpose=False)
+        cand = candidates(val)
+        best = cand.min(axis=1)
+        slack = DP_TIE_TOL * np.abs(val)
+        switch = best < cand[rows, pol] - slack
+        if rounds == max_iter or not switch.any():
+            break
+        pol = np.where(switch, cand.argmin(axis=1), pol)
+    return val, pol, cand <= (best + slack)[:, None], rounds
+
+
+def bellman_sweep(steps, terminal: np.ndarray, stage, max_iter: int = DEFAULT_MAX_ITER):
+    """Backward sweep ``V_k = min_a [stage[k]_a + V_{k+1} + dt Q_a(t_k) V_k]``
+    from ``V_T = terminal`` over the ``(dt, Q_k)`` pairs of ``steps``.
+    Returns the values ``(n_t, n)``, the per-step actions and tie masks of
+    ``_implicit_bellman_step`` and the number of policy evaluations.
+    """
+    values = np.tile(terminal.astype(float), (len(steps) + 1, 1))
+    actions, ties, evaluations = [None] * len(steps), [None] * len(steps), 0
+    for k in range(len(steps) - 1, -1, -1):
+        dt, stacked = steps[k]
+        values[k], actions[k], ties[k], rounds = _implicit_bellman_step(
+            stacked, values[k + 1][:, None] + stage[k], dt, max_iter)
+        evaluations += rounds
+    return values, np.array(actions), np.array(ties), evaluations
+
+
+# ---------------------------------------------------------------------------
 # Risk-aware optimization over the forward-equation polytope
 
 
@@ -379,15 +437,36 @@ def _solve_report(fp, primal, status, duality_gap, iterations, mass_floor,
     )
 
 
-def _solve_forward_lp(fp: ForwardProgram, c: np.ndarray, tol_gap: float,
-                      max_iter: int) -> LpSolution:
-    """Minimize ``c @ mu`` over the forward polytope, which a valid initial
-    distribution makes nonempty and bounded: any other outcome is a failure."""
-    sol = solve_lp(LpProblem(a_eq=fp.a_eq, b_eq=fp.b_eq, c=c),
-                   tol_gap=tol_gap, max_iter=max_iter)
-    if sol.status in ("infeasible", "unbounded", "failed"):
-        raise LpFailureError(sol.status, f"forward program reported {sol.status}")
-    return sol
+def _solve_forward_lp(fp: ForwardProgram, weights: np.ndarray, tol_gap: float,
+                      max_iter: int, relative: bool = False) -> LpSolution:
+    """Minimize ``terminal_objective(weights)`` over the forward polytope.
+
+    The sweep's values, stacked in ``assemble_forward_program``'s row order
+    as ``(V_0; V_0, ..., V_{T-1})``, are the dual; propagating the policy
+    that mixes each cell's ties uniformly gives the primal.  The status is
+    ``optimal`` when ``solve_lp``'s relative primal residual, dual
+    infeasibility and gap are within ``tol_gap`` (times an optimum below 1
+    when ``relative``), else ``max_iter``.
+    """
+    values, _, ties, evaluations = bellman_sweep(
+        fp.steps, np.ravel(weights), np.zeros((fp.n_t - 1, 1, fp.n_a)), max_iter)
+    m = fp.b_eq[:fp.n_z]
+    mu = [np.outer(m, np.full(fp.n_a, 1.0 / fp.n_a))]
+    for (dt, q), tie in zip(fp.steps, ties):
+        mix = tie / tie.sum(axis=1, keepdims=True)
+        m = implicit_step(q, mix, dt, m, transpose=True)
+        mu.append(m[:, None] * mix)
+    mu = np.ravel(mu)
+    lam = np.concatenate([values[0], values[:-1].ravel()])
+    c = fp.terminal_objective(weights)
+    pobj, dobj = _dot(c, mu), _dot(fp.b_eq, lam)
+    rho_p = _norm(fp.a_eq @ mu - fp.b_eq) / (1.0 + _norm(fp.b_eq))
+    rho_d = _norm(np.maximum(fp.a_eq.T @ lam - c, 0.0)) / (1.0 + _norm(c))
+    rho_g = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    tol = tol_gap * min(1.0, pobj) if relative else tol_gap
+    status = "optimal" if all(r <= tol for r in (rho_p, rho_d, rho_g)) else "max_iter"
+    return LpSolution(primal=mu, dual=lam, primal_objective=pobj, dual_objective=dobj,
+                      duality_gap=rho_g, iterations=evaluations, status=status)
 
 
 def optimize_linear_risk(fp: ForwardProgram, spec: RiskSpec,
@@ -403,7 +482,7 @@ def optimize_linear_risk(fp: ForwardProgram, spec: RiskSpec,
     on the grid, raised just enough that no weight exceeds
     ``exp(ENTROPIC_LOG_SPAN)``, which keeps the LP well scaled for any
     ``theta``.  The reported ``rho_star`` is ``top + log(optimum) / theta``;
-    an optimum below 1 is re-solved with the gap tolerance scaled by it, so
+    an optimum below 1 is certified with the gap tolerance scaled by it, so
     that ``optimal`` bounds the gap's share of the error in ``rho_star`` by
     about ``3 tol_gap / theta`` either way.
     """
@@ -412,17 +491,14 @@ def optimize_linear_risk(fp: ForwardProgram, spec: RiskSpec,
             f"optimize_linear_risk needs a measure-linear risk, got {spec.kind!r}")
     theta_vals = _terminal_values(fp, v)
     if spec.kind != "entropic_linear" or spec.theta == 0:
-        sol = _solve_forward_lp(fp, fp.terminal_objective(theta_vals), tol_gap, max_iter)
+        sol = _solve_forward_lp(fp, theta_vals, tol_gap, max_iter)
         return _solve_report(fp, sol.primal, sol.status, sol.duality_gap, sol.iterations,
                              mass_floor, sol.primal_objective)
     theta = spec.theta
     top = max(float(theta_vals.min()),
               float(theta_vals.max()) - ENTROPIC_LOG_SPAN / theta)
-    c = fp.terminal_objective(np.exp(theta * (theta_vals - top)))
-    sol = _solve_forward_lp(fp, c, tol_gap, max_iter)
-    if sol.status == "optimal" and sol.primal_objective < 1.0:
-        # the stop test is relative only for optima of at least 1
-        sol = _solve_forward_lp(fp, c, tol_gap * sol.primal_objective, max_iter)
+    sol = _solve_forward_lp(fp, np.exp(theta * (theta_vals - top)), tol_gap, max_iter,
+                            relative=True)
     return _solve_report(fp, sol.primal, sol.status, sol.duality_gap, sol.iterations,
                          mass_floor, top + math.log(sol.primal_objective) / theta)
 
@@ -436,13 +512,14 @@ def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
     """Conditional-gradient minimization of a smooth risk over the polytope.
 
     Each round linearizes the risk at the current terminal cost
-    distribution, calls the LP for the descent vertex, and mixes with step
-    ``2 / (k + 2)``; it stops when the Frank-Wolfe gap drops to ``tol``.
-    When that gap is reached against an optimal descent vertex, the status
+    distribution, minimizes it over the polytope for the descent point, and
+    mixes with step ``2 / (k + 2)``; it stops when the Frank-Wolfe gap drops
+    to ``tol``.
+    When that gap is reached against a certified descent point, the status
     is ``optimal`` and the iterate it certifies is returned.  Otherwise the
     status is ``max_iter`` and the best iterate seen is returned (the risk
     surface need not be convex in the measure).  The report carries the
-    last LP's duality gap and the iteration count summed over all LPs.
+    last subproblem's duality gap and the evaluations summed over all.
     """
     theta_vals = _terminal_values(fp, v)
 
@@ -456,7 +533,7 @@ def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
                                    else np.zeros(fp.n_x))
 
     # start from the vertex optimal for the plain expectation
-    sol = _solve_forward_lp(fp, fp.terminal_objective(theta_vals), tol_gap, max_iter)
+    sol = _solve_forward_lp(fp, theta_vals, tol_gap, max_iter)
     mu = sol.primal
     total_iters = sol.iterations
     best_val, best_mu = math.inf, mu
@@ -468,10 +545,9 @@ def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
         if val < best_val:
             best_val, best_mu = val, mu
         grad_xy = gradient_at_values(spec, dist, theta_vals)
-        c_vec = fp.terminal_objective(grad_xy)
-        sol = _solve_forward_lp(fp, c_vec, tol_gap, max_iter)
+        sol = _solve_forward_lp(fp, grad_xy, tol_gap, max_iter)
         total_iters += sol.iterations
-        gap = _dot(c_vec, mu - sol.primal)
+        gap = _dot(fp.terminal_objective(grad_xy), mu - sol.primal)
         steps = fw_iter
         if gap <= tol:
             break

@@ -18,7 +18,7 @@ from .generator import (ControlledGenerator, augment_generator, discount_factor,
                         stack_actions)
 from .grids import UniformGrid, grid_points
 from .risk import RiskSpec, apply_terminal_cost, evaluate, merge_support
-from .solve import MarkovPolicy
+from .solve import MarkovPolicy, bellman_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -233,37 +233,6 @@ class DpResult:
         return MarkovPolicy.from_actions(table, n_a)
 
 
-DP_TIE_TOL = 1e-10
-
-
-def _implicit_bellman_step(stacked: sp.csr_matrix, rhs: np.ndarray, dt: float):
-    """Solve ``V = min_a [rhs_a + dt Q_a V]`` row by row by Howard's policy
-    iteration; ``stacked`` is the generator stacked over actions
-    (``generator.stack_actions``) and ``rhs`` is ``(n, n_a)``.
-
-    Each evaluation solves ``(I - dt Q_pi) V = rhs_pi`` for a deterministic
-    policy ``pi``.  ``I - dt Q_pi`` is an M-matrix, so every improvement
-    lowers ``V`` componentwise and the loop ends at the least solution.  A
-    state switches action only when that lowers its value by more than
-    ``DP_TIE_TOL`` relative to the value scale: exact ties would cycle.
-    """
-    n, n_a = rhs.shape
-    rows = np.arange(n)
-
-    def candidates(val):
-        return rhs + dt * (stacked @ val).reshape(n, n_a)
-
-    pol = candidates(rhs.min(axis=1)).argmin(axis=1)
-    while True:
-        val = implicit_step(stacked, np.eye(n_a)[pol], dt, rhs[rows, pol], transpose=False)
-        cand = candidates(val)
-        best = cand.argmin(axis=1)
-        switch = cand[rows, best] < cand[rows, pol] - DP_TIE_TOL * np.abs(val).max()
-        if not switch.any():
-            return val, pol
-        pol = np.where(switch, best, pol)
-
-
 def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
                     t_grid: Union[UniformGrid, np.ndarray], initial_x,
                     v: Optional[np.ndarray] = None,
@@ -272,7 +241,7 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
 
     Every step is the exact implicit Bellman step of the forward module's
     implicit-Euler scheme, ``V_k = min_a [s_a + V_{k+1} + dt Q_a(t_k) V_k]``
-    taken row by row, solved by policy iteration.  Two modes:
+    taken row by row, solved by ``solve.bellman_sweep``.  Two modes:
 
     - ``y_grid=None``: the base chain, with stage cost ``s_a = dt disc c_a``
       (step-averaged discount) and terminal value ``v`` (zero if absent).
@@ -287,7 +256,6 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
     in the bottom cost cell.
     """
     times = grid_points(t_grid)
-    n_t = len(times)
     c = np.asarray(cost_rate, dtype=float)
     nu = np.asarray(initial_x, dtype=float)
     terminal = np.zeros(gen.dim) if v is None else np.asarray(v, dtype=float)
@@ -299,16 +267,11 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
         steps = augment_generator(gen, c, alpha, y_grid).steps(times)
         stage = np.zeros((len(steps), 1, gen.n_actions))
         terminal = terminal[:, None] + y_grid.points[None, :]
-    values = np.zeros((n_t,) + terminal.shape)
-    values[-1] = terminal
-    actions = np.zeros((n_t - 1,) + terminal.shape, dtype=np.int64)
-    for k in range(n_t - 2, -1, -1):
-        dt, stacked = steps[k]
-        val, pol = _implicit_bellman_step(stacked, stage[k] + values[k + 1].reshape(-1, 1), dt)
-        values[k] = val.reshape(terminal.shape)
-        actions[k] = pol.reshape(terminal.shape)
+    values, actions, _, _ = bellman_sweep(steps, terminal.ravel(), stage)
+    values = values.reshape((-1,) + terminal.shape)
     start = values[0] if y_grid is None else values[0][:, 0]
-    return DpResult(value=float(nu @ start), values=values, actions=actions)
+    return DpResult(value=float(nu @ start), values=values,
+                    actions=actions.reshape((-1,) + terminal.shape))
 
 
 # ---------------------------------------------------------------------------

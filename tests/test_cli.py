@@ -10,8 +10,9 @@ import pytest
 import scipy.linalg
 
 from riskflow import ConfigError, load_config, run, serialize
-from riskflow.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, _build_spec,
-                          build_problem, main, run_oracle, run_validation)
+from riskflow.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MAX_ITER, EXIT_OK,
+                          _build_spec, build_problem, main, run_oracle,
+                          run_validation)
 
 BENCH_CONFIGS = sorted((Path(__file__).parent.parent / "bench" / "configs").glob("*.json"))
 
@@ -368,8 +369,40 @@ class TestMain:
 
     def test_malformed_generator_file_exits_with_config_code(self, tmp_path, capsys):
         gen_file = tmp_path / "gen.csv"
-        gen_file.write_text("action,row,col,rate\n0,0,1,1.0\n0,1,0,2.O\n")
         cfg = write_config(tmp_path, {"family": "custom", "generator_file": str(gen_file),
                                       "actions": [0.0], "cost": {"constant": 1.0}})
-        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "gen.csv, line 3:" in capsys.readouterr().err
+        for text, message in [
+                ("action,row,col,rate\n0,0,1,1.0\n0,1,0,2.O\n", "gen.csv, line 3:"),
+                ("0,0,1,1.0\n0,1,0,-2.0\n", "gen.csv, line 2:"),  # negative rate
+                ("action,row,col,rate\n", "no generator entries found in")]:
+            gen_file.write_text(text)
+            assert main(["solve", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["four_columns", "header", "swapped_rows"])
+    def test_validate_refuses_policy_off_the_grid(self, tmp_path, capsys, edit):
+        # each edit leaves every row a distribution over the actions
+        cfg = write_config(tmp_path, SMALL_CIRCLE)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        head, *rows = (out / "policy.csv").read_text().splitlines(keepends=True)
+        if edit == "four_columns":
+            rows = [",".join(r.split(",")[:4]) + "\n" for r in rows]
+        elif edit == "header":
+            head = "t,x,y,action,prob\n"
+        else:  # two actions of the first cell trade places
+            rows[0], rows[1] = rows[1], rows[0]
+        (out / "policy.csv").write_text(head + "".join(rows))
+        assert main(["validate", "--config", str(cfg), "--report", str(out),
+                     "--paths", "200"]) == EXIT_CONFIG
+        assert "policy.csv" in capsys.readouterr().err
+        assert not (out / "mc_summary.json").exists()
+
+    def test_uncertified_solve_exits_with_iteration_code(self, tmp_path, capsys):
+        # no float64 sweep meets a 1e-20 stop test
+        cfg = write_config(tmp_path, dict(SMALL_CIRCLE, solver={"tol_gap": 1e-20}))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_MAX_ITER
+        assert "status=max_iter" in capsys.readouterr().out
+        assert json.loads((out / "report.json").read_text())["status"] == "max_iter"

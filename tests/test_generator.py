@@ -238,14 +238,23 @@ class TestTripletLoading:
     def test_negative_off_diagonal_rejected(self, tmp_path):
         path = tmp_path / "gen.csv"
         path.write_text("0,0,1,-1.0\n")
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError, match=r"gen\.csv, line 1: .* negative off-diagonal"):
+            load_generator_triplets(path)
+
+    @pytest.mark.parametrize("text", ["", "action,row,col,rate\n# nothing else\n"],
+                             ids=["empty", "header_only"])
+    def test_file_without_entries_rejected(self, tmp_path, text):
+        path = tmp_path / "gen.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"no generator entries found in .*gen\.csv"):
             load_generator_triplets(path)
 
     @pytest.mark.parametrize("text, line, n_states", [
         ("action,row,col,rate\n0,0,1,1.0\n1,1,0,2.O\n", 3, None),  # non-numeric field
         ("0,0,1,1.0\n# comment\n0,1,0\n", 3, None),                # three fields
         ("0,0,1,1.0\n0,1,2,2.0\n", 2, 2),                           # column >= n_states
-    ], ids=["later_header", "three_fields", "index_out_of_range"])
+        ("0,0,1,1.0\n0,1,0,2.0\n\n1,1,0,-0.5\n", 4, None),            # negative rate
+    ], ids=["later_header", "three_fields", "index_out_of_range", "negative_rate"])
     def test_malformed_line_names_file_and_line(self, tmp_path, text, line, n_states):
         path = tmp_path / "gen.csv"
         path.write_text(text)

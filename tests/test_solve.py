@@ -242,6 +242,76 @@ class TestCertificates:
         assert full.status == "optimal"
 
 
+def tiny_program():
+    return tiny_instance([(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])[-1]
+
+
+def small_circle_program():
+    return circle_program({"n_x": 9, "n_y": 9, "n_a": 5, "n_t": 9})[1]
+
+
+class TestDualSweep:
+    """The forward LP solved through its dual, the Bellman sweep, against the
+    interior-point method and HiGHS on the same program."""
+
+    @pytest.mark.parametrize("theta", [None, 1.0, 20.0, 300.0])
+    @pytest.mark.parametrize("program", [tiny_program, small_circle_program],
+                             ids=["tiny", "circle"])
+    def test_sweep_ipm_and_highs_agree(self, program, theta):
+        from scipy.optimize import linprog
+
+        from riskflow.solve import ENTROPIC_LOG_SPAN, _solve_forward_lp
+
+        fp = program()
+        total = np.broadcast_to(fp.y_values, (fp.n_x, fp.n_y))
+        if theta is None:  # the expectation
+            w = total
+        else:  # the shifted entropic weights of optimize_linear_risk
+            w = np.exp(theta * (total - max(total.min(),
+                                            total.max() - ENTROPIC_LOG_SPAN / theta)))
+        c = fp.terminal_objective(w)
+        sweep = _solve_forward_lp(fp, w, tol_gap=1e-9, max_iter=200)
+        ipm = solve_lp(LpProblem(a_eq=fp.a_eq, b_eq=fp.b_eq, c=c), tol_gap=1e-11)
+        ref = linprog(c, A_eq=fp.a_eq, b_eq=fp.b_eq, bounds=(0, None), method="highs")
+        assert sweep.status == ipm.status == "optimal" and ref.status == 0
+        for other in (ipm.primal_objective, ref.fun):
+            assert sweep.primal_objective == pytest.approx(other, rel=1e-9)
+        assert sweep.dual_objective == pytest.approx(sweep.primal_objective, rel=1e-12)
+        dual_residual = (np.linalg.norm(np.maximum(fp.a_eq.T @ sweep.dual - c, 0.0))
+                         / (1.0 + np.linalg.norm(c)))
+        assert dual_residual <= 1e-12
+        assert np.linalg.norm(fp.a_eq @ sweep.primal - fp.b_eq) <= 1e-12
+        assert sweep.primal.min() >= 0.0
+
+    @pytest.mark.parametrize("spec", [RiskSpec(kind="expectation"),
+                                      RiskSpec(kind="entropic_linear", theta=1.0)])
+    def test_exact_ties_mixed_uniformly(self, spec):
+        # with v = 0 the absorbing top cost cell has one value at every state,
+        # so every action ties there exactly; slice 0 drives no step at all
+        fp = tiny_program()
+        rep = optimize_linear_risk(fp, spec)
+        top = rep.policy.probs[1:, :, -1]
+        assert rep.policy.mask[1:, :, -1].any()
+        assert np.abs(top - 0.5).max() <= 1e-15
+        assert np.abs(rep.policy.probs[0] - 0.5).max() <= 1e-15
+
+    @pytest.mark.parametrize("spec", [RiskSpec(kind="expectation"),
+                                      RiskSpec(kind="entropic_linear", theta=20.0)])
+    def test_unreachable_tolerance_is_not_optimal(self, spec):
+        fp = small_circle_program()
+        rep = optimize_linear_risk(fp, spec, tol_gap=1e-20)
+        assert rep.status == "max_iter"
+        assert optimize_linear_risk(fp, spec).status == "optimal"
+
+    def test_iterations_count_policy_evaluations(self):
+        # at least one evaluation per step; one round per step caps them
+        fp = small_circle_program()
+        spec = RiskSpec(kind="entropic_linear", theta=1.0)
+        full = optimize_linear_risk(fp, spec)
+        capped = optimize_linear_risk(fp, spec, max_iter=1)
+        assert full.iterations > capped.iterations == fp.n_t - 1
+
+
 @pytest.fixture
 def splu_calls(monkeypatch):
     """Each call of ``scipy.sparse.linalg.splu``: its keywords and whether it raised."""

@@ -333,6 +333,25 @@ class TestRiskNeutralDpCostAxis:
                                  DESIGNATED_TIMES)
         assert traj.slices[-1].marginal("y").mean() == pytest.approx(base.value, abs=1e-10)
 
+    def test_values_spanning_decades_match_enumeration(self):
+        # state 1 carries a terminal cost of 1.5e6 and state 0 is left at
+        # rates near 1e-7, so the values span more than 1e6.  At state 0 the
+        # two actions nearly tie: switching to the better one gains about
+        # 1e-5, far above 1e-9 of the start value but below 1e-10 times the
+        # largest value, so a tie margin on the global value scale keeps the
+        # worse action.  The margin is per state.
+        gen = two_state_gen([(1.1801e-7, 0.17844), (1.1375e-7, 0.58553)])
+        cost = np.array([[0.27816, 0.282], [0.34827, 0.30681]])
+        v = np.array([0.0, 1.5284e6])
+        yg = build_uniform_grid(0.0, 1.7885, 2)
+        times = np.linspace(0.0, 1.8605, 3)
+        nu = np.array([1.0, 0.0])
+        dp = risk_neutral_dp(gen, cost, 0.25, times, nu, v=v, y_grid=yg)
+        assert np.abs(dp.values).max() >= 1e6 * dp.value
+        enum = enumerate_policies(gen, cost, 0.25, yg, times, nu,
+                                  RiskSpec(kind="expectation"), v=v)
+        assert dp.value == pytest.approx(enum.value, rel=1e-9)
+
     @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
     def test_infinite_cost_fails_loudly_on_cost_axis(self):
         # an infinite rate makes the augmented implicit step singular; the
