@@ -15,6 +15,7 @@ evaluates the generator at the left endpoint ``t_k``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -109,15 +110,33 @@ class TrajectoryDistribution:
         return len(self.slices)
 
 
+def _format_17g(values) -> list[str]:
+    """``%.17g`` of every entry, formatting each distinct bit pattern once
+    (so ``-0.0`` stays ``-0``)."""
+    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64),
+                              return_inverse=True)
+    text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+    return [text[i] for i in inverse.ravel().tolist()]
+
+
 def write_grid_csv(path, header: Sequence[str], coords: Sequence[np.ndarray],
                    values: np.ndarray, newline: str):
     """Write one ``%.17g`` row per point of the ij-ordered product grid
-    ``coords``: the point's coordinates, then its entry of ``values``."""
-    grids = np.meshgrid(*coords, indexing="ij")
-    table = np.column_stack([g.ravel() for g in grids] + [np.ravel(values)])
+    ``coords``: the point's coordinates, then its entry of ``values``.
+
+    The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")`` on
+    the meshgrid table, written one block per leading coordinate.
+    """
+    lead, *inner = [_format_17g(c) for c in coords]
+    tails = ["".join(s + "," for s in point) for point in itertools.product(*inner)]
+    cells = _format_17g(values)
+    head = ",".join(header)
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline=newline,
-                   header=",".join(header), comments="")
+        if head:
+            fh.write(head + newline)
+        for i, t in enumerate(lead):
+            block = cells[i * len(tails):(i + 1) * len(tails)]
+            fh.write("".join([f"{t},{tail}{v}{newline}" for tail, v in zip(tails, block)]))
 
 
 def write_trajectory_csv(traj: TrajectoryDistribution, path, axes: Sequence[str]):

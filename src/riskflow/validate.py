@@ -31,7 +31,16 @@ class McConfig:
 
     Identical (config, inputs) give bitwise-identical samples: all paths are
     advanced in vectorized lockstep rounds drawing from a single seeded
-    PCG64 stream, one block of draws per round.
+    PCG64 stream in a fixed order.  First one ``rng.choice`` draws every
+    initial state.  Then each round of each time slice draws a block of
+    uniforms (the actions), one per path still active in the slice in
+    ascending path id, then a block of standard exponentials (the clocks)
+    in the same order, then a block of uniforms (the jump targets) for the
+    paths whose clock rang inside the slice, again in ascending path id.
+
+    The sampler reads the policy's cost cell only at jumps and at slice
+    boundaries; it does not look it up again when the accrued cost crosses
+    into another cost cell between two events.
     """
 
     n_paths: int
@@ -54,7 +63,13 @@ class McResult:
 
 
 def _jump_tables(gen: ControlledGenerator):
-    """Exit rates and padded cumulative jump distributions per (action, state)."""
+    """Jump tables with one row per (action a, state x), row ``a * n_x + x``.
+
+    Returns the exit rates, the jump targets padded to a common width and
+    flattened (row r's targets start at ``r * width``), and the cumulative
+    jump law as one array per column, without the last column: that one
+    is 1.0, so a draw u < 1 past every stored column selects the last target.
+    """
     n_x, n_a = gen.dim, gen.n_actions
     exit_rate = np.zeros((n_a, n_x))
     support = []
@@ -80,8 +95,53 @@ def _jump_tables(gen: ControlledGenerator):
             targets[a, i, :len(js)] = js
             targets[a, i, len(js):] = js[-1]
             cumprob[a, i, :len(js)] = np.cumsum(probs)
-    cumprob[..., -1] = 1.0  # u < 1 never selects past the last target
-    return exit_rate, targets, cumprob
+    columns = np.ascontiguousarray(cumprob.reshape(n_a * n_x, width)[:, :-1].T)
+    return exit_rate.ravel(), targets.ravel(), width, columns
+
+
+# Buckets of [0, 1) in the action lookup: a power of two, so the bucket of a
+# draw u is exactly floor(u * ACTION_BUCKETS).  With 64 buckets about one
+# draw in three of a uniform 21-action cell needs a search step.
+ACTION_BUCKETS = 64
+
+
+def _action_bounds(cum: np.ndarray) -> np.ndarray:
+    """Search bounds of the cumulative action laws ``cum`` (cells, n_a).
+
+    For a draw u in bucket g, ``[g / B, (g + 1) / B)``, the action is the
+    first a with ``cum[a] >= u``; it lies between ``bound[cell, g]`` and
+    ``bound[cell, g + 1]``, where ``bound[cell, g]`` counts the entries
+    below g / B, except ``bound[cell, 0]``, which counts those <= 0 (u > 0).
+    A one-hot cell has equal bounds in every bucket and needs no search.
+    Returned flat, row-major over ``(cells, B + 1)``.
+    """
+    edges = np.arange(ACTION_BUCKETS + 1) / ACTION_BUCKETS
+    bound = (cum[:, None, :] < edges[:, None]).sum(axis=-1)
+    bound[:, 0] = (cum <= 0).sum(axis=-1)
+    return bound.ravel()
+
+
+def _pick_actions(u, cells, cum, bound):
+    """First action a with ``cum[cell, a] >= u``, for draws u in (0, 1):
+    a binary search between the bounds of the draw's bucket, run only
+    where they differ.  Equals the count of entries of ``cum`` below u;
+    u = 0 (probability 2**-53) gets the first action of positive probability."""
+    n_a = cum.shape[1]
+    at = cells * (ACTION_BUCKETS + 1) + (u * ACTION_BUCKETS).astype(np.int64)
+    acts = bound[at]
+    span = bound[at + 1] - acts
+    open_ = np.flatnonzero(span)
+    if open_.size:
+        lo = acts[open_]
+        hi, uu, base = lo + span[open_], u[open_], cells[open_] * n_a
+        flat = cum.ravel()
+        for _ in range(int(span[open_].max()).bit_length()):
+            mid = (lo + hi) >> 1
+            right = flat[base + mid] < uu
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        acts[open_] = lo
+    return acts
 
 
 def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
@@ -94,60 +154,88 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     are resampled at jump times and at grid boundaries.  Running costs are
     integrated in closed form between events; the accumulated cost is
     snapped to the cost grid only for policy lookups, never in the returned
-    samples.
+    samples.  The cost cell is looked up only at those events: a path whose
+    accrued cost crosses into another cost cell between events keeps its
+    action until its next jump or the next grid boundary.
+
+    The draws follow ``McConfig``'s order: the initial ``rng.choice``;
+    then per round a block of action uniforms and a block of clock
+    exponentials over the active paths in ascending path id; then a block
+    of target uniforms over the paths that jump.  The action of a uniform
+    u is the first whose cumulative probability reaches u; a row summing
+    to less than one gives the rest to its last action.
+
+    Each slice keeps only its active paths in compact arrays, writing them
+    back once per round, and carries e^{-alpha t} from round to round.
+    The policy must cover (n_x, n_y, n_a) with nonnegative action
+    probabilities, which the action search relies on; ``InvalidParameterError``
+    otherwise.
     """
     if alpha < 0:
         raise InvalidParameterError(f"discount rate must be nonnegative, got {alpha}")
+    n_x, n_a, n_y = gen.dim, gen.n_actions, y_grid.n
+    if policy.probs.shape[1:] != (n_x, n_y, n_a):
+        raise InvalidParameterError(f"policy cells {policy.probs.shape[1:]} are not "
+                                    f"(n_x, n_y, n_a) = {(n_x, n_y, n_a)}")
+    if not (policy.probs >= 0).all():  # NaN fails too
+        raise InvalidParameterError(
+            f"negative or NaN action probability {np.nanmin(policy.probs)}")
     times = grid_points(t_grid)
-    n_x, n_a = gen.dim, gen.n_actions
-    c = np.asarray(cost_rate, dtype=float)
-    nu = np.asarray(initial_x, dtype=float)
-    exit_rate, targets, cumprob = _jump_tables(gen)
+    exit_rate, targets, width, jump_cum = _jump_tables(gen)
+    # per (action, state) row a * n_x + x, like the jump tables
+    clock = np.maximum(exit_rate, 1e-300)
+    dead = ~(exit_rate > 0)
+    any_dead = dead.any()
+    cost = np.asarray(cost_rate, dtype=float).T.ravel()
     pol_cum = np.cumsum(policy.probs, axis=-1)
     pol_cum[..., -1] = 1.0  # u < 1: a row summing to 1 - eps cannot pick past the last action
-    n_y = policy.probs.shape[2]
+    nu = np.asarray(initial_x, dtype=float)
 
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_paths
-    x = rng.choice(n_x, size=n, p=nu / nu.sum())
-    y = np.zeros(n)
+    x_all = rng.choice(n_x, size=n, p=nu / nu.sum())
+    y_all = np.zeros(n)
     fallback = 0
 
-    def snap(yv):
-        return np.clip(np.rint((yv - y_grid.lo) / y_grid.spacing), 0, n_y - 1).astype(np.int64)
-
-    def accrue(rate, t0, t1):
-        if alpha == 0.0:
-            return rate * (t1 - t0)
-        return rate * (np.exp(-alpha * t0) - np.exp(-alpha * t1)) / alpha
-
-    t_cur = np.zeros(n)
     for k in range(len(times) - 1):
         t_hi = times[k + 1]
-        pol_slice = min(k + 1, policy.probs.shape[0] - 1)
-        active = np.arange(n)
-        while active.size:
-            xs = x[active]
-            ys = snap(y[active])
-            fallback += int((~policy.mask[pol_slice, xs, ys]).sum())
-            u = rng.random(active.size)
-            acts = (u[:, None] > pol_cum[pol_slice, xs, ys]).sum(axis=1)
-            rates = exit_rate[acts, xs]
-            with np.errstate(divide="ignore"):
-                wait = np.where(rates > 0, rng.standard_exponential(active.size) / np.maximum(rates, 1e-300), np.inf)
-            t_event = t_cur[active] + wait
+        s = min(k + 1, policy.probs.shape[0] - 1)
+        cum = pol_cum[s].reshape(n_x * n_y, n_a)
+        bound = _action_bounds(cum)
+        mask = policy.mask[s].ravel()
+        check_mask = not mask.all()
+        ids, x, y = np.arange(n), x_all, y_all
+        t = np.full(n, times[k])
+        disc = np.exp(-alpha * t) if alpha else None
+        while ids.size:
+            cells = x * n_y + np.clip(np.rint((y - y_grid.lo) / y_grid.spacing),
+                                      0, n_y - 1).astype(np.int64)
+            if check_mask:
+                fallback += ids.size - int(np.count_nonzero(mask[cells]))
+            row = _pick_actions(rng.random(ids.size), cells, cum, bound) * n_x + x
+            wait = rng.standard_exponential(ids.size) / clock[row]
+            if any_dead:
+                wait[dead[row]] = np.inf
+            t_event = t + wait
             t_new = np.minimum(t_event, t_hi)
-            y[active] += accrue(c[xs, acts], t_cur[active], t_new)
-            t_cur[active] = t_new
-            jumped = t_event < t_hi
-            if jumped.any():
-                sub = active[jumped]
-                u2 = rng.random(sub.size)
-                sel = (u2[:, None] > cumprob[acts[jumped], x[sub]]).sum(axis=1)
-                x[sub] = targets[acts[jumped], x[sub], sel]
-            active = active[jumped]
-    stderr = float(y.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return McResult(samples=y, stderr=stderr, fallback_lookups=fallback)
+            if alpha:
+                e_new = np.exp(-alpha * t_new)
+                y = y + cost[row] * (disc - e_new) / alpha
+            else:
+                y = y + cost[row] * (t_new - t)
+            x_all[ids] = x  # a path's last write is in the round it finishes
+            y_all[ids] = y
+            keep = np.flatnonzero(t_event < t_hi)
+            ids, row, y, t = ids[keep], row[keep], y[keep], t_new[keep]
+            if alpha:
+                disc = e_new[keep]
+            u = rng.random(keep.size)
+            at = row * width
+            for column in jump_cum:
+                at += u > column[row]
+            x = targets[at]
+    stderr = float(y_all.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return McResult(samples=y_all, stderr=stderr, fallback_lookups=fallback)
 
 
 # ---------------------------------------------------------------------------

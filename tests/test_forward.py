@@ -9,7 +9,7 @@ from riskflow import (ControlledGenerator, DiscreteDistribution,
                       build_circle_grid, build_uniform_grid, discount_factor,
                       discretize_circle_diffusion, marginal,
                       propagate_forward, write_trajectory_csv)
-from riskflow.forward import implicit_step
+from riskflow.forward import implicit_step, write_grid_csv
 from riskflow.generator import stack_actions
 
 
@@ -59,6 +59,29 @@ class TestMarginal:
         d = start_at(0, 2, 2)
         with pytest.raises(InvalidParameterError):
             marginal(d, "z")
+
+
+class TestGridCsv:
+    SPECIAL = np.array([-0.0, 5e-324, 0.1, 1 / 3, 1.0, 1e300, 0.0, -2.5])
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("shape", [(8,), (3, 5), (2, 3, 2, 4)])
+    def test_bytes_match_savetxt(self, tmp_path, newline, shape):
+        rng = np.random.default_rng(len(shape))
+        coords = [np.concatenate([[-0.0], rng.normal(size=n - 1)]) for n in shape]
+        coords[-1][-1] = 1e300
+        values = rng.choice(self.SPECIAL, size=shape)
+        values.flat[: self.SPECIAL.size] = self.SPECIAL
+        header = [f"c{i}" for i in range(len(shape))] + ["v"]
+        write_grid_csv(tmp_path / "fast.csv", header, coords, values, newline=newline)
+        grids = np.meshgrid(*coords, indexing="ij")
+        table = np.column_stack([g.ravel() for g in grids] + [values.ravel()])
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline=newline,
+                       header=",".join(header), comments="")
+        got = (tmp_path / "fast.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert b"-0," in got and b",-0" + newline.encode() in got
 
 
 class TestPropagation:

@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 import riskflow.validate as validate_module
-from riskflow import (ControlledGenerator, DiscreteDistribution, LpFailureError,
+from riskflow import (ControlledGenerator, DiscreteDistribution,
+                      InvalidParameterError, LpFailureError,
                       LpSolution, MarkovPolicy, McConfig, PolicyEnumerationError,
                       PropagationError, RiskSpec,
                       bounded_lipschitz_distance, build_uniform_grid,
@@ -63,6 +64,16 @@ class TestSimulation:
         res = simulate_paths(gen, pol, np.array([[0.7]]), 0.0, yg, np.array([1.0]),
                              np.linspace(0, 2, 4), McConfig(n_paths=10, seed=3))
         assert np.allclose(res.samples, 0.7 * 2.0, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_cost_accrues_from_the_first_grid_time(self, alpha):
+        gen = single_state_gen()
+        yg = build_uniform_grid(0.0, 5.0, 4)
+        pol = MarkovPolicy.uniform(3, 1, 4, 1)
+        res = simulate_paths(gen, pol, np.array([[0.7]]), alpha, yg, np.array([1.0]),
+                             np.linspace(1.0, 2.0, 3), McConfig(n_paths=4, seed=0))
+        want = 0.7 if alpha == 0 else 0.7 * (np.exp(-alpha) - np.exp(-2 * alpha)) / alpha
+        assert np.allclose(res.samples, want, rtol=1e-14)
 
     def test_reproducible_and_seed_sensitive(self):
         gen = two_state_gen([(1.0, 2.0), (0.4, 0.1)])
@@ -122,6 +133,167 @@ class TestSimulation:
         res = simulate_paths(gen, pol, cost, 0.0, yg, np.array([1.0, 0.0]),
                              np.linspace(0, 1, 3), McConfig(n_paths=2000, seed=0))
         assert 0.4 < res.mean < 0.6  # half the time on the unit-cost action
+
+
+def reference_simulate_paths(gen, policy, cost_rate, alpha, y_grid, initial_x,
+                             t_grid, cfg):
+    """The sampler before compaction, kept as the bitwise reference: every
+    round gathers over all active paths and counts ``u > cum``."""
+    times = np.asarray(t_grid, dtype=float)
+    n_x, n_a = gen.dim, gen.n_actions
+    exit_rate = np.zeros((n_a, n_x))
+    support = []
+    width = 1
+    for a in range(n_a):
+        m = gen.per_action[a].tocoo()
+        rows = [[] for _ in range(n_x)]
+        for i, j, r in zip(m.row, m.col, m.data):
+            if i != j and r > 0:
+                rows[i].append((j, r))
+        support.append(rows)
+        exit_rate[a] = -gen.per_action[a].diagonal()
+        width = max(width, max((len(r) for r in rows), default=1))
+    targets = np.zeros((n_a, n_x, width), dtype=np.int64)
+    cumprob = np.ones((n_a, n_x, width))
+    for a in range(n_a):
+        for i, row in enumerate(support[a]):
+            targets[a, i, :] = i
+            if not row:
+                continue
+            js, rs = zip(*row)
+            targets[a, i, :len(js)] = js
+            targets[a, i, len(js):] = js[-1]
+            cumprob[a, i, :len(js)] = np.cumsum(np.asarray(rs) / exit_rate[a, i])
+    cumprob[..., -1] = 1.0
+    c = np.asarray(cost_rate, dtype=float)
+    nu = np.asarray(initial_x, dtype=float)
+    pol_cum = np.cumsum(policy.probs, axis=-1)
+    pol_cum[..., -1] = 1.0
+    n_y = policy.probs.shape[2]
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.n_paths
+    x = rng.choice(n_x, size=n, p=nu / nu.sum())
+    y = np.zeros(n)
+    fallback = 0
+
+    def snap(yv):
+        return np.clip(np.rint((yv - y_grid.lo) / y_grid.spacing), 0, n_y - 1).astype(np.int64)
+
+    def accrue(rate, t0, t1):
+        if alpha == 0.0:
+            return rate * (t1 - t0)
+        return rate * (np.exp(-alpha * t0) - np.exp(-alpha * t1)) / alpha
+
+    t_cur = np.zeros(n)
+    for k in range(len(times) - 1):
+        t_hi = times[k + 1]
+        pol_slice = min(k + 1, policy.probs.shape[0] - 1)
+        active = np.arange(n)
+        while active.size:
+            xs = x[active]
+            ys = snap(y[active])
+            fallback += int((~policy.mask[pol_slice, xs, ys]).sum())
+            u = rng.random(active.size)
+            acts = (u[:, None] > pol_cum[pol_slice, xs, ys]).sum(axis=1)
+            rates = exit_rate[acts, xs]
+            with np.errstate(divide="ignore"):
+                wait = np.where(rates > 0, rng.standard_exponential(active.size)
+                                / np.maximum(rates, 1e-300), np.inf)
+            t_event = t_cur[active] + wait
+            t_new = np.minimum(t_event, t_hi)
+            y[active] += accrue(c[xs, acts], t_cur[active], t_new)
+            t_cur[active] = t_new
+            jumped = t_event < t_hi
+            if jumped.any():
+                sub = active[jumped]
+                u2 = rng.random(sub.size)
+                sel = (u2[:, None] > cumprob[acts[jumped], x[sub]]).sum(axis=1)
+                x[sub] = targets[acts[jumped], x[sub], sel]
+            active = active[jumped]
+    return y, fallback
+
+
+@pytest.fixture(scope="module")
+def circle_case(tmp_path_factory):
+    """The 9x9x5x9 circle under the solver's own policy: one-hot cells and
+    uniform tie cells."""
+    from riskflow.cli import _build_spec, build_problem, run
+
+    spec = _build_spec({"family": "circle_follower", "n_x": 9, "n_y": 9, "n_a": 5,
+                        "n_t": 9})
+    policy = run(spec, tmp_path_factory.mktemp("circle")).policy
+    pieces = build_problem(spec)
+    return (pieces.base, policy, pieces.cost, spec.alpha, pieces.y_grid, pieces.nu,
+            pieces.t_grid.points)
+
+
+def relaxed_case(alpha, absorbing=False):
+    """Random relaxed policy on a 4-state, 3-action chain: exact zeros, rows
+    summing to 0.5, masked cells; ``absorbing`` zeroes state 3's exit rate
+    under action 1."""
+    rng = np.random.default_rng(17)
+    n_x, n_a, n_y, n_t = 4, 3, 5, 7
+    mats = []
+    for a in range(n_a):
+        q = rng.uniform(0.2, 2.0, (n_x, n_x)) * (rng.random((n_x, n_x)) < 0.7)
+        np.fill_diagonal(q, 0.0)
+        if absorbing and a == 1:
+            q[3] = 0.0
+        np.fill_diagonal(q, -q.sum(axis=1))
+        mats.append(sp.csr_matrix(q))
+    probs = rng.dirichlet(np.ones(n_a), size=(n_t, n_x, n_y))
+    probs[rng.random(probs.shape) < 0.3] = 0.0
+    probs[probs.sum(axis=-1) == 0.0, 0] = 1.0
+    probs /= probs.sum(axis=-1, keepdims=True)
+    probs[:, 1, 2] *= 0.5  # short rows
+    probs[:, 2] = [0.0, 0.0, 1.0]  # one-hot past a zero prefix
+    mask = rng.random((n_t, n_x, n_y)) > 0.2
+    cost = rng.uniform(0.0, 1.5, (n_x, n_a))
+    return (ControlledGenerator(per_action=tuple(mats)),
+            MarkovPolicy(probs=probs, mask=mask), cost, alpha,
+            build_uniform_grid(0.0, 3.0, n_y), np.array([0.4, 0.3, 0.2, 0.1]),
+            np.linspace(0.0, 3.0, n_t))
+
+
+class TestSamplerMatchesReference:
+    SEEDS = (0, 1, 2, 5)
+
+    def check(self, args, n_paths):
+        for seed in self.SEEDS:
+            cfg = McConfig(n_paths=n_paths, seed=seed)
+            res = simulate_paths(*args, cfg)
+            want, fallback = reference_simulate_paths(*args, cfg)
+            assert res.samples.tobytes() == want.tobytes(), seed
+            assert res.fallback_lookups == fallback, seed
+
+    def test_circle_solver_policy(self, circle_case):
+        self.check(circle_case, 3000)
+
+    def test_circle_solver_policy_undiscounted(self, circle_case):
+        self.check(circle_case[:3] + (0.0,) + circle_case[4:], 3000)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.35])
+    @pytest.mark.parametrize("absorbing", [False, True])
+    def test_relaxed_policy(self, alpha, absorbing):
+        args = relaxed_case(alpha, absorbing)
+        assert args[1].probs.sum(axis=-1).min() == pytest.approx(0.5)
+        assert not args[1].mask.all()
+        self.check(args, 3000)
+
+    def test_negative_action_probability_rejected(self):
+        gen, pol, *rest = relaxed_case(0.2)
+        probs = pol.probs.copy()
+        probs[3, 0, 1] = [1.25, -0.25, 0.0]
+        bad = MarkovPolicy(probs=probs, mask=pol.mask)
+        with pytest.raises(InvalidParameterError, match="negative"):
+            simulate_paths(gen, bad, *rest, McConfig(n_paths=10))
+
+    @pytest.mark.parametrize("cells", [(4, 4, 3), (3, 5, 3), (4, 5, 2)])
+    def test_policy_off_the_chain_rejected(self, cells):
+        gen, _, *rest = relaxed_case(0.2)
+        bad = MarkovPolicy.uniform(7, *cells)
+        with pytest.raises(InvalidParameterError, match="policy cells"):
+            simulate_paths(gen, bad, *rest, McConfig(n_paths=10))
 
 
 class TestWasserstein:
