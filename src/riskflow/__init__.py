@@ -31,8 +31,8 @@ from .solve import (LpFailureError, LpProblem, LpSolution, MarkovPolicy,
                     SolveReport, extract_policy, optimize_linear_risk,
                     optimize_smooth_risk, solve_lp)
 from .validate import (DpResult, EnumerationResult, McConfig, McResult,
-                       bounded_lipschitz_distance, enumerate_policies,
-                       risk_neutral_dp, simulate_paths, wasserstein1)
+                       enumerate_policies, risk_neutral_dp, simulate_paths,
+                       wasserstein1)
 from .cli import ProblemSpec, build_problem, load_config, run, serialize
 
 __version__ = "0.1.0"

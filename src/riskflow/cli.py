@@ -387,28 +387,33 @@ def run(spec: ProblemSpec, out_dir) -> SolveReport:
     return report
 
 
+def _read_grid_csv(path, header, coords) -> np.ndarray:
+    """The last column of a table ``write_grid_csv`` wrote over ``coords``,
+    shaped to the grid, else ``ConfigError``: the header, the row and column
+    counts and the coordinate columns must all match."""
+    grid = np.column_stack([g.ravel() for g in np.meshgrid(*coords, indexing="ij")])
+    try:
+        with open(path) as fh:
+            head = fh.readline().strip()
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not a numeric table: {exc}") from exc
+    if head != ",".join(header):
+        raise ConfigError(f"{path} has header {head!r}, not {','.join(header)!r}")
+    if table.shape != (len(grid), len(header)):
+        raise ConfigError(f"{path} has {len(table)} rows of {table.shape[1]} columns, "
+                          f"not {len(grid)} of {len(header)}")
+    if not np.allclose(table[:, :-1], grid, rtol=1e-12, atol=1e-12):
+        raise ConfigError(f"{path}: coordinate columns do not follow the config's grids")
+    return table[:, -1].reshape([len(c) for c in coords])
+
+
 def _read_policy(report_dir, pieces: ProblemPieces) -> MarkovPolicy:
     """The policy ``run`` wrote for ``pieces``, else ``ConfigError``."""
-    tables = []
-    for name, header, coords in _policy_tables(pieces):
-        path = Path(report_dir) / name
-        grid = np.column_stack([g.ravel() for g in np.meshgrid(*coords, indexing="ij")])
-        try:
-            with open(path) as fh:
-                head = fh.readline().strip()
-                table = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"{path} is not a numeric table: {exc}") from exc
-        if head != ",".join(header):
-            raise ConfigError(f"{path} has header {head!r}, not {','.join(header)!r}")
-        if table.shape != (len(grid), len(header)):
-            raise ConfigError(f"{path} has {len(table)} rows of {table.shape[1]} columns, "
-                              f"not {len(grid)} of {len(header)}")
-        if not np.allclose(table[:, :-1], grid, rtol=1e-12, atol=1e-12):
-            raise ConfigError(f"{path}: coordinate columns do not follow the config's grids")
-        tables.append(table[:, -1].reshape([len(c) for c in coords]))
+    probs, mask = (_read_grid_csv(Path(report_dir) / name, header, coords)
+                   for name, header, coords in _policy_tables(pieces))
     try:
-        return MarkovPolicy(probs=tables[0], mask=tables[1].astype(bool)).validate()
+        return MarkovPolicy(probs=probs, mask=mask.astype(bool)).validate()
     except InvalidParameterError as exc:
         raise ConfigError(f"{Path(report_dir) / 'policy.csv'} is not a policy: {exc}") from exc
 
@@ -419,7 +424,8 @@ def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
 
     ``paths`` and ``seed`` override the config's ``validation`` values and
     are checked against the same rows of the field table.  A run solved
-    for another spec (``config_digest``) raises ``ConfigError``.
+    for another spec (``config_digest``), or a policy or ``marginal_y.csv``
+    off the config's grids, raises ``ConfigError``.
     """
     def option(name, value):
         if value is None:
@@ -434,12 +440,12 @@ def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
         raise ConfigError(f"config_digest of {rep} is not this config's; solve it again")
     pieces = build_problem(spec)
     policy = _read_policy(rep, pieces)
+    y_points = pieces.y_grid.points
+    marg = _read_grid_csv(rep / "marginal_y.csv", ("t", "y", "mass"),
+                          (pieces.t_grid.points, y_points))
+    lp_dist = DiscreteDistribution(axes=("y",), coords=(y_points,), mass=marg[-1])
     result = simulate_paths(pieces.base, policy, pieces.cost, spec.alpha,
                             pieces.y_grid, pieces.nu, pieces.t_grid, cfg)
-    marg = np.loadtxt(rep / "marginal_y.csv", delimiter=",", skiprows=1)
-    t_last = marg[:, 0].max()
-    rows = marg[marg[:, 0] == t_last]
-    lp_dist = DiscreteDistribution(axes=("y",), coords=(rows[:, 1],), mass=rows[:, 2])
     # the LP's absorbing top cell carries min(Y, y_max), so that is the
     # law compared; the summary statistics stay those of the raw samples
     capped = np.minimum(result.samples, pieces.y_grid.hi)

@@ -23,8 +23,9 @@ OFF_DIAG_TOL = -1e-12
 
 @dataclass(frozen=True)
 class GeneratorDiagnostics:
-    max_row_sum_deviation: float
+    max_row_sum_deviation: float  # |row sum| / max(1, |Q[x, x]|), over the rows x
     min_off_diagonal: float
+    worst_row: int  # a row x where the deviation is largest
 
     @property
     def ok(self) -> bool:
@@ -33,13 +34,17 @@ class GeneratorDiagnostics:
 
 
 def validate_generator(q: sp.csr_matrix) -> GeneratorDiagnostics:
-    """Check the generator properties of ``q``: zero row sums, rates >= 0."""
+    """Check the generator properties of ``q``: zero row sums, rates >= 0.
+
+    A row sum is measured against the row's exit rate, so rounding in rows
+    with large rates is not a violation."""
     m = q.tocoo()
-    row_sums = np.asarray(q.sum(axis=1)).ravel()
+    dev = np.abs(np.asarray(q.sum(axis=1)).ravel()) / np.maximum(1.0, np.abs(q.diagonal()))
     off = m.data[m.row != m.col]
     min_off = float(off.min()) if off.size else 0.0
-    dev = float(np.abs(row_sums).max()) if row_sums.size else 0.0
-    return GeneratorDiagnostics(max_row_sum_deviation=dev, min_off_diagonal=min_off)
+    return GeneratorDiagnostics(max_row_sum_deviation=float(dev.max(initial=0.0)),
+                                min_off_diagonal=min_off,
+                                worst_row=int(np.argmax(dev)) if dev.size else 0)
 
 
 def discretize_circle_diffusion(grid: CircleGrid, a: float, sigma: float) -> sp.csr_matrix:
@@ -177,6 +182,8 @@ def load_generator_triplets(path, n_states: Optional[int] = None,
     first non-comment line may be a header without digits and is skipped;
     any other line must be four numbers with indices in range and a
     nonnegative off-diagonal rate, else ``ConfigError`` names file and line.
+    Every row must then sum to zero (``validate_generator``), else
+    ``ConfigError`` names the file, the action and the state.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -216,4 +223,9 @@ def load_generator_triplets(path, n_states: Optional[int] = None,
         has_diag[sel[sel[:, 1] == sel[:, 2]][:, 1].astype(int)] = True
         row_sums = np.asarray(m.sum(axis=1)).ravel()
         mats.append((m + sp.diags(np.where(has_diag, 0.0, -row_sums))).tocsr())
+        diag = validate_generator(mats[-1])
+        if not diag.ok:
+            raise ConfigError(f"{path}: the rates of action {a}, state {diag.worst_row} "
+                              f"do not sum to zero (relative deviation "
+                              f"{diag.max_row_sum_deviation:.3g})")
     return ControlledGenerator(per_action=tuple(mats))

@@ -413,7 +413,7 @@ def _solve_report(fp, primal, status, duality_gap, iterations, mass_floor,
                   rho_star, fw_iterations=None, fw_gap=None):
     """Diagnose the measure ``primal`` and its policy; the status, gap and
     iteration count are reported as given."""
-    from .validate import wasserstein1  # deferred: validate pulls in solve_lp
+    from .validate import wasserstein1  # deferred: validate imports solve
 
     traj = fp.trajectory_from_solution(primal)
     policy = extract_policy(traj, mass_floor=mass_floor)

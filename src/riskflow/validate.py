@@ -1,6 +1,9 @@
 """Independent oracles: Monte Carlo simulation of the controlled chain,
-distribution distances, a risk-neutral dynamic-programming sweep, and
-brute-force policy enumeration for desk-size instances."""
+the exact 1-Wasserstein distance between laws on the line, a risk-neutral
+dynamic-programming sweep, and brute-force policy enumeration for
+desk-size instances.  The simulation, the DP and the enumeration read
+the controlled generator in the (state, action) row order of
+``stack_actions``."""
 
 from __future__ import annotations
 
@@ -9,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidParameterError, PolicyEnumerationError
 # propagate_forward stays importable here: bench/tracing.py patches it by this name
@@ -17,7 +19,7 @@ from .forward import DiscreteDistribution, implicit_step, propagate_forward  # n
 from .generator import (ControlledGenerator, augment_generator, discount_factor,
                         stack_actions)
 from .grids import UniformGrid, grid_points
-from .risk import RiskSpec, apply_terminal_cost, evaluate, merge_support
+from .risk import RiskSpec, apply_terminal_cost, evaluate
 from .solve import MarkovPolicy, bellman_sweep
 
 
@@ -63,40 +65,32 @@ class McResult:
 
 
 def _jump_tables(gen: ControlledGenerator):
-    """Jump tables with one row per (action a, state x), row ``a * n_x + x``.
+    """Jump tables with one row per (state x, action a), row ``x * n_a + a``
+    as in ``stack_actions``.
 
-    Returns the exit rates, the jump targets padded to a common width and
-    flattened (row r's targets start at ``r * width``), and the cumulative
-    jump law as one array per column, without the last column: that one
-    is 1.0, so a draw u < 1 past every stored column selects the last target.
+    Returns the exit rates, the jump targets (row r's start at
+    ``r * width``), and the cumulative jump law as one array per column,
+    without the last column.  A row's positive off-diagonal rates keep
+    their stored order; its last target's column and every later one hold
+    1.0, so a draw u < 1 never passes its last target.  A row with no
+    target keeps its own state in column 0.
     """
-    n_x, n_a = gen.dim, gen.n_actions
-    exit_rate = np.zeros((n_a, n_x))
-    support = []
-    width = 1
-    for a in range(n_a):
-        m = gen.per_action[a].tocoo()
-        rows = [[] for _ in range(n_x)]
-        for i, j, r in zip(m.row, m.col, m.data):
-            if i != j and r > 0:
-                rows[i].append((j, r))
-        support.append(rows)
-        exit_rate[a] = -gen.per_action[a].diagonal()
-        width = max(width, max((len(r) for r in rows), default=1))
-    targets = np.zeros((n_a, n_x, width), dtype=np.int64)
-    cumprob = np.ones((n_a, n_x, width))
-    for a in range(n_a):
-        for i, row in enumerate(support[a]):
-            targets[a, i, :] = i
-            if not row:
-                continue
-            js, rs = zip(*row)
-            probs = np.asarray(rs) / exit_rate[a, i]
-            targets[a, i, :len(js)] = js
-            targets[a, i, len(js):] = js[-1]
-            cumprob[a, i, :len(js)] = np.cumsum(probs)
-    columns = np.ascontiguousarray(cumprob.reshape(n_a * n_x, width)[:, :-1].T)
-    return exit_rate.ravel(), targets.ravel(), width, columns
+    n_a = gen.n_actions
+    exit_rate = -np.column_stack([q.diagonal() for q in gen.per_action]).ravel()
+    m = stack_actions(gen.per_action).tocoo()  # entries sorted by row
+    keep = (m.col != m.row // n_a) & (m.data > 0)
+    row = m.row[keep]
+    count = np.bincount(row, minlength=exit_rate.size)
+    slot = np.arange(row.size) - (np.cumsum(count) - count)[row]
+    width = max(1, int(count.max()))
+    targets = np.zeros((exit_rate.size, width), dtype=np.int64)
+    targets[:, 0] = np.arange(exit_rate.size) // n_a
+    targets[row, slot] = m.col[keep]
+    cum = np.zeros((exit_rate.size, width))
+    cum[row, slot] = m.data[keep] / exit_rate[row]
+    cum = np.cumsum(cum, axis=1)
+    cum[np.arange(width) >= count[:, None] - 1] = 1.0
+    return exit_rate, targets.ravel(), width, np.ascontiguousarray(cum[:, :-1].T)
 
 
 # Buckets of [0, 1) in the action lookup: a power of two, so the bucket of a
@@ -167,26 +161,27 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
 
     Each slice keeps only its active paths in compact arrays, writing them
     back once per round, and carries e^{-alpha t} from round to round.
-    The policy must cover (n_x, n_y, n_a) with nonnegative action
-    probabilities, which the action search relies on; ``InvalidParameterError``
-    otherwise.
+    The policy must have one slice per grid time over (n_x, n_y, n_a), with
+    nonnegative action probabilities, which the action search relies on;
+    ``InvalidParameterError`` otherwise.
     """
     if alpha < 0:
         raise InvalidParameterError(f"discount rate must be nonnegative, got {alpha}")
+    times = grid_points(t_grid)
     n_x, n_a, n_y = gen.dim, gen.n_actions, y_grid.n
-    if policy.probs.shape[1:] != (n_x, n_y, n_a):
-        raise InvalidParameterError(f"policy cells {policy.probs.shape[1:]} are not "
-                                    f"(n_x, n_y, n_a) = {(n_x, n_y, n_a)}")
+    shape = (len(times), n_x, n_y, n_a)
+    if policy.probs.shape != shape:
+        raise InvalidParameterError(f"policy cells {policy.probs.shape} are not "
+                                    f"(n_t, n_x, n_y, n_a) = {shape}")
     if not (policy.probs >= 0).all():  # NaN fails too
         raise InvalidParameterError(
             f"negative or NaN action probability {np.nanmin(policy.probs)}")
-    times = grid_points(t_grid)
     exit_rate, targets, width, jump_cum = _jump_tables(gen)
-    # per (action, state) row a * n_x + x, like the jump tables
+    # per (state, action) row x * n_a + a, like the jump tables
     clock = np.maximum(exit_rate, 1e-300)
     dead = ~(exit_rate > 0)
     any_dead = dead.any()
-    cost = np.asarray(cost_rate, dtype=float).T.ravel()
+    cost = np.asarray(cost_rate, dtype=float).ravel()
     pol_cum = np.cumsum(policy.probs, axis=-1)
     pol_cum[..., -1] = 1.0  # u < 1: a row summing to 1 - eps cannot pick past the last action
     nu = np.asarray(initial_x, dtype=float)
@@ -199,10 +194,9 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
 
     for k in range(len(times) - 1):
         t_hi = times[k + 1]
-        s = min(k + 1, policy.probs.shape[0] - 1)
-        cum = pol_cum[s].reshape(n_x * n_y, n_a)
+        cum = pol_cum[k + 1].reshape(n_x * n_y, n_a)
         bound = _action_bounds(cum)
-        mask = policy.mask[s].ravel()
+        mask = policy.mask[k + 1].ravel()
         check_mask = not mask.all()
         ids, x, y = np.arange(n), x_all, y_all
         t = np.full(n, times[k])
@@ -212,7 +206,7 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
                                       0, n_y - 1).astype(np.int64)
             if check_mask:
                 fallback += ids.size - int(np.count_nonzero(mask[cells]))
-            row = _pick_actions(rng.random(ids.size), cells, cum, bound) * n_x + x
+            row = _pick_actions(rng.random(ids.size), cells, cum, bound) + x * n_a
             wait = rng.standard_exponential(ids.size) / clock[row]
             if any_dead:
                 wait[dead[row]] = np.inf
@@ -254,43 +248,6 @@ def wasserstein1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
         return 0.0
     cdf_diff = np.cumsum(w)[:-1]
     return float(np.abs(cdf_diff) @ np.diff(v))
-
-
-def bounded_lipschitz_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """sup of integral differences over f with sup-norm + Lipschitz-norm <= 1.
-
-    Solved as a small standard-form LP on the merged support, over the
-    shifted values g = f + s >= 0 with s the sup variable: ``g_i <= 2 s``
-    bounds ``|f_i|`` by ``s``, adjacent increments of g (those of f) are
-    bounded by a Lipschitz variable l times the gap, and ``s + l <= 1``.
-    The objective ``wt . f = wt . g - s sum(wt)`` is exact for any weights.
-    """
-    # deferred: solve imports this module
-    from .solve import LpFailureError, LpProblem, solve_lp
-
-    vp, mp = p.values_1d()
-    vq, mq = q.values_1d()
-    sup, wt = merge_support(np.concatenate([vp, vq]), np.concatenate([mp, -mq]))
-    n = len(sup)
-    if np.abs(wt).max() < 1e-15:
-        return 0.0
-    diff = sp.diags([-1.0, 1.0], [0, 1], shape=(n - 1, n))
-    gaps = sp.csr_matrix(np.diff(sup)[:, None])
-    one = sp.csr_matrix([[1.0]])
-    # columns: g (n) | s | l | one slack per row (3n - 1)
-    rows = sp.bmat([[sp.identity(n), sp.csr_matrix(np.full((n, 1), -2.0)), None],
-                    [diff, None, -gaps],
-                    [-diff, None, -gaps],
-                    [None, one, one]])
-    n_rows = 3 * n - 1
-    a_eq = sp.hstack([rows, sp.identity(n_rows)], format="csr")
-    b_eq = np.zeros(n_rows)
-    b_eq[-1] = 1.0
-    c = np.concatenate([-wt, [wt.sum(), 0.0], np.zeros(n_rows)])  # maximize wt . f
-    sol = solve_lp(LpProblem(a_eq=a_eq, b_eq=b_eq, c=c))
-    if sol.status != "optimal":
-        raise LpFailureError(sol.status, f"bounded-Lipschitz LP reported {sol.status}")
-    return float(-sol.primal_objective)
 
 
 # ---------------------------------------------------------------------------

@@ -374,29 +374,37 @@ class TestMain:
         for text, message in [
                 ("action,row,col,rate\n0,0,1,1.0\n0,1,0,2.O\n", "gen.csv, line 3:"),
                 ("0,0,1,1.0\n0,1,0,-2.0\n", "gen.csv, line 2:"),  # negative rate
+                ("0,0,0,-5\n0,0,1,1\n", "gen.csv: the rates of action 0, state 0"),
                 ("action,row,col,rate\n", "no generator entries found in")]:
             gen_file.write_text(text)
             assert main(["solve", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == EXIT_CONFIG
             assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", ["four_columns", "header", "swapped_rows"])
+    @pytest.mark.parametrize("edit", ["four_columns", "header", "swapped_rows",
+                                      "marginal_header_only", "marginal_y_times_10"])
     def test_validate_refuses_policy_off_the_grid(self, tmp_path, capsys, edit):
-        # each edit leaves every row a distribution over the actions
+        # each policy edit leaves every row a distribution over the actions
         cfg = write_config(tmp_path, SMALL_CIRCLE)
         out = tmp_path / "o"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        head, *rows = (out / "policy.csv").read_text().splitlines(keepends=True)
+        name = "marginal_y.csv" if edit.startswith("marginal") else "policy.csv"
+        head, *rows = (out / name).read_text().splitlines(keepends=True)
         if edit == "four_columns":
             rows = [",".join(r.split(",")[:4]) + "\n" for r in rows]
         elif edit == "header":
             head = "t,x,y,action,prob\n"
-        else:  # two actions of the first cell trade places
+        elif edit == "swapped_rows":  # two actions of the first cell trade places
             rows[0], rows[1] = rows[1], rows[0]
-        (out / "policy.csv").write_text(head + "".join(rows))
+        elif edit == "marginal_header_only":
+            rows = []
+        else:  # the marginal of a cost grid ten times as wide
+            rows = [f"{t},{float(y) * 10:.17g},{mass}"
+                    for t, y, mass in (r.split(",") for r in rows)]
+        (out / name).write_text(head + "".join(rows), newline="")
         assert main(["validate", "--config", str(cfg), "--report", str(out),
                      "--paths", "200"]) == EXIT_CONFIG
-        assert "policy.csv" in capsys.readouterr().err
+        assert name in capsys.readouterr().err
         assert not (out / "mc_summary.json").exists()
 
     def test_uncertified_solve_exits_with_iteration_code(self, tmp_path, capsys):

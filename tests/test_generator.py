@@ -8,6 +8,7 @@ from riskflow import (ConfigError, ControlledGenerator, DiscreteDistribution,
                       build_uniform_grid, discount_factor,
                       discretize_circle_diffusion, load_generator_triplets,
                       propagate_forward, validate_generator)
+from riskflow.generator import ROW_SUM_TOL
 from riskflow.grids import grid_points
 
 
@@ -234,6 +235,17 @@ class TestTripletLoading:
         path.write_text("0,0,1,1.0\n0,0,0,-1.0\n0,1,0,2.0\n")
         gen = load_generator_triplets(path)
         assert np.allclose(gen.per_action[0].toarray(), [[-1.0, 1.0], [2.0, -2.0]])
+
+    def test_rates_near_1e6_load(self, tmp_path):
+        # filled diagonals leave row sums of about 1e-9, above ROW_SUM_TOL
+        # in absolute terms but rounding relative to the exit rates
+        rates = np.random.default_rng(0).uniform(1e5, 1e6, (12, 12))
+        path = tmp_path / "gen.csv"
+        path.write_text("".join(f"0,{i},{j},{r:.17g}\n" for (i, j), r in np.ndenumerate(rates)
+                                if i != j))
+        q = load_generator_triplets(path).per_action[0]
+        assert np.abs(q.sum(axis=1)).max() > ROW_SUM_TOL
+        assert np.allclose(q.toarray() - np.diag(q.diagonal()), rates - np.diag(rates.diagonal()))
 
     def test_negative_off_diagonal_rejected(self, tmp_path):
         path = tmp_path / "gen.csv"

@@ -6,13 +6,11 @@ import scipy.sparse as sp
 
 import riskflow.validate as validate_module
 from riskflow import (ControlledGenerator, DiscreteDistribution,
-                      InvalidParameterError, LpFailureError,
-                      LpSolution, MarkovPolicy, McConfig, PolicyEnumerationError,
-                      PropagationError, RiskSpec,
-                      bounded_lipschitz_distance, build_uniform_grid,
-                      distribution_from_samples, enumerate_policies,
-                      optimize_linear_risk, risk_neutral_dp, simulate_paths,
-                      wasserstein1)
+                      InvalidParameterError, MarkovPolicy, McConfig,
+                      PolicyEnumerationError, PropagationError, RiskSpec,
+                      build_uniform_grid, distribution_from_samples,
+                      enumerate_policies, optimize_linear_risk, risk_neutral_dp,
+                      simulate_paths, wasserstein1)
 from riskflow.forward import assemble_forward_program, propagate_forward
 from riskflow.generator import augment_generator
 from riskflow.risk import apply_terminal_cost, evaluate
@@ -280,6 +278,22 @@ class TestSamplerMatchesReference:
         assert not args[1].mask.all()
         self.check(args, 3000)
 
+    def test_jump_tables_keep_every_draw_on_its_row(self):
+        # row 0's jump law sums to 1 - 2**-52 in float64, below the largest
+        # draw, in a table as wide as row 1; row 2 exits at a rate within
+        # rounding of zero and has no target, so it stays put
+        q = np.zeros((6, 6))
+        q[0, 1:5] = [0.5, 0.4, 0.2, 0.3]
+        q[1, [0, 2, 3, 4, 5]] = 1.0
+        q[3:, 0] = 1.0
+        np.fill_diagonal(q, -q.sum(axis=1))
+        q[2, 2] = -1e-12
+        gen = ControlledGenerator(per_action=(sp.csr_matrix(q),))
+        _, targets, width, columns = validate_module._jump_tables(gen)
+        assert width == 5 and columns[3, 0] == 1.0
+        slot = (np.nextafter(1.0, 0.0) > columns).sum(axis=0)
+        assert targets[np.arange(6) * width + slot].tolist() == [4, 5, 2, 0, 0, 0]
+
     def test_negative_action_probability_rejected(self):
         gen, pol, *rest = relaxed_case(0.2)
         probs = pol.probs.copy()
@@ -288,10 +302,11 @@ class TestSamplerMatchesReference:
         with pytest.raises(InvalidParameterError, match="negative"):
             simulate_paths(gen, bad, *rest, McConfig(n_paths=10))
 
-    @pytest.mark.parametrize("cells", [(4, 4, 3), (3, 5, 3), (4, 5, 2)])
+    @pytest.mark.parametrize("cells", [(7, 4, 4, 3), (7, 3, 5, 3), (7, 4, 5, 2),
+                                       (6, 4, 5, 3)])
     def test_policy_off_the_chain_rejected(self, cells):
         gen, _, *rest = relaxed_case(0.2)
-        bad = MarkovPolicy.uniform(7, *cells)
+        bad = MarkovPolicy.uniform(*cells)
         with pytest.raises(InvalidParameterError, match="policy cells"):
             simulate_paths(gen, bad, *rest, McConfig(n_paths=10))
 
@@ -323,75 +338,6 @@ class TestWasserstein:
         emp = distribution_from_samples(np.array([0.0, 0.0, 1.0, 1.0]))
         assert np.allclose(emp.coords[0], [0.0, 1.0])
         assert np.allclose(emp.mass, [0.5, 0.5])
-
-
-class TestBoundedLipschitz:
-    def test_identical_point_masses(self):
-        assert bounded_lipschitz_distance(delta(0.7), delta(0.7)) == pytest.approx(0.0, abs=1e-8)
-
-    def test_separated_point_masses(self):
-        # optimal test function is a capped tent: value 2d/(2+d), here d=2
-        got = bounded_lipschitz_distance(delta(0.0), delta(2.0))
-        assert got == pytest.approx(1.0, abs=1e-6)
-        got = bounded_lipschitz_distance(delta(0.0), delta(1.0))
-        assert got == pytest.approx(2.0 / 3.0, abs=1e-6)
-
-    def test_bounded_by_w1_and_two(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            n, m = rng.integers(1, 6), rng.integers(1, 6)
-            p = dist(np.sort(rng.uniform(0, 3, n)), rng.dirichlet(np.ones(n)))
-            q = dist(np.sort(rng.uniform(0, 3, m)), rng.dirichlet(np.ones(m)))
-            d_bl = bounded_lipschitz_distance(p, q)
-            assert d_bl <= min(2.0, wasserstein1(p, q)) + 1e-6
-            assert d_bl >= -1e-9
-
-    def test_matches_highs_on_free_variable_form(self):
-        # reference: max wt . f over free f, s, l >= 0 with |f_i| <= s,
-        # |f_{i+1} - f_i| <= l gap_i and s + l <= 1, solved by HiGHS
-        from scipy.optimize import linprog
-        from riskflow.risk import merge_support
-
-        def highs(p, q):
-            sup, wt = merge_support(np.concatenate([p.coords[0], q.coords[0]]),
-                                    np.concatenate([p.mass, -q.mass]))
-            n = len(sup)
-            eye, diff = np.eye(n), np.diff(np.eye(n), axis=0)
-            gap = np.diff(sup)[:, None]
-            a_ub = np.block([[eye, -np.ones((n, 1)), np.zeros((n, 1))],
-                             [-eye, -np.ones((n, 1)), np.zeros((n, 1))],
-                             [diff, np.zeros((n - 1, 1)), -gap],
-                             [-diff, np.zeros((n - 1, 1)), -gap],
-                             [np.zeros((1, n)), np.ones((1, 2))]])
-            b_ub = np.zeros(a_ub.shape[0])
-            b_ub[-1] = 1.0
-            res = linprog(np.concatenate([-wt, [0.0, 0.0]]), A_ub=a_ub, b_ub=b_ub,
-                          bounds=[(None, None)] * n + [(0, None)] * 2, method="highs")
-            assert res.status == 0
-            return -res.fun
-
-        rng = np.random.default_rng(11)
-        for k in range(30):
-            n, m = rng.integers(1, 8), rng.integers(1, 8)
-            # every third pair has unequal total masses, so sum(wt) != 0
-            scale = rng.uniform(0.5, 2.0) if k % 3 == 0 else 1.0
-            p = dist(np.sort(rng.uniform(0, 3, n)), scale * rng.dirichlet(np.ones(n)))
-            q = dist(np.sort(rng.uniform(0, 3, m)), rng.dirichlet(np.ones(m)))
-            assert bounded_lipschitz_distance(p, q) == pytest.approx(highs(p, q), abs=1e-7)
-
-    def test_non_optimal_lp_raises(self, monkeypatch):
-        import riskflow.solve
-
-        def stalled(problem, **kw):
-            n = problem.c.size
-            return LpSolution(primal=np.zeros(n), dual=np.zeros(problem.b_eq.size),
-                              primal_objective=-0.5, dual_objective=-0.4,
-                              duality_gap=0.1, iterations=200, status="max_iter")
-
-        monkeypatch.setattr(riskflow.solve, "solve_lp", stalled)
-        with pytest.raises(LpFailureError, match="max_iter") as info:
-            bounded_lipschitz_distance(delta(0.0), delta(1.0))
-        assert info.value.status == "max_iter"
 
 
 class TestRiskNeutralDp:
