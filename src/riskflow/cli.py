@@ -330,11 +330,7 @@ def build_problem(spec: ProblemSpec) -> ProblemPieces:
 
 
 def _risk_spec(spec: ProblemSpec) -> RiskSpec:
-    if spec.risk_kind in ("entropic", "entropic_linear"):
-        return RiskSpec(kind="entropic_linear", theta=spec.theta)
-    if spec.risk_kind == "expectation":
-        return RiskSpec(kind="expectation")
-    return RiskSpec(kind="mean_semideviation", beta=spec.beta)
+    return RiskSpec(kind=spec.risk_kind, theta=spec.theta, beta=spec.beta)
 
 
 def _policy_tables(pieces: ProblemPieces):
@@ -395,6 +391,10 @@ def _read_grid_csv(path, header, coords) -> np.ndarray:
     try:
         with open(path) as fh:
             head = fh.readline().strip()
+            rows = fh.tell()
+            if not any(line.strip() for line in iter(fh.readline, "")):
+                raise ConfigError(f"{path} has no data rows")
+            fh.seek(rows)
             table = np.loadtxt(fh, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"{path} is not a numeric table: {exc}") from exc
@@ -423,9 +423,9 @@ def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
     """Monte Carlo cross-check of a solve run; writes mc_summary.json.
 
     ``paths`` and ``seed`` override the config's ``validation`` values and
-    are checked against the same rows of the field table.  A run solved
-    for another spec (``config_digest``), or a policy or ``marginal_y.csv``
-    off the config's grids, raises ``ConfigError``.
+    are checked against the same rows of the field table.  A report.json
+    that is not JSON or was solved for another spec (``config_digest``), or
+    a policy or ``marginal_y.csv`` off the config's grids, raises ``ConfigError``.
     """
     def option(name, value):
         if value is None:
@@ -435,9 +435,13 @@ def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
 
     cfg = McConfig(n_paths=option("paths", paths), seed=option("seed", seed))
     rep = Path(report_dir)
-    solved = json.loads((rep / "report.json").read_text()).get("config_digest")
-    if solved != config_digest(spec):
-        raise ConfigError(f"config_digest of {rep} is not this config's; solve it again")
+    try:
+        solved = json.loads((rep / "report.json").read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{rep / 'report.json'} is not JSON: {exc}") from exc
+    if not isinstance(solved, dict) or solved.get("config_digest") != config_digest(spec):
+        raise ConfigError(f"config_digest of {rep / 'report.json'} is not this config's; "
+                          "solve it again")
     pieces = build_problem(spec)
     policy = _read_policy(rep, pieces)
     y_points = pieces.y_grid.points
@@ -476,10 +480,8 @@ def run_oracle(spec: ProblemSpec) -> dict:
     """Enumerate deterministic policies; cross-check with the LP when linear."""
     pieces = build_problem(spec)
     risk = _risk_spec(spec)
-    enum_spec = (RiskSpec(kind="entropic", theta=spec.theta)
-                 if risk.kind == "entropic_linear" else risk)
     result = enumerate_policies(pieces.base, pieces.cost, spec.alpha, pieces.y_grid,
-                                pieces.t_grid, pieces.nu, enum_spec, v=pieces.v)
+                                pieces.t_grid, pieces.nu, risk, v=pieces.v)
     out = {"enumeration_value": result.value, "n_policies": result.n_policies}
     if risk.is_linear:
         report = optimize_linear_risk(_forward_program(spec, pieces), risk, v=pieces.v,

@@ -6,7 +6,7 @@ Four consumers share one implicit-Euler step over (product state, action),
 whole evolution as sparse equality constraints over time-indexed joint
 measures ``mu_k(x, y, a)`` for the optimizer, ``propagate_forward`` pushes
 a distribution through time under a fixed policy, and the Bellman sweep
-``solve.bellman_sweep`` takes it backward; these two and the batched
+``solve.bellman_sweep`` takes it backward; these two and
 ``validate.enumerate_policies`` solve through ``implicit_step``.  Controls
 are attached to the new time slice: the step from ``t_k`` to ``t_{k+1}``
 mixes actions with the policy (or measure) at slice ``k + 1`` and
@@ -154,21 +154,21 @@ def implicit_step(stacked: sp.csr_matrix, weights: np.ndarray, dt: float,
     ``stacked`` holds ``Q_a`` row ``z`` in row ``z * n_a + a`` and
     ``weights[z, a]`` mixes the actions row-wise into
     ``Q_w = sum_a diag(w_a) Q_a``.  Solves ``(I - dt Q_w)^T m = rhs``
-    (forward, ``transpose=True``) or ``(I - dt Q_w) V = rhs`` (backward).
-    Batched, ``weights`` ``(B, n, n_a)`` and ``rhs`` ``(B, n)``: one block-diagonal solve.
+    (forward, ``transpose=True``) or ``(I - dt Q_w) V = rhs`` (backward);
+    ``weights`` is ``(n, n_a)`` and ``rhs`` is ``(n,)``.
     """
-    n_b, n, n_a = (1,) * (3 - weights.ndim) + weights.shape
+    n, n_a = weights.shape
     mixing = sp.csr_matrix((weights.ravel(), np.arange(weights.size),
-                            np.arange(0, weights.size + 1, n_a)), shape=(n_b * n, weights.size))
-    q_w = mixing @ sp.kron(sp.identity(n_b), stacked, format="csr")
-    system = (sp.identity(n_b * n, format="csr") - dt * (q_w.T if transpose else q_w)).tocsc()
+                            np.arange(0, weights.size + 1, n_a)), shape=(n, weights.size))
+    q_w = mixing @ stacked
+    system = (sp.identity(n, format="csr") - dt * (q_w.T if transpose else q_w)).tocsc()
     try:
-        out = spla.spsolve(system, np.ravel(rhs))
+        out = spla.spsolve(system, rhs)
     except RuntimeError as exc:
         raise PropagationError(f"implicit step failed: {exc}") from exc
     if not np.all(np.isfinite(out)):
         raise PropagationError("implicit step produced a non-finite solution")
-    return out.reshape(np.shape(rhs))
+    return out
 
 
 def propagate_forward(gen: AugmentedGenerator, policy, initial_xy: DiscreteDistribution,

@@ -1,10 +1,11 @@
 """Law-invariant risk functionals on discrete cost distributions.
 
 All functionals read a distribution only through its (value, mass) pairs.
-The entropic family comes in two forms: the log form, and the linear form
-``sum exp(theta y) m(y)`` whose coefficients drop directly into an LP
-objective; the log of the linear optimum recovers the log-form value
-because the logarithm is strictly increasing.
+The entropic risk ``log(sum exp(theta y) m(y)) / theta`` is optimized
+through its exponential moment, which is linear in the mass: its
+coefficients drop directly into an LP objective, and the log of the
+moment's optimum gives the risk's optimum because the logarithm is
+strictly increasing.
 """
 
 from __future__ import annotations
@@ -17,15 +18,15 @@ import numpy as np
 from .errors import InvalidCostError, InvalidParameterError
 from .forward import DiscreteDistribution
 
-KINDS = ("expectation", "entropic", "entropic_linear", "mean_semideviation")
-LINEAR_KINDS = ("expectation", "entropic_linear")
+KINDS = ("expectation", "entropic", "mean_semideviation")
+LINEAR_KINDS = ("expectation", "entropic")
 
 
 @dataclass(frozen=True)
 class RiskSpec:
     """Which functional to use and its parameter.
 
-    ``theta >= 0`` for the entropic kinds (risk aversion strength),
+    ``theta >= 0`` for the entropic risk (risk aversion strength),
     ``beta in [0, 1]`` for mean semideviation.
     """
 
@@ -36,7 +37,7 @@ class RiskSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidParameterError(f"unknown risk kind {self.kind!r}; choose from {KINDS}")
-        if self.kind in ("entropic", "entropic_linear") and self.theta < 0:
+        if self.kind == "entropic" and self.theta < 0:
             raise InvalidParameterError(f"entropic risk needs theta >= 0, got {self.theta}")
         if self.kind == "mean_semideviation" and not 0.0 <= self.beta <= 1.0:
             raise InvalidParameterError(f"semideviation weight must be in [0,1], got {self.beta}")
@@ -93,8 +94,6 @@ def evaluate(spec: RiskSpec, dist: DiscreteDistribution) -> float:
         return eval_expectation(dist)
     if spec.kind == "entropic":
         return eval_entropic(dist, spec.theta)
-    if spec.kind == "entropic_linear":
-        return eval_entropic_linear(dist, spec.theta)
     return eval_mean_semideviation(dist, spec.beta)
 
 
@@ -110,8 +109,6 @@ def gradient_at_values(spec: RiskSpec, dist: DiscreteDistribution,
     values = np.asarray(values, dtype=float)
     if spec.kind == "expectation":
         return values.copy()
-    if spec.kind == "entropic_linear":
-        return np.exp(spec.theta * values)
     if spec.kind == "entropic":
         if spec.theta == 0:
             return values.copy()

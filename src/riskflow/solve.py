@@ -19,7 +19,7 @@ extraction of the time-state-cost Markov policy from an optimal measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -380,22 +380,10 @@ class SolveReport:
     trajectory: Optional[TrajectoryDistribution] = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "rho_star": self.rho_star,
-            "duality_gap": self.duality_gap,
-            "iterations": self.iterations,
-            "stationarity_w1": self.stationarity_w1,
-            "boundary_mass": self.boundary_mass,
-            "strictness_fraction": self.strictness_fraction,
-            "status": self.status,
-            "mass_deviation_max": self.mass_deviation_max,
-            "min_mass": self.min_mass,
-            "terminal_cost_mean": self.terminal_cost_mean,
-        }
-        if self.fw_iterations is not None:
-            out["fw_iterations"] = self.fw_iterations
-            out["fw_gap"] = self.fw_gap
-        return out
+        """Every field but the policy and the trajectory, where it is set."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("policy", "trajectory")
+                and getattr(self, f.name) is not None}
 
 
 def _terminal_values(fp: ForwardProgram, v: Optional[np.ndarray]) -> np.ndarray:
@@ -477,7 +465,7 @@ def optimize_linear_risk(fp: ForwardProgram, spec: RiskSpec,
     """Minimize a measure-linear risk of the terminal cost distribution.
 
     The objective places the risk coefficients (``y + v(x)`` for the
-    expectation, ``exp(theta (y + v(x) - top))`` for the exponential form)
+    expectation, ``exp(theta (y + v(x) - top))`` for the entropic risk)
     on the terminal-slice variables.  The shift ``top`` is the smallest cost
     on the grid, raised just enough that no weight exceeds
     ``exp(ENTROPIC_LOG_SPAN)``, which keeps the LP well scaled for any
@@ -490,7 +478,7 @@ def optimize_linear_risk(fp: ForwardProgram, spec: RiskSpec,
         raise InvalidParameterError(
             f"optimize_linear_risk needs a measure-linear risk, got {spec.kind!r}")
     theta_vals = _terminal_values(fp, v)
-    if spec.kind != "entropic_linear" or spec.theta == 0:
+    if spec.kind != "entropic" or spec.theta == 0:
         sol = _solve_forward_lp(fp, theta_vals, tol_gap, max_iter)
         return _solve_report(fp, sol.primal, sol.status, sol.duality_gap, sol.iterations,
                              mass_floor, sol.primal_objective)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InvalidParameterError, PolicyEnumerationError
 # propagate_forward stays importable here: bench/tracing.py patches it by this name
@@ -152,12 +153,9 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     accrued cost crosses into another cost cell between events keeps its
     action until its next jump or the next grid boundary.
 
-    The draws follow ``McConfig``'s order: the initial ``rng.choice``;
-    then per round a block of action uniforms and a block of clock
-    exponentials over the active paths in ascending path id; then a block
-    of target uniforms over the paths that jump.  The action of a uniform
-    u is the first whose cumulative probability reaches u; a row summing
-    to less than one gives the rest to its last action.
+    The draws follow the order stated in ``McConfig``.  The action of a
+    uniform u is the first whose cumulative probability reaches u; a row
+    summing to less than one gives the rest to its last action.
 
     Each slice keeps only its active paths in compact arrays, writing them
     back once per round, and carries e^{-alpha t} from round to round.
@@ -322,9 +320,9 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
 # ---------------------------------------------------------------------------
 # Brute-force policy enumeration
 
-# Policies per block-diagonal step, sized by memory: one chunk adds about
-# 1.5 MB to the peak RSS on a 6-state chain, and 11 MB on a dense 19-state
-# chain, the most states the default cap admits.
+# Policies stepped together as one chain of disjoint copies, sized by
+# memory: one chunk adds about 1.5 MB to the peak RSS on a 6-state chain,
+# and 11 MB on a dense 19-state chain, the most states the default cap admits.
 ENUM_CHUNK = 2 ** 9
 
 
@@ -359,9 +357,11 @@ def enumerate_policies(gen: ControlledGenerator, cost_rate, alpha: float,
     for lo in range(0, count, ENUM_CHUNK):
         index = np.arange(lo, min(lo + ENUM_CHUNK, count), dtype=np.int64)
         actions = (index[:, None] // place % n_a).reshape(index.size, len(steps), start.size)
-        m = np.broadcast_to(start, (index.size, start.size))
+        m = np.tile(start, index.size)
         for k, (dt, q) in enumerate(steps):
-            m = implicit_step(q, np.eye(n_a)[actions[:, k]], dt, m, transpose=True)
+            m = implicit_step(sp.kron(sp.identity(index.size), q, format="csr"),
+                              np.eye(n_a)[actions[:, k]].reshape(-1, n_a), dt, m,
+                              transpose=True)
         for mass in m.reshape(index.size, n_x, n_y):
             joint = DiscreteDistribution(axes=("x", "y"), coords=coords, mass=mass)
             dist = joint.marginal("y") if v is None else apply_terminal_cost(joint, v)

@@ -41,7 +41,7 @@ def reference_pieces():
 def reference_run(reference_pieces):
     spec, pieces, fp = reference_pieces
     start = time.monotonic()
-    report = rf.optimize_linear_risk(fp, rf.RiskSpec(kind="entropic_linear", theta=1.0),
+    report = rf.optimize_linear_risk(fp, rf.RiskSpec(kind="entropic", theta=1.0),
                                      tol_gap=spec.solver.tol_gap,
                                      max_iter=spec.solver.max_iter)
     elapsed = time.monotonic() - start
@@ -51,7 +51,7 @@ def reference_run(reference_pieces):
 @pytest.fixture(scope="session")
 def near_neutral_run(reference_pieces):
     spec, pieces, fp = reference_pieces
-    report = rf.optimize_linear_risk(fp, rf.RiskSpec(kind="entropic_linear", theta=1e-3),
+    report = rf.optimize_linear_risk(fp, rf.RiskSpec(kind="entropic", theta=1e-3),
                                      tol_gap=spec.solver.tol_gap,
                                      max_iter=spec.solver.max_iter)
     return report
@@ -165,7 +165,7 @@ def test_criterion_7_oracle_equality():
                                         coords=(np.arange(2.0), yg.points), mass=mass)
         aug = augment_generator(gen, np.asarray(cost, float), 0.25, yg)
         fp = rf.assemble_forward_program(aug, start, times)
-        rep = rf.optimize_linear_risk(fp, rf.RiskSpec(kind="entropic_linear", theta=1.0),
+        rep = rf.optimize_linear_risk(fp, rf.RiskSpec(kind="entropic", theta=1.0),
                                       tol_gap=1e-11)
         enum = rf.enumerate_policies(gen, cost, 0.25, yg, times, nu,
                                      rf.RiskSpec(kind="entropic", theta=1.0))
@@ -270,7 +270,6 @@ def test_criterion_9_risk_function_suite():
     # first-order stochastic dominance on 50 constructed pairs
     specs = [rf.RiskSpec(kind="expectation"),
              rf.RiskSpec(kind="entropic", theta=0.9),
-             rf.RiskSpec(kind="entropic_linear", theta=0.9),
              rf.RiskSpec(kind="mean_semideviation", beta=0.7)]
     for _ in range(50):
         d = rand_dist(int(rng.integers(3, 9)))

@@ -101,6 +101,7 @@ MALFORMED = [
     ({"family": 5}, "family"),
     ({"terminal_cost": [0.0, "1"]}, "terminal_cost"),
     ({"risk.theta": 2.0}, "risk.theta"),
+    ({"risk": {"kind": "entropic_linear"}}, "risk.kind"),
 ]
 
 
@@ -338,9 +339,12 @@ class TestMain:
         # a report written before the digest existed is refused too
         report = json.loads((out / "report.json").read_text())
         del report["config_digest"]
-        (out / "report.json").write_text(json.dumps(report))
-        assert main(["validate", "--config", str(cfg), "--report", str(out),
-                     "--paths", "200"]) == EXIT_CONFIG
+        # and so are a report that is not JSON and one that is not an object
+        for body in (json.dumps(report), "{", "[]"):
+            (out / "report.json").write_text(body)
+            assert main(["validate", "--config", str(cfg), "--report", str(out),
+                         "--paths", "200"]) == EXIT_CONFIG
+            assert "report.json" in capsys.readouterr().err
 
     def test_validate_refuses_policy_that_is_not_a_distribution(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_CIRCLE)
@@ -404,7 +408,10 @@ class TestMain:
         (out / name).write_text(head + "".join(rows), newline="")
         assert main(["validate", "--config", str(cfg), "--report", str(out),
                      "--paths", "200"]) == EXIT_CONFIG
-        assert name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert name in err
+        if edit == "marginal_header_only":
+            assert "has no data rows" in err
         assert not (out / "mc_summary.json").exists()
 
     def test_uncertified_solve_exits_with_iteration_code(self, tmp_path, capsys):

@@ -304,8 +304,8 @@ class TestImplicitStepKernel:
 
     @pytest.mark.parametrize("transpose", [True, False])
     def test_implicit_step_matches_dense_solve(self, transpose):
-        # a batch of n_b mixtures is one block-diagonal solve; each of its
-        # rows must be the single call's solution
+        # n_b mixtures stepped as one chain of n_b disjoint copies (as policy
+        # enumeration does); each copy must get the single call's solution
         rng = np.random.default_rng(5)
         for n_b in (1, 1, 1, 4, 4):
             n, n_a = int(rng.integers(2, 9)), int(rng.integers(1, 4))
@@ -322,9 +322,10 @@ class TestImplicitStepKernel:
                 want = np.linalg.solve(system.T if transpose else system, r)
                 singles.append(implicit_step(stacked, w, dt, r, transpose=transpose))
                 np.testing.assert_allclose(singles[-1], want, rtol=1e-12, atol=1e-12)
-            got = implicit_step(stacked, weights, dt, rhs, transpose=transpose)
-            assert got.shape == (n_b, n)
-            np.testing.assert_allclose(got, singles, rtol=1e-14, atol=1e-14)
+            got = implicit_step(sp.kron(sp.identity(n_b), stacked, format="csr"),
+                                weights.reshape(-1, n_a), dt, rhs.ravel(),
+                                transpose=transpose)
+            np.testing.assert_allclose(got.reshape(n_b, n), singles, rtol=1e-14, atol=1e-14)
 
     def test_stack_actions_order(self):
         rng = np.random.default_rng(6)

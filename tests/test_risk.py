@@ -116,8 +116,6 @@ class TestMeanSemideviation:
 class TestGradient:
     def test_linear_coefficients(self):
         d = dist([0.0, 1.0], [0.3, 0.7])
-        g = risk_gradient(RiskSpec(kind="entropic_linear", theta=1.0), d)
-        assert np.allclose(g, [1.0, math.e])
         g = risk_gradient(RiskSpec(kind="expectation"), d)
         assert np.allclose(g, [0.0, 1.0])
 
@@ -157,9 +155,10 @@ class TestGradient:
 
     def test_gradient_at_off_support_values(self):
         d = COIN
-        g = gradient_at_values(RiskSpec(kind="entropic_linear", theta=2.0), d,
+        g = gradient_at_values(RiskSpec(kind="entropic", theta=2.0), d,
                                np.array([0.25, 3.0]))
-        assert np.allclose(g, np.exp([0.5, 6.0]))
+        rho = eval_entropic(d, 2.0)
+        assert np.allclose(g, np.exp(2.0 * (np.array([0.25, 3.0]) - rho)) / 2.0)
 
 
 class TestLawInvariance:
@@ -180,7 +179,6 @@ class TestStochasticDominance:
         rng = np.random.default_rng(6)
         specs = [RiskSpec(kind="expectation"),
                  RiskSpec(kind="entropic", theta=0.7),
-                 RiskSpec(kind="entropic_linear", theta=0.7),
                  RiskSpec(kind="mean_semideviation", beta=0.8)]
         for _ in range(25):
             n = rng.integers(3, 9)

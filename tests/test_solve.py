@@ -89,7 +89,7 @@ def tiny_instance(rates, cost, alpha=0.25, n_y=2, y_max=2.0, n_t=3, horizon=1.0)
 class TestOptimizeLinear:
     def test_zero_cost_zero_risk(self):
         *_, fp = tiny_instance([(1.0, 2.0), (0.5, 0.3)], np.zeros((2, 2)))
-        rep = optimize_linear_risk(fp, RiskSpec(kind="entropic_linear", theta=1.0))
+        rep = optimize_linear_risk(fp, RiskSpec(kind="entropic", theta=1.0))
         assert rep.status == "optimal"
         assert rep.rho_star == pytest.approx(0.0, abs=1e-7)
         ym = rep.trajectory.slices[-1].marginal("y")
@@ -100,7 +100,7 @@ class TestOptimizeLinear:
 
         gen, yg, times, nu, start, aug, fp = tiny_instance(
             [(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])
-        rep = optimize_linear_risk(fp, RiskSpec(kind="entropic_linear", theta=1.0),
+        rep = optimize_linear_risk(fp, RiskSpec(kind="entropic", theta=1.0),
                                    tol_gap=1e-11)
         enum = enumerate_policies(gen, [[0.3, 1.1], [0.9, 0.2]], 0.25, yg, times, nu,
                                   RiskSpec(kind="entropic", theta=1.0))
@@ -125,7 +125,7 @@ class TestOptimizeLinear:
         # (tied cells keep their ties, strict cells their action)
         gen, yg, times, nu, start, aug, fp = tiny_instance(
             [(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])
-        r1 = optimize_linear_risk(fp, RiskSpec(kind="entropic_linear", theta=1.0))
+        r1 = optimize_linear_risk(fp, RiskSpec(kind="entropic", theta=1.0))
         from riskflow.solve import LpProblem as LP, solve_lp as slp
         w = np.exp(1.0 * np.broadcast_to(fp.y_values, (fp.n_x, fp.n_y)))
         sol = slp(LP(a_eq=fp.a_eq, b_eq=fp.b_eq, c=5.0 * fp.terminal_objective(w)))
@@ -146,7 +146,7 @@ class TestOptimizeLinear:
     def test_feasible_point_reproduces_itself(self):
         gen, yg, times, nu, start, aug, fp = tiny_instance(
             [(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]], n_t=4)
-        rep = optimize_linear_risk(fp, RiskSpec(kind="entropic_linear", theta=1.0),
+        rep = optimize_linear_risk(fp, RiskSpec(kind="entropic", theta=1.0),
                                    tol_gap=1e-11)
         traj = propagate_forward(aug, rep.policy, start, times)
         for sl_lp, sl_prop in zip(rep.trajectory.slices, traj.slices):
@@ -169,7 +169,7 @@ class TestCertificates:
         from scipy.optimize import linprog
 
         pieces, fp = circle_program({"n_x": 9, "n_y": 9, "n_a": 5, "n_t": 9})
-        rep = optimize_linear_risk(fp, RiskSpec(kind="entropic_linear", theta=theta))
+        rep = optimize_linear_risk(fp, RiskSpec(kind="entropic", theta=theta))
         assert rep.status == "optimal"
         total = np.broadcast_to(fp.y_values, (fp.n_x, fp.n_y))
         top = total.max()
@@ -197,7 +197,7 @@ class TestCertificates:
         cost = [[0.3, 1.1], [0.9, 0.2]]
         gen, yg, times, nu, start, aug, fp = tiny_instance(rates, cost, n_y=3, y_max=y_max)
         v = None if v is None else np.array(v)
-        rep = optimize_linear_risk(fp, RiskSpec(kind="entropic_linear", theta=theta), v=v)
+        rep = optimize_linear_risk(fp, RiskSpec(kind="entropic", theta=theta), v=v)
         enum = enumerate_policies(gen, cost, 0.25, yg, times, nu,
                                   RiskSpec(kind="entropic", theta=theta), v=v)
         assert rep.status == "optimal"
@@ -209,7 +209,7 @@ class TestCertificates:
 
         cost = [[0.3, 1.1], [0.9, 0.2]]
         gen, yg, times, nu, start, aug, fp = tiny_instance([(1.0, 2.0), (0.5, 0.3)], cost)
-        rep = optimize_linear_risk(fp, RiskSpec(kind="entropic_linear", theta=theta),
+        rep = optimize_linear_risk(fp, RiskSpec(kind="entropic", theta=theta),
                                    tol_gap=1e-11)
         enum = enumerate_policies(gen, cost, 0.25, yg, times, nu,
                                   RiskSpec(kind="entropic", theta=theta))
@@ -224,7 +224,7 @@ class TestCertificates:
         # the reported gap is the quantity the stop test compares with tol_gap
         pieces, fp = circle_program(payload)
         risk = (RiskSpec(kind="expectation") if "risk" in payload
-                else RiskSpec(kind="entropic_linear", theta=1.0))
+                else RiskSpec(kind="entropic", theta=1.0))
         for tol in np.logspace(-4, -10, 25):
             rep = optimize_linear_risk(fp, risk, tol_gap=tol)
             assert rep.status == "optimal"
@@ -284,7 +284,7 @@ class TestDualSweep:
         assert sweep.primal.min() >= 0.0
 
     @pytest.mark.parametrize("spec", [RiskSpec(kind="expectation"),
-                                      RiskSpec(kind="entropic_linear", theta=1.0)])
+                                      RiskSpec(kind="entropic", theta=1.0)])
     def test_exact_ties_mixed_uniformly(self, spec):
         # with v = 0 the absorbing top cost cell has one value at every state,
         # so every action ties there exactly; slice 0 drives no step at all
@@ -296,7 +296,7 @@ class TestDualSweep:
         assert np.abs(rep.policy.probs[0] - 0.5).max() <= 1e-15
 
     @pytest.mark.parametrize("spec", [RiskSpec(kind="expectation"),
-                                      RiskSpec(kind="entropic_linear", theta=20.0)])
+                                      RiskSpec(kind="entropic", theta=20.0)])
     def test_unreachable_tolerance_is_not_optimal(self, spec):
         fp = small_circle_program()
         rep = optimize_linear_risk(fp, spec, tol_gap=1e-20)
@@ -306,7 +306,7 @@ class TestDualSweep:
     def test_iterations_count_policy_evaluations(self):
         # at least one evaluation per step; one round per step caps them
         fp = small_circle_program()
-        spec = RiskSpec(kind="entropic_linear", theta=1.0)
+        spec = RiskSpec(kind="entropic", theta=1.0)
         full = optimize_linear_risk(fp, spec)
         capped = optimize_linear_risk(fp, spec, max_iter=1)
         assert full.iterations > capped.iterations == fp.n_t - 1
@@ -387,11 +387,24 @@ class TestNormalEquations:
 class TestOptimizeSmooth:
     def test_linear_converges_in_one_step(self):
         *_, fp = tiny_instance([(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])
-        spec = RiskSpec(kind="entropic_linear", theta=1.0)
+        spec = RiskSpec(kind="entropic", theta=1.0)
         direct = optimize_linear_risk(fp, spec, tol_gap=1e-10)
         fw = optimize_smooth_risk(fp, spec, tol=1e-7, tol_gap=1e-10)
         assert fw.fw_iterations == 1
-        assert fw.rho_star == pytest.approx(np.exp(1.0 * direct.rho_star), abs=1e-6)
+        assert fw.rho_star == pytest.approx(direct.rho_star, abs=1e-6)
+
+    @pytest.mark.parametrize("spec", [RiskSpec(kind="expectation"),
+                                      RiskSpec(kind="entropic", theta=1.0),
+                                      RiskSpec(kind="entropic", theta=5.0)],
+                             ids=["expectation", "entropic1", "entropic5"])
+    def test_both_optimizers_report_one_scale(self, spec):
+        # a linear kind's optimum is the same number whichever optimizer finds it
+        pieces, fp = circle_program({"n_x": 5, "n_y": 4, "n_a": 3, "n_t": 4,
+                                     "horizon": 4.0})
+        direct = optimize_linear_risk(fp, spec)
+        fw = optimize_smooth_risk(fp, spec)
+        assert direct.status == fw.status == "optimal"
+        assert fw.rho_star == pytest.approx(direct.rho_star, abs=1e-10)
 
     def test_semideviation_beta_zero_is_expectation(self):
         *_, fp = tiny_instance([(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])
