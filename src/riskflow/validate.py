@@ -1,9 +1,10 @@
 """Independent oracles: Monte Carlo simulation of the controlled chain,
 the exact 1-Wasserstein distance between laws on the line, a risk-neutral
 dynamic-programming sweep, and brute-force policy enumeration for
-desk-size instances.  The simulation, the DP and the enumeration read
-the controlled generator in the (state, action) row order of
-``stack_actions``."""
+desk-size instances, a walk over the tree of action prefixes that steps
+each prefix once and scores the terminal laws in batches.  The
+simulation, the DP and the enumeration read the controlled generator in
+the (state, action) row order of ``stack_actions``."""
 
 from __future__ import annotations
 
@@ -20,7 +21,9 @@ from .forward import DiscreteDistribution, implicit_step, propagate_forward  # n
 from .generator import (ControlledGenerator, augment_generator, discount_factor,
                         stack_actions)
 from .grids import UniformGrid, grid_points
-from .risk import RiskSpec, apply_terminal_cost, evaluate
+# evaluate stays importable here: bench/tracing.py patches it by this name
+from .risk import (RiskSpec, evaluate, evaluate_laws, merge_support,  # noqa: F401
+                   terminal_totals)
 from .solve import MarkovPolicy, bellman_sweep
 
 
@@ -244,8 +247,11 @@ def wasserstein1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     v, w = v[order], w[order]
     if len(v) < 2:
         return 0.0
-    cdf_diff = np.cumsum(w)[:-1]
-    return float(np.abs(cdf_diff) @ np.diff(v))
+    gaps = np.diff(v)
+    gaps *= np.abs(np.cumsum(w)[:-1])
+    # numpy's own summation order: BLAS ddot splits long vectors by thread
+    # count, which would make the distance depend on it
+    return float(np.add.reduce(gaps))
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +326,10 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
 # ---------------------------------------------------------------------------
 # Brute-force policy enumeration
 
-# Policies stepped together as one chain of disjoint copies, sized by
-# memory: one chunk adds about 1.5 MB to the peak RSS on a 6-state chain,
-# and 11 MB on a dense 19-state chain, the most states the default cap admits.
+# Prefix rows stepped together as one chain of disjoint copies, sized by
+# memory: one chunk adds about 0.7 MB to the peak RSS on the 6-state
+# oracle_enum chain, and 9.5 MB on a dense 18-state chain (one step,
+# 2 ** 18 policies), the growth of ru_maxrss over one enumerate_policies call.
 ENUM_CHUNK = 2 ** 9
 
 
@@ -341,29 +348,62 @@ def enumerate_policies(gen: ControlledGenerator, cost_rate, alpha: float,
     Only the slices that drive the dynamics are enumerated (the step from
     t_k to t_{k+1} reads slice k+1, so slice 0 is irrelevant); the policy
     space size is n_a ** ((n_t - 1) * n_x * n_y).  Policy ``i`` plays the
-    base-``n_a`` digits of ``i`` on those cells, the first cell most significant.
+    base-``n_a`` digits of ``i`` on those cells, the first cell most
+    significant, so the policies that share their actions over steps
+    0..k are consecutive.
+
+    The walk goes over the tree of those action prefixes.  Level k holds
+    one mass row per action prefix of steps 0..k, n_a ** ((k + 1) n_x n_y)
+    rows; row r is stepped once, from row ``r // n_a ** (n_x n_y)`` of
+    level k - 1, in chunks of ``ENUM_CHUNK`` rows stepped together through
+    ``implicit_step`` as one chain of disjoint copies, ``kron(I_B, Q_k)``,
+    built once per (step, B).  Only the last level is scored: each chunk's
+    terminal laws go to the risk code in one call, on the cost axis
+    without a terminal cost ``v`` and otherwise on the totals ``y + v(x)``
+    merged as ``apply_terminal_cost`` merges them.  The levels held are at
+    most count / n_a ** (n_x n_y) rows of n_x n_y floats, at most 4 MB
+    under the default cap of 10 ** 6 policies.
     """
-    steps = augment_generator(gen, cost_rate, alpha, y_grid).steps(t_grid)
     n_x, n_a, n_y = gen.dim, gen.n_actions, y_grid.n
-    cells = len(steps) * n_x * n_y
-    count = n_a ** cells
+    width = n_x * n_y
+    count = n_a ** ((len(grid_points(t_grid)) - 1) * width)
     if count > max_policies:
         raise PolicyEnumerationError(
             f"{count} deterministic policies exceed the cap of {max_policies}")
-    start = np.outer(np.asarray(initial_x, dtype=float), np.eye(n_y)[0]).ravel()
-    coords = (gen.state_points, y_grid.points)
-    place = n_a ** np.arange(cells - 1, -1, -1, dtype=np.int64)
+    steps = augment_generator(gen, cost_rate, alpha, y_grid).steps(t_grid)
+    totals = None if v is None else terminal_totals(v, n_x, y_grid.points)
+
+    def least_risk(m):
+        """The least risk of the terminal laws ``m`` (B, n_x n_y); NaN
+        risks are skipped, here by fmin and below by min."""
+        if totals is None:
+            risks = evaluate_laws(spec, y_grid.points, m.reshape(-1, n_x, n_y).sum(axis=1))
+        else:
+            risks = evaluate_laws(spec, *merge_support(totals, m))
+        return float(np.fmin.reduce(risks))
+
+    fan = n_a ** width
+    place = n_a ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    level = np.outer(np.asarray(initial_x, dtype=float), np.eye(n_y)[0]).reshape(1, width)
+    if not steps:
+        return EnumerationResult(value=least_risk(level), n_policies=count)
     best_val = math.inf
-    for lo in range(0, count, ENUM_CHUNK):
-        index = np.arange(lo, min(lo + ENUM_CHUNK, count), dtype=np.int64)
-        actions = (index[:, None] // place % n_a).reshape(index.size, len(steps), start.size)
-        m = np.tile(start, index.size)
-        for k, (dt, q) in enumerate(steps):
-            m = implicit_step(sp.kron(sp.identity(index.size), q, format="csr"),
-                              np.eye(n_a)[actions[:, k]].reshape(-1, n_a), dt, m,
-                              transpose=True)
-        for mass in m.reshape(index.size, n_x, n_y):
-            joint = DiscreteDistribution(axes=("x", "y"), coords=coords, mass=mass)
-            dist = joint.marginal("y") if v is None else apply_terminal_cost(joint, v)
-            best_val = min(best_val, evaluate(spec, dist))
+    for k, (dt, q) in enumerate(steps):
+        last = k == len(steps) - 1
+        rows = len(level) * fan
+        below = None if last else np.empty((rows, width))
+        chains = {}
+        for lo in range(0, rows, ENUM_CHUNK):
+            index = np.arange(lo, min(lo + ENUM_CHUNK, rows), dtype=np.int64)
+            b = index.size
+            if b not in chains:
+                chains[b] = sp.kron(sp.identity(b), q, format="csr")
+            weights = np.eye(n_a)[(index[:, None] // place % n_a).ravel()]
+            m = implicit_step(chains[b], weights, dt, level[index // fan].ravel(),
+                              transpose=True).reshape(b, width)
+            if last:
+                best_val = min(best_val, least_risk(m))
+            else:
+                below[lo:lo + b] = m
+        level = below
     return EnumerationResult(value=best_val, n_policies=count)

@@ -7,7 +7,7 @@ from riskflow import (DiscreteDistribution, InvalidCostError,
                       InvalidParameterError, RiskSpec, apply_terminal_cost,
                       eval_entropic, eval_entropic_linear, eval_expectation,
                       eval_mean_semideviation, risk_gradient)
-from riskflow.risk import evaluate, gradient_at_values
+from riskflow.risk import evaluate, evaluate_laws, gradient_at_values, merge_support
 
 
 def dist(values, masses):
@@ -159,6 +159,52 @@ class TestGradient:
                                np.array([0.25, 3.0]))
         rho = eval_entropic(d, 2.0)
         assert np.allclose(g, np.exp(2.0 * (np.array([0.25, 3.0]) - rho)) / 2.0)
+
+
+class TestBatchedLaws:
+    VALUES = np.array([0.0, 0.4, 1.1, 2.0])
+
+    @pytest.mark.parametrize("spec", [
+        RiskSpec(kind="expectation"),
+        RiskSpec(kind="entropic", theta=1.3),
+        RiskSpec(kind="entropic", theta=0.0),
+        RiskSpec(kind="mean_semideviation", beta=0.6),
+    ])
+    def test_rows_are_their_laws_alone(self, spec):
+        rng = np.random.default_rng(8)
+        mass = rng.dirichlet(np.ones(4), size=(3, 5))
+        mass[0, 0] = [0.5, 0.5, 0.0, 0.0]
+        got = evaluate_laws(spec, self.VALUES, mass)
+        assert got.shape == (3, 5)
+        for idx in np.ndindex(3, 5):
+            want = evaluate(spec, dist(self.VALUES, mass[idx]))
+            assert got[idx] == pytest.approx(want, rel=1e-14)
+
+    def test_entropic_overflow_rows_take_their_own_top(self):
+        # exp(theta y) overflows float64 beyond y = 709.78 at theta = 1, so
+        # every row takes the shifted branch, each with the top it charges
+        values = np.array([0.0, 700.0, 800.0, 1500.0])
+        mass = np.array([[0.5, 0.5, 0.0, 0.0],
+                         [0.25, 0.25, 0.5, 0.0],
+                         [0.2, 0.2, 0.2, 0.4],
+                         [1.0, 0.0, 0.0, 0.0]])
+        spec = RiskSpec(kind="entropic", theta=1.0)
+        got = evaluate_laws(spec, values, mass)
+        for row, law in zip(got, mass):
+            assert row == pytest.approx(evaluate(spec, dist(values, law)), rel=1e-14)
+        want = [700.0 + math.log(0.5), 800.0 + math.log(0.5), 1500.0 + math.log(0.4), 0.0]
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_merge_support_rows_are_their_laws_alone(self):
+        values = np.array([0.6, 1.2, 0.0, 0.6, 0.6 + 1e-13, 2.0])
+        rows = np.random.default_rng(9).dirichlet(np.ones(6), size=4)
+        sup, merged = merge_support(values, rows)
+        assert sup.tolist() == [0.0, 0.6, 1.2, 2.0]
+        for row, out in zip(rows, merged):
+            want_sup, want = merge_support(values, row)
+            assert np.array_equal(want_sup, sup)
+            assert np.array_equal(out, want)
+        assert merged[:, 1] == pytest.approx(rows[:, 0] + rows[:, 3] + rows[:, 4], rel=1e-15)
 
 
 class TestLawInvariance:

@@ -334,6 +334,18 @@ class TestWasserstein:
             assert abs(wasserstein1(a, b) - wasserstein1(b, a)) <= 1e-12
             assert wasserstein1(a, c) <= wasserstein1(a, b) + wasserstein1(b, c) + 1e-12
 
+    def test_sums_in_numpy_order(self):
+        # BLAS ddot splits a long sum by thread count; numpy's order is fixed
+        rng = np.random.default_rng(5)
+        p = distribution_from_samples(rng.uniform(0.0, 2.0, 60000))
+        q = dist(np.linspace(0.0, 2.0, 21), np.full(21, 1 / 21))
+        v = np.concatenate([p.coords[0], q.coords[0]])
+        w = np.concatenate([p.mass, -q.mass])
+        order = np.argsort(v, kind="stable")
+        cdf_diff = np.cumsum(w[order])[:-1]
+        want = float(np.add.reduce(np.abs(cdf_diff) * np.diff(v[order])))
+        assert wasserstein1(p, q) == want
+
     def test_from_samples(self):
         emp = distribution_from_samples(np.array([0.0, 0.0, 1.0, 1.0]))
         assert np.allclose(emp.coords[0], [0.0, 1.0])
@@ -485,30 +497,45 @@ class TestRiskNeutralDpCostAxis:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("spec, v", [
-        (RiskSpec(kind="entropic", theta=2.0), None),
-        (RiskSpec(kind="mean_semideviation", beta=0.5), np.array([0.3, 0.0])),
+    @pytest.mark.parametrize("spec, v, n_t, chunk", [
+        pytest.param(RiskSpec(kind="entropic", theta=2.0), None, 3, 100, id="spec0-None"),
+        pytest.param(RiskSpec(kind="mean_semideviation", beta=0.5), np.array([0.3, 0.0]),
+                     3, 100, id="spec1-v1"),
+        # three steps in chunks of 7: the 256 rows of the middle prefix
+        # level span 37 chunks, and the totals 0.6 + 0 and 0 + 0.6 merge
+        pytest.param(RiskSpec(kind="entropic", theta=2.0), np.array([0.6, 0.0]),
+                     4, 7, id="three-steps"),
     ])
-    def test_matches_per_policy_loop(self, spec, v, monkeypatch):
+    def test_matches_per_policy_loop(self, spec, v, n_t, chunk, monkeypatch):
         # the reference: every action table in itertools.product order,
         # propagated one policy at a time
         gen = two_state_gen(DESIGNATED_RATES)
         yg = build_uniform_grid(0.0, 0.6, 2)
         aug = augment_generator(gen, DESIGNATED_COST, 0.25, yg)
-        want = np.inf
-        for assignment in itertools.product(range(2), repeat=8):
-            table = np.zeros((3, 2, 2), dtype=np.int64)
-            table[1:] = np.reshape(assignment, (2, 2, 2))
+        times = np.linspace(0, 1, n_t)
+        want = []
+        for assignment in itertools.product(range(2), repeat=(n_t - 1) * 4):
+            table = np.zeros((n_t, 2, 2), dtype=np.int64)
+            table[1:] = np.reshape(assignment, (n_t - 1, 2, 2))
             traj = propagate_forward(aug, MarkovPolicy.from_actions(table, 2),
-                                     designated_start(yg), DESIGNATED_TIMES)
+                                     designated_start(yg), times)
             law = (traj.slices[-1].marginal("y") if v is None
                    else apply_terminal_cost(traj.slices[-1], v))
-            want = min(want, evaluate(spec, law))
-        monkeypatch.setattr(validate_module, "ENUM_CHUNK", 100)
-        res = enumerate_policies(gen, DESIGNATED_COST, 0.25, yg, DESIGNATED_TIMES,
+            want.append(evaluate(spec, law))
+        # every policy's value, in policy order, not only the minimum
+        original, scored = validate_module.evaluate_laws, []
+
+        def record(*args):
+            scored.append(original(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(validate_module, "evaluate_laws", record)
+        monkeypatch.setattr(validate_module, "ENUM_CHUNK", chunk)
+        res = enumerate_policies(gen, DESIGNATED_COST, 0.25, yg, times,
                                  DESIGNATED_NU, spec, v=v)
-        assert res.n_policies == 256
-        assert res.value == pytest.approx(want, rel=1e-14, abs=1e-14)
+        assert res.n_policies == len(want) == 2 ** ((n_t - 1) * 4)
+        assert np.concatenate(scored) == pytest.approx(want, rel=1e-14, abs=1e-14)
+        assert res.value == pytest.approx(min(want), rel=1e-14, abs=1e-14)
 
     def test_single_action_unique_value(self):
         gen = two_state_gen([(1.0, 2.0)])
@@ -517,6 +544,14 @@ class TestEnumeration:
                                  np.linspace(0, 1, 3), np.array([1.0, 0.0]),
                                  RiskSpec(kind="expectation"))
         assert res.n_policies == 1
+
+    def test_one_time_point_scores_the_start_law(self):
+        gen = two_state_gen(DESIGNATED_RATES)
+        res = enumerate_policies(gen, DESIGNATED_COST, 0.25, build_uniform_grid(0.0, 0.6, 2),
+                                 np.array([0.0]), np.array([0.4, 0.6]),
+                                 RiskSpec(kind="expectation"), v=np.array([0.5, 0.0]))
+        assert res.n_policies == 1
+        assert res.value == pytest.approx(0.2, rel=1e-15)
 
     def test_zero_cost_all_policies_zero(self):
         gen = two_state_gen([(1.0, 2.0), (0.5, 0.3)])
