@@ -479,7 +479,7 @@ def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
         # Python floats format faster than numpy scalars
         for lo in range(0, result.samples.size, MC_SAMPLES_BLOCK):
             block = result.samples[lo:lo + MC_SAMPLES_BLOCK].tolist()
-            fh.writelines(f"{v:.17g}\n" for v in block)
+            fh.write(("%.17g\n" * len(block)) % tuple(block))
     return summary
 
 

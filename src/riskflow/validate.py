@@ -9,7 +9,10 @@ the (state, action) row order of ``stack_actions``."""
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Union
 
 import numpy as np
@@ -43,6 +46,9 @@ class McConfig:
     ascending path id, then a block of standard exponentials (the clocks)
     in the same order, then a block of uniforms (the jump targets) for the
     paths whose clock rang inside the slice, again in ascending path id.
+    ``simulate_paths`` runs each round's paths as shards on several
+    threads, but keeps this order draw for draw, so the samples are the
+    same bits at any CPU count.
 
     The sampler reads the policy's cost cell only at jumps and at slice
     boundaries; it does not look it up again when the accrued cost crosses
@@ -142,6 +148,116 @@ def _pick_actions(u, cells, cum, bound):
     return acts
 
 
+# Fewest active paths per shard of a lockstep round; a round with fewer runs
+# as fewer shards, down to one in the calling thread.  A thread's numpy
+# calls pay for themselves only on long arrays: on a 2-CPU host, 100,000
+# reference paths took simulate_paths 1.22-1.42 s with this minimum,
+# 1.28-1.43 s with 2 ** 13, 1.39-1.51 s with 2 ** 15 and 1.71-1.89 s in
+# one thread.
+MIN_SHARD_PATHS = 2 ** 14
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: the number of lockstep shards."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _reshard(shards, count: int):
+    """The paths of ``shards``, in path-id order, cut into ``count``
+    contiguous shards of near-equal size, as views of one array per field.
+    A shard holds ``ids``, ``y``, ``t`` and ``disc`` (e^{-alpha t}, None
+    when alpha = 0) of its paths, and either their states ``x`` (in a
+    slice's first round) or ``row``, the previous round's (state, action)
+    row, whose jump is still to be drawn."""
+    whole = {}
+    for field, first in vars(shards[0]).items():
+        parts = [getattr(sh, field) for sh in shards]
+        whole[field] = parts[0] if first is None or len(parts) == 1 else np.concatenate(parts)
+    cut = np.arange(count + 1) * whole["ids"].size // count
+    return [SimpleNamespace(**{f: None if v is None else v[lo:hi] for f, v in whole.items()})
+            for lo, hi in zip(cut[:-1], cut[1:])]
+
+
+def _jump(tab: SimpleNamespace, row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Targets of the jumps from (state, action) rows ``row`` for draws u."""
+    at = row * tab.width
+    for column in tab.jump_cum:
+        at += u > column[row]
+    return tab.targets[at]
+
+
+def _pick_rows(tab: SimpleNamespace, x: np.ndarray, y: np.ndarray, u: np.ndarray):
+    """(state, action) rows of paths in states x with running costs y for
+    action draws u, and how many of their cost cells are masked."""
+    y_grid, n_y = tab.y_grid, tab.y_grid.n
+    snap = y - y_grid.lo
+    snap /= y_grid.spacing
+    np.rint(snap, out=snap)
+    np.clip(snap, 0, n_y - 1, out=snap)
+    cells = snap.astype(np.int64)
+    cells += x * n_y
+    fallback = 0 if tab.mask is None else x.size - int(np.count_nonzero(tab.mask[cells]))
+    row = tab.fixed_row[cells]
+    search = np.flatnonzero(row < 0)
+    if search.size:
+        row[search] = (_pick_actions(u[search], cells[search], tab.cum, tab.bound)
+                       + x[search] * tab.n_a)
+    return row, fallback
+
+
+def _shard_round(tab: SimpleNamespace, sh: SimpleNamespace, rng: np.random.Generator,
+                 state: dict, offset: int, m: int, released, exp_block: list):
+    """One lockstep round of shard ``sh`` (see ``_reshard``), whose paths
+    sit at ``offset`` of the round's m active paths, over the slice's
+    tables ``tab``: its part of the jump and action uniform blocks from
+    ``rng`` set to ``state``, the round's start, and advanced to that part;
+    then, once ``released`` is set, its part of the exponential block in
+    ``exp_block``.  Writes back the paths that finish the slice, keeps the
+    others in ``sh`` and returns (fallback lookups, paths kept)."""
+    bits = rng.bit_generator
+    bits.state = state
+    bits.advance(offset)
+    n = sh.ids.size
+    if sh.row is None:
+        x = sh.x
+    else:
+        x = _jump(tab, sh.row, rng.random(n))
+        bits.advance(m - n)
+    row, fallback = _pick_rows(tab, x, sh.y, rng.random(n))
+    released.wait()
+    if not exp_block:
+        raise RuntimeError("the round's exponential block was not drawn")
+    t_event = tab.clock[row]
+    np.divide(exp_block[0][offset:offset + n], t_event, out=t_event)
+    if tab.dead is not None:
+        t_event[tab.dead[row]] = np.inf
+    t_event += sh.t
+    t_new = np.minimum(t_event, tab.t_hi)
+    y, alpha = sh.y, tab.alpha
+    if alpha:
+        e_new = t_new * -alpha
+        np.exp(e_new, out=e_new)
+        accrued = tab.cost[row]
+        accrued *= np.subtract(sh.disc, e_new, out=sh.disc)
+        accrued /= alpha
+    else:
+        accrued = tab.cost[row]
+        accrued *= np.subtract(t_new, sh.t, out=sh.t)
+    y += accrued
+    going = t_event < tab.t_hi
+    done = np.flatnonzero(~going)
+    tab.x_all[sh.ids[done]] = x[done]
+    tab.y_all[sh.ids[done]] = y[done]
+    keep = np.flatnonzero(going)
+    sh.ids, sh.x, sh.row, sh.y, sh.t = sh.ids[keep], None, row[keep], y[keep], t_new[keep]
+    if alpha:
+        sh.disc = e_new[keep]
+    return fallback, keep.size
+
+
 def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
                    alpha: float, y_grid: UniformGrid, initial_x: np.ndarray,
                    t_grid: Union[UniformGrid, np.ndarray], cfg: McConfig) -> McResult:
@@ -160,8 +276,15 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     uniform u is the first whose cumulative probability reaches u; a row
     summing to less than one gives the rest to its last action.
 
-    Each slice keeps only its active paths in compact arrays, writing them
-    back once per round, and carries e^{-alpha t} from round to round.
+    Each slice keeps only its active paths in compact arrays, writes a path
+    back in the round it finishes, and carries e^{-alpha t} from round to
+    round.  A round's active paths are cut into contiguous path-id shards,
+    one per CPU the process may use while each holds ``MIN_SHARD_PATHS``;
+    shard 0 runs in the calling thread, the others in a pool that lives
+    inside this call.  Each shard draws its own parts of the round's
+    uniform blocks from a copy of the stream advanced to them (a uniform
+    takes one 64-bit word), and the calling thread draws the exponential
+    block whole, so the samples are the same bits at any CPU count.
     The policy must have one slice per grid time over (n_x, n_y, n_a), with
     nonnegative action probabilities, which the action search relies on;
     ``InvalidParameterError`` otherwise.
@@ -181,10 +304,12 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     # per (state, action) row x * n_a + a, like the jump tables
     clock = np.maximum(exit_rate, 1e-300)
     dead = ~(exit_rate > 0)
-    any_dead = dead.any()
+    if not dead.any():
+        dead = None
     cost = np.asarray(cost_rate, dtype=float).ravel()
     pol_cum = np.cumsum(policy.probs, axis=-1)
     pol_cum[..., -1] = 1.0  # u < 1: a row summing to 1 - eps cannot pick past the last action
+    cell_x = np.repeat(np.arange(n_x), n_y)
     nu = np.asarray(initial_x, dtype=float)
 
     rng = np.random.default_rng(cfg.seed)
@@ -192,43 +317,53 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     x_all = rng.choice(n_x, size=n, p=nu / nu.sum())
     y_all = np.zeros(n)
     fallback = 0
+    cpus = _cpu_count()
+    # imported here: no other riskflow call needs it, and every import would pay
+    from concurrent.futures import ThreadPoolExecutor
 
-    for k in range(len(times) - 1):
-        t_hi = times[k + 1]
-        cum = pol_cum[k + 1].reshape(n_x * n_y, n_a)
-        bound = _action_bounds(cum)
-        mask = policy.mask[k + 1].ravel()
-        check_mask = not mask.all()
-        ids, x, y = np.arange(n), x_all, y_all
-        t = np.full(n, times[k])
-        disc = np.exp(-alpha * t) if alpha else None
-        while ids.size:
-            cells = x * n_y + np.clip(np.rint((y - y_grid.lo) / y_grid.spacing),
-                                      0, n_y - 1).astype(np.int64)
-            if check_mask:
-                fallback += ids.size - int(np.count_nonzero(mask[cells]))
-            row = _pick_actions(rng.random(ids.size), cells, cum, bound) + x * n_a
-            wait = rng.standard_exponential(ids.size) / clock[row]
-            if any_dead:
-                wait[dead[row]] = np.inf
-            t_event = t + wait
-            t_new = np.minimum(t_event, t_hi)
-            if alpha:
-                e_new = np.exp(-alpha * t_new)
-                y = y + cost[row] * (disc - e_new) / alpha
-            else:
-                y = y + cost[row] * (t_new - t)
-            x_all[ids] = x  # a path's last write is in the round it finishes
-            y_all[ids] = y
-            keep = np.flatnonzero(t_event < t_hi)
-            ids, row, y, t = ids[keep], row[keep], y[keep], t_new[keep]
-            if alpha:
-                disc = e_new[keep]
-            u = rng.random(keep.size)
-            at = row * width
-            for column in jump_cum:
-                at += u > column[row]
-            x = targets[at]
+    copies = [np.random.Generator(np.random.PCG64()) for _ in range(cpus)]
+
+    with ThreadPoolExecutor(max_workers=max(1, cpus - 1)) as pool:
+        for k in range(len(times) - 1):
+            cum = pol_cum[k + 1].reshape(n_x * n_y, n_a)
+            bound = _action_bounds(cum)
+            cut = bound.reshape(-1, ACTION_BUCKETS + 1)
+            agree = (cut == cut[:, :1]).all(axis=1)
+            mask = policy.mask[k + 1].ravel()
+            tab = SimpleNamespace(
+                targets=targets, width=width, jump_cum=jump_cum, clock=clock, dead=dead,
+                cost=cost, alpha=alpha, y_grid=y_grid, n_a=n_a, cum=cum, bound=bound,
+                # the row of each cell whose bounds agree in every bucket, else -1
+                fixed_row=np.where(agree, cut[:, 0] + cell_x * n_a, -1),
+                mask=None if mask.all() else mask, t_hi=times[k + 1],
+                x_all=x_all, y_all=y_all)
+            t = np.full(n, times[k])
+            # the first round accrues into y_all in place; later rounds write
+            # a path back when it finishes
+            shards = [SimpleNamespace(ids=np.arange(n), x=x_all, row=None, y=y_all, t=t,
+                                      disc=np.exp(-alpha * t) if alpha else None)]
+            m = n
+            while m:
+                count = max(1, min(cpus, m // MIN_SHARD_PATHS))
+                if count != len(shards):
+                    shards = _reshard(shards, count)
+                offsets = np.cumsum([0] + [s.ids.size for s in shards[:-1]]).tolist()
+                state = rng.bit_generator.state
+                released, exp_block = threading.Event(), []
+                work = [pool.submit(_shard_round, tab, sh, copies[i], state, off, m,
+                                    released, exp_block)
+                        for i, (sh, off) in enumerate(zip(shards, offsets)) if i]
+                try:
+                    # the stream after this round's uniform blocks
+                    rng.bit_generator.advance(m if shards[0].row is None else 2 * m)
+                    exp_block.append(rng.standard_exponential(m))
+                finally:
+                    released.set()
+                rounds = [_shard_round(tab, shards[0], copies[0], state, 0, m, released,
+                                       exp_block)]
+                rounds += [w.result() for w in work]
+                fallback += sum(f for f, _ in rounds)
+                m = sum(kept for _, kept in rounds)
     stderr = float(y_all.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return McResult(samples=y_all, stderr=stderr, fallback_lookups=fallback)
 

@@ -275,6 +275,9 @@ class TestValidationCommand:
         assert summary["paths"] == 2000
         samples = np.loadtxt(out / "mc_samples.csv", skiprows=1)
         assert samples.shape == (2000,)
+        # %.17g round-trips, so the file is the f-string format of what it holds
+        assert (out / "mc_samples.csv").read_text() == \
+            "y\n" + "".join(f"{v:.17g}\n" for v in samples.tolist())
         assert samples.mean() == pytest.approx(summary["mean"])
 
 

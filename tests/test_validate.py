@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -256,27 +258,61 @@ def relaxed_case(alpha, absorbing=False):
 class TestSamplerMatchesReference:
     SEEDS = (0, 1, 2, 5)
 
-    def check(self, args, n_paths):
+    def check(self, args, n_paths, monkeypatch):
+        # at most 3 shards while each holds 400 paths: 3,000 paths start as
+        # 3 shards of 1,000 and merge into fewer, unequal ones as they finish
+        monkeypatch.setattr(validate_module, "MIN_SHARD_PATHS", 400)
+        counts = []
+        reshard = validate_module._reshard
+
+        def record(shards, count):
+            counts.append(count)
+            return reshard(shards, count)
+
+        monkeypatch.setattr(validate_module, "_reshard", record)
         for seed in self.SEEDS:
             cfg = McConfig(n_paths=n_paths, seed=seed)
-            res = simulate_paths(*args, cfg)
             want, fallback = reference_simulate_paths(*args, cfg)
-            assert res.samples.tobytes() == want.tobytes(), seed
-            assert res.fallback_lookups == fallback, seed
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(validate_module, "_cpu_count", lambda c=cpus: c)
+                counts.clear()
+                res = simulate_paths(*args, cfg)
+                assert res.samples.tobytes() == want.tobytes(), (seed, cpus)
+                assert res.fallback_lookups == fallback, (seed, cpus)
+                assert max(counts, default=1) == cpus
 
-    def test_circle_solver_policy(self, circle_case):
-        self.check(circle_case, 3000)
+    def test_circle_solver_policy(self, circle_case, monkeypatch):
+        self.check(circle_case, 3000, monkeypatch)
 
-    def test_circle_solver_policy_undiscounted(self, circle_case):
-        self.check(circle_case[:3] + (0.0,) + circle_case[4:], 3000)
+    def test_circle_solver_policy_undiscounted(self, circle_case, monkeypatch):
+        self.check(circle_case[:3] + (0.0,) + circle_case[4:], 3000, monkeypatch)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.35])
     @pytest.mark.parametrize("absorbing", [False, True])
-    def test_relaxed_policy(self, alpha, absorbing):
+    def test_relaxed_policy(self, alpha, absorbing, monkeypatch):
         args = relaxed_case(alpha, absorbing)
         assert args[1].probs.sum(axis=-1).min() == pytest.approx(0.5)
         assert not args[1].mask.all()
-        self.check(args, 3000)
+        self.check(args, 3000, monkeypatch)
+
+    def test_uniform_block_splits_by_advance(self):
+        # the shards rely on this: PCG64 yields one 64-bit word per uniform,
+        # so a copy advanced by k draws continues the block at its k-th draw
+        rng = np.random.default_rng(11)
+        rng.standard_exponential(977)  # a mid-stream state, as in a round
+        state = rng.bit_generator.state
+        whole = rng.random(10_000)
+        cuts = [0, 1, 7, 4096, 4097, 9999, 10_000]
+        parts = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            copy = np.random.Generator(np.random.PCG64())
+            copy.bit_generator.state = state
+            copy.bit_generator.advance(lo)
+            parts.append(copy.random(hi - lo))
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        copy.bit_generator.state = state
+        copy.bit_generator.advance(10_000)
+        assert copy.bit_generator.state == rng.bit_generator.state
 
     def test_jump_tables_keep_every_draw_on_its_row(self):
         # row 0's jump law sums to 1 - 2**-52 in float64, below the largest
@@ -309,6 +345,66 @@ class TestSamplerMatchesReference:
         bad = MarkovPolicy.uniform(*cells)
         with pytest.raises(InvalidParameterError, match="policy cells"):
             simulate_paths(gen, bad, *rest, McConfig(n_paths=10))
+
+
+def run_bounded(call, timeout=60.0):
+    """``call()`` in a daemon thread joined with a timeout: (result, error)."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = call()
+        except Exception as exc:
+            out["error"] = exc
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "simulate_paths did not return"
+    return out.get("result"), out.get("error")
+
+
+class TestShardedRounds:
+    @pytest.fixture(autouse=True)
+    def three_shards(self, monkeypatch):
+        monkeypatch.setattr(validate_module, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(validate_module, "MIN_SHARD_PATHS", 100)
+
+    def test_same_bits_under_fast_switching_and_no_thread_left(self):
+        # 3 shards on any CPU count, the interpreter switching threads as
+        # often as it can: a lost or misplaced write changes the samples
+        args, cfg = relaxed_case(0.35), McConfig(n_paths=3000, seed=4)
+        want, fallback = reference_simulate_paths(*args, cfg)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            res, error = run_bounded(lambda: simulate_paths(*args, cfg))
+        finally:
+            sys.setswitchinterval(interval)
+        assert error is None
+        assert res.samples.tobytes() == want.tobytes()
+        assert res.fallback_lookups == fallback
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("worker", [False, True], ids=["calling", "worker"])
+    def test_shard_failure_raises_in_the_caller(self, monkeypatch, worker):
+        step = validate_module._shard_round
+        calls = []
+
+        def failing(*args):
+            in_pool = threading.current_thread().name.startswith("ThreadPoolExecutor")
+            calls.append(in_pool)
+            if in_pool == worker and calls.count(worker) > 8:
+                raise ZeroDivisionError("injected")
+            return step(*args)
+
+        monkeypatch.setattr(validate_module, "_shard_round", failing)
+        before = threading.active_count()
+        _, error = run_bounded(lambda: simulate_paths(*relaxed_case(0.35),
+                                                      McConfig(n_paths=3000)))
+        assert isinstance(error, ZeroDivisionError)
+        assert threading.active_count() == before
 
 
 class TestWasserstein:
