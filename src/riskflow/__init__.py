@@ -24,9 +24,7 @@ from .generator import (AugmentedGenerator, ControlledGenerator,
                         load_generator_triplets, validate_generator)
 from .grids import (CircleGrid, UniformGrid, build_circle_grid,
                     build_uniform_grid)
-from .risk import (RiskSpec, apply_terminal_cost, eval_entropic,
-                   eval_entropic_linear, eval_expectation,
-                   eval_mean_semideviation, evaluate, risk_gradient)
+from .risk import RiskSpec, apply_terminal_cost, evaluate
 from .solve import (LpFailureError, LpProblem, LpSolution, MarkovPolicy,
                     SolveReport, extract_policy, optimize_linear_risk,
                     optimize_smooth_risk, solve_lp)

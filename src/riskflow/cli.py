@@ -31,7 +31,8 @@ from .generator import (ControlledGenerator, augment_generator,
                         discretize_circle_diffusion, load_generator_triplets)
 from .grids import build_circle_grid, build_uniform_grid
 from .risk import KINDS, RiskSpec
-from .solve import (MarkovPolicy, SolveReport, optimize_linear_risk,
+from .solve import (DEFAULT_MAX_ITER, DEFAULT_TOL, FW_TOL, MASS_FLOOR, MAX_FW_ITER,
+                    MarkovPolicy, SolveReport, optimize_linear_risk,
                     optimize_smooth_risk)
 from .validate import McConfig, simulate_paths, wasserstein1, enumerate_policies
 
@@ -48,11 +49,11 @@ MC_SAMPLES_BLOCK = 2 ** 10
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tol_gap: float = 1e-9
-    max_iter: int = 200
-    max_fw_iter: int = 50
-    fw_tol: float = 1e-8
-    mass_floor: float = 1e-12
+    tol_gap: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
+    max_fw_iter: int = MAX_FW_ITER
+    fw_tol: float = FW_TOL
+    mass_floor: float = MASS_FLOOR
 
 
 @dataclass(frozen=True)

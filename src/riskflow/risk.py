@@ -2,8 +2,9 @@
 
 All functionals read a distribution only through its (value, mass) pairs:
 each takes one support ``values (n,)`` and the laws ``mass (..., n)`` on
-it, so a batch of laws is scored in one call; ``evaluate`` and the
-``eval_*`` functions are the one-law entries to the same code.
+it, so a batch of laws is scored in one call; ``evaluate`` is the one-law
+entry to the same code.  ``terminal_totals`` is the one table of the total
+costs ``y + v(x)`` that every engine scores.
 The entropic risk ``log(sum exp(theta y) m(y)) / theta`` is optimized
 through its exponential moment, which is linear in the mass: its
 coefficients drop directly into an LP objective, and the log of the
@@ -14,6 +15,7 @@ strictly increasing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -59,13 +61,6 @@ def _row_dot(mass: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def expectation(values: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """Mean of each law ``mass (..., n)`` on the support ``values (n,)``."""
     return _row_dot(mass, values)
-
-
-def exponential_moment(values: np.ndarray, mass: np.ndarray, theta: float) -> np.ndarray:
-    """The exponential moment ``sum exp(theta y) m(y)`` of each law (linear in the mass)."""
-    if theta < 0:
-        raise InvalidParameterError(f"theta must be >= 0, got {theta}")
-    return _row_dot(mass, np.exp(theta * values))
 
 
 def entropic(values: np.ndarray, mass: np.ndarray, theta: float) -> np.ndarray:
@@ -116,22 +111,6 @@ def evaluate(spec: RiskSpec, dist: DiscreteDistribution) -> float:
     return float(evaluate_laws(spec, *dist.values_1d()))
 
 
-def eval_expectation(dist: DiscreteDistribution) -> float:
-    return float(expectation(*dist.values_1d()))
-
-
-def eval_entropic_linear(dist: DiscreteDistribution, theta: float) -> float:
-    return float(exponential_moment(*dist.values_1d(), theta))
-
-
-def eval_entropic(dist: DiscreteDistribution, theta: float) -> float:
-    return float(entropic(*dist.values_1d(), theta))
-
-
-def eval_mean_semideviation(dist: DiscreteDistribution, beta: float) -> float:
-    return float(mean_semideviation(*dist.values_1d(), beta))
-
-
 def gradient_at_values(spec: RiskSpec, dist: DiscreteDistribution,
                        values: np.ndarray) -> np.ndarray:
     """Derivative of the risk w.r.t. mass placed at arbitrary ``values``.
@@ -144,27 +123,24 @@ def gradient_at_values(spec: RiskSpec, dist: DiscreteDistribution,
     values = np.asarray(values, dtype=float)
     if spec.kind == "expectation":
         return values.copy()
+    sup, mass = dist.values_1d()
     if spec.kind == "entropic":
         if spec.theta == 0:
             return values.copy()
         # exp(theta y) / (theta E exp(theta Y)), without forming either moment
-        return np.exp(spec.theta * (values - eval_entropic(dist, spec.theta))) / spec.theta
+        rho = float(entropic(sup, mass, spec.theta))
+        return np.exp(spec.theta * (values - rho)) / spec.theta
     # mean semideviation
-    sup, mass = dist.values_1d()
-    mean = eval_expectation(dist)
+    mean = float(expectation(sup, mass))
     above = float(mass[sup > mean].sum())
     return values + spec.beta * (np.maximum(values - mean, 0.0) - values * above)
 
 
-def risk_gradient(spec: RiskSpec, dist: DiscreteDistribution) -> np.ndarray:
-    """Gradient of the risk at ``dist`` w.r.t. the mass on its own support."""
-    return gradient_at_values(spec, dist, dist.values_1d()[0])
-
-
-def terminal_totals(v: np.ndarray, n_x: int, y_values: np.ndarray) -> np.ndarray:
-    """Total costs ``y + v(x)`` of the (x, y) cells, x-major, once the
-    terminal cost table ``v`` is checked: one nonnegative entry per x."""
-    v = np.asarray(v, dtype=float)
+def terminal_totals(v: Optional[np.ndarray], n_x: int, y_values: np.ndarray) -> np.ndarray:
+    """Total costs ``y + v(x)`` of the (x, y) cells, x-major, once the terminal
+    cost table ``v`` (``None``: no terminal cost) is checked: one nonnegative
+    entry per x.  Every engine reads its totals from here."""
+    v = np.zeros(n_x) if v is None else np.asarray(v, dtype=float)
     if v.shape != (n_x,):
         raise InvalidParameterError(
             f"terminal cost table has shape {v.shape}, expected ({n_x},)")
@@ -173,8 +149,10 @@ def terminal_totals(v: np.ndarray, n_x: int, y_values: np.ndarray) -> np.ndarray
     return (v[:, None] + y_values[None, :]).ravel()
 
 
-def apply_terminal_cost(joint: DiscreteDistribution, v: np.ndarray) -> DiscreteDistribution:
-    """Push a joint (x, y) law forward under total cost ``(x, y) -> y + v(x)``.
+def apply_terminal_cost(joint: DiscreteDistribution,
+                        v: Optional[np.ndarray]) -> DiscreteDistribution:
+    """Push a joint (x, y) law forward under total cost ``(x, y) -> y + v(x)``
+    (``v=None``: no terminal cost).
 
     The output support is the sorted set of attained totals; masses landing
     within 1e-12 of each other are aggregated.

@@ -29,11 +29,14 @@ import scipy.sparse.linalg as spla
 from .errors import AssemblyError, InvalidParameterError, RiskflowError
 from .forward import (DiscreteDistribution, ForwardProgram,
                       TrajectoryDistribution, implicit_step)
-from .risk import RiskSpec, apply_terminal_cost, evaluate, gradient_at_values
+from .risk import (RiskSpec, apply_terminal_cost, evaluate, gradient_at_values,
+                   terminal_totals)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
 MASS_FLOOR = 1e-12
+MAX_FW_ITER = 50  # Frank-Wolfe rounds
+FW_TOL = 1e-8  # Frank-Wolfe gap that ends the loop
 STEP_SCALE = 0.99995  # fraction of the distance to the boundary taken per step
 # largest log of an entropic LP weight; from about 30 on, the IPM's
 # infeasibility test fires on feasible programs
@@ -386,17 +389,6 @@ class SolveReport:
                 and getattr(self, f.name) is not None}
 
 
-def _terminal_values(fp: ForwardProgram, v: Optional[np.ndarray]) -> np.ndarray:
-    """Total-cost values y + v(x) on the (x, y) grid."""
-    theta = np.broadcast_to(fp.y_values, (fp.n_x, fp.n_y)).copy()
-    if v is not None:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (fp.n_x,):
-            raise InvalidParameterError(f"terminal cost shape {v.shape} != ({fp.n_x},)")
-        theta = theta + v[:, None]
-    return theta
-
-
 def _solve_report(fp, primal, status, duality_gap, iterations, mass_floor,
                   rho_star, fw_iterations=None, fw_gap=None):
     """Diagnose the measure ``primal`` and its policy; the status, gap and
@@ -477,15 +469,14 @@ def optimize_linear_risk(fp: ForwardProgram, spec: RiskSpec,
     if not spec.is_linear:
         raise InvalidParameterError(
             f"optimize_linear_risk needs a measure-linear risk, got {spec.kind!r}")
-    theta_vals = _terminal_values(fp, v)
+    totals = terminal_totals(v, fp.n_x, fp.y_values).reshape(fp.n_x, fp.n_y)
     if spec.kind != "entropic" or spec.theta == 0:
-        sol = _solve_forward_lp(fp, theta_vals, tol_gap, max_iter)
+        sol = _solve_forward_lp(fp, totals, tol_gap, max_iter)
         return _solve_report(fp, sol.primal, sol.status, sol.duality_gap, sol.iterations,
                              mass_floor, sol.primal_objective)
     theta = spec.theta
-    top = max(float(theta_vals.min()),
-              float(theta_vals.max()) - ENTROPIC_LOG_SPAN / theta)
-    sol = _solve_forward_lp(fp, np.exp(theta * (theta_vals - top)), tol_gap, max_iter,
+    top = max(float(totals.min()), float(totals.max()) - ENTROPIC_LOG_SPAN / theta)
+    sol = _solve_forward_lp(fp, np.exp(theta * (totals - top)), tol_gap, max_iter,
                             relative=True)
     return _solve_report(fp, sol.primal, sol.status, sol.duality_gap, sol.iterations,
                          mass_floor, top + math.log(sol.primal_objective) / theta)
@@ -493,7 +484,7 @@ def optimize_linear_risk(fp: ForwardProgram, spec: RiskSpec,
 
 def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
                          v: Optional[np.ndarray] = None,
-                         max_fw_iter: int = 50, tol: float = 1e-8,
+                         max_fw_iter: int = MAX_FW_ITER, tol: float = FW_TOL,
                          tol_gap: float = DEFAULT_TOL,
                          max_iter: int = DEFAULT_MAX_ITER,
                          mass_floor: float = MASS_FLOOR) -> SolveReport:
@@ -509,7 +500,7 @@ def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
     surface need not be convex in the measure).  The report carries the
     last subproblem's duality gap and the evaluations summed over all.
     """
-    theta_vals = _terminal_values(fp, v)
+    totals = terminal_totals(v, fp.n_x, fp.y_values).reshape(fp.n_x, fp.n_y)
 
     def terminal_dist(vec):
         cube = vec.reshape(fp.n_t, fp.n_x, fp.n_y, fp.n_a)[-1]
@@ -517,11 +508,10 @@ def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
         joint = DiscreteDistribution(
             axes=("x", "y"), coords=(fp.x_values, fp.y_values),
             mass=np.maximum(cube.sum(axis=-1), 0.0) / (total if total > 0 else 1.0))
-        return apply_terminal_cost(joint, v if v is not None
-                                   else np.zeros(fp.n_x))
+        return apply_terminal_cost(joint, v)
 
     # start from the vertex optimal for the plain expectation
-    sol = _solve_forward_lp(fp, theta_vals, tol_gap, max_iter)
+    sol = _solve_forward_lp(fp, totals, tol_gap, max_iter)
     mu = sol.primal
     total_iters = sol.iterations
     best_val, best_mu = math.inf, mu
@@ -532,7 +522,7 @@ def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
         val = evaluate(spec, dist)
         if val < best_val:
             best_val, best_mu = val, mu
-        grad_xy = gradient_at_values(spec, dist, theta_vals)
+        grad_xy = gradient_at_values(spec, dist, totals)
         sol = _solve_forward_lp(fp, grad_xy, tol_gap, max_iter)
         total_iters += sol.iterations
         gap = _dot(fp.terminal_objective(grad_xy), mu - sol.primal)

@@ -442,7 +442,8 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
     times = grid_points(t_grid)
     c = np.asarray(cost_rate, dtype=float)
     nu = np.asarray(initial_x, dtype=float)
-    terminal = np.zeros(gen.dim) if v is None else np.asarray(v, dtype=float)
+    # the base chain's terminal values are the totals on one cost cell at 0
+    terminal = terminal_totals(v, gen.dim, np.zeros(1) if y_grid is None else y_grid.points)
     if y_grid is None:
         stacked = stack_actions(gen.per_action)
         steps = [(float(dt), stacked) for dt in np.diff(times)]
@@ -450,12 +451,11 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
     else:
         steps = augment_generator(gen, c, alpha, y_grid).steps(times)
         stage = np.zeros((len(steps), 1, gen.n_actions))
-        terminal = terminal[:, None] + y_grid.points[None, :]
-    values, actions, _, _ = bellman_sweep(steps, terminal.ravel(), stage)
-    values = values.reshape((-1,) + terminal.shape)
+    values, actions, _, _ = bellman_sweep(steps, terminal, stage)
+    shape = (-1, gen.dim) if y_grid is None else (-1, gen.dim, y_grid.n)
+    values = values.reshape(shape)
     start = values[0] if y_grid is None else values[0][:, 0]
-    return DpResult(value=float(nu @ start), values=values,
-                    actions=actions.reshape((-1,) + terminal.shape))
+    return DpResult(value=float(nu @ start), values=values, actions=actions.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +493,7 @@ def enumerate_policies(gen: ControlledGenerator, cost_rate, alpha: float,
     level k - 1, in chunks of ``ENUM_CHUNK`` rows stepped together through
     ``implicit_step`` as one chain of disjoint copies, ``kron(I_B, Q_k)``,
     built once per (step, B).  Only the last level is scored: each chunk's
-    terminal laws go to the risk code in one call, on the cost axis
-    without a terminal cost ``v`` and otherwise on the totals ``y + v(x)``
+    terminal laws go to the risk code in one call, on the totals ``y + v(x)``
     merged as ``apply_terminal_cost`` merges them.  The levels held are at
     most count / n_a ** (n_x n_y) rows of n_x n_y floats, at most 4 MB
     under the default cap of 10 ** 6 policies.
@@ -505,17 +504,13 @@ def enumerate_policies(gen: ControlledGenerator, cost_rate, alpha: float,
     if count > max_policies:
         raise PolicyEnumerationError(
             f"{count} deterministic policies exceed the cap of {max_policies}")
+    totals = terminal_totals(v, n_x, y_grid.points)
     steps = augment_generator(gen, cost_rate, alpha, y_grid).steps(t_grid)
-    totals = None if v is None else terminal_totals(v, n_x, y_grid.points)
 
     def least_risk(m):
         """The least risk of the terminal laws ``m`` (B, n_x n_y); NaN
         risks are skipped, here by fmin and below by min."""
-        if totals is None:
-            risks = evaluate_laws(spec, y_grid.points, m.reshape(-1, n_x, n_y).sum(axis=1))
-        else:
-            risks = evaluate_laws(spec, *merge_support(totals, m))
-        return float(np.fmin.reduce(risks))
+        return float(np.fmin.reduce(evaluate_laws(spec, *merge_support(totals, m))))
 
     fan = n_a ** width
     place = n_a ** np.arange(width - 1, -1, -1, dtype=np.int64)

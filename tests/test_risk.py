@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from riskflow import (DiscreteDistribution, InvalidCostError,
-                      InvalidParameterError, RiskSpec, apply_terminal_cost,
-                      eval_entropic, eval_entropic_linear, eval_expectation,
-                      eval_mean_semideviation, risk_gradient)
-from riskflow.risk import evaluate, evaluate_laws, gradient_at_values, merge_support
+                      InvalidParameterError, RiskSpec, apply_terminal_cost)
+from riskflow.risk import (entropic, evaluate, evaluate_laws, gradient_at_values,
+                           mean_semideviation, merge_support)
 
 
 def dist(values, masses):
@@ -16,32 +15,40 @@ def dist(values, masses):
 
 
 COIN = dist([0.0, 1.0], [0.5, 0.5])
+MEAN = RiskSpec("expectation")
+
+
+def moment(d, theta):
+    """The exponential moment ``sum exp(theta y) m(y)`` of the law ``d``."""
+    values, mass = d.values_1d()
+    return np.exp(theta * values) @ mass
 
 
 class TestExpectation:
     def test_point_mass(self):
-        assert eval_expectation(dist([0.0], [1.0])) == 0.0
+        assert evaluate(MEAN, dist([0.0], [1.0])) == 0.0
 
     def test_coin(self):
-        assert eval_expectation(COIN) == 0.5
+        assert evaluate(MEAN, COIN) == 0.5
 
     def test_uniform_on_cost_axis(self):
         grid = np.linspace(0.0, 2.5, 21)
-        assert eval_expectation(dist(grid, np.full(21, 1 / 21))) == pytest.approx(1.25)
+        assert evaluate(MEAN, dist(grid, np.full(21, 1 / 21))) == pytest.approx(1.25)
 
 
 class TestEntropic:
     def test_point_mass(self):
         d = dist([0.7], [1.0])
-        assert eval_entropic(d, 2.0) == pytest.approx(0.7)
-        assert eval_entropic_linear(d, 2.0) == pytest.approx(math.exp(1.4))
+        assert evaluate(RiskSpec("entropic", theta=2.0), d) == pytest.approx(0.7)
+        assert moment(d, 2.0) == pytest.approx(math.exp(1.4))
 
     def test_coin_value(self):
-        assert eval_entropic(COIN, 1.0) == pytest.approx(math.log((1 + math.e) / 2), rel=1e-14)
-        assert eval_entropic(COIN, 1.0) == pytest.approx(0.620115, abs=1e-6)
+        spec = RiskSpec("entropic", theta=1.0)
+        assert evaluate(spec, COIN) == pytest.approx(math.log((1 + math.e) / 2), rel=1e-14)
+        assert evaluate(spec, COIN) == pytest.approx(0.620115, abs=1e-6)
 
     def test_theta_zero_is_expectation(self):
-        assert eval_entropic(COIN, 0.0) == 0.5
+        assert evaluate(RiskSpec("entropic", theta=0.0), COIN) == 0.5
 
     def test_log_of_linear_identity(self):
         rng = np.random.default_rng(0)
@@ -49,7 +56,8 @@ class TestEntropic:
             n = rng.integers(2, 8)
             d = dist(np.sort(rng.uniform(0, 3, n)), rng.dirichlet(np.ones(n)))
             theta = rng.uniform(0.1, 2)
-            assert eval_entropic(d, theta) == math.log(eval_entropic_linear(d, theta)) / theta
+            risk = evaluate(RiskSpec("entropic", theta=theta), d)
+            assert risk == math.log(moment(d, theta)) / theta
 
     def test_monotone_in_theta_and_above_mean(self):
         rng = np.random.default_rng(1)
@@ -57,25 +65,26 @@ class TestEntropic:
             n = rng.integers(2, 10)
             d = dist(np.sort(rng.uniform(0, 4, n)), rng.dirichlet(np.ones(n)))
             thetas = np.sort(rng.uniform(0, 3, 4))
-            vals = [eval_entropic(d, t) for t in thetas]
+            vals = [evaluate(RiskSpec("entropic", theta=t), d) for t in thetas]
             assert np.all(np.diff(vals) >= -1e-12)
-            assert vals[0] >= eval_expectation(d) - 1e-12
+            assert vals[0] >= evaluate(MEAN, d) - 1e-12
 
     def test_small_theta_rate(self):
         # entropic - mean vanishes linearly, slope var/2
         var = 0.25  # coin variance
         for theta in (1e-3, 1e-4):
-            gap = eval_entropic(COIN, theta) - 0.5
+            gap = evaluate(RiskSpec("entropic", theta=theta), COIN) - 0.5
             assert gap / theta == pytest.approx(var / 2, rel=1e-3)
 
     def test_finite_where_the_moment_overflows(self):
         # exp(1000 y) overflows float64 at y = 1; the risk itself is near 1
+        spec = RiskSpec("entropic", theta=1000.0)
         with np.errstate(over="ignore"):
-            assert math.isinf(eval_entropic_linear(COIN, 1000.0))
-        value = eval_entropic(COIN, 1000.0)
+            assert math.isinf(moment(COIN, 1000.0))
+        value = evaluate(spec, COIN)
         assert value == pytest.approx(1.0 + math.log(0.5) / 1000.0, abs=1e-12)
         far = dist([0.0, 800.0], [0.5, 0.5])
-        assert eval_entropic(far, 1000.0) == pytest.approx(800.0 + math.log(0.5) / 1000.0)
+        assert evaluate(spec, far) == pytest.approx(800.0 + math.log(0.5) / 1000.0)
         # d/dm of log(E exp(theta Y)) / theta is exp(theta y) / (theta E exp(theta Y))
         grad = gradient_at_values(RiskSpec(kind="entropic", theta=1000.0), COIN,
                                   np.array([0.0, 1.0]))
@@ -86,29 +95,31 @@ class TestEntropic:
         assert grad == pytest.approx(np.exp([0.0, 1.0]) / ((1 + math.e) / 2), rel=1e-14)
 
     def test_negative_theta_rejected(self):
+        values, mass = COIN.values_1d()
         with pytest.raises(InvalidParameterError):
-            eval_entropic(COIN, -0.5)
+            entropic(values, mass, -0.5)
         with pytest.raises(InvalidParameterError):
-            eval_entropic_linear(COIN, -0.5)
+            entropic(values, np.stack([mass, mass]), -0.5)
         with pytest.raises(InvalidParameterError):
             RiskSpec(kind="entropic", theta=-1.0)
 
 
 class TestMeanSemideviation:
     def test_point_mass(self):
-        assert eval_mean_semideviation(dist([1.3], [1.0]), 0.7) == pytest.approx(1.3)
+        spec = RiskSpec("mean_semideviation", beta=0.7)
+        assert evaluate(spec, dist([1.3], [1.0])) == pytest.approx(1.3)
 
     def test_coin_full_weight(self):
-        assert eval_mean_semideviation(COIN, 1.0) == pytest.approx(0.75)
+        assert evaluate(RiskSpec("mean_semideviation", beta=1.0), COIN) == pytest.approx(0.75)
 
     def test_beta_zero_is_expectation(self):
         rng = np.random.default_rng(2)
         d = dist(np.sort(rng.uniform(0, 2, 5)), rng.dirichlet(np.ones(5)))
-        assert eval_mean_semideviation(d, 0.0) == eval_expectation(d)
+        assert evaluate(RiskSpec("mean_semideviation", beta=0.0), d) == evaluate(MEAN, d)
 
     def test_beta_range_checked(self):
         with pytest.raises(InvalidParameterError):
-            eval_mean_semideviation(COIN, 1.5)
+            mean_semideviation(*COIN.values_1d(), 1.5)
         with pytest.raises(InvalidParameterError):
             RiskSpec(kind="mean_semideviation", beta=-0.1)
 
@@ -116,7 +127,7 @@ class TestMeanSemideviation:
 class TestGradient:
     def test_linear_coefficients(self):
         d = dist([0.0, 1.0], [0.3, 0.7])
-        g = risk_gradient(RiskSpec(kind="expectation"), d)
+        g = gradient_at_values(MEAN, d, d.values_1d()[0])
         assert np.allclose(g, [0.0, 1.0])
 
     def test_semideviation_matches_finite_differences(self):
@@ -127,9 +138,9 @@ class TestGradient:
             values = np.sort(rng.uniform(0, 3, n))
             masses = rng.dirichlet(np.ones(n))
             d = dist(values, masses)
-            if np.min(np.abs(values - eval_expectation(d))) < 1e-4:
+            if np.min(np.abs(values - evaluate(MEAN, d))) < 1e-4:
                 continue  # keep away from the kink
-            g = risk_gradient(spec, d)
+            g = gradient_at_values(spec, d, values)
             h = 1e-6
             for j in range(n):
                 up, dn = masses.copy(), masses.copy()
@@ -144,7 +155,7 @@ class TestGradient:
         values = np.sort(rng.uniform(0, 2, 5))
         masses = rng.dirichlet(np.ones(5))
         d = dist(values, masses)
-        g = risk_gradient(spec, d)
+        g = gradient_at_values(spec, d, values)
         h = 1e-7
         for j in range(5):
             up, dn = masses.copy(), masses.copy()
@@ -157,7 +168,7 @@ class TestGradient:
         d = COIN
         g = gradient_at_values(RiskSpec(kind="entropic", theta=2.0), d,
                                np.array([0.25, 3.0]))
-        rho = eval_entropic(d, 2.0)
+        rho = evaluate(RiskSpec("entropic", theta=2.0), d)
         assert np.allclose(g, np.exp(2.0 * (np.array([0.25, 3.0]) - rho)) / 2.0)
 
 

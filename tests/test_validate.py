@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import riskflow.solve as solve_module
 import riskflow.validate as validate_module
-from riskflow import (ControlledGenerator, DiscreteDistribution,
+from riskflow import (ControlledGenerator, DiscreteDistribution, InvalidCostError,
                       InvalidParameterError, MarkovPolicy, McConfig,
-                      PolicyEnumerationError, PropagationError, RiskSpec,
-                      build_uniform_grid, distribution_from_samples,
-                      enumerate_policies, optimize_linear_risk, risk_neutral_dp,
-                      simulate_paths, wasserstein1)
+                      PolicyEnumerationError, PropagationError, RiskflowError,
+                      RiskSpec, build_uniform_grid, distribution_from_samples,
+                      enumerate_policies, optimize_linear_risk,
+                      optimize_smooth_risk, risk_neutral_dp, simulate_paths,
+                      wasserstein1)
 from riskflow.forward import assemble_forward_program, propagate_forward
 from riskflow.generator import augment_generator
 from riskflow.risk import apply_terminal_cost, evaluate
@@ -590,6 +592,47 @@ class TestRiskNeutralDpCostAxis:
                             y_grid=build_uniform_grid(0.0, 0.4, 2))
         base = risk_neutral_dp(gen, cost, 0.25, DESIGNATED_TIMES, DESIGNATED_NU)
         assert base.value == pytest.approx(0.2310, abs=1e-4)
+
+
+class TestTerminalCostRefusal:
+    """Every engine checks the terminal cost table, its length and then its
+    sign, before it sweeps: all read it through ``risk.terminal_totals``."""
+
+    YG = build_uniform_grid(0.0, 0.4, 2)
+    ENGINES = {
+        "lp-expectation": lambda gen, fp, v: optimize_linear_risk(
+            fp, RiskSpec(kind="expectation"), v=v),
+        "lp-entropic": lambda gen, fp, v: optimize_linear_risk(
+            fp, RiskSpec(kind="entropic", theta=1.0), v=v),
+        "frank-wolfe": lambda gen, fp, v: optimize_smooth_risk(
+            fp, RiskSpec(kind="mean_semideviation", beta=0.5), v=v),
+        "dp-base": lambda gen, fp, v: risk_neutral_dp(
+            gen, DESIGNATED_COST, 0.25, DESIGNATED_TIMES, DESIGNATED_NU, v=v),
+        "dp-cost-axis": lambda gen, fp, v: risk_neutral_dp(
+            gen, DESIGNATED_COST, 0.25, DESIGNATED_TIMES, DESIGNATED_NU, v=v,
+            y_grid=TestTerminalCostRefusal.YG),
+        "enumeration": lambda gen, fp, v: enumerate_policies(
+            gen, DESIGNATED_COST, 0.25, TestTerminalCostRefusal.YG, DESIGNATED_TIMES,
+            DESIGNATED_NU, RiskSpec(kind="expectation"), v=v),
+    }
+
+    @pytest.mark.parametrize("v, error", [
+        pytest.param([-0.5, 0.0], InvalidCostError, id="negative"),
+        pytest.param([0.5, 0.0, 0.0], InvalidParameterError, id="wrong-length"),
+        pytest.param([-0.5, 0.0, 0.0], InvalidParameterError, id="length-before-sign"),
+    ])
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_refused_before_any_sweep(self, engine, v, error, monkeypatch):
+        gen = two_state_gen(DESIGNATED_RATES)
+        aug = augment_generator(gen, DESIGNATED_COST, 0.25, self.YG)
+        fp = assemble_forward_program(aug, designated_start(self.YG), DESIGNATED_TIMES)
+        swept = []
+        monkeypatch.setattr(solve_module, "bellman_sweep", lambda *a, **k: swept.append(1))
+        monkeypatch.setattr(validate_module, "bellman_sweep", lambda *a, **k: swept.append(1))
+        with pytest.raises(RiskflowError) as caught:
+            self.ENGINES[engine](gen, fp, np.array(v))
+        assert type(caught.value) is error
+        assert swept == []
 
 
 class TestEnumeration:
