@@ -430,7 +430,10 @@ def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
     ``paths`` and ``seed`` override the config's ``validation`` values and
     are checked against the same rows of the field table.  A report.json
     that is not JSON or was solved for another spec (``config_digest``), or
-    a policy or ``marginal_y.csv`` off the config's grids, raises ``ConfigError``.
+    a policy or ``marginal_y.csv`` off the config's grids, or a last
+    ``marginal_y.csv`` slice that is not a law (a non-finite entry, or a
+    total more than 1e-10 from one), raises ``ConfigError`` before the
+    Monte Carlo runs.
     """
     def option(name, value):
         if value is None:
@@ -452,6 +455,10 @@ def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
     y_points = pieces.y_grid.points
     marg = _read_grid_csv(rep / "marginal_y.csv", ("t", "y", "mass"),
                           (pieces.t_grid.points, y_points))
+    total = float(marg[-1].sum())
+    if not (np.isfinite(marg[-1]).all() and abs(total - 1.0) <= 1e-10):
+        raise ConfigError(f"{rep / 'marginal_y.csv'}: the last slice is not a law; "
+                          f"its masses sum to {total!r}")
     lp_dist = DiscreteDistribution(axes=("y",), coords=(y_points,), mass=marg[-1])
     result = simulate_paths(pieces.base, policy, pieces.cost, spec.alpha,
                             pieces.y_grid, pieces.nu, pieces.t_grid, cfg)

@@ -130,10 +130,8 @@ def write_grid_csv(path, header: Sequence[str], coords: Sequence[np.ndarray],
     lead, *inner = [_format_17g(c) for c in coords]
     tails = ["".join(s + "," for s in point) for point in itertools.product(*inner)]
     cells = _format_17g(values)
-    head = ",".join(header)
     with open(path, "w", newline="") as fh:
-        if head:
-            fh.write(head + newline)
+        fh.write(",".join(header) + newline)
         for i, t in enumerate(lead):
             block = cells[i * len(tails):(i + 1) * len(tails)]
             fh.write("".join([f"{t},{tail}{v}{newline}" for tail, v in zip(tails, block)]))
@@ -241,15 +239,11 @@ class ForwardProgram:
         return self.n_t * self.n_z * self.n_a
 
     def terminal_objective(self, weights_xy: np.ndarray) -> np.ndarray:
-        """Objective vector placing ``weights_xy`` on every terminal variable.
-
-        ``weights_xy`` may be shaped ``(n_x, n_y)`` or ``(n_y,)`` (the latter
-        is broadcast over states); it multiplies ``mu_{T}(x, y, a)`` for
-        every action ``a``.
+        """Objective vector placing ``weights_xy`` ``(n_x, n_y)`` on every
+        terminal variable: ``weights_xy[x, y]`` multiplies ``mu_{T}(x, y, a)``
+        for every action ``a``.
         """
         w = np.asarray(weights_xy, dtype=float)
-        if w.shape == (self.n_y,):
-            w = np.broadcast_to(w, (self.n_x, self.n_y))
         if w.shape != (self.n_x, self.n_y):
             raise AssemblyError(f"objective weights shape {w.shape} unusable")
         c = np.zeros(self.n_vars)

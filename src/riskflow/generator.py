@@ -147,20 +147,25 @@ def _cost_shift(n_y: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, (rows, cols)), shape=(n_y, n_y))
 
 
-def augment_generator(base: ControlledGenerator, cost_rate, alpha: float,
-                      y_grid: UniformGrid) -> AugmentedGenerator:
-    """Assemble the joint (state, cost) generator.
-
-    ``cost_rate`` has shape ``(n_states, n_actions)`` and must be
-    nonnegative.
-    """
+def check_cost_table(cost_rate, base: ControlledGenerator) -> np.ndarray:
+    """The running-cost table as floats: shape ``(n_states, n_actions)``
+    of ``base`` (``InvalidParameterError``), no negative or NaN entry
+    (``InvalidCostError``); infinite entries are allowed."""
     c = np.asarray(cost_rate, dtype=float)
     if c.shape != (base.dim, base.n_actions):
         raise InvalidParameterError(
             f"cost table shape {c.shape} does not match (n_states, n_actions)="
             f"({base.dim}, {base.n_actions})")
-    if np.any(c < 0):
+    if not (c >= 0).all():  # NaN fails too
         raise InvalidCostError(f"cost rates must be nonnegative, min is {c.min()}")
+    return c
+
+
+def augment_generator(base: ControlledGenerator, cost_rate, alpha: float,
+                      y_grid: UniformGrid) -> AugmentedGenerator:
+    """Assemble the joint (state, cost) generator of the running cost
+    ``cost_rate`` (``check_cost_table``)."""
+    c = check_cost_table(cost_rate, base)
     if alpha < 0:
         raise InvalidParameterError(f"discount rate must be nonnegative, got {alpha}")
     eye_y = sp.identity(y_grid.n, format="csr")

@@ -1,10 +1,10 @@
 """Independent oracles: Monte Carlo simulation of the controlled chain,
 the exact 1-Wasserstein distance between laws on the line, a risk-neutral
-dynamic-programming sweep, and brute-force policy enumeration for
-desk-size instances, a walk over the tree of action prefixes that steps
-each prefix once and scores the terminal laws in batches.  The
-simulation, the DP and the enumeration read the controlled generator in
-the (state, action) row order of ``stack_actions``."""
+dynamic-programming sweep of the uncapped base chain, and brute-force
+policy enumeration for desk-size instances, a walk over the tree of action
+prefixes that steps each prefix once and scores the terminal laws in
+batches.  The simulation, the DP and the enumeration read the controlled
+generator in the (state, action) row order of ``stack_actions``."""
 
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ import scipy.sparse as sp
 from .errors import InvalidParameterError, PolicyEnumerationError
 # propagate_forward stays importable here: bench/tracing.py patches it by this name
 from .forward import DiscreteDistribution, implicit_step, propagate_forward  # noqa: F401
-from .generator import (ControlledGenerator, augment_generator, discount_factor,
-                        stack_actions)
+from .generator import (ControlledGenerator, augment_generator, check_cost_table,
+                        discount_factor, stack_actions)
 from .grids import UniformGrid, grid_points
 # evaluate stays importable here: bench/tracing.py patches it by this name
 from .risk import (RiskSpec, evaluate, evaluate_laws, merge_support,  # noqa: F401
@@ -287,10 +287,13 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     block whole, so the samples are the same bits at any CPU count.
     The policy must have one slice per grid time over (n_x, n_y, n_a), with
     nonnegative action probabilities, which the action search relies on;
-    ``InvalidParameterError`` otherwise.
+    ``InvalidParameterError`` otherwise.  ``cost_rate`` is checked by
+    ``check_cost_table`` before anything is drawn.
     """
     if alpha < 0:
         raise InvalidParameterError(f"discount rate must be nonnegative, got {alpha}")
+    # per (state, action) row x * n_a + a, like the jump tables
+    cost = check_cost_table(cost_rate, gen).ravel()
     times = grid_points(t_grid)
     n_x, n_a, n_y = gen.dim, gen.n_actions, y_grid.n
     shape = (len(times), n_x, n_y, n_a)
@@ -306,7 +309,6 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     dead = ~(exit_rate > 0)
     if not dead.any():
         dead = None
-    cost = np.asarray(cost_rate, dtype=float).ravel()
     pol_cum = np.cumsum(policy.probs, axis=-1)
     pol_cum[..., -1] = 1.0  # u < 1: a row summing to 1 - eps cannot pick past the last action
     cell_x = np.repeat(np.arange(n_x), n_y)
@@ -395,13 +397,9 @@ def wasserstein1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 
 @dataclass(frozen=True)
 class DpResult:
-    """Optimal values and greedy actions of the backward sweep.
-
-    On the base chain ``values`` is ``(n_t, n_x)`` and ``actions`` is
-    ``(n_t - 1, n_x)``; on the cost-augmented chain both carry a trailing
-    cost axis, ``(n_t, n_x, n_y)`` and ``(n_t - 1, n_x, n_y)``.
-    ``actions[k]`` drives the step from ``t_k`` to ``t_{k+1}``.
-    """
+    """Optimal values ``(n_t, n_x)`` and greedy actions ``(n_t - 1, n_x)``
+    of the backward sweep; ``actions[k]`` drives the step from ``t_k`` to
+    ``t_{k+1}``."""
 
     value: float
     values: np.ndarray
@@ -409,53 +407,36 @@ class DpResult:
 
     def greedy_policy(self, n_y: int, n_a: int) -> MarkovPolicy:
         """Lift the greedy actions to a deterministic (time, state, cost)
-        Markov policy; base-chain actions are repeated over the cost cells."""
-        n_t = self.values.shape[0]
-        acts = self.actions if self.actions.ndim == 3 else self.actions[:, :, None]
-        table = np.zeros((n_t, self.actions.shape[1], n_y), dtype=np.int64)
-        table[1:] = acts  # step k feeds slice k + 1
+        Markov policy that repeats them over the cost cells."""
+        table = np.zeros((self.values.shape[0], self.values.shape[1], n_y), dtype=np.int64)
+        table[1:] = self.actions[:, :, None]  # step k feeds slice k + 1
         return MarkovPolicy.from_actions(table, n_a)
 
 
 def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
                     t_grid: Union[UniformGrid, np.ndarray], initial_x,
-                    v: Optional[np.ndarray] = None,
-                    y_grid: Optional[UniformGrid] = None) -> DpResult:
-    """Backward dynamic program for the expected discounted cost.
+                    v: Optional[np.ndarray] = None) -> DpResult:
+    """Backward dynamic program for the expected discounted cost on the
+    base chain, with no cost axis and so no cap on the accumulated cost.
 
     Every step is the exact implicit Bellman step of the forward module's
-    implicit-Euler scheme, ``V_k = min_a [s_a + V_{k+1} + dt Q_a(t_k) V_k]``
-    taken row by row, solved by ``solve.bellman_sweep``.  Two modes:
-
-    - ``y_grid=None``: the base chain, with stage cost ``s_a = dt disc c_a``
-      (step-averaged discount) and terminal value ``v`` (zero if absent).
-      The accumulated cost is uncapped.
-    - ``y_grid`` given: the cost-augmented chain that the forward program
-      optimizes, with the same ``augment_generator(...).steps(t_grid)``
-      matrices, no stage cost and terminal value ``y + v(x)``, so mass that
-      reaches the absorbing top cost cell stays capped at ``y_max``.  The
-      value equals the forward program's expectation optimum.
-
-    The state starts with law ``initial_x`` and, on the augmented chain,
-    in the bottom cost cell.
+    implicit-Euler scheme, ``V_k = min_a [s_a + V_{k+1} + dt Q_a V_k]``
+    taken row by row, solved by ``solve.bellman_sweep``, with stage cost
+    ``s_a = dt disc c_a`` (step-averaged discount) and terminal value ``v``
+    (zero if absent).  The state starts with law ``initial_x``.  The capped
+    optimum on the cost-augmented chain is
+    ``optimize_linear_risk(fp, RiskSpec("expectation"))``.
     """
+    c = check_cost_table(cost_rate, gen)
     times = grid_points(t_grid)
-    c = np.asarray(cost_rate, dtype=float)
-    nu = np.asarray(initial_x, dtype=float)
-    # the base chain's terminal values are the totals on one cost cell at 0
-    terminal = terminal_totals(v, gen.dim, np.zeros(1) if y_grid is None else y_grid.points)
-    if y_grid is None:
-        stacked = stack_actions(gen.per_action)
-        steps = [(float(dt), stacked) for dt in np.diff(times)]
-        stage = [dt * discount_factor(alpha, t, dt) * c for t, (dt, _) in zip(times, steps)]
-    else:
-        steps = augment_generator(gen, c, alpha, y_grid).steps(times)
-        stage = np.zeros((len(steps), 1, gen.n_actions))
+    # the terminal values are the totals on one cost cell at 0
+    terminal = terminal_totals(v, gen.dim, np.zeros(1))
+    stacked = stack_actions(gen.per_action)
+    steps = [(float(dt), stacked) for dt in np.diff(times)]
+    stage = [dt * discount_factor(alpha, t, dt) * c for t, (dt, _) in zip(times, steps)]
     values, actions, _, _ = bellman_sweep(steps, terminal, stage)
-    shape = (-1, gen.dim) if y_grid is None else (-1, gen.dim, y_grid.n)
-    values = values.reshape(shape)
-    start = values[0] if y_grid is None else values[0][:, 0]
-    return DpResult(value=float(nu @ start), values=values, actions=actions.reshape(shape))
+    return DpResult(value=float(np.asarray(initial_x, dtype=float) @ values[0]),
+                    values=values, actions=actions)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import riskflow.cli as cli_module
 from riskflow import ConfigError, load_config, run, serialize
 from riskflow.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MAX_ITER, EXIT_OK,
                           _build_spec, build_problem, main, run_oracle,
@@ -415,6 +416,28 @@ class TestMain:
         assert name in err
         if edit == "marginal_header_only":
             assert "has no data rows" in err
+        assert not (out / "mc_summary.json").exists()
+
+    @pytest.mark.parametrize("edit", ["nan", "times_3"])
+    def test_validate_refuses_marginal_that_is_not_a_law(self, tmp_path, capsys,
+                                                         monkeypatch, edit):
+        cfg = write_config(tmp_path, SMALL_CIRCLE)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        table = np.loadtxt(out / "marginal_y.csv", delimiter=",", skiprows=1)
+        last = table[:, 0] == table[-1, 0]
+        if edit == "nan":
+            table[np.flatnonzero(last)[0], 2] = np.nan
+        else:
+            table[last, 2] *= 3.0
+        np.savetxt(out / "marginal_y.csv", table, fmt="%.17g", delimiter=",",
+                   header="t,y,mass", comments="")
+        sampled = []
+        monkeypatch.setattr(cli_module, "simulate_paths", lambda *a: sampled.append(a))
+        assert main(["validate", "--config", str(cfg), "--report", str(out),
+                     "--paths", "200"]) == EXIT_CONFIG
+        assert "marginal_y.csv: the last slice is not a law" in capsys.readouterr().err
+        assert sampled == []
         assert not (out / "mc_summary.json").exists()
 
     def test_uncertified_solve_exits_with_iteration_code(self, tmp_path, capsys):

@@ -507,25 +507,29 @@ def designated_start(yg):
                                 mass=mass)
 
 
+def designated_program(yg, cost=DESIGNATED_COST):
+    aug = augment_generator(two_state_gen(DESIGNATED_RATES), cost, 0.25, yg)
+    return aug, assemble_forward_program(aug, designated_start(yg), DESIGNATED_TIMES)
+
+
 class TestRiskNeutralDpCostAxis:
-    """With a cost grid the DP sweeps the LP's own augmented chain."""
+    """The risk-neutral optimum on the cost axis has one engine, the forward
+    program's sweep (``optimize_linear_risk`` with the expectation); it is
+    checked against enumeration and against propagating its own policy."""
 
     @pytest.mark.parametrize("v", [None, np.array([0.7, 0.1])])
     def test_capped_value_matches_lp_and_enumeration(self, v, monkeypatch):
         gen = two_state_gen(DESIGNATED_RATES)
         yg = build_uniform_grid(0.0, 0.4, 2)
-        dp = risk_neutral_dp(gen, DESIGNATED_COST, 0.25, DESIGNATED_TIMES,
-                             DESIGNATED_NU, v=v, y_grid=yg)
+        _, fp = designated_program(yg)
+        lp = optimize_linear_risk(fp, RiskSpec(kind="expectation"), v=v, tol_gap=1e-11)
+        assert lp.status == "optimal"
         uncapped = risk_neutral_dp(gen, DESIGNATED_COST, 0.25, DESIGNATED_TIMES,
                                    DESIGNATED_NU, v=v)
-        assert dp.value < uncapped.value - 1e-2  # the ceiling binds
-        aug = augment_generator(gen, DESIGNATED_COST, 0.25, yg)
-        fp = assemble_forward_program(aug, designated_start(yg), DESIGNATED_TIMES)
-        lp = optimize_linear_risk(fp, RiskSpec(kind="expectation"), v=v, tol_gap=1e-11)
+        assert lp.rho_star < uncapped.value - 1e-2  # the ceiling binds
         enum = enumerate_policies(gen, DESIGNATED_COST, 0.25, yg, DESIGNATED_TIMES,
                                   DESIGNATED_NU, RiskSpec(kind="expectation"), v=v)
-        assert dp.value == pytest.approx(lp.rho_star, abs=1e-8)
-        assert dp.value == pytest.approx(enum.value, abs=1e-8)
+        assert lp.rho_star == pytest.approx(enum.value, abs=1e-8)
         # 256 policies in chunks of 7: the last chunk is partial
         monkeypatch.setattr(validate_module, "ENUM_CHUNK", 7)
         chunked = enumerate_policies(gen, DESIGNATED_COST, 0.25, yg, DESIGNATED_TIMES,
@@ -536,30 +540,27 @@ class TestRiskNeutralDpCostAxis:
     def test_greedy_policy_reproduces_value(self, y_max, n_y):
         # the exact implicit step is attained by its own greedy policy; a
         # per-state minimum over per-action resolvents is not
-        gen = two_state_gen(DESIGNATED_RATES)
         yg = build_uniform_grid(0.0, y_max, n_y)
-        dp = risk_neutral_dp(gen, DESIGNATED_COST, 0.25, DESIGNATED_TIMES,
-                             DESIGNATED_NU, y_grid=yg)
-        assert dp.actions.shape == (2, 2, n_y)
-        aug = augment_generator(gen, DESIGNATED_COST, 0.25, yg)
-        traj = propagate_forward(aug, dp.greedy_policy(n_y, 2), designated_start(yg),
-                                 DESIGNATED_TIMES)
-        assert traj.slices[-1].marginal("y").mean() == pytest.approx(dp.value, abs=1e-10)
+        aug, fp = designated_program(yg)
+        lp = optimize_linear_risk(fp, RiskSpec(kind="expectation"), tol_gap=1e-11)
+        traj = propagate_forward(aug, lp.policy, designated_start(yg), DESIGNATED_TIMES)
+        assert traj.slices[-1].marginal("y").mean() == pytest.approx(lp.rho_star, abs=1e-10)
 
     def test_base_chain_is_the_uncapped_limit(self):
         # on a cost axis tall enough that the top cell gets no mass, the
-        # augmented sweep and the base-chain sweep solve the same problem
+        # capped optimum and the base-chain DP solve the same problem
         gen = two_state_gen(DESIGNATED_RATES)
         yg = build_uniform_grid(0.0, 40.0, 81)
         base = risk_neutral_dp(gen, DESIGNATED_COST, 0.25, DESIGNATED_TIMES,
                                DESIGNATED_NU)
-        tall = risk_neutral_dp(gen, DESIGNATED_COST, 0.25, DESIGNATED_TIMES,
-                               DESIGNATED_NU, y_grid=yg)
-        assert base.value == pytest.approx(tall.value, abs=1e-10)
-        aug = augment_generator(gen, DESIGNATED_COST, 0.25, yg)
-        traj = propagate_forward(aug, base.greedy_policy(yg.n, 2), designated_start(yg),
-                                 DESIGNATED_TIMES)
-        assert traj.slices[-1].marginal("y").mean() == pytest.approx(base.value, abs=1e-10)
+        aug, fp = designated_program(yg)
+        lp = optimize_linear_risk(fp, RiskSpec(kind="expectation"), tol_gap=1e-11)
+        assert lp.boundary_mass < 1e-50
+        assert base.value == pytest.approx(lp.rho_star, abs=1e-10)
+        for policy, value in ((lp.policy, lp.rho_star),
+                              (base.greedy_policy(yg.n, 2), base.value)):
+            traj = propagate_forward(aug, policy, designated_start(yg), DESIGNATED_TIMES)
+            assert traj.slices[-1].marginal("y").mean() == pytest.approx(value, abs=1e-10)
 
     def test_values_spanning_decades_match_enumeration(self):
         # state 1 carries a terminal cost of 1.5e6 and state 0 is left at
@@ -574,23 +575,29 @@ class TestRiskNeutralDpCostAxis:
         yg = build_uniform_grid(0.0, 1.7885, 2)
         times = np.linspace(0.0, 1.8605, 3)
         nu = np.array([1.0, 0.0])
-        dp = risk_neutral_dp(gen, cost, 0.25, times, nu, v=v, y_grid=yg)
-        assert np.abs(dp.values).max() >= 1e6 * dp.value
+        start = np.zeros((2, 2))
+        start[:, 0] = nu
+        fp = assemble_forward_program(
+            augment_generator(gen, cost, 0.25, yg),
+            DiscreteDistribution(axes=("x", "y"), coords=(np.arange(2.0), yg.points),
+                                 mass=start), times)
+        lp = optimize_linear_risk(fp, RiskSpec(kind="expectation"), v=v)
+        assert v.max() >= 1e6 * lp.rho_star
         enum = enumerate_policies(gen, cost, 0.25, yg, times, nu,
                                   RiskSpec(kind="expectation"), v=v)
-        assert dp.value == pytest.approx(enum.value, rel=1e-9)
+        assert lp.rho_star == pytest.approx(enum.value, rel=1e-9)
 
     @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
     def test_infinite_cost_fails_loudly_on_cost_axis(self):
         # an infinite rate makes the augmented implicit step singular; the
         # base chain only sees it in the stage cost, which the minimum avoids
-        gen = two_state_gen(DESIGNATED_RATES)
         cost = DESIGNATED_COST.copy()
         cost[0, 1] = np.inf
+        _, fp = designated_program(build_uniform_grid(0.0, 0.4, 2), cost)
         with pytest.raises(PropagationError):
-            risk_neutral_dp(gen, cost, 0.25, DESIGNATED_TIMES, DESIGNATED_NU,
-                            y_grid=build_uniform_grid(0.0, 0.4, 2))
-        base = risk_neutral_dp(gen, cost, 0.25, DESIGNATED_TIMES, DESIGNATED_NU)
+            optimize_linear_risk(fp, RiskSpec(kind="expectation"))
+        base = risk_neutral_dp(two_state_gen(DESIGNATED_RATES), cost, 0.25,
+                               DESIGNATED_TIMES, DESIGNATED_NU)
         assert base.value == pytest.approx(0.2310, abs=1e-4)
 
 
@@ -608,9 +615,6 @@ class TestTerminalCostRefusal:
             fp, RiskSpec(kind="mean_semideviation", beta=0.5), v=v),
         "dp-base": lambda gen, fp, v: risk_neutral_dp(
             gen, DESIGNATED_COST, 0.25, DESIGNATED_TIMES, DESIGNATED_NU, v=v),
-        "dp-cost-axis": lambda gen, fp, v: risk_neutral_dp(
-            gen, DESIGNATED_COST, 0.25, DESIGNATED_TIMES, DESIGNATED_NU, v=v,
-            y_grid=TestTerminalCostRefusal.YG),
         "enumeration": lambda gen, fp, v: enumerate_policies(
             gen, DESIGNATED_COST, 0.25, TestTerminalCostRefusal.YG, DESIGNATED_TIMES,
             DESIGNATED_NU, RiskSpec(kind="expectation"), v=v),
@@ -633,6 +637,43 @@ class TestTerminalCostRefusal:
             self.ENGINES[engine](gen, fp, np.array(v))
         assert type(caught.value) is error
         assert swept == []
+
+
+class TestCostTableRefusal:
+    """Every engine checks the running-cost table through
+    ``generator.check_cost_table`` before it samples or sweeps."""
+
+    GEN = two_state_gen([(1.0, 2.0), (0.5, 0.3), (2.0, 0.1)])
+    COST = np.array([[0.3, 1.1, 0.5], [0.9, 0.2, 0.4]])
+    YG = build_uniform_grid(0.0, 1.0, 2)
+    ENGINES = {
+        "monte-carlo": lambda c: simulate_paths(
+            TestCostTableRefusal.GEN, MarkovPolicy.uniform(3, 2, 2, 3), c, 0.25,
+            TestCostTableRefusal.YG, DESIGNATED_NU, DESIGNATED_TIMES, McConfig(n_paths=10)),
+        "dp": lambda c: risk_neutral_dp(TestCostTableRefusal.GEN, c, 0.25,
+                                        DESIGNATED_TIMES, DESIGNATED_NU),
+        "augmentation": lambda c: augment_generator(TestCostTableRefusal.GEN, c, 0.25,
+                                                    TestCostTableRefusal.YG),
+        "enumeration": lambda c: enumerate_policies(
+            TestCostTableRefusal.GEN, c, 0.25, TestCostTableRefusal.YG, DESIGNATED_TIMES,
+            DESIGNATED_NU, RiskSpec(kind="expectation")),
+    }
+
+    @pytest.mark.parametrize("table, error", [
+        pytest.param(COST * [[1, -1, 1], [1, 1, 1]], InvalidCostError, id="negative"),
+        pytest.param(COST * [[1, np.nan, 1], [1, 1, 1]], InvalidCostError, id="nan"),
+        pytest.param(COST.T, InvalidParameterError, id="transposed"),
+        pytest.param(COST.ravel(), InvalidParameterError, id="flat"),
+    ])
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_refused_before_sampling_or_sweeping(self, engine, table, error, monkeypatch):
+        ran = []
+        for name in ("_shard_round", "bellman_sweep", "implicit_step"):
+            monkeypatch.setattr(validate_module, name, lambda *a, **k: ran.append(1))
+        with pytest.raises(RiskflowError) as caught:
+            self.ENGINES[engine](table)
+        assert type(caught.value) is error
+        assert ran == []
 
 
 class TestEnumeration:
