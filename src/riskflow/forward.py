@@ -2,19 +2,22 @@
 
 Four consumers share one implicit-Euler step over (product state, action),
 ``[z = z'] - dt Q_a(t_k)[z, z']``, with the ``(dt, Q(t_k))`` pairs of
-``AugmentedGenerator.steps``: ``assemble_forward_program`` emits the
-whole evolution as sparse equality constraints over time-indexed joint
-measures ``mu_k(x, y, a)`` for the optimizer, ``propagate_forward`` pushes
-a distribution through time under a fixed policy, and the Bellman sweep
+``AugmentedGenerator.steps``: ``assemble_forward_program`` keeps them with
+the initial law as the optimizer's program over time-indexed joint
+measures ``mu_k(x, y, a)``, ``propagate_forward`` pushes a distribution
+through time under a fixed policy, and the Bellman sweep
 ``solve.bellman_sweep`` takes it backward; these two and
-``validate.enumerate_policies`` solve through ``implicit_step``.  Controls
-are attached to the new time slice: the step from ``t_k`` to ``t_{k+1}``
-mixes actions with the policy (or measure) at slice ``k + 1`` and
-evaluates the generator at the left endpoint ``t_k``.
+``validate.enumerate_policies`` solve through ``implicit_step``.  The
+sparse equality matrix of the whole evolution, ``ForwardProgram.a_eq``,
+is built only when an LP solver reads it.  Controls are attached to the
+new time slice: the step from ``t_k`` to ``t_{k+1}`` mixes actions with
+the policy (or measure) at slice ``k + 1`` and evaluates the generator
+at the left endpoint ``t_k``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -211,15 +214,16 @@ def propagate_forward(gen: AugmentedGenerator, policy, initial_xy: DiscreteDistr
 
 @dataclass(frozen=True)
 class ForwardProgram:
-    """The evolution constraints as one sparse equality system.
+    """The evolution constraints: the initial law and the ``(dt, Q_k)``
+    pairs in ``steps``.
 
     Decision variables are ``mu_k(x, y, a) >= 0`` flattened as
     ``column = ((k * n_z) + x * n_y + y) * n_a + a``.  Rows are the initial
     condition (one per product state) followed by one evolution row per
-    (step, product state), built from the ``(dt, Q_k)`` pairs in ``steps``.
+    (step, product state); ``b_eq`` is their right-hand side and ``a_eq``
+    their matrix, built from ``steps`` on first read.
     """
 
-    a_eq: sp.csr_matrix
     b_eq: np.ndarray
     n_t: int
     n_x: int
@@ -237,6 +241,24 @@ class ForwardProgram:
     @property
     def n_vars(self) -> int:
         return self.n_t * self.n_z * self.n_a
+
+    @functools.cached_property
+    def a_eq(self) -> sp.csr_matrix:
+        """The sparse equality matrix, for an LP solver.
+
+        Initial rows: ``sum_a mu_0(z, a) = initial(z)``.  Evolution rows
+        for each step ``k`` and product state ``z``:
+
+            sum_a mu_{k+1}(z, a) - dt sum_{z', a} Q_a(t_k)[z', z] mu_{k+1}(z', a)
+                = sum_a mu_k(z, a)
+        """
+        ones = sp.kron(sp.identity(self.n_z), np.ones((self.n_a, 1)), format="csr")
+        blocks = [[None] * self.n_t for _ in range(self.n_t)]
+        blocks[0][0] = ones.T
+        for k, (dt, q) in enumerate(self.steps):
+            blocks[k + 1][k] = -ones.T
+            blocks[k + 1][k + 1] = (ones - dt * q).T
+        return sp.bmat(blocks, format="csr")
 
     def terminal_objective(self, weights_xy: np.ndarray) -> np.ndarray:
         """Objective vector placing ``weights_xy`` ``(n_x, n_y)`` on every
@@ -275,14 +297,9 @@ class ForwardProgram:
 
 def assemble_forward_program(gen: AugmentedGenerator, initial_xy: DiscreteDistribution,
                              t_grid: Union[UniformGrid, np.ndarray]) -> ForwardProgram:
-    """Stack the implicit-Euler evolution into equality constraints.
-
-    Initial rows: ``sum_a mu_0(z, a) = initial(z)``.  Evolution rows for
-    each step ``k`` and product state ``z``:
-
-        sum_a mu_{k+1}(z, a) - dt sum_{z', a} Q_a(t_k)[z', z] mu_{k+1}(z', a)
-            = sum_a mu_k(z, a)
-    """
+    """The implicit-Euler evolution from ``initial_xy`` over ``t_grid``:
+    its steps and initial law (``ForwardProgram.a_eq`` stacks them into
+    equality constraints when read)."""
     times = grid_points(t_grid)
     n_t = len(times)
     if n_t < 2:
@@ -292,17 +309,8 @@ def assemble_forward_program(gen: AugmentedGenerator, initial_xy: DiscreteDistri
     if initial_xy.mass.shape != (n_x, n_y):
         raise AssemblyError(
             f"initial distribution shape {initial_xy.mass.shape} != ({n_x}, {n_y})")
-
-    ones = sp.kron(sp.identity(n_z), np.ones((n_a, 1)), format="csr")
-    blocks = [[None] * n_t for _ in range(n_t)]
-    blocks[0][0] = ones.T
-    steps = tuple(gen.steps(times))
-    for k, (dt, q) in enumerate(steps):
-        blocks[k + 1][k] = -ones.T
-        blocks[k + 1][k + 1] = (ones - dt * q).T
-    a_eq = sp.bmat(blocks, format="csr")
     b_eq = np.zeros(n_z * n_t)
     b_eq[:n_z] = initial_xy.mass.reshape(n_z)
-    return ForwardProgram(a_eq=a_eq, b_eq=b_eq, n_t=n_t, n_x=n_x, n_y=n_y, n_a=n_a,
+    return ForwardProgram(b_eq=b_eq, n_t=n_t, n_x=n_x, n_y=n_y, n_a=n_a,
                           t_values=times, x_values=gen.base.state_points,
-                          y_values=gen.y_grid.points, steps=steps)
+                          y_values=gen.y_grid.points, steps=tuple(gen.steps(times)))

@@ -161,6 +161,21 @@ def check_cost_table(cost_rate, base: ControlledGenerator) -> np.ndarray:
     return c
 
 
+def check_initial_law(initial_x, base: ControlledGenerator) -> np.ndarray:
+    """The initial state law as floats: ``n_states`` entries of ``base``,
+    finite and nonnegative, with a total within 1e-10 of one
+    (``InvalidParameterError``)."""
+    nu = np.asarray(initial_x, dtype=float)
+    if nu.shape != (base.dim,):
+        raise InvalidParameterError(
+            f"initial law shape {nu.shape} does not match (n_states,)=({base.dim},)")
+    if not (np.isfinite(nu).all() and (nu >= 0).all() and abs(nu.sum() - 1.0) <= 1e-10):
+        raise InvalidParameterError(
+            f"initial law must be a probability vector, got min {nu.min()} "
+            f"and total {nu.sum()}")
+    return nu
+
+
 def augment_generator(base: ControlledGenerator, cost_rate, alpha: float,
                       y_grid: UniformGrid) -> AugmentedGenerator:
     """Assemble the joint (state, cost) generator of the running cost

@@ -421,27 +421,34 @@ def _solve_forward_lp(fp: ForwardProgram, weights: np.ndarray, tol_gap: float,
                       max_iter: int, relative: bool = False) -> LpSolution:
     """Minimize ``terminal_objective(weights)`` over the forward polytope.
 
-    The sweep's values, stacked in ``assemble_forward_program``'s row order
-    as ``(V_0; V_0, ..., V_{T-1})``, are the dual; propagating the policy
-    that mixes each cell's ties uniformly gives the primal.  The status is
-    ``optimal`` when ``solve_lp``'s relative primal residual, dual
-    infeasibility and gap are within ``tol_gap`` (times an optimum below 1
-    when ``relative``), else ``max_iter``.
+    The sweep's values, stacked as ``(V_0; V_0, ..., V_{T-1})`` in the row
+    order of ``fp.a_eq``, are the dual; propagating the policy that mixes
+    each cell's ties uniformly gives the primal.  The status is ``optimal``
+    when ``solve_lp``'s relative primal residual, dual infeasibility and
+    gap are within ``tol_gap`` (times an optimum below 1 when
+    ``relative``), else ``max_iter``.  Both residuals are formed step by
+    step from ``fp.steps``: the primal one from the forward equation, the
+    dual one from the Bellman inequality
+    ``V_k <= V_{k+1} + dt Q_a(t_k) V_k`` at every ``(z, a)``.
     """
     values, _, ties, evaluations = bellman_sweep(
         fp.steps, np.ravel(weights), np.zeros((fp.n_t - 1, 1, fp.n_a)), max_iter)
     m = fp.b_eq[:fp.n_z]
     mu = [np.outer(m, np.full(fp.n_a, 1.0 / fp.n_a))]
-    for (dt, q), tie in zip(fp.steps, ties):
+    r_p, r_d = [mu[0].sum(axis=1) - m], [np.zeros(fp.n_z * fp.n_a)]
+    for k, ((dt, q), tie) in enumerate(zip(fp.steps, ties)):
         mix = tie / tie.sum(axis=1, keepdims=True)
         m = implicit_step(q, mix, dt, m, transpose=True)
         mu.append(m[:, None] * mix)
+        r_p.append(mu[k + 1].sum(axis=1) - dt * (q.T @ mu[k + 1].ravel())
+                   - mu[k].sum(axis=1))
+        r_d.append(np.repeat(values[k] - values[k + 1], fp.n_a) - dt * (q @ values[k]))
     mu = np.ravel(mu)
     lam = np.concatenate([values[0], values[:-1].ravel()])
     c = fp.terminal_objective(weights)
     pobj, dobj = _dot(c, mu), _dot(fp.b_eq, lam)
-    rho_p = _norm(fp.a_eq @ mu - fp.b_eq) / (1.0 + _norm(fp.b_eq))
-    rho_d = _norm(np.maximum(fp.a_eq.T @ lam - c, 0.0)) / (1.0 + _norm(c))
+    rho_p = _norm(np.concatenate(r_p)) / (1.0 + _norm(fp.b_eq))
+    rho_d = _norm(np.maximum(np.concatenate(r_d), 0.0)) / (1.0 + _norm(c))
     rho_g = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     tol = tol_gap * min(1.0, pobj) if relative else tol_gap
     status = "optimal" if all(r <= tol for r in (rho_p, rho_d, rho_g)) else "max_iter"

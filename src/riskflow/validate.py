@@ -22,7 +22,7 @@ from .errors import InvalidParameterError, PolicyEnumerationError
 # propagate_forward stays importable here: bench/tracing.py patches it by this name
 from .forward import DiscreteDistribution, implicit_step, propagate_forward  # noqa: F401
 from .generator import (ControlledGenerator, augment_generator, check_cost_table,
-                        discount_factor, stack_actions)
+                        check_initial_law, discount_factor, stack_actions)
 from .grids import UniformGrid, grid_points
 # evaluate stays importable here: bench/tracing.py patches it by this name
 from .risk import (RiskSpec, evaluate, evaluate_laws, merge_support,  # noqa: F401
@@ -287,8 +287,9 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     block whole, so the samples are the same bits at any CPU count.
     The policy must have one slice per grid time over (n_x, n_y, n_a), with
     nonnegative action probabilities, which the action search relies on;
-    ``InvalidParameterError`` otherwise.  ``cost_rate`` is checked by
-    ``check_cost_table`` before anything is drawn.
+    ``InvalidParameterError`` otherwise.  ``cost_rate`` and ``initial_x``
+    are checked by ``check_cost_table`` and ``check_initial_law`` before
+    anything is drawn.
     """
     if alpha < 0:
         raise InvalidParameterError(f"discount rate must be nonnegative, got {alpha}")
@@ -312,7 +313,7 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     pol_cum = np.cumsum(policy.probs, axis=-1)
     pol_cum[..., -1] = 1.0  # u < 1: a row summing to 1 - eps cannot pick past the last action
     cell_x = np.repeat(np.arange(n_x), n_y)
-    nu = np.asarray(initial_x, dtype=float)
+    nu = check_initial_law(initial_x, gen)
 
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_paths
@@ -428,6 +429,7 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
     ``optimize_linear_risk(fp, RiskSpec("expectation"))``.
     """
     c = check_cost_table(cost_rate, gen)
+    nu = check_initial_law(initial_x, gen)
     times = grid_points(t_grid)
     # the terminal values are the totals on one cost cell at 0
     terminal = terminal_totals(v, gen.dim, np.zeros(1))
@@ -435,7 +437,7 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
     steps = [(float(dt), stacked) for dt in np.diff(times)]
     stage = [dt * discount_factor(alpha, t, dt) * c for t, (dt, _) in zip(times, steps)]
     values, actions, _, _ = bellman_sweep(steps, terminal, stage)
-    return DpResult(value=float(np.asarray(initial_x, dtype=float) @ values[0]),
+    return DpResult(value=float(nu @ values[0]),
                     values=values, actions=actions)
 
 
@@ -485,6 +487,7 @@ def enumerate_policies(gen: ControlledGenerator, cost_rate, alpha: float,
     if count > max_policies:
         raise PolicyEnumerationError(
             f"{count} deterministic policies exceed the cap of {max_policies}")
+    nu = check_initial_law(initial_x, gen)
     totals = terminal_totals(v, n_x, y_grid.points)
     steps = augment_generator(gen, cost_rate, alpha, y_grid).steps(t_grid)
 
@@ -495,7 +498,7 @@ def enumerate_policies(gen: ControlledGenerator, cost_rate, alpha: float,
 
     fan = n_a ** width
     place = n_a ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    level = np.outer(np.asarray(initial_x, dtype=float), np.eye(n_y)[0]).reshape(1, width)
+    level = np.outer(nu, np.eye(n_y)[0]).reshape(1, width)
     if not steps:
         return EnumerationResult(value=least_risk(level), n_policies=count)
     best_val = math.inf

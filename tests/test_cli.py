@@ -238,6 +238,21 @@ class TestRun:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("risk", [{"kind": "entropic", "theta": 1.0},
+                                      {"kind": "mean_semideviation", "beta": 0.5}],
+                             ids=["entropic", "semideviation"])
+    def test_solve_never_assembles_the_lp_matrix(self, tmp_path, monkeypatch, risk):
+        # the sweep and its certificate read fp.steps; only LP solvers read a_eq
+        built, assemble = [], cli_module.assemble_forward_program
+
+        def keep(*args):
+            built.append(assemble(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli_module, "assemble_forward_program", keep)
+        run(_build_spec(dict(SMALL_CIRCLE, risk=risk)), tmp_path / "out")
+        assert len(built) == 1 and "a_eq" not in vars(built[0])
+
     @pytest.mark.parametrize("payload", [
         {"n_x": 9, "n_y": 9, "n_a": 9, "n_t": 15},
         {"n_x": 11, "n_y": 11, "n_a": 7, "n_t": 13,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import riskflow.solve as solve_module
 from riskflow import (ControlledGenerator, DiscreteDistribution, LpProblem,
                       MarkovPolicy, RiskSpec,
                       assemble_forward_program, augment_generator,
@@ -302,6 +303,49 @@ class TestDualSweep:
         rep = optimize_linear_risk(fp, spec, tol_gap=1e-20)
         assert rep.status == "max_iter"
         assert optimize_linear_risk(fp, spec).status == "optimal"
+
+    @pytest.mark.parametrize("optimize, spec", [
+        (optimize_linear_risk, RiskSpec(kind="entropic", theta=1.0)),
+        (optimize_smooth_risk, RiskSpec(kind="mean_semideviation", beta=0.5)),
+    ], ids=["linear", "smooth"])
+    def test_solve_never_assembles_the_lp_matrix(self, optimize, spec):
+        # the sweep and its certificate read fp.steps; only LP solvers read a_eq
+        fp = small_circle_program()
+        assert optimize(fp, spec).status == "optimal"
+        assert "a_eq" not in vars(fp)
+
+    def test_certificate_flags_a_broken_forward_step(self, monkeypatch):
+        # forward step 3 scaled by 1 + 1e-4 and step 4 scaled back: the
+        # terminal law, and so the gap, keep their values, and only the
+        # primal residual sees that slice 3 breaks the forward equation
+        real, forward = solve_module.implicit_step, []
+        scale = {3: 1 + 1e-4, 4: 1 / (1 + 1e-4)}
+
+        def broken(*args, transpose):
+            out = real(*args, transpose=transpose)
+            if transpose:
+                forward.append(out)
+                out = out * scale.get(len(forward), 1.0)
+            return out
+
+        monkeypatch.setattr(solve_module, "implicit_step", broken)
+        rep = optimize_linear_risk(small_circle_program(), RiskSpec(kind="expectation"))
+        assert len(forward) == 8
+        assert rep.status == "max_iter" and rep.duality_gap <= 1e-14
+
+    def test_certificate_flags_a_broken_bellman_value(self, monkeypatch):
+        # an interior value raised by 1e-4: the dual objective reads only V_0,
+        # so only the Bellman inequality at step 3 can see it
+        real = solve_module.bellman_sweep
+
+        def broken(*args):
+            values, *rest = real(*args)
+            values[3, 0] += 1e-4
+            return (values, *rest)
+
+        monkeypatch.setattr(solve_module, "bellman_sweep", broken)
+        rep = optimize_linear_risk(small_circle_program(), RiskSpec(kind="expectation"))
+        assert rep.status == "max_iter" and rep.duality_gap <= 1e-14
 
     def test_iterations_count_policy_evaluations(self):
         # at least one evaluation per step; one round per step caps them

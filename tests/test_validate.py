@@ -676,6 +676,40 @@ class TestCostTableRefusal:
         assert ran == []
 
 
+class TestInitialLawRefusal:
+    """Every engine checks the initial state law through
+    ``generator.check_initial_law`` before it samples, sweeps or steps."""
+
+    GEN = two_state_gen(DESIGNATED_RATES)
+    YG = build_uniform_grid(0.0, 1.0, 2)
+    ENGINES = {
+        "monte-carlo": lambda nu: simulate_paths(
+            TestInitialLawRefusal.GEN, MarkovPolicy.uniform(3, 2, 2, 2), DESIGNATED_COST,
+            0.25, TestInitialLawRefusal.YG, nu, DESIGNATED_TIMES, McConfig(n_paths=10)),
+        "dp": lambda nu: risk_neutral_dp(TestInitialLawRefusal.GEN, DESIGNATED_COST, 0.25,
+                                         DESIGNATED_TIMES, nu),
+        "enumeration": lambda nu: enumerate_policies(
+            TestInitialLawRefusal.GEN, DESIGNATED_COST, 0.25, TestInitialLawRefusal.YG,
+            DESIGNATED_TIMES, nu, RiskSpec(kind="expectation")),
+    }
+
+    @pytest.mark.parametrize("nu", [
+        pytest.param([0.5, 0.25, 0.25], id="wrong-length"),
+        pytest.param([1.5, -0.5], id="negative"),
+        pytest.param([np.nan, 1.0], id="nan"),
+        pytest.param([1.0, 1.0], id="sums-to-2"),
+    ])
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_refused_before_sampling_or_sweeping(self, engine, nu, monkeypatch):
+        ran = []
+        for name in ("_shard_round", "bellman_sweep", "implicit_step"):
+            monkeypatch.setattr(validate_module, name, lambda *a, **k: ran.append(1))
+        with pytest.raises(RiskflowError) as caught:
+            self.ENGINES[engine](np.array(nu))
+        assert type(caught.value) is InvalidParameterError
+        assert ran == []
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("spec, v, n_t, chunk", [
         pytest.param(RiskSpec(kind="entropic", theta=2.0), None, 3, 100, id="spec0-None"),
