@@ -492,14 +492,15 @@ def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
 
 
 def run_oracle(spec: ProblemSpec) -> dict:
-    """Enumerate deterministic policies; cross-check with the LP when linear."""
+    """Enumerate deterministic policies; cross-check with the LP when linear.
+    Both read one forward program."""
     pieces = build_problem(spec)
+    fp = _forward_program(spec, pieces)
     risk = _risk_spec(spec)
-    result = enumerate_policies(pieces.base, pieces.cost, spec.alpha, pieces.y_grid,
-                                pieces.t_grid, pieces.nu, risk, v=pieces.v)
+    result = enumerate_policies(fp, risk, v=pieces.v)
     out = {"enumeration_value": result.value, "n_policies": result.n_policies}
     if risk.is_linear:
-        report = optimize_linear_risk(_forward_program(spec, pieces), risk, v=pieces.v,
+        report = optimize_linear_risk(fp, risk, v=pieces.v,
                                       tol_gap=spec.solver.tol_gap,
                                       max_iter=spec.solver.max_iter)
         out["lp_value"] = report.rho_star
@@ -556,7 +557,3 @@ def main(argv=None) -> int:
     except RiskflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

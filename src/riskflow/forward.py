@@ -1,18 +1,17 @@
 """Time discretization of the forward (Fokker-Planck / master) equation.
 
-Four consumers share one implicit-Euler step over (product state, action),
-``[z = z'] - dt Q_a(t_k)[z, z']``, with the ``(dt, Q(t_k))`` pairs of
-``AugmentedGenerator.steps``: ``assemble_forward_program`` keeps them with
-the initial law as the optimizer's program over time-indexed joint
-measures ``mu_k(x, y, a)``, ``propagate_forward`` pushes a distribution
-through time under a fixed policy, and the Bellman sweep
-``solve.bellman_sweep`` takes it backward; these two and
-``validate.enumerate_policies`` solve through ``implicit_step``.  The
-sparse equality matrix of the whole evolution, ``ForwardProgram.a_eq``,
-is built only when an LP solver reads it.  Controls are attached to the
-new time slice: the step from ``t_k`` to ``t_{k+1}`` mixes actions with
-the policy (or measure) at slice ``k + 1`` and evaluates the generator
-at the left endpoint ``t_k``.
+``assemble_forward_program`` checks the initial (x, y) law and keeps it
+with the ``(dt, Q(t_k))`` pairs of ``AugmentedGenerator.steps`` as one
+``ForwardProgram`` over time-indexed joint measures ``mu_k(x, y, a)``.
+Its consumers share one implicit-Euler step over (product state, action),
+``[z = z'] - dt Q_a(t_k)[z, z']``, solved by ``implicit_step``:
+``propagate_forward`` and ``validate.enumerate_policies`` step ``fp.steps``
+forward from ``fp.b_eq[:fp.n_z]``, under one policy and under every
+deterministic one, and ``solve.bellman_sweep`` steps them backward.  The
+sparse equality matrix ``ForwardProgram.a_eq`` is built only when an LP
+solver reads it.  Controls are attached to the new time slice: the step
+from ``t_k`` to ``t_{k+1}`` mixes actions with the policy (or measure) at
+slice ``k + 1`` and evaluates the generator at the left endpoint ``t_k``.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, InvalidParameterError, PropagationError
-from .generator import AugmentedGenerator
+from .generator import AugmentedGenerator, check_initial_law
 from .grids import UniformGrid, grid_points
 
 
@@ -98,9 +97,11 @@ class TrajectoryDistribution:
     """Per-time distributions plus propagation diagnostics.
 
     Slices are over ``(x, y, a)`` for optimizer output or ``(x, y)`` once a
-    policy has been folded in.  ``mass_deviation[k]`` is the drift of the
-    slice-k total mass from one (pre-normalization where applicable);
-    ``min_mass`` is the most negative entry seen.
+    policy has been folded in.  ``mass_deviation`` depends on the producer:
+    ``propagate_forward`` records the change of total mass over each step
+    (``n_t - 1`` entries), ``ForwardProgram.trajectory_from_solution`` the
+    distance of each slice's total mass from one before it renormalizes
+    (``n_t`` entries).  ``min_mass`` is the most negative entry seen.
     """
 
     times: np.ndarray
@@ -172,50 +173,45 @@ def implicit_step(stacked: sp.csr_matrix, weights: np.ndarray, dt: float,
     return out
 
 
-def propagate_forward(gen: AugmentedGenerator, policy, initial_xy: DiscreteDistribution,
-                      t_grid: Union[UniformGrid, np.ndarray]) -> TrajectoryDistribution:
-    """Implicit-Euler propagation of the joint (x, y) law under a policy.
+def propagate_forward(fp: ForwardProgram, policy) -> TrajectoryDistribution:
+    """Implicit-Euler propagation of the program's initial (x, y) law
+    under a policy with one slice per grid time.
 
-    Each step solves ``(I - dt Q^T) m_{k+1} = m_k`` with ``Q`` the
-    policy-mixed generator of ``gen.steps``.  No renormalization is
-    applied; total-mass drift and the most negative entry are reported as
-    diagnostics.
+    Each step of ``fp.steps`` solves ``(I - dt Q^T) m_{k+1} = m_k`` from a
+    copy of ``fp.b_eq[:fp.n_z]``, with ``Q`` the policy-mixed generator.
+    No renormalization is applied; the change of total mass over each step
+    and the most negative entry are reported as diagnostics.
     """
-    times = grid_points(t_grid)
-    n_x, n_y = gen.base.dim, gen.y_grid.n
-    n_z = n_x * n_y
-    if initial_xy.mass.shape != (n_x, n_y):
-        raise InvalidParameterError(
-            f"initial distribution shape {initial_xy.mass.shape} != ({n_x}, {n_y})")
+    n_x, n_y, n_z = fp.n_x, fp.n_y, fp.n_z
     probs = policy.probs
-    if probs.shape != (len(times), n_x, n_y, gen.base.n_actions):
+    if probs.shape != (fp.n_t, n_x, n_y, fp.n_a):
         raise InvalidParameterError(
             f"policy shape {probs.shape} does not match (n_t, n_x, n_y, n_a)")
 
-    m = initial_xy.mass.reshape(n_z).astype(float).copy()
-    coords = (gen.base.state_points, gen.y_grid.points)
+    m = fp.b_eq[:n_z].copy()
+    coords = (fp.x_values, fp.y_values)
 
     def as_slice(vec):
         return DiscreteDistribution(axes=("x", "y"), coords=coords,
                                     mass=vec.reshape(n_x, n_y))
 
     slices = [as_slice(m)]
-    deviations = np.zeros(len(times) - 1)
+    deviations = np.zeros(fp.n_t - 1)
     min_mass = float(m.min())
-    for k, (dt, q) in enumerate(gen.steps(times)):
+    for k, (dt, q) in enumerate(fp.steps):
         m_next = implicit_step(q, probs[k + 1].reshape(n_z, -1), dt, m, transpose=True)
         deviations[k] = abs(float(m_next.sum()) - float(m.sum()))
         min_mass = min(min_mass, float(m_next.min()))
         m = m_next
         slices.append(as_slice(m))
-    return TrajectoryDistribution(times=times, slices=tuple(slices),
+    return TrajectoryDistribution(times=fp.t_values, slices=tuple(slices),
                                   mass_deviation=deviations, min_mass=min_mass)
 
 
 @dataclass(frozen=True)
 class ForwardProgram:
-    """The evolution constraints: the initial law and the ``(dt, Q_k)``
-    pairs in ``steps``.
+    """The evolution constraints: the initial law ``b_eq[:n_z]`` and the
+    ``(dt, Q_k)`` pairs in ``steps``.
 
     Decision variables are ``mu_k(x, y, a) >= 0`` flattened as
     ``column = ((k * n_z) + x * n_y + y) * n_a + a``.  Rows are the initial
@@ -299,18 +295,16 @@ def assemble_forward_program(gen: AugmentedGenerator, initial_xy: DiscreteDistri
                              t_grid: Union[UniformGrid, np.ndarray]) -> ForwardProgram:
     """The implicit-Euler evolution from ``initial_xy`` over ``t_grid``:
     its steps and initial law (``ForwardProgram.a_eq`` stacks them into
-    equality constraints when read)."""
+    equality constraints when read).  This is the one check of the (x, y)
+    law: ``check_initial_law`` with shape ``(n_x, n_y)``."""
     times = grid_points(t_grid)
     n_t = len(times)
     if n_t < 2:
         raise AssemblyError(f"need at least two time points, got {n_t}")
     n_x, n_y, n_a = gen.base.dim, gen.y_grid.n, gen.base.n_actions
-    n_z = n_x * n_y
-    if initial_xy.mass.shape != (n_x, n_y):
-        raise AssemblyError(
-            f"initial distribution shape {initial_xy.mass.shape} != ({n_x}, {n_y})")
-    b_eq = np.zeros(n_z * n_t)
-    b_eq[:n_z] = initial_xy.mass.reshape(n_z)
+    law = check_initial_law(initial_xy.mass, (n_x, n_y))
+    b_eq = np.zeros(n_x * n_y * n_t)
+    b_eq[:n_x * n_y] = law.ravel()
     return ForwardProgram(b_eq=b_eq, n_t=n_t, n_x=n_x, n_y=n_y, n_a=n_a,
                           t_values=times, x_values=gen.base.state_points,
                           y_values=gen.y_grid.points, steps=tuple(gen.steps(times)))

@@ -161,14 +161,14 @@ def check_cost_table(cost_rate, base: ControlledGenerator) -> np.ndarray:
     return c
 
 
-def check_initial_law(initial_x, base: ControlledGenerator) -> np.ndarray:
-    """The initial state law as floats: ``n_states`` entries of ``base``,
-    finite and nonnegative, with a total within 1e-10 of one
+def check_initial_law(law, shape: tuple) -> np.ndarray:
+    """The initial law as floats: an array of ``shape`` (``(n_states,)``
+    for the base chain, ``(n_x, n_y)`` for the augmented one), finite and
+    nonnegative, with a total within 1e-10 of one
     (``InvalidParameterError``)."""
-    nu = np.asarray(initial_x, dtype=float)
-    if nu.shape != (base.dim,):
-        raise InvalidParameterError(
-            f"initial law shape {nu.shape} does not match (n_states,)=({base.dim},)")
+    nu = np.asarray(law, dtype=float)
+    if nu.shape != shape:
+        raise InvalidParameterError(f"initial law shape {nu.shape} is not {shape}")
     if not (np.isfinite(nu).all() and (nu >= 0).all() and abs(nu.sum() - 1.0) <= 1e-10):
         raise InvalidParameterError(
             f"initial law must be a probability vector, got min {nu.min()} "

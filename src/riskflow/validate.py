@@ -2,9 +2,11 @@
 the exact 1-Wasserstein distance between laws on the line, a risk-neutral
 dynamic-programming sweep of the uncapped base chain, and brute-force
 policy enumeration for desk-size instances, a walk over the tree of action
-prefixes that steps each prefix once and scores the terminal laws in
-batches.  The simulation, the DP and the enumeration read the controlled
-generator in the (state, action) row order of ``stack_actions``."""
+prefixes of a forward program that steps each prefix once through
+``fp.steps`` and scores the terminal laws in batches.  The simulation and
+the DP check their initial state law (``generator.check_initial_law``);
+all three read the controlled generator in the (state, action) row order
+of ``stack_actions``."""
 
 from __future__ import annotations
 
@@ -20,9 +22,11 @@ import scipy.sparse as sp
 
 from .errors import InvalidParameterError, PolicyEnumerationError
 # propagate_forward stays importable here: bench/tracing.py patches it by this name
-from .forward import DiscreteDistribution, implicit_step, propagate_forward  # noqa: F401
-from .generator import (ControlledGenerator, augment_generator, check_cost_table,
-                        check_initial_law, discount_factor, stack_actions)
+from .forward import (DiscreteDistribution, ForwardProgram, implicit_step,  # noqa: F401
+                      propagate_forward)
+# augment_generator stays importable here: bench/tracing.py patches it by this name
+from .generator import (ControlledGenerator, augment_generator,  # noqa: F401
+                        check_cost_table, check_initial_law, discount_factor, stack_actions)
 from .grids import UniformGrid, grid_points
 # evaluate stays importable here: bench/tracing.py patches it by this name
 from .risk import (RiskSpec, evaluate, evaluate_laws, merge_support,  # noqa: F401
@@ -313,7 +317,7 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     pol_cum = np.cumsum(policy.probs, axis=-1)
     pol_cum[..., -1] = 1.0  # u < 1: a row summing to 1 - eps cannot pick past the last action
     cell_x = np.repeat(np.arange(n_x), n_y)
-    nu = check_initial_law(initial_x, gen)
+    nu = check_initial_law(initial_x, (gen.dim,))
 
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_paths
@@ -429,7 +433,7 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
     ``optimize_linear_risk(fp, RiskSpec("expectation"))``.
     """
     c = check_cost_table(cost_rate, gen)
-    nu = check_initial_law(initial_x, gen)
+    nu = check_initial_law(initial_x, (gen.dim,))
     times = grid_points(t_grid)
     # the terminal values are the totals on one cost cell at 0
     terminal = terminal_totals(v, gen.dim, np.zeros(1))
@@ -457,11 +461,10 @@ class EnumerationResult:
     n_policies: int
 
 
-def enumerate_policies(gen: ControlledGenerator, cost_rate, alpha: float,
-                       y_grid: UniformGrid, t_grid: Union[UniformGrid, np.ndarray],
-                       initial_x, spec: RiskSpec, v: Optional[np.ndarray] = None,
+def enumerate_policies(fp: ForwardProgram, spec: RiskSpec, v: Optional[np.ndarray] = None,
                        max_policies: int = 10 ** 6) -> EnumerationResult:
-    """Exhaustive minimum over deterministic (time, state, cost) -> action maps.
+    """Exhaustive minimum over deterministic (time, state, cost) -> action
+    maps, stepping ``fp.steps`` from the program's initial law.
 
     Only the slices that drive the dynamics are enumerated (the step from
     t_k to t_{k+1} reads slice k+1, so slice 0 is irrelevant); the policy
@@ -481,15 +484,12 @@ def enumerate_policies(gen: ControlledGenerator, cost_rate, alpha: float,
     most count / n_a ** (n_x n_y) rows of n_x n_y floats, at most 4 MB
     under the default cap of 10 ** 6 policies.
     """
-    n_x, n_a, n_y = gen.dim, gen.n_actions, y_grid.n
-    width = n_x * n_y
-    count = n_a ** ((len(grid_points(t_grid)) - 1) * width)
+    n_a, width = fp.n_a, fp.n_z
+    count = n_a ** ((fp.n_t - 1) * width)
     if count > max_policies:
         raise PolicyEnumerationError(
             f"{count} deterministic policies exceed the cap of {max_policies}")
-    nu = check_initial_law(initial_x, gen)
-    totals = terminal_totals(v, n_x, y_grid.points)
-    steps = augment_generator(gen, cost_rate, alpha, y_grid).steps(t_grid)
+    totals = terminal_totals(v, fp.n_x, fp.y_values)
 
     def least_risk(m):
         """The least risk of the terminal laws ``m`` (B, n_x n_y); NaN
@@ -498,12 +498,10 @@ def enumerate_policies(gen: ControlledGenerator, cost_rate, alpha: float,
 
     fan = n_a ** width
     place = n_a ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    level = np.outer(nu, np.eye(n_y)[0]).reshape(1, width)
-    if not steps:
-        return EnumerationResult(value=least_risk(level), n_policies=count)
+    level = fp.b_eq[:width].reshape(1, width)
     best_val = math.inf
-    for k, (dt, q) in enumerate(steps):
-        last = k == len(steps) - 1
+    for k, (dt, q) in enumerate(fp.steps):
+        last = k == len(fp.steps) - 1
         rows = len(level) * fan
         below = None if last else np.empty((rows, width))
         chains = {}

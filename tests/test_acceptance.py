@@ -140,8 +140,8 @@ def test_criterion_6_propagation_exactness():
         mass[0, 0] = 1.0
         init = rf.DiscreteDistribution(axes=("x", "y"),
                                        coords=(np.arange(2.0), yg.points), mass=mass)
-        traj = rf.propagate_forward(aug, rf.MarkovPolicy.uniform(n_t, 2, 2, 1),
-                                    init, times)
+        traj = rf.propagate_forward(rf.assemble_forward_program(aug, init, times),
+                                    rf.MarkovPolicy.uniform(n_t, 2, 2, 1))
         got = traj.slices[-1].marginal("x").mass
         return np.abs(got - exact).max()
 
@@ -172,8 +172,7 @@ def test_criterion_7_oracle_equality():
         fp = rf.assemble_forward_program(aug, start, times)
         rep = rf.optimize_linear_risk(fp, rf.RiskSpec(kind="entropic", theta=1.0),
                                       tol_gap=1e-11)
-        enum = rf.enumerate_policies(gen, cost, 0.25, yg, times, nu,
-                                     rf.RiskSpec(kind="entropic", theta=1.0))
+        enum = rf.enumerate_policies(fp, rf.RiskSpec(kind="entropic", theta=1.0))
         return rep.rho_star, enum.value
 
     lp_val, enum_val = tiny([(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])
@@ -220,8 +219,8 @@ def test_criterion_8_conservation_suite():
         init = rf.DiscreteDistribution(axes=("x", "y"),
                                        coords=(np.arange(float(n_x)), yg.points),
                                        mass=mass)
-        traj = rf.propagate_forward(aug, policy, init,
-                                    np.linspace(0, float(rng.uniform(0.5, 2.0)), n_t))
+        times = np.linspace(0, float(rng.uniform(0.5, 2.0)), n_t)
+        traj = rf.propagate_forward(rf.assemble_forward_program(aug, init, times), policy)
         worst_dev = max(worst_dev, float(traj.mass_deviation.max()))
         worst_min = min(worst_min, traj.min_mass)
     ok = line(8, worst_dev <= 1e-12 and worst_min >= -1e-12,

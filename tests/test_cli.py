@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 
 import riskflow.cli as cli_module
+import riskflow.validate as validate_module
 from riskflow import ConfigError, load_config, run, serialize
 from riskflow.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MAX_ITER, EXIT_OK,
                           _build_spec, build_problem, main, run_oracle,
@@ -268,10 +269,11 @@ class TestRun:
             env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
             out = tmp_path / f"threads{threads}"
-            proc = subprocess.run([sys.executable, "-m", "riskflow.cli", "solve",
+            proc = subprocess.run([sys.executable, "-m", "riskflow", "solve",
                                    "--config", str(config), "--out", str(out)],
                                   env=env, capture_output=True, text=True)
             assert proc.returncode == EXIT_OK, proc.stderr
+            assert proc.stderr == ""
             outs.append(out)
         for name in ("marginal_x.csv", "marginal_y.csv", "policy.csv",
                      "policy_mask.csv", "report.json"):
@@ -308,6 +310,21 @@ class TestOracleCommand:
         assert result["n_policies"] == 2 ** 12
         assert result["enumeration_value"] >= result["lp_value"] - 1e-8
         assert abs(result["enumeration_value"] - result["lp_value"]) < 1e-6
+
+    def test_one_augmentation_per_run(self, monkeypatch):
+        # enumeration and the LP read the one forward program of the run
+        calls, augment = [], cli_module.augment_generator
+
+        def count(*args):
+            calls.append(1)
+            return augment(*args)
+
+        for owner in (cli_module, validate_module):
+            monkeypatch.setattr(owner, "augment_generator", count)
+        result = run_oracle(_build_spec({"family": "circle_follower", "n_x": 3, "n_y": 2,
+                                         "n_a": 2, "n_t": 2, "horizon": 1.0}))
+        assert result["n_policies"] == 2 ** 6 and "lp_value" in result
+        assert len(calls) == 1
 
 
 class TestMain:

@@ -90,8 +90,8 @@ class TestPropagation:
         yg = build_uniform_grid(0.0, 1.0, 2)
         aug = augment_generator(gen, np.zeros((3, 1)), 0.0, yg)
         init = start_at(1, 3, 2, coords=(np.arange(3.), yg.points))
-        traj = propagate_forward(aug, MarkovPolicy.uniform(4, 3, 2, 1), init,
-                                 np.linspace(0, 1, 4))
+        traj = propagate_forward(assemble_forward_program(aug, init, np.linspace(0, 1, 4)),
+                                 MarkovPolicy.uniform(4, 3, 2, 1))
         for sl in traj.slices:
             assert np.allclose(sl.mass, init.mass)
 
@@ -103,7 +103,8 @@ class TestPropagation:
         n_t = 101  # dt = 0.01 over t = 1
         times = np.linspace(0.0, 1.0, n_t)
         init = start_at(0, 2, 2, coords=(np.arange(2.), yg.points))
-        traj = propagate_forward(aug, MarkovPolicy.uniform(n_t, 2, 2, 1), init, times)
+        traj = propagate_forward(assemble_forward_program(aug, init, times),
+                                 MarkovPolicy.uniform(n_t, 2, 2, 1))
         got = traj.slices[-1].marginal("x").mass
         want = scipy.linalg.expm(q.T) @ np.array([1.0, 0.0])
         # oracle value: (2/3 + e^-3/3, 1/3 - e^-3/3)
@@ -121,8 +122,8 @@ class TestPropagation:
         mass[:, 0] = 1.0 / 7.0
         init = DiscreteDistribution(axes=("x", "y"), coords=(grid.points, yg.points),
                                     mass=mass)
-        traj = propagate_forward(aug, MarkovPolicy.uniform(5, 7, 3, 1), init,
-                                 np.linspace(0, 2, 5))
+        traj = propagate_forward(assemble_forward_program(aug, init, np.linspace(0, 2, 5)),
+                                 MarkovPolicy.uniform(5, 7, 3, 1))
         for sl in traj.slices:
             assert np.allclose(sl.marginal("x").mass, 1.0 / 7.0, atol=1e-12)
 
@@ -146,7 +147,8 @@ class TestPropagation:
             init = DiscreteDistribution(axes=("x", "y"),
                                         coords=(np.arange(float(n_x)), yg.points),
                                         mass=mass)
-            traj = propagate_forward(aug, policy, init, np.linspace(0, 1.5, 4))
+            traj = propagate_forward(
+                assemble_forward_program(aug, init, np.linspace(0, 1.5, 4)), policy)
             assert traj.mass_deviation.max() <= 1e-12
             assert traj.min_mass >= -1e-12
 
@@ -166,7 +168,7 @@ class TestPropagation:
         probs = rng.dirichlet(np.ones(2), size=(6, 5, 9))
         policy = MarkovPolicy(probs=probs, mask=np.ones((6, 5, 9), bool))
         init = start_at(0, 5, 9, coords=(grid.points, yg.points))
-        traj = propagate_forward(aug, policy, init, times)
+        traj = propagate_forward(assemble_forward_program(aug, init, times), policy)
         means = [sl.marginal("y").mean() for sl in traj.slices]
         assert np.all(np.diff(means) >= -1e-14)
         dt = times[1] - times[0]
@@ -183,9 +185,9 @@ class TestPropagation:
         yg = build_uniform_grid(0.0, 1.0, 2)
         aug = augment_generator(gen, np.zeros((2, 1)), 0.0, yg)
         init = start_at(0, 2, 2, coords=(np.arange(2.), yg.points))
+        fp = assemble_forward_program(aug, init, np.linspace(0, 1, 4))
         with pytest.raises(InvalidParameterError):
-            propagate_forward(aug, MarkovPolicy.uniform(3, 2, 2, 1), init,
-                              np.linspace(0, 1, 4))
+            propagate_forward(fp, MarkovPolicy.uniform(3, 2, 2, 1))
 
 
 class TestAssembly:
@@ -245,8 +247,8 @@ class TestAssembly:
         yg = build_uniform_grid(0.0, 1.0, 2)
         aug = augment_generator(gen, np.full((2, 1), 0.4), 0.0, yg)
         init = start_at(0, 2, 2, coords=(np.arange(2.), yg.points))
-        traj = propagate_forward(aug, MarkovPolicy.uniform(3, 2, 2, 1), init,
-                                 np.linspace(0, 1, 3))
+        traj = propagate_forward(assemble_forward_program(aug, init, np.linspace(0, 1, 3)),
+                                 MarkovPolicy.uniform(3, 2, 2, 1))
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path, axes=("y",))
         rows = np.loadtxt(path, delimiter=",", skiprows=1)

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from riskflow import (ConfigError, ControlledGenerator, DiscreteDistribution,
                       InvalidCostError, InvalidParameterError, MarkovPolicy,
-                      augment_generator, build_circle_grid,
+                      assemble_forward_program, augment_generator, build_circle_grid,
                       build_uniform_grid, discount_factor,
                       discretize_circle_diffusion, load_generator_triplets,
                       propagate_forward, validate_generator)
@@ -200,7 +200,7 @@ class TestAugmentation:
         start = DiscreteDistribution(axes=("x", "y"),
                                      coords=(np.zeros(1), yg.points), mass=init)
         policy = MarkovPolicy.uniform(41, 1, 121, 1)
-        traj = propagate_forward(aug, policy, start, times)
+        traj = propagate_forward(assemble_forward_program(aug, start, times), policy)
         want = c0 * (1 - np.exp(-alpha * horizon)) / alpha
         # step-averaged discounting makes the mean exact away from the boundary
         assert traj.slices[-1].marginal("y").mean() == pytest.approx(want, abs=1e-9)

@@ -99,12 +99,10 @@ class TestOptimizeLinear:
     def test_matches_enumeration_on_tiny_instance(self):
         from riskflow import enumerate_policies
 
-        gen, yg, times, nu, start, aug, fp = tiny_instance(
-            [(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])
+        *_, fp = tiny_instance([(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])
         rep = optimize_linear_risk(fp, RiskSpec(kind="entropic", theta=1.0),
                                    tol_gap=1e-11)
-        enum = enumerate_policies(gen, [[0.3, 1.1], [0.9, 0.2]], 0.25, yg, times, nu,
-                                  RiskSpec(kind="entropic", theta=1.0))
+        enum = enumerate_policies(fp, RiskSpec(kind="entropic", theta=1.0))
         assert abs(rep.rho_star - enum.value) <= 1e-8
 
     def test_expectation_kind(self):
@@ -145,11 +143,11 @@ class TestOptimizeLinear:
         assert shifted.rho_star > plain.rho_star
 
     def test_feasible_point_reproduces_itself(self):
-        gen, yg, times, nu, start, aug, fp = tiny_instance(
+        *_, fp = tiny_instance(
             [(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]], n_t=4)
         rep = optimize_linear_risk(fp, RiskSpec(kind="entropic", theta=1.0),
                                    tol_gap=1e-11)
-        traj = propagate_forward(aug, rep.policy, start, times)
+        traj = propagate_forward(fp, rep.policy)
         for sl_lp, sl_prop in zip(rep.trajectory.slices, traj.slices):
             folded = sl_lp.mass.sum(axis=-1)
             assert np.abs(folded - sl_prop.mass).max() < 1e-6
@@ -196,11 +194,10 @@ class TestCertificates:
         from riskflow import enumerate_policies
 
         cost = [[0.3, 1.1], [0.9, 0.2]]
-        gen, yg, times, nu, start, aug, fp = tiny_instance(rates, cost, n_y=3, y_max=y_max)
+        *_, fp = tiny_instance(rates, cost, n_y=3, y_max=y_max)
         v = None if v is None else np.array(v)
         rep = optimize_linear_risk(fp, RiskSpec(kind="entropic", theta=theta), v=v)
-        enum = enumerate_policies(gen, cost, 0.25, yg, times, nu,
-                                  RiskSpec(kind="entropic", theta=theta), v=v)
+        enum = enumerate_policies(fp, RiskSpec(kind="entropic", theta=theta), v=v)
         assert rep.status == "optimal"
         assert rep.rho_star == pytest.approx(enum.value, abs=3e-9 / theta)
 
@@ -209,11 +206,10 @@ class TestCertificates:
         from riskflow import enumerate_policies
 
         cost = [[0.3, 1.1], [0.9, 0.2]]
-        gen, yg, times, nu, start, aug, fp = tiny_instance([(1.0, 2.0), (0.5, 0.3)], cost)
+        *_, fp = tiny_instance([(1.0, 2.0), (0.5, 0.3)], cost)
         rep = optimize_linear_risk(fp, RiskSpec(kind="entropic", theta=theta),
                                    tol_gap=1e-11)
-        enum = enumerate_policies(gen, cost, 0.25, yg, times, nu,
-                                  RiskSpec(kind="entropic", theta=theta))
+        enum = enumerate_policies(fp, RiskSpec(kind="entropic", theta=theta))
         assert rep.status == "optimal"
         assert rep.rho_star == pytest.approx(enum.value, abs=1e-8)
 
@@ -469,12 +465,10 @@ class TestOptimizeSmooth:
     def test_semideviation_against_enumeration(self):
         from riskflow import enumerate_policies
 
-        gen, yg, times, nu, start, aug, fp = tiny_instance(
-            [(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])
+        *_, fp = tiny_instance([(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])
         spec = RiskSpec(kind="mean_semideviation", beta=0.7)
         fw = optimize_smooth_risk(fp, spec, max_fw_iter=60, tol=1e-9)
-        enum = enumerate_policies(gen, [[0.3, 1.1], [0.9, 0.2]], 0.25, yg, times,
-                                  nu, spec)
+        enum = enumerate_policies(fp, spec)
         # relaxed-policy optimum cannot exceed the deterministic one by more
         # than the conditional-gradient tolerance
         assert fw.rho_star <= enum.value + 1e-4

@@ -21,7 +21,7 @@ def load_tracing():
 def test_bench_patch_points_resolve_and_restore():
     tracing = load_tracing()
     originals = (spla.splu, cli._read_policy, validate.propagate_forward,
-                 validate.wasserstein1)
+                 validate.wasserstein1, validate.augment_generator)
     tracer = tracing.Tracer()
     try:
         tracing.instrument(tracer)
@@ -29,7 +29,7 @@ def test_bench_patch_points_resolve_and_restore():
     finally:
         tracer.restore()
     assert (spla.splu, cli._read_policy, validate.propagate_forward,
-            validate.wasserstein1) == originals
+            validate.wasserstein1, validate.augment_generator) == originals
 
 
 def test_bench_reads_the_lp_size_of_the_program_it_traces():

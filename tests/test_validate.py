@@ -101,12 +101,8 @@ class TestSimulation:
         yg = build_uniform_grid(0.0, 4.0, 81)
         times = np.linspace(0.0, 3.0, 31)
         pol = MarkovPolicy.uniform(31, 2, 81, 1)
-        init = np.zeros((2, 81))
-        init[0, 0] = 1.0
-        start = DiscreteDistribution(axes=("x", "y"),
-                                     coords=(np.arange(2.0), yg.points), mass=init)
-        aug = augment_generator(gen, cost, alpha, yg)
-        traj = propagate_forward(aug, pol, start, times)
+        fp = program(gen, cost, yg, times, np.array([1.0, 0.0]), alpha=alpha)
+        traj = propagate_forward(fp, pol)
         lp_mean = traj.slices[-1].marginal("y").mean()
         res = simulate_paths(gen, pol, cost, alpha, yg, np.array([1.0, 0.0]),
                              times, McConfig(n_paths=10_000, seed=5))
@@ -481,15 +477,10 @@ class TestRiskNeutralDp:
         nu = np.array([1.0, 0.0])
         dp = risk_neutral_dp(gen, cost, 0.25, times, nu)
         yg = build_uniform_grid(0.0, 2.0, 41)
+        fp = program(gen, cost, yg, times, nu)
         for a_fixed in (0, 1):
             pol = MarkovPolicy.from_actions(np.full((3, 2, 41), a_fixed), 2)
-            init = np.zeros((2, 41))
-            init[:, 0] = nu
-            start = DiscreteDistribution(axes=("x", "y"),
-                                         coords=(np.arange(2.0), yg.points),
-                                         mass=init)
-            aug = augment_generator(gen, cost, 0.25, yg)
-            traj = propagate_forward(aug, pol, start, times)
+            traj = propagate_forward(fp, pol)
             assert dp.value <= traj.slices[-1].marginal("y").mean() + 1e-8
 
 
@@ -500,16 +491,23 @@ DESIGNATED_TIMES = np.linspace(0, 1, 3)
 DESIGNATED_NU = np.array([1.0, 0.0])
 
 
-def designated_start(yg):
-    mass = np.zeros((2, yg.n))
-    mass[:, 0] = DESIGNATED_NU
-    return DiscreteDistribution(axes=("x", "y"), coords=(np.arange(2.0), yg.points),
+def start_law(nu, yg):
+    """The (x, y) law of state law ``nu`` at cost 0."""
+    mass = np.zeros((len(nu), yg.n))
+    mass[:, 0] = nu
+    return DiscreteDistribution(axes=("x", "y"), coords=(np.arange(float(len(nu))), yg.points),
                                 mass=mass)
 
 
+def program(gen, cost, yg, times, nu, alpha=0.25):
+    """The forward program of ``gen`` on the cost grid ``yg``, started
+    from the state law ``nu`` at cost 0."""
+    return assemble_forward_program(augment_generator(gen, cost, alpha, yg),
+                                    start_law(nu, yg), times)
+
+
 def designated_program(yg, cost=DESIGNATED_COST):
-    aug = augment_generator(two_state_gen(DESIGNATED_RATES), cost, 0.25, yg)
-    return aug, assemble_forward_program(aug, designated_start(yg), DESIGNATED_TIMES)
+    return program(two_state_gen(DESIGNATED_RATES), cost, yg, DESIGNATED_TIMES, DESIGNATED_NU)
 
 
 class TestRiskNeutralDpCostAxis:
@@ -521,19 +519,17 @@ class TestRiskNeutralDpCostAxis:
     def test_capped_value_matches_lp_and_enumeration(self, v, monkeypatch):
         gen = two_state_gen(DESIGNATED_RATES)
         yg = build_uniform_grid(0.0, 0.4, 2)
-        _, fp = designated_program(yg)
+        fp = designated_program(yg)
         lp = optimize_linear_risk(fp, RiskSpec(kind="expectation"), v=v, tol_gap=1e-11)
         assert lp.status == "optimal"
         uncapped = risk_neutral_dp(gen, DESIGNATED_COST, 0.25, DESIGNATED_TIMES,
                                    DESIGNATED_NU, v=v)
         assert lp.rho_star < uncapped.value - 1e-2  # the ceiling binds
-        enum = enumerate_policies(gen, DESIGNATED_COST, 0.25, yg, DESIGNATED_TIMES,
-                                  DESIGNATED_NU, RiskSpec(kind="expectation"), v=v)
+        enum = enumerate_policies(fp, RiskSpec(kind="expectation"), v=v)
         assert lp.rho_star == pytest.approx(enum.value, abs=1e-8)
         # 256 policies in chunks of 7: the last chunk is partial
         monkeypatch.setattr(validate_module, "ENUM_CHUNK", 7)
-        chunked = enumerate_policies(gen, DESIGNATED_COST, 0.25, yg, DESIGNATED_TIMES,
-                                     DESIGNATED_NU, RiskSpec(kind="expectation"), v=v)
+        chunked = enumerate_policies(fp, RiskSpec(kind="expectation"), v=v)
         assert (chunked.value, chunked.n_policies) == (enum.value, 256)
 
     @pytest.mark.parametrize("y_max, n_y", [(0.4, 2), (0.5, 3), (2.0, 5)])
@@ -541,9 +537,9 @@ class TestRiskNeutralDpCostAxis:
         # the exact implicit step is attained by its own greedy policy; a
         # per-state minimum over per-action resolvents is not
         yg = build_uniform_grid(0.0, y_max, n_y)
-        aug, fp = designated_program(yg)
+        fp = designated_program(yg)
         lp = optimize_linear_risk(fp, RiskSpec(kind="expectation"), tol_gap=1e-11)
-        traj = propagate_forward(aug, lp.policy, designated_start(yg), DESIGNATED_TIMES)
+        traj = propagate_forward(fp, lp.policy)
         assert traj.slices[-1].marginal("y").mean() == pytest.approx(lp.rho_star, abs=1e-10)
 
     def test_base_chain_is_the_uncapped_limit(self):
@@ -553,13 +549,13 @@ class TestRiskNeutralDpCostAxis:
         yg = build_uniform_grid(0.0, 40.0, 81)
         base = risk_neutral_dp(gen, DESIGNATED_COST, 0.25, DESIGNATED_TIMES,
                                DESIGNATED_NU)
-        aug, fp = designated_program(yg)
+        fp = designated_program(yg)
         lp = optimize_linear_risk(fp, RiskSpec(kind="expectation"), tol_gap=1e-11)
         assert lp.boundary_mass < 1e-50
         assert base.value == pytest.approx(lp.rho_star, abs=1e-10)
         for policy, value in ((lp.policy, lp.rho_star),
                               (base.greedy_policy(yg.n, 2), base.value)):
-            traj = propagate_forward(aug, policy, designated_start(yg), DESIGNATED_TIMES)
+            traj = propagate_forward(fp, policy)
             assert traj.slices[-1].marginal("y").mean() == pytest.approx(value, abs=1e-10)
 
     def test_values_spanning_decades_match_enumeration(self):
@@ -574,17 +570,10 @@ class TestRiskNeutralDpCostAxis:
         v = np.array([0.0, 1.5284e6])
         yg = build_uniform_grid(0.0, 1.7885, 2)
         times = np.linspace(0.0, 1.8605, 3)
-        nu = np.array([1.0, 0.0])
-        start = np.zeros((2, 2))
-        start[:, 0] = nu
-        fp = assemble_forward_program(
-            augment_generator(gen, cost, 0.25, yg),
-            DiscreteDistribution(axes=("x", "y"), coords=(np.arange(2.0), yg.points),
-                                 mass=start), times)
+        fp = program(gen, cost, yg, times, np.array([1.0, 0.0]))
         lp = optimize_linear_risk(fp, RiskSpec(kind="expectation"), v=v)
         assert v.max() >= 1e6 * lp.rho_star
-        enum = enumerate_policies(gen, cost, 0.25, yg, times, nu,
-                                  RiskSpec(kind="expectation"), v=v)
+        enum = enumerate_policies(fp, RiskSpec(kind="expectation"), v=v)
         assert lp.rho_star == pytest.approx(enum.value, rel=1e-9)
 
     @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
@@ -593,7 +582,7 @@ class TestRiskNeutralDpCostAxis:
         # base chain only sees it in the stage cost, which the minimum avoids
         cost = DESIGNATED_COST.copy()
         cost[0, 1] = np.inf
-        _, fp = designated_program(build_uniform_grid(0.0, 0.4, 2), cost)
+        fp = designated_program(build_uniform_grid(0.0, 0.4, 2), cost)
         with pytest.raises(PropagationError):
             optimize_linear_risk(fp, RiskSpec(kind="expectation"))
         base = risk_neutral_dp(two_state_gen(DESIGNATED_RATES), cost, 0.25,
@@ -616,8 +605,7 @@ class TestTerminalCostRefusal:
         "dp-base": lambda gen, fp, v: risk_neutral_dp(
             gen, DESIGNATED_COST, 0.25, DESIGNATED_TIMES, DESIGNATED_NU, v=v),
         "enumeration": lambda gen, fp, v: enumerate_policies(
-            gen, DESIGNATED_COST, 0.25, TestTerminalCostRefusal.YG, DESIGNATED_TIMES,
-            DESIGNATED_NU, RiskSpec(kind="expectation"), v=v),
+            fp, RiskSpec(kind="expectation"), v=v),
     }
 
     @pytest.mark.parametrize("v, error", [
@@ -628,8 +616,7 @@ class TestTerminalCostRefusal:
     @pytest.mark.parametrize("engine", list(ENGINES))
     def test_refused_before_any_sweep(self, engine, v, error, monkeypatch):
         gen = two_state_gen(DESIGNATED_RATES)
-        aug = augment_generator(gen, DESIGNATED_COST, 0.25, self.YG)
-        fp = assemble_forward_program(aug, designated_start(self.YG), DESIGNATED_TIMES)
+        fp = designated_program(self.YG)
         swept = []
         monkeypatch.setattr(solve_module, "bellman_sweep", lambda *a, **k: swept.append(1))
         monkeypatch.setattr(validate_module, "bellman_sweep", lambda *a, **k: swept.append(1))
@@ -654,9 +641,6 @@ class TestCostTableRefusal:
                                         DESIGNATED_TIMES, DESIGNATED_NU),
         "augmentation": lambda c: augment_generator(TestCostTableRefusal.GEN, c, 0.25,
                                                     TestCostTableRefusal.YG),
-        "enumeration": lambda c: enumerate_policies(
-            TestCostTableRefusal.GEN, c, 0.25, TestCostTableRefusal.YG, DESIGNATED_TIMES,
-            DESIGNATED_NU, RiskSpec(kind="expectation")),
     }
 
     @pytest.mark.parametrize("table, error", [
@@ -677,8 +661,11 @@ class TestCostTableRefusal:
 
 
 class TestInitialLawRefusal:
-    """Every engine checks the initial state law through
-    ``generator.check_initial_law`` before it samples, sweeps or steps."""
+    """Every engine checks the initial law through
+    ``generator.check_initial_law`` before it samples, sweeps or steps:
+    the Monte Carlo and the base-chain DP check the state law, and
+    ``assemble_forward_program`` checks the (x, y) law of the program that
+    the optimizers, propagation and enumeration read."""
 
     GEN = two_state_gen(DESIGNATED_RATES)
     YG = build_uniform_grid(0.0, 1.0, 2)
@@ -688,9 +675,9 @@ class TestInitialLawRefusal:
             0.25, TestInitialLawRefusal.YG, nu, DESIGNATED_TIMES, McConfig(n_paths=10)),
         "dp": lambda nu: risk_neutral_dp(TestInitialLawRefusal.GEN, DESIGNATED_COST, 0.25,
                                          DESIGNATED_TIMES, nu),
-        "enumeration": lambda nu: enumerate_policies(
-            TestInitialLawRefusal.GEN, DESIGNATED_COST, 0.25, TestInitialLawRefusal.YG,
-            DESIGNATED_TIMES, nu, RiskSpec(kind="expectation")),
+        "forward-program": lambda nu: optimize_linear_risk(
+            program(TestInitialLawRefusal.GEN, DESIGNATED_COST, TestInitialLawRefusal.YG,
+                    DESIGNATED_TIMES, nu), RiskSpec(kind="expectation")),
     }
 
     @pytest.mark.parametrize("nu", [
@@ -704,6 +691,8 @@ class TestInitialLawRefusal:
         ran = []
         for name in ("_shard_round", "bellman_sweep", "implicit_step"):
             monkeypatch.setattr(validate_module, name, lambda *a, **k: ran.append(1))
+        for name in ("bellman_sweep", "implicit_step"):
+            monkeypatch.setattr(solve_module, name, lambda *a, **k: ran.append(1))
         with pytest.raises(RiskflowError) as caught:
             self.ENGINES[engine](np.array(nu))
         assert type(caught.value) is InvalidParameterError
@@ -722,19 +711,22 @@ class TestEnumeration:
     ])
     def test_matches_per_policy_loop(self, spec, v, n_t, chunk, monkeypatch):
         # the reference: every action table in itertools.product order,
-        # propagated one policy at a time
-        gen = two_state_gen(DESIGNATED_RATES)
+        # stepped one policy at a time by dense solves of each step's
+        # stacked matrix, which share no kernel with implicit_step
         yg = build_uniform_grid(0.0, 0.6, 2)
-        aug = augment_generator(gen, DESIGNATED_COST, 0.25, yg)
-        times = np.linspace(0, 1, n_t)
+        fp = program(two_state_gen(DESIGNATED_RATES), DESIGNATED_COST, yg,
+                     np.linspace(0, 1, n_t), DESIGNATED_NU)
+        n_z, z = fp.n_z, np.arange(fp.n_z)
+        steps = [(dt, q.toarray().reshape(n_z, fp.n_a, n_z)) for dt, q in fp.steps]
         want = []
-        for assignment in itertools.product(range(2), repeat=(n_t - 1) * 4):
-            table = np.zeros((n_t, 2, 2), dtype=np.int64)
-            table[1:] = np.reshape(assignment, (n_t - 1, 2, 2))
-            traj = propagate_forward(aug, MarkovPolicy.from_actions(table, 2),
-                                     designated_start(yg), times)
-            law = (traj.slices[-1].marginal("y") if v is None
-                   else apply_terminal_cost(traj.slices[-1], v))
+        for assignment in itertools.product(range(2), repeat=(n_t - 1) * n_z):
+            m = fp.b_eq[:n_z]
+            for (dt, q), acts in zip(steps, np.reshape(assignment, (n_t - 1, n_z))):
+                q_w = q[z, acts]  # row z of Q_{a(z)}
+                m = np.linalg.solve(np.eye(n_z) - dt * q_w.T, m)
+            last = DiscreteDistribution(axes=("x", "y"), coords=(fp.x_values, fp.y_values),
+                                        mass=m.reshape(fp.n_x, fp.n_y))
+            law = last.marginal("y") if v is None else apply_terminal_cost(last, v)
             want.append(evaluate(spec, law))
         # every policy's value, in policy order, not only the minimum
         original, scored = validate_module.evaluate_laws, []
@@ -745,8 +737,7 @@ class TestEnumeration:
 
         monkeypatch.setattr(validate_module, "evaluate_laws", record)
         monkeypatch.setattr(validate_module, "ENUM_CHUNK", chunk)
-        res = enumerate_policies(gen, DESIGNATED_COST, 0.25, yg, times,
-                                 DESIGNATED_NU, spec, v=v)
+        res = enumerate_policies(fp, spec, v=v)
         assert res.n_policies == len(want) == 2 ** ((n_t - 1) * 4)
         assert np.concatenate(scored) == pytest.approx(want, rel=1e-14, abs=1e-14)
         assert res.value == pytest.approx(min(want), rel=1e-14, abs=1e-14)
@@ -754,31 +745,23 @@ class TestEnumeration:
     def test_single_action_unique_value(self):
         gen = two_state_gen([(1.0, 2.0)])
         yg = build_uniform_grid(0.0, 2.0, 3)
-        res = enumerate_policies(gen, np.array([[0.4], [0.9]]), 0.25, yg,
-                                 np.linspace(0, 1, 3), np.array([1.0, 0.0]),
-                                 RiskSpec(kind="expectation"))
+        res = enumerate_policies(
+            program(gen, np.array([[0.4], [0.9]]), yg, np.linspace(0, 1, 3),
+                    np.array([1.0, 0.0])), RiskSpec(kind="expectation"))
         assert res.n_policies == 1
-
-    def test_one_time_point_scores_the_start_law(self):
-        gen = two_state_gen(DESIGNATED_RATES)
-        res = enumerate_policies(gen, DESIGNATED_COST, 0.25, build_uniform_grid(0.0, 0.6, 2),
-                                 np.array([0.0]), np.array([0.4, 0.6]),
-                                 RiskSpec(kind="expectation"), v=np.array([0.5, 0.0]))
-        assert res.n_policies == 1
-        assert res.value == pytest.approx(0.2, rel=1e-15)
 
     def test_zero_cost_all_policies_zero(self):
         gen = two_state_gen([(1.0, 2.0), (0.5, 0.3)])
         yg = build_uniform_grid(0.0, 2.0, 2)
-        res = enumerate_policies(gen, np.zeros((2, 2)), 0.25, yg,
-                                 np.linspace(0, 1, 2), np.array([1.0, 0.0]),
-                                 RiskSpec(kind="entropic", theta=1.0))
+        res = enumerate_policies(
+            program(gen, np.zeros((2, 2)), yg, np.linspace(0, 1, 2), np.array([1.0, 0.0])),
+            RiskSpec(kind="entropic", theta=1.0))
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_refuses_large_spaces(self):
         gen = two_state_gen([(1.0, 2.0), (0.5, 0.3)])
         yg = build_uniform_grid(0.0, 2.0, 21)
         with pytest.raises(PolicyEnumerationError, match="deterministic policies"):
-            enumerate_policies(gen, np.zeros((2, 2)), 0.25, yg,
-                               np.linspace(0, 1, 11), np.array([1.0, 0.0]),
-                               RiskSpec(kind="expectation"))
+            enumerate_policies(
+                program(gen, np.zeros((2, 2)), yg, np.linspace(0, 1, 11), np.array([1.0, 0.0])),
+                RiskSpec(kind="expectation"))
