@@ -665,7 +665,8 @@ class TestInitialLawRefusal:
     ``generator.check_initial_law`` before it samples, sweeps or steps:
     the Monte Carlo and the base-chain DP check the state law, and
     ``assemble_forward_program`` checks the (x, y) law of the program that
-    the optimizers, propagation and enumeration read."""
+    the optimizers, propagation and enumeration read, so enumeration and the
+    linear optimizer are both refused at assembly."""
 
     GEN = two_state_gen(DESIGNATED_RATES)
     YG = build_uniform_grid(0.0, 1.0, 2)
@@ -675,6 +676,9 @@ class TestInitialLawRefusal:
             0.25, TestInitialLawRefusal.YG, nu, DESIGNATED_TIMES, McConfig(n_paths=10)),
         "dp": lambda nu: risk_neutral_dp(TestInitialLawRefusal.GEN, DESIGNATED_COST, 0.25,
                                          DESIGNATED_TIMES, nu),
+        "enumeration": lambda nu: enumerate_policies(
+            program(TestInitialLawRefusal.GEN, DESIGNATED_COST, TestInitialLawRefusal.YG,
+                    DESIGNATED_TIMES, nu), RiskSpec(kind="expectation")),
         "forward-program": lambda nu: optimize_linear_risk(
             program(TestInitialLawRefusal.GEN, DESIGNATED_COST, TestInitialLawRefusal.YG,
                     DESIGNATED_TIMES, nu), RiskSpec(kind="expectation")),
