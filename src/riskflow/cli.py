@@ -389,10 +389,10 @@ def run(spec: ProblemSpec, out_dir) -> SolveReport:
 
 
 def _read_grid_csv(path, header, coords) -> np.ndarray:
-    """The last column of a table ``write_grid_csv`` wrote over ``coords``,
-    shaped to the grid, else ``ConfigError``: the header, the row and column
-    counts and the coordinate columns must all match."""
-    grid = np.column_stack([g.ravel() for g in np.meshgrid(*coords, indexing="ij")])
+    """A copy of the last column of a table ``write_grid_csv`` wrote over
+    ``coords``, shaped to the grid, else ``ConfigError``: the header, the row
+    and column counts and the coordinate columns must all match."""
+    shape = [len(c) for c in coords]
     try:
         with open(path) as fh:
             head = fh.readline().strip()
@@ -405,12 +405,13 @@ def _read_grid_csv(path, header, coords) -> np.ndarray:
         raise ConfigError(f"{path} is not a numeric table: {exc}") from exc
     if head != ",".join(header):
         raise ConfigError(f"{path} has header {head!r}, not {','.join(header)!r}")
-    if table.shape != (len(grid), len(header)):
+    if table.shape != (np.prod(shape), len(header)):
         raise ConfigError(f"{path} has {len(table)} rows of {table.shape[1]} columns, "
-                          f"not {len(grid)} of {len(header)}")
-    if not np.allclose(table[:, :-1], grid, rtol=1e-12, atol=1e-12):
+                          f"not {np.prod(shape)} of {len(header)}")
+    cols = table[:, :-1].T.reshape(len(coords), *shape)  # column i varies along axis i
+    if not all(np.allclose(c, g, rtol=1e-12, atol=1e-12) for c, g in zip(cols, np.ix_(*coords))):
         raise ConfigError(f"{path}: coordinate columns do not follow the config's grids")
-    return table[:, -1].reshape([len(c) for c in coords])
+    return table[:, -1].reshape(shape).copy()
 
 
 def _read_policy(report_dir, pieces: ProblemPieces) -> MarkovPolicy:

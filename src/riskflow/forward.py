@@ -4,10 +4,10 @@
 with the ``(dt, Q(t_k))`` pairs of ``AugmentedGenerator.steps`` as one
 ``ForwardProgram`` over time-indexed joint measures ``mu_k(x, y, a)``.
 Its consumers share one implicit-Euler step over (product state, action),
-``[z = z'] - dt Q_a(t_k)[z, z']``, solved by ``implicit_step``:
-``propagate_forward`` and ``validate.enumerate_policies`` step ``fp.steps``
-forward from ``fp.b_eq[:fp.n_z]``, under one policy and under every
-deterministic one, and ``solve.bellman_sweep`` steps them backward.  The
+``[z = z'] - dt Q_a(t_k)[z, z']``: ``propagate_forward`` steps ``fp.steps``
+forward from ``fp.b_eq[:fp.n_z]`` under one policy and ``solve.bellman_sweep``
+steps them backward, through ``implicit_step``; ``validate.enumerate_policies``
+solves it densely for a batch of deterministic policies at a time.  The
 sparse equality matrix ``ForwardProgram.a_eq`` is built only when an LP
 solver reads it.  Controls are attached to the new time slice: the step
 from ``t_k`` to ``t_{k+1}`` mixes actions with the policy (or measure) at

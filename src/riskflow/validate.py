@@ -2,11 +2,11 @@
 the exact 1-Wasserstein distance between laws on the line, a risk-neutral
 dynamic-programming sweep of the uncapped base chain, and brute-force
 policy enumeration for desk-size instances, a walk over the tree of action
-prefixes of a forward program that steps each prefix once through
-``fp.steps`` and scores the terminal laws in batches.  The simulation and
-the DP check their initial state law (``generator.check_initial_law``);
-all three read the controlled generator in the (state, action) row order
-of ``stack_actions``."""
+prefixes of a forward program that steps each chunk of prefixes in one
+batched dense solve and scores the terminal laws in batches.  The
+simulation and the DP check their initial state law
+(``generator.check_initial_law``); all three read the controlled generator
+in the (state, action) row order of ``stack_actions``."""
 
 from __future__ import annotations
 
@@ -18,19 +18,15 @@ from types import SimpleNamespace
 from typing import Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import InvalidParameterError, PolicyEnumerationError
-# propagate_forward stays importable here: bench/tracing.py patches it by this name
-from .forward import (DiscreteDistribution, ForwardProgram, implicit_step,  # noqa: F401
-                      propagate_forward)
-# augment_generator stays importable here: bench/tracing.py patches it by this name
+from .errors import InvalidParameterError, PolicyEnumerationError, PropagationError
+# propagate_forward, augment_generator and evaluate stay importable here, unused:
+# bench/tracing.py patches them by these names
+from .forward import DiscreteDistribution, ForwardProgram, propagate_forward  # noqa: F401
 from .generator import (ControlledGenerator, augment_generator,  # noqa: F401
                         check_cost_table, check_initial_law, discount_factor, stack_actions)
 from .grids import UniformGrid, grid_points
-# evaluate stays importable here: bench/tracing.py patches it by this name
-from .risk import (RiskSpec, evaluate, evaluate_laws, merge_support,  # noqa: F401
-                   terminal_totals)
+from .risk import RiskSpec, evaluate, evaluate_laws, merge_support, terminal_totals  # noqa: F401
 from .solve import MarkovPolicy, bellman_sweep
 
 
@@ -448,11 +444,11 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
 # ---------------------------------------------------------------------------
 # Brute-force policy enumeration
 
-# Prefix rows stepped together as one chain of disjoint copies, sized by
-# memory: one chunk adds about 0.7 MB to the peak RSS on the 6-state
-# oracle_enum chain, and 9.5 MB on a dense 18-state chain (one step,
-# 2 ** 18 policies), the growth of ru_maxrss over one enumerate_policies call.
+# Prefix rows per batched dense solve: one enumerate_policies call grows ru_maxrss
+# by about 0.8 MB on the 6-state oracle_enum chain and 1.9 MB on a dense 18-state
+# chain (one step, 2 ** 18 policies).  ENUM_STEP_BYTES bounds one dense step.
 ENUM_CHUNK = 2 ** 9
+ENUM_STEP_BYTES = 32 * 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -461,61 +457,64 @@ class EnumerationResult:
     n_policies: int
 
 
+def _step_policies(system: np.ndarray, acts: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(I - dt Q_w)^T m = rhs[r]`` for the B policies ``acts[r]`` (B, n_z)
+    in one ``np.linalg.solve``, ``system[z, a]`` being row z of ``I - dt Q_a``.
+    A non-finite step matrix, a singular system or a non-finite solution
+    raises ``PropagationError``, as in ``forward.implicit_step``."""
+    if not np.isfinite(system).all():
+        raise PropagationError("implicit step matrix has a non-finite entry")
+    try:
+        out = np.linalg.solve(system[np.arange(len(system)), acts].transpose(0, 2, 1),
+                              rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise PropagationError(f"implicit step failed: {exc}") from exc
+    if not np.isfinite(out).all():
+        raise PropagationError("implicit step produced a non-finite solution")
+    return out
+
+
 def enumerate_policies(fp: ForwardProgram, spec: RiskSpec, v: Optional[np.ndarray] = None,
                        max_policies: int = 10 ** 6) -> EnumerationResult:
     """Exhaustive minimum over deterministic (time, state, cost) -> action
     maps, stepping ``fp.steps`` from the program's initial law.
 
-    Only the slices that drive the dynamics are enumerated (the step from
-    t_k to t_{k+1} reads slice k+1, so slice 0 is irrelevant); the policy
-    space size is n_a ** ((n_t - 1) * n_x * n_y).  Policy ``i`` plays the
-    base-``n_a`` digits of ``i`` on those cells, the first cell most
-    significant, so the policies that share their actions over steps
-    0..k are consecutive.
-
-    The walk goes over the tree of those action prefixes.  Level k holds
-    one mass row per action prefix of steps 0..k, n_a ** ((k + 1) n_x n_y)
-    rows; row r is stepped once, from row ``r // n_a ** (n_x n_y)`` of
-    level k - 1, in chunks of ``ENUM_CHUNK`` rows stepped together through
-    ``implicit_step`` as one chain of disjoint copies, ``kron(I_B, Q_k)``,
-    built once per (step, B).  Only the last level is scored: each chunk's
-    terminal laws go to the risk code in one call, on the totals ``y + v(x)``
-    merged as ``apply_terminal_cost`` merges them.  The levels held are at
-    most count / n_a ** (n_x n_y) rows of n_x n_y floats, at most 4 MB
-    under the default cap of 10 ** 6 policies.
+    Slice k + 1 drives the step from t_k, so slices 1..n_t - 1 give
+    n_a ** ((n_t - 1) n_x n_y) policies; policy ``i`` plays the base-``n_a``
+    digits of ``i`` on those cells, the first cell most significant.  The
+    walk goes over the tree of action prefixes: level k holds one mass row
+    per prefix of steps 0..k, row r stepped once from row
+    ``r // n_a ** (n_x n_y)`` of level k - 1 (at most 4 MB of levels under
+    the default cap of 10 ** 6 policies).  A chunk of ``ENUM_CHUNK`` rows is
+    one batched dense solve of the rows of ``I - dt Q_a`` (``Q_k`` densified
+    once per step) its action digits pick; a last-level chunk is scored in
+    one risk call, on the totals ``y + v(x)`` as ``apply_terminal_cost``
+    merges them.  More than ``max_policies`` policies, or a dense step of
+    more than ``ENUM_STEP_BYTES`` (32 MB), raise ``PolicyEnumerationError``
+    before any step.
     """
     n_a, width = fp.n_a, fp.n_z
     count = n_a ** ((fp.n_t - 1) * width)
     if count > max_policies:
         raise PolicyEnumerationError(
             f"{count} deterministic policies exceed the cap of {max_policies}")
+    if 8 * width ** 2 * (n_a + min(ENUM_CHUNK, count)) > ENUM_STEP_BYTES:
+        raise PolicyEnumerationError(f"n_z = {width}: dense step above {ENUM_STEP_BYTES} bytes")
     totals = terminal_totals(v, fp.n_x, fp.y_values)
-
-    def least_risk(m):
-        """The least risk of the terminal laws ``m`` (B, n_x n_y); NaN
-        risks are skipped, here by fmin and below by min."""
-        return float(np.fmin.reduce(evaluate_laws(spec, *merge_support(totals, m))))
-
-    fan = n_a ** width
-    place = n_a ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    level = fp.b_eq[:width].reshape(1, width)
-    best_val = math.inf
+    fan, place = n_a ** width, n_a ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    level, best_val = fp.b_eq[:width].reshape(1, width), math.inf
     for k, (dt, q) in enumerate(fp.steps):
         last = k == len(fp.steps) - 1
+        system = np.eye(width)[:, None, :] - dt * q.toarray().reshape(width, n_a, width)
         rows = len(level) * fan
         below = None if last else np.empty((rows, width))
-        chains = {}
         for lo in range(0, rows, ENUM_CHUNK):
             index = np.arange(lo, min(lo + ENUM_CHUNK, rows), dtype=np.int64)
-            b = index.size
-            if b not in chains:
-                chains[b] = sp.kron(sp.identity(b), q, format="csr")
-            weights = np.eye(n_a)[(index[:, None] // place % n_a).ravel()]
-            m = implicit_step(chains[b], weights, dt, level[index // fan].ravel(),
-                              transpose=True).reshape(b, width)
-            if last:
-                best_val = min(best_val, least_risk(m))
+            m = _step_policies(system, index[:, None] // place % n_a, level[index // fan])
+            if last:  # fmin and min skip NaN risks
+                risks = evaluate_laws(spec, *merge_support(totals, m))
+                best_val = min(best_val, float(np.fmin.reduce(risks)))
             else:
-                below[lo:lo + b] = m
+                below[lo:lo + index.size] = m
         level = below
     return EnumerationResult(value=best_val, n_policies=count)

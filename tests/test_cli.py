@@ -25,6 +25,16 @@ def write_config(tmp_path, payload, name="config.json"):
     return path
 
 
+def run_riskflow(args, threads):
+    """``python -m riskflow args`` in a child process with BLAS capped at
+    ``threads`` threads."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "riskflow", *args],
+                          env=env, capture_output=True, text=True)
+
+
 SMALL_CIRCLE = {
     "family": "circle_follower",
     "n_x": 5, "n_y": 4, "n_a": 3, "n_t": 4,
@@ -263,15 +273,10 @@ class TestRun:
         # about 1e4 LP variables: long enough for BLAS to split inner
         # products across threads, which would change their rounding
         config = write_config(tmp_path, payload)
-        src = str(Path(__file__).parent.parent / "src")
         outs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
             out = tmp_path / f"threads{threads}"
-            proc = subprocess.run([sys.executable, "-m", "riskflow", "solve",
-                                   "--config", str(config), "--out", str(out)],
-                                  env=env, capture_output=True, text=True)
+            proc = run_riskflow(["solve", "--config", str(config), "--out", str(out)], threads)
             assert proc.returncode == EXIT_OK, proc.stderr
             assert proc.stderr == ""
             outs.append(out)
@@ -325,6 +330,18 @@ class TestOracleCommand:
                                          "n_a": 2, "n_t": 2, "horizon": 1.0}))
         assert result["n_policies"] == 2 ** 6 and "lp_value" in result
         assert len(calls) == 1
+
+    def test_output_independent_of_blas_threads(self):
+        # the batched dense steps of enumeration go through LAPACK
+        config = next(c for c in BENCH_CONFIGS if c.stem == "oracle_enum")
+        outs = []
+        for threads in ("1", "2"):
+            proc = run_riskflow(["oracle", "--config", str(config)], threads)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            assert proc.stderr == ""
+            outs.append(proc.stdout)
+        assert "enumeration_value" in outs[0]
+        assert outs[0] == outs[1]
 
 
 class TestMain:
@@ -449,6 +466,31 @@ class TestMain:
         if edit == "marginal_header_only":
             assert "has no data rows" in err
         assert not (out / "mc_summary.json").exists()
+
+    @pytest.mark.parametrize("column", ["t", "x", "y", "a"])
+    def test_validate_refuses_one_coordinate_off_the_grid(self, tmp_path, capsys, column):
+        cfg = write_config(tmp_path, SMALL_CIRCLE)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        head, *rows = (out / "policy.csv").read_text().splitlines(keepends=True)
+        cells = rows[100].split(",")
+        at = "txya".index(column)
+        cells[at] = f"{float(cells[at]) + 0.5:.17g}"
+        rows[100] = ",".join(cells)
+        (out / "policy.csv").write_text(head + "".join(rows), newline="")
+        assert main(["validate", "--config", str(cfg), "--report", str(out),
+                     "--paths", "200"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "policy.csv: coordinate columns do not follow" in err
+        assert not (out / "mc_summary.json").exists()
+
+    def test_read_policy_owns_its_cells(self, tmp_path):
+        # the parsed five-column table is not kept alive by a view
+        spec = _build_spec(SMALL_CIRCLE)
+        report = run(spec, tmp_path / "o")
+        policy = cli_module._read_policy(tmp_path / "o", build_problem(spec))
+        assert policy.probs.flags.owndata
+        assert np.array_equal(policy.probs, report.policy.probs)
 
     @pytest.mark.parametrize("edit", ["nan", "times_3"])
     def test_validate_refuses_marginal_that_is_not_a_law(self, tmp_path, capsys,

@@ -619,7 +619,8 @@ class TestTerminalCostRefusal:
         fp = designated_program(self.YG)
         swept = []
         monkeypatch.setattr(solve_module, "bellman_sweep", lambda *a, **k: swept.append(1))
-        monkeypatch.setattr(validate_module, "bellman_sweep", lambda *a, **k: swept.append(1))
+        for name in ("bellman_sweep", "_step_policies"):
+            monkeypatch.setattr(validate_module, name, lambda *a, **k: swept.append(1))
         with pytest.raises(RiskflowError) as caught:
             self.ENGINES[engine](gen, fp, np.array(v))
         assert type(caught.value) is error
@@ -652,7 +653,7 @@ class TestCostTableRefusal:
     @pytest.mark.parametrize("engine", list(ENGINES))
     def test_refused_before_sampling_or_sweeping(self, engine, table, error, monkeypatch):
         ran = []
-        for name in ("_shard_round", "bellman_sweep", "implicit_step"):
+        for name in ("_shard_round", "bellman_sweep", "_step_policies"):
             monkeypatch.setattr(validate_module, name, lambda *a, **k: ran.append(1))
         with pytest.raises(RiskflowError) as caught:
             self.ENGINES[engine](table)
@@ -693,7 +694,7 @@ class TestInitialLawRefusal:
     @pytest.mark.parametrize("engine", list(ENGINES))
     def test_refused_before_sampling_or_sweeping(self, engine, nu, monkeypatch):
         ran = []
-        for name in ("_shard_round", "bellman_sweep", "implicit_step"):
+        for name in ("_shard_round", "bellman_sweep", "_step_policies"):
             monkeypatch.setattr(validate_module, name, lambda *a, **k: ran.append(1))
         for name in ("bellman_sweep", "implicit_step"):
             monkeypatch.setattr(solve_module, name, lambda *a, **k: ran.append(1))
@@ -716,7 +717,10 @@ class TestEnumeration:
     def test_matches_per_policy_loop(self, spec, v, n_t, chunk, monkeypatch):
         # the reference: every action table in itertools.product order,
         # stepped one policy at a time by dense solves of each step's
-        # stacked matrix, which share no kernel with implicit_step
+        # stacked matrix.  Enumeration's batched step calls the same LAPACK
+        # solve, so this checks the prefix tree, the action digits, the
+        # chunks and the scoring; the solve itself is checked against the
+        # LP's sparse steps in TestRiskNeutralDpCostAxis and criterion 7
         yg = build_uniform_grid(0.0, 0.6, 2)
         fp = program(two_state_gen(DESIGNATED_RATES), DESIGNATED_COST, yg,
                      np.linspace(0, 1, n_t), DESIGNATED_NU)
@@ -761,6 +765,33 @@ class TestEnumeration:
             program(gen, np.zeros((2, 2)), yg, np.linspace(0, 1, 2), np.array([1.0, 0.0])),
             RiskSpec(kind="entropic", theta=1.0))
         assert res.value == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("rate, want", [(np.inf, None), (5.0, 0.16462363080205614)],
+                             ids=["inf", "finite"])
+    def test_infinite_cost_fails_loudly(self, rate, want):
+        # a LAPACK solve of a step matrix holding inf returned the value 0.0
+        cost = np.array([[rate, 0.2], [0.3, 0.4]])
+        fp = program(two_state_gen([(1.0, 2.0), (0.5, 0.3)]), cost,
+                     build_uniform_grid(0.0, 1.0, 2), np.linspace(0, 1, 3), np.array([1.0, 0.0]))
+        if want is None:
+            with pytest.raises(PropagationError, match="non-finite"):
+                enumerate_policies(fp, RiskSpec(kind="expectation"))
+        else:
+            res = enumerate_policies(fp, RiskSpec(kind="expectation"))
+            assert res.value == pytest.approx(want, rel=1e-14)
+
+    def test_refuses_dense_steps_too_large_before_any_step(self, monkeypatch):
+        # one action, so one policy, but 1600 (x, y) cells: a dense step of
+        # 1600 x 1600 systems takes about 41 MB
+        stepped = []
+        monkeypatch.setattr(validate_module, "_step_policies",
+                            lambda *a, **k: stepped.append(1))
+        fp = program(two_state_gen([(1.0, 2.0)]), np.array([[0.4], [0.9]]),
+                     build_uniform_grid(0.0, 2.0, 800), np.linspace(0, 1, 3),
+                     np.array([1.0, 0.0]))
+        with pytest.raises(PolicyEnumerationError, match="n_z = 1600"):
+            enumerate_policies(fp, RiskSpec(kind="expectation"))
+        assert stepped == []
 
     def test_refuses_large_spaces(self):
         gen = two_state_gen([(1.0, 2.0), (0.5, 0.3)])
