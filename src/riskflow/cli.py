@@ -287,12 +287,11 @@ class ProblemPieces:
     y_grid: object
     t_grid: object
     nu: np.ndarray
-    initial_xy: DiscreteDistribution
     v: Optional[np.ndarray]
 
 
 def build_problem(spec: ProblemSpec) -> ProblemPieces:
-    """Materialize grids, generator, cost table, and initial law."""
+    """Materialize grids, generator, cost table, and initial state law."""
     if spec.family == "circle_follower":
         x_grid = build_circle_grid(spec.n_x)
         a_values = np.linspace(spec.a_min, spec.a_max, spec.n_a)
@@ -325,13 +324,8 @@ def build_problem(spec: ProblemSpec) -> ProblemPieces:
     for path, values in (("nu", nu), ("terminal_cost", v)):
         if values is not None and len(values) != n_x:
             raise ConfigError(f"config key {path}: length {len(values)} != n_x {n_x}")
-    initial = np.zeros((n_x, spec.n_y))
-    initial[:, 0] = nu
-    initial_xy = DiscreteDistribution(axes=("x", "y"),
-                                      coords=(base.state_points, y_grid.points),
-                                      mass=initial)
     return ProblemPieces(base=base, cost=cost, a_values=a_values, y_grid=y_grid,
-                         t_grid=t_grid, nu=nu, initial_xy=initial_xy, v=v)
+                         t_grid=t_grid, nu=nu, v=v)
 
 
 def _risk_spec(spec: ProblemSpec) -> RiskSpec:
@@ -353,7 +347,7 @@ def _write_policy_csvs(policy: MarkovPolicy, pieces: ProblemPieces, out_dir):
 
 def _forward_program(spec: ProblemSpec, pieces: ProblemPieces) -> ForwardProgram:
     aug = augment_generator(pieces.base, pieces.cost, spec.alpha, pieces.y_grid)
-    return assemble_forward_program(aug, pieces.initial_xy, pieces.t_grid)
+    return assemble_forward_program(aug, pieces.nu, pieces.t_grid)
 
 
 def run(spec: ProblemSpec, out_dir) -> SolveReport:

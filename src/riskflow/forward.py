@@ -1,8 +1,9 @@
 """Time discretization of the forward (Fokker-Planck / master) equation.
 
-``assemble_forward_program`` checks the initial (x, y) law and keeps it
-with the ``(dt, Q(t_k))`` pairs of ``AugmentedGenerator.steps`` as one
-``ForwardProgram`` over time-indexed joint measures ``mu_k(x, y, a)``.
+The chain starts with its state law at cost zero, ``X_0 ~ nu`` and
+``Y_0 = 0``.  ``assemble_forward_program`` checks ``nu`` and keeps it, in
+cost cell 0, with the ``(dt, Q(t_k))`` pairs of ``AugmentedGenerator.steps``
+as one ``ForwardProgram`` over time-indexed joint measures ``mu_k(x, y, a)``.
 Its consumers share one implicit-Euler step over (product state, action),
 ``[z = z'] - dt Q_a(t_k)[z, z']``: ``propagate_forward`` steps ``fp.steps``
 forward from ``fp.b_eq[:fp.n_z]`` under one policy and ``solve.bellman_sweep``
@@ -85,10 +86,10 @@ def marginal(dist: DiscreteDistribution, axes: Union[str, Sequence[str]]) -> Dis
                                 mass=mass)
 
 
-def distribution_from_samples(samples: np.ndarray, axis: str = "y") -> DiscreteDistribution:
-    """Empirical distribution of scalar samples (equal weights, merged ties)."""
+def distribution_from_samples(samples: np.ndarray) -> DiscreteDistribution:
+    """Empirical cost law ``y`` of scalar samples (equal weights, merged ties)."""
     values, counts = np.unique(np.asarray(samples, dtype=float), return_counts=True)
-    return DiscreteDistribution(axes=(axis,), coords=(values,),
+    return DiscreteDistribution(axes=("y",), coords=(values,),
                                 mass=counts / counts.sum())
 
 
@@ -174,7 +175,7 @@ def implicit_step(stacked: sp.csr_matrix, weights: np.ndarray, dt: float,
 
 
 def propagate_forward(fp: ForwardProgram, policy) -> TrajectoryDistribution:
-    """Implicit-Euler propagation of the program's initial (x, y) law
+    """Implicit-Euler propagation of the program's initial law
     under a policy with one slice per grid time.
 
     Each step of ``fp.steps`` solves ``(I - dt Q^T) m_{k+1} = m_k`` from a
@@ -210,8 +211,8 @@ def propagate_forward(fp: ForwardProgram, policy) -> TrajectoryDistribution:
 
 @dataclass(frozen=True)
 class ForwardProgram:
-    """The evolution constraints: the initial law ``b_eq[:n_z]`` and the
-    ``(dt, Q_k)`` pairs in ``steps``.
+    """The evolution constraints: the initial (x, y) law ``b_eq[:n_z]``, the
+    state law in cost cell 0, and the ``(dt, Q_k)`` pairs in ``steps``.
 
     Decision variables are ``mu_k(x, y, a) >= 0`` flattened as
     ``column = ((k * n_z) + x * n_y + y) * n_a + a``.  Rows are the initial
@@ -291,20 +292,19 @@ class ForwardProgram:
                                       min_mass=float(cube.min()))
 
 
-def assemble_forward_program(gen: AugmentedGenerator, initial_xy: DiscreteDistribution,
+def assemble_forward_program(gen: AugmentedGenerator, initial_x: np.ndarray,
                              t_grid: Union[UniformGrid, np.ndarray]) -> ForwardProgram:
-    """The implicit-Euler evolution from ``initial_xy`` over ``t_grid``:
-    its steps and initial law (``ForwardProgram.a_eq`` stacks them into
-    equality constraints when read).  This is the one check of the (x, y)
-    law: ``check_initial_law`` with shape ``(n_x, n_y)``."""
+    """The implicit-Euler evolution over ``t_grid`` from the state law
+    ``initial_x`` at cost zero: its steps and initial law
+    (``ForwardProgram.a_eq`` stacks them into equality constraints when
+    read).  The state law is checked by ``check_initial_law``."""
     times = grid_points(t_grid)
     n_t = len(times)
     if n_t < 2:
         raise AssemblyError(f"need at least two time points, got {n_t}")
     n_x, n_y, n_a = gen.base.dim, gen.y_grid.n, gen.base.n_actions
-    law = check_initial_law(initial_xy.mass, (n_x, n_y))
     b_eq = np.zeros(n_x * n_y * n_t)
-    b_eq[:n_x * n_y] = law.ravel()
+    b_eq[:n_x * n_y:n_y] = check_initial_law(initial_x, n_x)
     return ForwardProgram(b_eq=b_eq, n_t=n_t, n_x=n_x, n_y=n_y, n_a=n_a,
                           t_values=times, x_values=gen.base.state_points,
                           y_values=gen.y_grid.points, steps=tuple(gen.steps(times)))

@@ -54,7 +54,7 @@ def discretize_circle_diffusion(grid: CircleGrid, a: float, sigma: float) -> sp.
     ``sigma^2 / (2 dx^2)``, and the drift adds ``|a| / dx`` to the downwind
     neighbor only, so off-diagonals stay nonnegative for any ``a``.
     """
-    if sigma <= 0:
+    if not sigma > 0:  # NaN fails too
         raise InvalidParameterError(f"diffusion strength must be positive, got {sigma}")
     n, dx = grid.n, grid.spacing
     diff = sigma * sigma / (2.0 * dx * dx)
@@ -147,10 +147,11 @@ def _cost_shift(n_y: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, (rows, cols)), shape=(n_y, n_y))
 
 
-def check_cost_table(cost_rate, base: ControlledGenerator) -> np.ndarray:
+def check_cost_table(cost_rate, base: ControlledGenerator, alpha: float) -> np.ndarray:
     """The running-cost table as floats: shape ``(n_states, n_actions)``
     of ``base`` (``InvalidParameterError``), no negative or NaN entry
-    (``InvalidCostError``); infinite entries are allowed."""
+    (``InvalidCostError``); infinite entries are allowed.  Its discount
+    rate ``alpha`` must be nonnegative (``InvalidParameterError``)."""
     c = np.asarray(cost_rate, dtype=float)
     if c.shape != (base.dim, base.n_actions):
         raise InvalidParameterError(
@@ -158,17 +159,18 @@ def check_cost_table(cost_rate, base: ControlledGenerator) -> np.ndarray:
             f"({base.dim}, {base.n_actions})")
     if not (c >= 0).all():  # NaN fails too
         raise InvalidCostError(f"cost rates must be nonnegative, min is {c.min()}")
+    if not alpha >= 0:  # NaN fails too
+        raise InvalidParameterError(f"discount rate must be nonnegative, got {alpha}")
     return c
 
 
-def check_initial_law(law, shape: tuple) -> np.ndarray:
-    """The initial law as floats: an array of ``shape`` (``(n_states,)``
-    for the base chain, ``(n_x, n_y)`` for the augmented one), finite and
+def check_initial_law(law, n_states: int) -> np.ndarray:
+    """The state law as floats: ``n_states`` entries, finite and
     nonnegative, with a total within 1e-10 of one
     (``InvalidParameterError``)."""
     nu = np.asarray(law, dtype=float)
-    if nu.shape != shape:
-        raise InvalidParameterError(f"initial law shape {nu.shape} is not {shape}")
+    if nu.shape != (n_states,):
+        raise InvalidParameterError(f"initial law shape {nu.shape} is not ({n_states},)")
     if not (np.isfinite(nu).all() and (nu >= 0).all() and abs(nu.sum() - 1.0) <= 1e-10):
         raise InvalidParameterError(
             f"initial law must be a probability vector, got min {nu.min()} "
@@ -179,10 +181,8 @@ def check_initial_law(law, shape: tuple) -> np.ndarray:
 def augment_generator(base: ControlledGenerator, cost_rate, alpha: float,
                       y_grid: UniformGrid) -> AugmentedGenerator:
     """Assemble the joint (state, cost) generator of the running cost
-    ``cost_rate`` (``check_cost_table``)."""
-    c = check_cost_table(cost_rate, base)
-    if alpha < 0:
-        raise InvalidParameterError(f"discount rate must be nonnegative, got {alpha}")
+    ``cost_rate`` discounted at rate ``alpha`` (``check_cost_table``)."""
+    c = check_cost_table(cost_rate, base, alpha)
     eye_y = sp.identity(y_grid.n, format="csr")
     shift = _cost_shift(y_grid.n)
     state_part = stack_actions([sp.kron(q, eye_y, format="csr")

@@ -24,6 +24,7 @@ from .forward import DiscreteDistribution
 
 KINDS = ("expectation", "entropic", "mean_semideviation")
 LINEAR_KINDS = ("expectation", "entropic")
+MERGE_TOL = 1e-12  # merge_support's distance within one group of totals
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class RiskSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidParameterError(f"unknown risk kind {self.kind!r}; choose from {KINDS}")
-        if self.kind == "entropic" and self.theta < 0:
+        if self.kind == "entropic" and not self.theta >= 0:  # NaN fails too
             raise InvalidParameterError(f"entropic risk needs theta >= 0, got {self.theta}")
         if self.kind == "mean_semideviation" and not 0.0 <= self.beta <= 1.0:
             raise InvalidParameterError(f"semideviation weight must be in [0,1], got {self.beta}")
@@ -73,7 +74,7 @@ def entropic(values: np.ndarray, mass: np.ndarray, theta: float) -> np.ndarray:
     largest value carrying mass in that law; the values above ``top``
     carry none and are weighed as ``top``.
     """
-    if theta < 0:
+    if not theta >= 0:  # NaN fails too
         raise InvalidParameterError(f"theta must be >= 0, got {theta}")
     if theta == 0:
         return expectation(values, mass)
@@ -144,7 +145,7 @@ def terminal_totals(v: Optional[np.ndarray], n_x: int, y_values: np.ndarray) -> 
     if v.shape != (n_x,):
         raise InvalidParameterError(
             f"terminal cost table has shape {v.shape}, expected ({n_x},)")
-    if np.any(v < 0):
+    if not (v >= 0).all():  # NaN fails too
         raise InvalidCostError(f"terminal costs must be nonnegative, min is {v.min()}")
     return (v[:, None] + y_values[None, :]).ravel()
 
@@ -155,7 +156,7 @@ def apply_terminal_cost(joint: DiscreteDistribution,
     (``v=None``: no terminal cost).
 
     The output support is the sorted set of attained totals; masses landing
-    within 1e-12 of each other are aggregated.
+    within ``MERGE_TOL`` of each other are aggregated.
     """
     if joint.axes != ("x", "y"):
         joint = joint.marginal(("x", "y"))
@@ -164,14 +165,13 @@ def apply_terminal_cost(joint: DiscreteDistribution,
     hit = mass != 0.0  # support = values actually attained by mass
     if hit.any():
         totals, mass = totals[hit], mass[hit]
-    out_v, out_m = merge_support(totals, mass, 1e-12)
+    out_v, out_m = merge_support(totals, mass)
     return DiscreteDistribution(axes=("cost",), coords=(out_v,), mass=out_m)
 
 
-def merge_support(values: np.ndarray, weights: np.ndarray,
-                  tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def merge_support(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort ``values`` stably and add up, in order, the weights of the values
-    within ``tol`` of the first value of their group.
+    within ``MERGE_TOL`` of the first value of their group.
 
     ``weights`` is ``(..., n)``: every law is merged on the same groups, and
     each group's sum is taken member by member, as for a single law.
@@ -181,7 +181,7 @@ def merge_support(values: np.ndarray, weights: np.ndarray,
     sorted_v = values.tolist()
     first = [0]
     for i, v in enumerate(sorted_v):
-        if v - sorted_v[first[-1]] > tol:
+        if v - sorted_v[first[-1]] > MERGE_TOL:
             first.append(i)
     size = np.diff(first + [len(sorted_v)])
     out = weights[..., first]

@@ -42,6 +42,7 @@ STEP_SCALE = 0.99995  # fraction of the distance to the boundary taken per step
 # infeasibility test fires on feasible programs
 ENTROPIC_LOG_SPAN = 15.0
 DP_TIE_TOL = 1e-10  # relative margin of a Bellman step's action switches and ties
+POLICY_MASS_TOL = 1e-10  # largest |sum_a probs - 1| of a valid policy cell
 
 
 class LpFailureError(RiskflowError):
@@ -253,10 +254,11 @@ class MarkovPolicy:
         if self.probs.ndim != 4 or self.mask.shape != self.probs.shape[:3]:
             raise InvalidParameterError("policy arrays have inconsistent shapes")
 
-    def validate(self, tol: float = 1e-10) -> "MarkovPolicy":
-        """Raise unless every cell's action probabilities are >= 0 and sum to 1."""
+    def validate(self) -> "MarkovPolicy":
+        """Raise unless every cell's action probabilities are >= 0 and sum
+        to 1 within ``POLICY_MASS_TOL``."""
         dev = np.abs(self.probs.sum(axis=-1) - 1.0).max()
-        if not dev <= tol:  # NaN fails too
+        if not dev <= POLICY_MASS_TOL:  # NaN fails too
             raise InvalidParameterError(f"conditional action mass off by {dev}")
         if self.probs.min() < 0:
             raise InvalidParameterError(f"negative action probability {self.probs.min()}")

@@ -12,6 +12,7 @@ criterion 5 takes the Monte Carlo law of ``min(Y, y_max)``.  Every
 tolerance below is asserted exactly as stated.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -36,7 +37,7 @@ def reference_pieces():
     spec = ProblemSpec()
     pieces = build_problem(spec)
     aug = augment_generator(pieces.base, pieces.cost, spec.alpha, pieces.y_grid)
-    fp = rf.assemble_forward_program(aug, pieces.initial_xy, pieces.t_grid)
+    fp = rf.assemble_forward_program(aug, pieces.nu, pieces.t_grid)
     return spec, pieces, fp
 
 
@@ -136,11 +137,7 @@ def test_criterion_6_propagation_exactness():
     def propagate_error(dt):
         n_t = int(round(1.0 / dt)) + 1
         times = np.linspace(0.0, 1.0, n_t)
-        mass = np.zeros((2, 2))
-        mass[0, 0] = 1.0
-        init = rf.DiscreteDistribution(axes=("x", "y"),
-                                       coords=(np.arange(2.0), yg.points), mass=mass)
-        traj = rf.propagate_forward(rf.assemble_forward_program(aug, init, times),
+        traj = rf.propagate_forward(rf.assemble_forward_program(aug, np.eye(2)[0], times),
                                     rf.MarkovPolicy.uniform(n_t, 2, 2, 1))
         got = traj.slices[-1].marginal("x").mass
         return np.abs(got - exact).max()
@@ -163,13 +160,8 @@ def test_criterion_7_oracle_equality():
         gen = rf.ControlledGenerator(per_action=tuple(mats))
         yg = rf.build_uniform_grid(0.0, 2.0, 2)
         times = np.linspace(0.0, 1.0, 3)
-        nu = np.array([1.0, 0.0])
-        mass = np.zeros((2, 2))
-        mass[:, 0] = nu
-        start = rf.DiscreteDistribution(axes=("x", "y"),
-                                        coords=(np.arange(2.0), yg.points), mass=mass)
         aug = augment_generator(gen, np.asarray(cost, float), 0.25, yg)
-        fp = rf.assemble_forward_program(aug, start, times)
+        fp = rf.assemble_forward_program(aug, np.array([1.0, 0.0]), times)
         rep = rf.optimize_linear_risk(fp, rf.RiskSpec(kind="entropic", theta=1.0),
                                       tol_gap=1e-11)
         enum = rf.enumerate_policies(fp, rf.RiskSpec(kind="entropic", theta=1.0))
@@ -215,12 +207,13 @@ def test_criterion_8_conservation_suite():
         aug = augment_generator(gen, cost, float(rng.uniform(0, 1)), yg)
         probs = rng.dirichlet(np.ones(n_a), size=(n_t, n_x, n_y))
         policy = rf.MarkovPolicy(probs=probs, mask=np.ones((n_t, n_x, n_y), bool))
-        mass = rng.dirichlet(np.ones(n_x * n_y)).reshape(n_x, n_y)
-        init = rf.DiscreteDistribution(axes=("x", "y"),
-                                       coords=(np.arange(float(n_x)), yg.points),
-                                       mass=mass)
+        mass = rng.dirichlet(np.ones(n_x * n_y))
         times = np.linspace(0, float(rng.uniform(0.5, 2.0)), n_t)
-        traj = rf.propagate_forward(rf.assemble_forward_program(aug, init, times), policy)
+        # conservation is a property of the step: start it from any (x, y) law
+        fp = rf.assemble_forward_program(aug, np.eye(n_x)[0], times)
+        b_eq = fp.b_eq.copy()
+        b_eq[:fp.n_z] = mass
+        traj = rf.propagate_forward(dataclasses.replace(fp, b_eq=b_eq), policy)
         worst_dev = max(worst_dev, float(traj.mass_deviation.max()))
         worst_min = min(worst_min, traj.min_mass)
     ok = line(8, worst_dev <= 1e-12 and worst_min >= -1e-12,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,13 +20,6 @@ def two_state_gen(q01=1.0, q10=2.0):
     return ControlledGenerator(per_action=(m,))
 
 
-def start_at(index, n_x, n_y, coords=None):
-    mass = np.zeros((n_x, n_y))
-    mass[index, 0] = 1.0
-    coords = coords or (np.arange(n_x, dtype=float), np.arange(n_y, dtype=float))
-    return DiscreteDistribution(axes=("x", "y"), coords=coords, mass=mass)
-
-
 class TestMarginal:
     def test_product_measure_factorizes(self):
         p = np.array([0.2, 0.8])
@@ -36,7 +31,10 @@ class TestMarginal:
         assert np.allclose(joint.marginal("y").mass, q)
 
     def test_point_mass(self):
-        d = start_at(1, 3, 4)
+        mass = np.zeros((3, 4))
+        mass[1, 0] = 1.0
+        d = DiscreteDistribution(axes=("x", "y"), coords=(np.arange(3.), np.arange(4.)),
+                                 mass=mass)
         m = d.marginal("y")
         assert np.allclose(m.mass, [1, 0, 0, 0])
 
@@ -56,7 +54,8 @@ class TestMarginal:
         assert np.allclose(flipped.mass, m.T)
 
     def test_unknown_axis(self):
-        d = start_at(0, 2, 2)
+        d = DiscreteDistribution(axes=("x", "y"), coords=(np.arange(2.), np.arange(2.)),
+                                 mass=np.full((2, 2), 0.25))
         with pytest.raises(InvalidParameterError):
             marginal(d, "z")
 
@@ -89,11 +88,10 @@ class TestPropagation:
         gen = ControlledGenerator(per_action=(sp.csr_matrix((3, 3)),))
         yg = build_uniform_grid(0.0, 1.0, 2)
         aug = augment_generator(gen, np.zeros((3, 1)), 0.0, yg)
-        init = start_at(1, 3, 2, coords=(np.arange(3.), yg.points))
-        traj = propagate_forward(assemble_forward_program(aug, init, np.linspace(0, 1, 4)),
+        traj = propagate_forward(assemble_forward_program(aug, np.eye(3)[1], np.linspace(0, 1, 4)),
                                  MarkovPolicy.uniform(4, 3, 2, 1))
         for sl in traj.slices:
-            assert np.allclose(sl.mass, init.mass)
+            assert np.allclose(sl.mass, [[0, 0], [1, 0], [0, 0]])
 
     def test_two_state_chain_matches_matrix_exponential(self):
         q = np.array([[-1.0, 1.0], [2.0, -2.0]])
@@ -102,8 +100,7 @@ class TestPropagation:
         aug = augment_generator(gen, np.zeros((2, 1)), 0.0, yg)
         n_t = 101  # dt = 0.01 over t = 1
         times = np.linspace(0.0, 1.0, n_t)
-        init = start_at(0, 2, 2, coords=(np.arange(2.), yg.points))
-        traj = propagate_forward(assemble_forward_program(aug, init, times),
+        traj = propagate_forward(assemble_forward_program(aug, np.eye(2)[0], times),
                                  MarkovPolicy.uniform(n_t, 2, 2, 1))
         got = traj.slices[-1].marginal("x").mass
         want = scipy.linalg.expm(q.T) @ np.array([1.0, 0.0])
@@ -118,11 +115,8 @@ class TestPropagation:
             state_grid=grid)
         yg = build_uniform_grid(0.0, 1.0, 3)
         aug = augment_generator(gen, np.zeros((7, 1)), 0.0, yg)
-        mass = np.zeros((7, 3))
-        mass[:, 0] = 1.0 / 7.0
-        init = DiscreteDistribution(axes=("x", "y"), coords=(grid.points, yg.points),
-                                    mass=mass)
-        traj = propagate_forward(assemble_forward_program(aug, init, np.linspace(0, 2, 5)),
+        traj = propagate_forward(assemble_forward_program(aug, np.full(7, 1.0 / 7.0),
+                                                          np.linspace(0, 2, 5)),
                                  MarkovPolicy.uniform(5, 7, 3, 1))
         for sl in traj.slices:
             assert np.allclose(sl.marginal("x").mass, 1.0 / 7.0, atol=1e-12)
@@ -143,12 +137,11 @@ class TestPropagation:
             aug = augment_generator(gen, cost, rng.uniform(0, 1), yg)
             probs = rng.dirichlet(np.ones(n_a), size=(4, n_x, n_y))
             policy = MarkovPolicy(probs=probs, mask=np.ones((4, n_x, n_y), bool))
-            mass = rng.dirichlet(np.ones(n_x * n_y)).reshape(n_x, n_y)
-            init = DiscreteDistribution(axes=("x", "y"),
-                                        coords=(np.arange(float(n_x)), yg.points),
-                                        mass=mass)
-            traj = propagate_forward(
-                assemble_forward_program(aug, init, np.linspace(0, 1.5, 4)), policy)
+            # conservation is a property of the step: start it from any (x, y) law
+            fp = assemble_forward_program(aug, np.eye(n_x)[0], np.linspace(0, 1.5, 4))
+            b_eq = fp.b_eq.copy()
+            b_eq[:fp.n_z] = rng.dirichlet(np.ones(n_x * n_y))
+            traj = propagate_forward(dataclasses.replace(fp, b_eq=b_eq), policy)
             assert traj.mass_deviation.max() <= 1e-12
             assert traj.min_mass >= -1e-12
 
@@ -167,8 +160,7 @@ class TestPropagation:
         times = np.linspace(0.0, 2.0, 6)
         probs = rng.dirichlet(np.ones(2), size=(6, 5, 9))
         policy = MarkovPolicy(probs=probs, mask=np.ones((6, 5, 9), bool))
-        init = start_at(0, 5, 9, coords=(grid.points, yg.points))
-        traj = propagate_forward(assemble_forward_program(aug, init, times), policy)
+        traj = propagate_forward(assemble_forward_program(aug, np.eye(5)[0], times), policy)
         means = [sl.marginal("y").mean() for sl in traj.slices]
         assert np.all(np.diff(means) >= -1e-14)
         dt = times[1] - times[0]
@@ -184,19 +176,27 @@ class TestPropagation:
         gen = two_state_gen()
         yg = build_uniform_grid(0.0, 1.0, 2)
         aug = augment_generator(gen, np.zeros((2, 1)), 0.0, yg)
-        init = start_at(0, 2, 2, coords=(np.arange(2.), yg.points))
-        fp = assemble_forward_program(aug, init, np.linspace(0, 1, 4))
+        fp = assemble_forward_program(aug, np.eye(2)[0], np.linspace(0, 1, 4))
         with pytest.raises(InvalidParameterError):
             propagate_forward(fp, MarkovPolicy.uniform(3, 2, 2, 1))
 
 
 class TestAssembly:
+    def test_state_law_starts_at_cost_zero(self):
+        gen = ControlledGenerator(per_action=(sp.csr_matrix((3, 3)),) * 2)
+        yg = build_uniform_grid(0.0, 1.0, 4)
+        aug = augment_generator(gen, np.ones((3, 2)), 0.5, yg)
+        nu = np.array([0.2, 0.0, 0.8])
+        fp = assemble_forward_program(aug, nu, np.linspace(0, 1, 3))
+        want = np.zeros((3, 3, 4))  # (t, x, y)
+        want[0, :, 0] = nu
+        assert np.array_equal(fp.b_eq, want.ravel())
+
     def test_degenerate_single_cell(self):
         gen = ControlledGenerator(per_action=(sp.csr_matrix((1, 1)),))
         yg = build_uniform_grid(0.0, 1.0, 2)
         aug = augment_generator(gen, np.zeros((1, 1)), 0.0, yg)
-        init = start_at(0, 1, 2, coords=(np.zeros(1), yg.points))
-        fp = assemble_forward_program(aug, init, np.linspace(0, 1, 2))
+        fp = assemble_forward_program(aug, np.ones(1), np.linspace(0, 1, 2))
         assert fp.n_vars == 4  # 2 slices x 2 cost levels x 1 action
         assert fp.a_eq.shape == (4, 4)
 
@@ -209,8 +209,7 @@ class TestAssembly:
         cost = (1 - np.cos(grid.points))[:, None] + 2.0 * a_vals[None, :] ** 2
         yg = build_uniform_grid(0.0, 2.5, 21)
         aug = augment_generator(gen, cost, 0.25, yg)
-        init = start_at(0, 21, 21, coords=(grid.points, yg.points))
-        fp = assemble_forward_program(aug, init, build_uniform_grid(0.0, 25.0, 21))
+        fp = assemble_forward_program(aug, np.eye(21)[0], build_uniform_grid(0.0, 25.0, 21))
         assert fp.n_vars == 21 * 21 * 21 * 21 == 194_481
         assert fp.a_eq.shape[0] == 20 * 441 + 441 == 9_261
         assert np.diff(fp.a_eq.tocsr().indptr).min() >= 1
@@ -229,9 +228,7 @@ class TestAssembly:
         cost = rng.uniform(0, 1, (4, 2))
         yg = build_uniform_grid(0.0, 1.0, 3)
         aug = augment_generator(gen, cost, 0.2, yg)
-        init = start_at(0, 4, 3, coords=(grid.points, yg.points))
-        times = np.linspace(0, 1, 3)
-        fp = assemble_forward_program(aug, init, times)
+        fp = assemble_forward_program(aug, np.eye(4)[0], np.linspace(0, 1, 3))
         n_z, n_a = 12, 2
         dense = fp.a_eq.toarray()
         for k in range(2):
@@ -246,8 +243,7 @@ class TestAssembly:
         gen = two_state_gen()
         yg = build_uniform_grid(0.0, 1.0, 2)
         aug = augment_generator(gen, np.full((2, 1), 0.4), 0.0, yg)
-        init = start_at(0, 2, 2, coords=(np.arange(2.), yg.points))
-        traj = propagate_forward(assemble_forward_program(aug, init, np.linspace(0, 1, 3)),
+        traj = propagate_forward(assemble_forward_program(aug, np.eye(2)[0], np.linspace(0, 1, 3)),
                                  MarkovPolicy.uniform(3, 2, 2, 1))
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path, axes=("y",))
@@ -282,9 +278,8 @@ class TestImplicitStepKernel:
         alpha = float(rng.uniform(0.1, 1.0))
         yg = build_uniform_grid(0.0, float(rng.uniform(0.5, 3.0)), n_y)
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 0.9, 3))])
-        init = start_at(0, n_x, n_y, coords=(np.arange(float(n_x)), yg.points))
         fp = assemble_forward_program(augment_generator(gen, cost, alpha, yg),
-                                      init, times)
+                                      np.eye(n_x)[0], times)
         n_z = n_x * n_y
         shift = np.eye(n_y, k=1) - np.eye(n_y)
         shift[-1] = 0.0

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from riskflow import (ConfigError, ControlledGenerator, DiscreteDistribution,
-                      InvalidCostError, InvalidParameterError, MarkovPolicy,
+from riskflow import (ConfigError, ControlledGenerator, InvalidCostError,
+                      InvalidParameterError, MarkovPolicy,
                       assemble_forward_program, augment_generator, build_circle_grid,
                       build_uniform_grid, discount_factor,
                       discretize_circle_diffusion, load_generator_triplets,
@@ -62,6 +62,8 @@ class TestStencil:
             discretize_circle_diffusion(build_circle_grid(5), 0.0, 0.0)
         with pytest.raises(InvalidParameterError):
             discretize_circle_diffusion(build_circle_grid(5), 0.0, -1.0)
+        with pytest.raises(InvalidParameterError):  # NaN rates otherwise
+            discretize_circle_diffusion(build_circle_grid(5), 0.0, np.nan)
 
 
 class TestValidateGenerator:
@@ -195,12 +197,8 @@ class TestAugmentation:
         yg = build_uniform_grid(0.0, 3.0, 121)
         times = np.linspace(0.0, horizon, 41)
         aug = augment_generator(gen, np.array([[c0]]), alpha, yg)
-        init = np.zeros((1, 121))
-        init[0, 0] = 1.0
-        start = DiscreteDistribution(axes=("x", "y"),
-                                     coords=(np.zeros(1), yg.points), mass=init)
         policy = MarkovPolicy.uniform(41, 1, 121, 1)
-        traj = propagate_forward(assemble_forward_program(aug, start, times), policy)
+        traj = propagate_forward(assemble_forward_program(aug, np.ones(1), times), policy)
         want = c0 * (1 - np.exp(-alpha * horizon)) / alpha
         # step-averaged discounting makes the mean exact away from the boundary
         assert traj.slices[-1].marginal("y").mean() == pytest.approx(want, abs=1e-9)

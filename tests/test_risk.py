@@ -103,6 +103,14 @@ class TestEntropic:
         with pytest.raises(InvalidParameterError):
             RiskSpec(kind="entropic", theta=-1.0)
 
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda theta: entropic(*COIN.values_1d(), theta), id="entropic"),
+        pytest.param(lambda theta: RiskSpec(kind="entropic", theta=theta), id="spec"),
+    ])
+    def test_nan_theta_rejected(self, call):
+        with pytest.raises(InvalidParameterError):
+            call(np.nan)
+
 
 class TestMeanSemideviation:
     def test_point_mass(self):

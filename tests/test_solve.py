@@ -78,13 +78,9 @@ def tiny_instance(rates, cost, alpha=0.25, n_y=2, y_max=2.0, n_t=3, horizon=1.0)
     yg = build_uniform_grid(0.0, y_max, n_y)
     times = np.linspace(0.0, horizon, n_t)
     nu = np.array([1.0, 0.0])
-    init = np.zeros((2, n_y))
-    init[:, 0] = nu
-    start = DiscreteDistribution(axes=("x", "y"),
-                                 coords=(np.arange(2.0), yg.points), mass=init)
     aug = augment_generator(gen, np.asarray(cost, float), alpha, yg)
-    fp = assemble_forward_program(aug, start, times)
-    return gen, yg, times, nu, start, aug, fp
+    fp = assemble_forward_program(aug, nu, times)
+    return gen, yg, times, nu, aug, fp
 
 
 class TestOptimizeLinear:
@@ -122,7 +118,7 @@ class TestOptimizeLinear:
         # positive rescaling of the linear objective cannot move the set of
         # optimal vertices, so the support of the extracted policy survives
         # (tied cells keep their ties, strict cells their action)
-        gen, yg, times, nu, start, aug, fp = tiny_instance(
+        gen, yg, times, nu, aug, fp = tiny_instance(
             [(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])
         r1 = optimize_linear_risk(fp, RiskSpec(kind="entropic", theta=1.0))
         from riskflow.solve import LpProblem as LP, solve_lp as slp
@@ -135,7 +131,7 @@ class TestOptimizeLinear:
         assert np.array_equal(support1, support2)
 
     def test_terminal_cost_changes_objective(self):
-        gen, yg, times, nu, start, aug, fp = tiny_instance(
+        gen, yg, times, nu, aug, fp = tiny_instance(
             [(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])
         plain = optimize_linear_risk(fp, RiskSpec(kind="expectation"))
         shifted = optimize_linear_risk(fp, RiskSpec(kind="expectation"),
@@ -453,7 +449,7 @@ class TestOptimizeSmooth:
         assert fw.rho_star == pytest.approx(direct.rho_star, abs=1e-6)
 
     def test_semideviation_bounds(self):
-        gen, yg, times, nu, start, aug, fp = tiny_instance(
+        gen, yg, times, nu, aug, fp = tiny_instance(
             [(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])
         expect = optimize_linear_risk(fp, RiskSpec(kind="expectation")).rho_star
         fw = optimize_smooth_risk(fp, RiskSpec(kind="mean_semideviation", beta=1.0),

@@ -491,19 +491,10 @@ DESIGNATED_TIMES = np.linspace(0, 1, 3)
 DESIGNATED_NU = np.array([1.0, 0.0])
 
 
-def start_law(nu, yg):
-    """The (x, y) law of state law ``nu`` at cost 0."""
-    mass = np.zeros((len(nu), yg.n))
-    mass[:, 0] = nu
-    return DiscreteDistribution(axes=("x", "y"), coords=(np.arange(float(len(nu))), yg.points),
-                                mass=mass)
-
-
 def program(gen, cost, yg, times, nu, alpha=0.25):
     """The forward program of ``gen`` on the cost grid ``yg``, started
     from the state law ``nu`` at cost 0."""
-    return assemble_forward_program(augment_generator(gen, cost, alpha, yg),
-                                    start_law(nu, yg), times)
+    return assemble_forward_program(augment_generator(gen, cost, alpha, yg), nu, times)
 
 
 def designated_program(yg, cost=DESIGNATED_COST):
@@ -610,6 +601,7 @@ class TestTerminalCostRefusal:
 
     @pytest.mark.parametrize("v, error", [
         pytest.param([-0.5, 0.0], InvalidCostError, id="negative"),
+        pytest.param([np.nan, 0.0], InvalidCostError, id="nan"),
         pytest.param([0.5, 0.0, 0.0], InvalidParameterError, id="wrong-length"),
         pytest.param([-0.5, 0.0, 0.0], InvalidParameterError, id="length-before-sign"),
     ])
@@ -628,46 +620,49 @@ class TestTerminalCostRefusal:
 
 
 class TestCostTableRefusal:
-    """Every engine checks the running-cost table through
-    ``generator.check_cost_table`` before it samples or sweeps."""
+    """Every engine checks the running-cost table and its discount rate
+    through ``generator.check_cost_table`` before it samples or sweeps."""
 
     GEN = two_state_gen([(1.0, 2.0), (0.5, 0.3), (2.0, 0.1)])
     COST = np.array([[0.3, 1.1, 0.5], [0.9, 0.2, 0.4]])
     YG = build_uniform_grid(0.0, 1.0, 2)
     ENGINES = {
-        "monte-carlo": lambda c: simulate_paths(
-            TestCostTableRefusal.GEN, MarkovPolicy.uniform(3, 2, 2, 3), c, 0.25,
+        "monte-carlo": lambda c, alpha: simulate_paths(
+            TestCostTableRefusal.GEN, MarkovPolicy.uniform(3, 2, 2, 3), c, alpha,
             TestCostTableRefusal.YG, DESIGNATED_NU, DESIGNATED_TIMES, McConfig(n_paths=10)),
-        "dp": lambda c: risk_neutral_dp(TestCostTableRefusal.GEN, c, 0.25,
-                                        DESIGNATED_TIMES, DESIGNATED_NU),
-        "augmentation": lambda c: augment_generator(TestCostTableRefusal.GEN, c, 0.25,
-                                                    TestCostTableRefusal.YG),
+        "dp": lambda c, alpha: risk_neutral_dp(TestCostTableRefusal.GEN, c, alpha,
+                                               DESIGNATED_TIMES, DESIGNATED_NU),
+        "augmentation": lambda c, alpha: augment_generator(
+            TestCostTableRefusal.GEN, c, alpha, TestCostTableRefusal.YG),
     }
 
-    @pytest.mark.parametrize("table, error", [
-        pytest.param(COST * [[1, -1, 1], [1, 1, 1]], InvalidCostError, id="negative"),
-        pytest.param(COST * [[1, np.nan, 1], [1, 1, 1]], InvalidCostError, id="nan"),
-        pytest.param(COST.T, InvalidParameterError, id="transposed"),
-        pytest.param(COST.ravel(), InvalidParameterError, id="flat"),
+    @pytest.mark.parametrize("table, alpha, error", [
+        pytest.param(COST * [[1, -1, 1], [1, 1, 1]], 0.25, InvalidCostError, id="negative"),
+        pytest.param(COST * [[1, np.nan, 1], [1, 1, 1]], 0.25, InvalidCostError, id="nan"),
+        pytest.param(COST.T, 0.25, InvalidParameterError, id="transposed"),
+        pytest.param(COST.ravel(), 0.25, InvalidParameterError, id="flat"),
+        pytest.param(COST, -0.5, InvalidParameterError, id="negative-alpha"),
+        pytest.param(COST, np.nan, InvalidParameterError, id="nan-alpha"),
     ])
     @pytest.mark.parametrize("engine", list(ENGINES))
-    def test_refused_before_sampling_or_sweeping(self, engine, table, error, monkeypatch):
+    def test_refused_before_sampling_or_sweeping(self, engine, table, alpha, error, monkeypatch):
         ran = []
         for name in ("_shard_round", "bellman_sweep", "_step_policies"):
             monkeypatch.setattr(validate_module, name, lambda *a, **k: ran.append(1))
         with pytest.raises(RiskflowError) as caught:
-            self.ENGINES[engine](table)
+            self.ENGINES[engine](table, alpha)
         assert type(caught.value) is error
         assert ran == []
 
 
 class TestInitialLawRefusal:
-    """Every engine checks the initial law through
-    ``generator.check_initial_law`` before it samples, sweeps or steps:
-    the Monte Carlo and the base-chain DP check the state law, and
-    ``assemble_forward_program`` checks the (x, y) law of the program that
-    the optimizers, propagation and enumeration read, so enumeration and the
-    linear optimizer are both refused at assembly."""
+    """Every engine checks the state law through
+    ``generator.check_initial_law`` before it samples, sweeps or steps: the
+    Monte Carlo and the base-chain DP check it, and so does
+    ``assemble_forward_program``, which is passed the law straight and
+    builds the program that the optimizers, propagation and enumeration
+    read, so enumeration and the linear optimizer are both refused at
+    assembly."""
 
     GEN = two_state_gen(DESIGNATED_RATES)
     YG = build_uniform_grid(0.0, 1.0, 2)
