@@ -52,10 +52,13 @@ def discretize_circle_diffusion(grid: CircleGrid, a: float, sigma: float) -> sp.
 
     First-order upwind drift and central diffusion: both neighbor rates get
     ``sigma^2 / (2 dx^2)``, and the drift adds ``|a| / dx`` to the downwind
-    neighbor only, so off-diagonals stay nonnegative for any ``a``.
+    neighbor only, so off-diagonals stay nonnegative for any finite ``a``
+    (``InvalidParameterError`` otherwise, or unless ``0 < sigma < inf``).
     """
-    if not sigma > 0:  # NaN fails too
-        raise InvalidParameterError(f"diffusion strength must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:  # NaN fails too
+        raise InvalidParameterError(f"diffusion strength must be finite and positive, got {sigma}")
+    if not np.isfinite(a):
+        raise InvalidParameterError(f"drift must be finite, got {a}")
     n, dx = grid.n, grid.spacing
     diff = sigma * sigma / (2.0 * dx * dx)
     right = diff + max(a, 0.0) / dx
@@ -119,9 +122,10 @@ class AugmentedGenerator:
     State transitions copy the base rates at every cost level,
     ``kron(Q_a, I_y)``.  Cost accumulation is upwind transport to the next
     cost level at rate ``c(x, a) / dy``, dropped at the top cost cell
-    (absorbing boundary) so rows still sum to zero.  Both are stacked over
-    actions (``stack_actions``) into ``state_part`` and ``cost_part`` once;
-    time enters only through the discount (see ``steps``).
+    (absorbing boundary) so rows still sum to zero.  Both are built once,
+    stacked over actions in the row order of ``stack_actions``, as
+    ``state_part`` and ``cost_part``; time enters only through the
+    discount (see ``steps``).
     """
 
     base: ControlledGenerator
@@ -137,14 +141,6 @@ class AugmentedGenerator:
         times = grid_points(t_grid)
         return [(dt, (self.state_part + discount_factor(self.alpha, t, dt) * self.cost_part).tocsr())
                 for t, dt in zip(times, np.diff(times).tolist())]
-
-
-def _cost_shift(n_y: int) -> sp.csr_matrix:
-    """Unit-rate transport up one cost level, absorbing at the top cell."""
-    rows = np.concatenate([np.arange(n_y - 1), np.arange(n_y - 1)])
-    cols = np.concatenate([np.arange(1, n_y), np.arange(n_y - 1)])
-    data = np.concatenate([np.ones(n_y - 1), -np.ones(n_y - 1)])
-    return sp.csr_matrix((data, (rows, cols)), shape=(n_y, n_y))
 
 
 def check_cost_table(cost_rate, base: ControlledGenerator, alpha: float) -> np.ndarray:
@@ -183,12 +179,23 @@ def augment_generator(base: ControlledGenerator, cost_rate, alpha: float,
     """Assemble the joint (state, cost) generator of the running cost
     ``cost_rate`` discounted at rate ``alpha`` (``check_cost_table``)."""
     c = check_cost_table(cost_rate, base, alpha)
-    eye_y = sp.identity(y_grid.n, format="csr")
-    shift = _cost_shift(y_grid.n)
-    state_part = stack_actions([sp.kron(q, eye_y, format="csr")
-                                for q in base.per_action])
-    cost_part = stack_actions([sp.kron(sp.diags(c[:, a] / y_grid.spacing), shift, format="csr")
-                               for a in range(base.n_actions)])
+    n_x, n_a, n_y = base.dim, base.n_actions, y_grid.n
+    shape, y = (n_x * n_y * n_a, n_x * n_y), np.arange(n_y)
+    # rate q_a[x, x'] from row (x n_y + y) n_a + a to column x' n_y + y, at every y
+    qs = [q.tocoo() for q in base.per_action]
+    act = np.repeat(np.arange(n_a), [m.nnz for m in qs])[:, None]
+    rows = (np.concatenate([m.row for m in qs])[:, None] * n_y + y) * n_a + act
+    cols = np.concatenate([m.col for m in qs])[:, None] * n_y + y
+    state_part = sp.csr_matrix((np.repeat(np.concatenate([m.data for m in qs]), n_y),
+                                (rows.ravel(), cols.ravel())), shape=shape)
+    # rate c(x, a) / dy from (x, y) to (x, y + 1) below the top cell, none stored when zero
+    rate = c / y_grid.spacing
+    x, a = np.nonzero(rate)
+    z = (x[:, None] * n_y + y[:-1]).ravel()
+    up = np.repeat(rate[x, a], n_y - 1)
+    rows = np.tile(z * n_a + np.repeat(a, n_y - 1), 2)
+    cost_part = sp.csr_matrix((np.concatenate([-up, up]), (rows, np.concatenate([z, z + 1]))),
+                              shape=shape)
     return AugmentedGenerator(base=base, alpha=float(alpha), y_grid=y_grid,
                               state_part=state_part, cost_part=cost_part)
 

@@ -31,7 +31,7 @@ MERGE_TOL = 1e-12  # merge_support's distance within one group of totals
 class RiskSpec:
     """Which functional to use and its parameter.
 
-    ``theta >= 0`` for the entropic risk (risk aversion strength),
+    finite ``theta >= 0`` for the entropic risk (risk aversion strength),
     ``beta in [0, 1]`` for mean semideviation.
     """
 
@@ -42,8 +42,8 @@ class RiskSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidParameterError(f"unknown risk kind {self.kind!r}; choose from {KINDS}")
-        if self.kind == "entropic" and not self.theta >= 0:  # NaN fails too
-            raise InvalidParameterError(f"entropic risk needs theta >= 0, got {self.theta}")
+        if self.kind == "entropic" and not 0 <= self.theta < np.inf:  # NaN fails too
+            raise InvalidParameterError(f"entropic risk needs finite theta >= 0, got {self.theta}")
         if self.kind == "mean_semideviation" and not 0.0 <= self.beta <= 1.0:
             raise InvalidParameterError(f"semideviation weight must be in [0,1], got {self.beta}")
 
@@ -74,8 +74,8 @@ def entropic(values: np.ndarray, mass: np.ndarray, theta: float) -> np.ndarray:
     largest value carrying mass in that law; the values above ``top``
     carry none and are weighed as ``top``.
     """
-    if not theta >= 0:  # NaN fails too
-        raise InvalidParameterError(f"theta must be >= 0, got {theta}")
+    if not 0 <= theta < np.inf:  # NaN fails too
+        raise InvalidParameterError(f"theta must be finite and >= 0, got {theta}")
     if theta == 0:
         return expectation(values, mass)
     laws = mass.reshape(-1, values.size)

@@ -2,8 +2,8 @@
 the exact 1-Wasserstein distance between laws on the line, a risk-neutral
 dynamic-programming sweep of the uncapped base chain, and brute-force
 policy enumeration for desk-size instances, a walk over the tree of action
-prefixes of a forward program that steps each chunk of prefixes in one
-batched dense solve and scores the terminal laws in batches.  The
+prefixes of a forward program that factors each dense system of a step
+once per chunk of prefixes and scores the terminal laws in batches.  The
 simulation and the DP check their state law and discounted running cost
 (``generator.check_initial_law``, ``check_cost_table``); all three read
 the controlled generator in the (state, action) row order of
@@ -446,10 +446,12 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
 # ---------------------------------------------------------------------------
 # Brute-force policy enumeration
 
-# Prefix rows per batched dense solve: one enumerate_policies call grows ru_maxrss
-# by about 0.8 MB on the 6-state oracle_enum chain and 1.9 MB on a dense 18-state
-# chain (one step, 2 ** 18 policies).  ENUM_STEP_BYTES bounds one dense step.
-ENUM_CHUNK = 2 ** 9
+# Bytes of one batched dense solve: its systems (n_z ** 2 floats each) and its
+# rows (n_z floats each).  One enumerate_policies call grows ru_maxrss by
+# 0.9-1.1 MB on the 6-state oracle_enum chain, whose levels fit one chunk each,
+# and by 3.0-4.6 MB on a dense 18-state chain (one step, 2 ** 18 policies in
+# 343 chunks of up to 766 systems).  ENUM_STEP_BYTES bounds one dense step.
+ENUM_CHUNK_BYTES = 2 ** 21
 ENUM_STEP_BYTES = 32 * 10 ** 6
 ENUM_MAX_POLICIES = 10 ** 6  # the most policies one call enumerates
 
@@ -461,20 +463,23 @@ class EnumerationResult:
 
 
 def _step_policies(system: np.ndarray, acts: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(I - dt Q_w)^T m = rhs[r]`` for the B policies ``acts[r]`` (B, n_z)
-    in one ``np.linalg.solve``, ``system[z, a]`` being row z of ``I - dt Q_a``.
+    """Solve ``(I - dt Q_w)^T m = rhs[p]`` for the S action patterns ``acts[s]``
+    (S, n_z) and the P laws ``rhs`` (P, n_z), ``system[z, a]`` being row z of
+    ``I - dt Q_a``: one ``np.linalg.solve`` factors each pattern's system once
+    and solves it for the P laws as the columns of one right-hand side.
+    Returns the (P S, n_z) solutions, row ``p S + s`` for law p and pattern s.
     A non-finite step matrix, a singular system or a non-finite solution
     raises ``PropagationError``, as in ``forward.implicit_step``."""
     if not np.isfinite(system).all():
         raise PropagationError("implicit step matrix has a non-finite entry")
     try:
         out = np.linalg.solve(system[np.arange(len(system)), acts].transpose(0, 2, 1),
-                              rhs[..., None])[..., 0]
+                              rhs.T[None])
     except np.linalg.LinAlgError as exc:
         raise PropagationError(f"implicit step failed: {exc}") from exc
     if not np.isfinite(out).all():
         raise PropagationError("implicit step produced a non-finite solution")
-    return out
+    return out.transpose(2, 0, 1).reshape(-1, rhs.shape[1])
 
 
 def enumerate_policies(fp: ForwardProgram, spec: RiskSpec,
@@ -486,38 +491,43 @@ def enumerate_policies(fp: ForwardProgram, spec: RiskSpec,
     n_a ** ((n_t - 1) n_x n_y) policies; policy ``i`` plays the base-``n_a``
     digits of ``i`` on those cells, the first cell most significant.  The
     walk goes over the tree of action prefixes: level k holds one mass row
-    per prefix of steps 0..k, row r stepped once from row
-    ``r // n_a ** (n_x n_y)`` of level k - 1 (at most 4 MB of levels under
-    the cap of ``ENUM_MAX_POLICIES`` policies).  A chunk of ``ENUM_CHUNK`` rows is
-    one batched dense solve of the rows of ``I - dt Q_a`` (``Q_k`` densified
-    once per step) its action digits pick; a last-level chunk is scored in
-    one risk call, on the totals ``y + v(x)`` as ``apply_terminal_cost``
-    merges them.  More policies than that cap, or a dense step of
-    more than ``ENUM_STEP_BYTES`` (32 MB), raise ``PolicyEnumerationError``
-    before any step.
+    per prefix of steps 0..k, row r stepped once from row ``r // fan`` of
+    level k - 1 with the action digits of ``r % fan``, ``fan = n_a ** (n_x
+    n_y)`` (at most 4 MB of levels under the cap of ``ENUM_MAX_POLICIES``).
+    So all prefixes of a level meet the same ``fan`` systems (``Q_k``
+    densified once per step), and a chunk, one ``_step_policies`` solve,
+    is a block of prefixes under all of them, or one prefix under a run of
+    them if they alone exceed ``ENUM_CHUNK_BYTES``, in policy order.  A
+    last-level chunk is scored in one risk call, on the totals ``y + v(x)``
+    as ``apply_terminal_cost`` merges them.  More policies than that cap,
+    or a dense step of more than ``ENUM_STEP_BYTES`` (32 MB), raise
+    ``PolicyEnumerationError`` before any step.
     """
     n_a, width = fp.n_a, fp.n_z
     count = n_a ** ((fp.n_t - 1) * width)
     if count > ENUM_MAX_POLICIES:
         raise PolicyEnumerationError(
             f"{count} deterministic policies exceed the cap of {ENUM_MAX_POLICIES}")
-    if 8 * width ** 2 * (n_a + min(ENUM_CHUNK, count)) > ENUM_STEP_BYTES:
+    fan, place = n_a ** width, n_a ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    # systems and prefixes per chunk: every system for a block of prefixes if they fit
+    span = min(fan, max(1, ENUM_CHUNK_BYTES // (8 * width * (width + 1))))
+    block = 1 if span < fan else max(1, (ENUM_CHUNK_BYTES // (8 * width) - fan * width) // fan)
+    if 8 * width ** 2 * (n_a + span) > ENUM_STEP_BYTES:
         raise PolicyEnumerationError(f"n_z = {width}: dense step above {ENUM_STEP_BYTES} bytes")
     totals = terminal_totals(v, fp.n_x, fp.y_values)
-    fan, place = n_a ** width, n_a ** np.arange(width - 1, -1, -1, dtype=np.int64)
     level, best_val = fp.b_eq[:width].reshape(1, width), math.inf
     for k, (dt, q) in enumerate(fp.steps):
         last = k == len(fp.steps) - 1
         system = np.eye(width)[:, None, :] - dt * q.toarray().reshape(width, n_a, width)
-        rows = len(level) * fan
-        below = None if last else np.empty((rows, width))
-        for lo in range(0, rows, ENUM_CHUNK):
-            index = np.arange(lo, min(lo + ENUM_CHUNK, rows), dtype=np.int64)
-            m = _step_policies(system, index[:, None] // place % n_a, level[index // fan])
-            if last:  # fmin and min skip NaN risks
-                risks = evaluate_laws(spec, *merge_support(totals, m))
-                best_val = min(best_val, float(np.fmin.reduce(risks)))
-            else:
-                below[lo:lo + index.size] = m
+        below = None if last else np.empty((len(level) * fan, width))
+        for p in range(0, len(level), block):
+            for s in range(0, fan, span):
+                acts = np.arange(s, min(s + span, fan), dtype=np.int64)[:, None] // place % n_a
+                m = _step_policies(system, acts, level[p:p + block])
+                if last:  # fmin and min skip NaN risks
+                    risks = evaluate_laws(spec, *merge_support(totals, m))
+                    best_val = min(best_val, float(np.fmin.reduce(risks)))
+                else:
+                    below[p * fan + s:p * fan + s + len(m)] = m
         level = below
     return EnumerationResult(value=best_val, n_policies=count)

@@ -8,7 +8,7 @@ from riskflow import (ConfigError, ControlledGenerator, InvalidCostError,
                       build_uniform_grid, discount_factor,
                       discretize_circle_diffusion, load_generator_triplets,
                       propagate_forward, validate_generator)
-from riskflow.generator import ROW_SUM_TOL
+from riskflow.generator import ROW_SUM_TOL, stack_actions
 from riskflow.grids import grid_points
 
 
@@ -25,6 +25,44 @@ def per_action(aug, disc):
     n_a = aug.base.n_actions
     stacked = (aug.state_part + disc * aug.cost_part).tocsr()
     return tuple(stacked[a::n_a] for a in range(n_a))
+
+
+def kron_parts(gen, cost, yg):
+    """The reference build of the stacked parts: ``kron(Q_a, I_y)`` and
+    ``kron(diag(c_a / dy), shift)``, the upward cost transport absorbed at
+    the top cell, stacked over actions by ``stack_actions``."""
+    shift = np.eye(yg.n, k=1) - np.eye(yg.n)
+    shift[-1] = 0.0
+    shift = sp.csr_matrix(shift)
+    state = stack_actions([sp.kron(q, sp.identity(yg.n, format="csr"), format="csr")
+                           for q in gen.per_action])
+    cost_part = stack_actions([sp.kron(sp.diags(cost[:, a] / yg.spacing), shift, format="csr")
+                               for a in range(gen.n_actions)])
+    return state, cost_part
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for attr in ("data", "indices", "indptr"):
+        have, ref = getattr(got, attr), getattr(want, attr)
+        assert have.dtype == ref.dtype and np.array_equal(have, ref)
+
+
+def assert_steps_match_kron(gen, cost, alpha, yg, t_grid):
+    """``augment_generator``'s parts and steps are the bytes of the kron
+    build: the parts store the same explicit zero rates and drop the same
+    zero cost rates, and every step is ``state + disc * cost`` at the step's
+    averaged discount."""
+    aug = augment_generator(gen, cost, alpha, yg)
+    state, cost_part = kron_parts(gen, cost, yg)
+    assert_same_csr(aug.state_part, state)
+    assert_same_csr(aug.cost_part, cost_part)
+    times = grid_points(t_grid)
+    steps = aug.steps(t_grid)
+    assert len(steps) == len(times) - 1
+    for k, (dt, q) in enumerate(steps):
+        assert dt == times[k + 1] - times[k]
+        assert_same_csr(q, (state + discount_factor(alpha, times[k], dt) * cost_part).tocsr())
 
 
 class TestStencil:
@@ -64,6 +102,14 @@ class TestStencil:
             discretize_circle_diffusion(build_circle_grid(5), 0.0, -1.0)
         with pytest.raises(InvalidParameterError):  # NaN rates otherwise
             discretize_circle_diffusion(build_circle_grid(5), 0.0, np.nan)
+
+    @pytest.mark.parametrize("a, sigma", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
+                                          (0.0, np.inf)],
+                             ids=["nan-drift", "inf-drift", "minus-inf-drift", "inf-sigma"])
+    def test_non_finite_parameters_rejected(self, a, sigma):
+        # NaN or infinite rates otherwise
+        with pytest.raises(InvalidParameterError):
+            discretize_circle_diffusion(build_circle_grid(5), a, sigma)
 
 
 class TestValidateGenerator:
@@ -154,23 +200,42 @@ class TestAugmentation:
     def test_steps_match_fresh_build(self, alpha, t_grid):
         grid, gen = circle_gen(5, actions=(-0.4, 0.0, 0.6))
         yg = build_uniform_grid(0.0, 2.0, 6)
-        cost = np.linspace(0.0, 1.4, 15).reshape(5, 3)
+        cost = np.linspace(0.0, 1.4, 15).reshape(5, 3)  # cost[0, 0] = 0
         shift = np.eye(6, k=1) - np.eye(6)
         shift[-1] = 0.0  # absorbing top cost cell
         times = grid_points(t_grid)
-        steps = augment_generator(gen, cost, alpha, yg).steps(t_grid)
-        assert len(steps) == len(times) - 1
-        for k, (dt, got) in enumerate(steps):
-            assert dt == times[k + 1] - times[k]
+        assert_steps_match_kron(gen, cost, alpha, yg, t_grid)
+        for k, (dt, got) in enumerate(augment_generator(gen, cost, alpha, yg).steps(t_grid)):
             disc = discount_factor(alpha, times[k], dt)
-            fresh = augment_generator(gen, cost, alpha, yg)
-            want = (fresh.state_part + disc * fresh.cost_part).tocsr()
-            for attr in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(got, attr), getattr(want, attr))
             for a in range(3):
                 dense = (np.kron(gen.per_action[a].toarray(), np.eye(6))
                          + disc * np.kron(np.diag(cost[:, a] / yg.spacing), shift))
                 assert np.allclose(got[a::3].toarray(), dense, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_generators_match_kron_build(self, seed):
+        # custom generators with explicit zero rates and zero cost cells, on a
+        # ragged time grid, undiscounted for even seeds
+        rng = np.random.default_rng(seed)
+        n_x, n_a, n_y = (int(n) for n in rng.integers([2, 1, 2], [7, 4, 6]))
+        mats = []
+        for _ in range(n_a):
+            rates = rng.uniform(0.0, 2.0, (n_x, n_x)) * (rng.random((n_x, n_x)) < 0.5)
+            rates[0, -1] = 0.0
+            np.fill_diagonal(rates, 0.0)
+            rates -= np.diag(rates.sum(axis=1))
+            stored = (rates != 0) | (rng.random((n_x, n_x)) < 0.3)
+            stored[0, -1] = True  # an explicit zero rate in every action
+            rows, cols = np.nonzero(stored)
+            mats.append(sp.csr_matrix((rates[rows, cols], (rows, cols)), shape=(n_x, n_x)))
+        gen = ControlledGenerator(per_action=tuple(mats))
+        assert all((q.data == 0).any() for q in gen.per_action)
+        cost = rng.uniform(0.0, 3.0, (n_x, n_a)) * (rng.random((n_x, n_a)) < 0.6)
+        cost[0, 0] = 0.0
+        alpha = (0.0, 0.7)[seed % 2]
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, 4))])
+        yg = build_uniform_grid(0.0, float(rng.uniform(0.5, 3.0)), n_y)
+        assert_steps_match_kron(gen, cost, alpha, yg, times)
 
     def test_negative_cost_rejected(self):
         grid, gen = circle_gen(4, actions=(0.0,))

@@ -103,13 +103,22 @@ class TestEntropic:
         with pytest.raises(InvalidParameterError):
             RiskSpec(kind="entropic", theta=-1.0)
 
-    @pytest.mark.parametrize("call", [
+    # both entry points of the entropic risk
+    THETA_CALLS = [
         pytest.param(lambda theta: entropic(*COIN.values_1d(), theta), id="entropic"),
         pytest.param(lambda theta: RiskSpec(kind="entropic", theta=theta), id="spec"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("call", THETA_CALLS)
     def test_nan_theta_rejected(self, call):
         with pytest.raises(InvalidParameterError):
             call(np.nan)
+
+    @pytest.mark.parametrize("call", THETA_CALLS)
+    def test_infinite_theta_rejected(self, call):
+        # a NaN risk with a RuntimeWarning otherwise
+        with pytest.raises(InvalidParameterError):
+            call(np.inf)
 
 
 class TestMeanSemideviation:

@@ -518,8 +518,8 @@ class TestRiskNeutralDpCostAxis:
         assert lp.rho_star < uncapped.value - 1e-2  # the ceiling binds
         enum = enumerate_policies(fp, RiskSpec(kind="expectation"), v=v)
         assert lp.rho_star == pytest.approx(enum.value, abs=1e-8)
-        # 256 policies in chunks of 7: the last chunk is partial
-        monkeypatch.setattr(validate_module, "ENUM_CHUNK", 7)
+        # the 16 systems of a step (n_z = 4) in runs of 7: the last run is partial
+        monkeypatch.setattr(validate_module, "ENUM_CHUNK_BYTES", 7 * 8 * (16 + 4))
         chunked = enumerate_policies(fp, RiskSpec(kind="expectation"), v=v)
         assert (chunked.value, chunked.n_policies) == (enum.value, 256)
 
@@ -700,14 +700,21 @@ class TestInitialLawRefusal:
 
 
 class TestEnumeration:
+    # On this chain (n_z = 4, n_a = 2) a step has 16 systems of 16 floats and
+    # a prefix has 16 rows of 4 floats: a chunk of 3,584 bytes holds the 16
+    # systems and 3 prefixes, one of 1,120 bytes a run of 7 systems of one prefix.
     @pytest.mark.parametrize("spec, v, n_t, chunk", [
-        pytest.param(RiskSpec(kind="entropic", theta=2.0), None, 3, 100, id="spec0-None"),
+        pytest.param(RiskSpec(kind="entropic", theta=2.0), None, 3, 3584, id="spec0-None"),
         pytest.param(RiskSpec(kind="mean_semideviation", beta=0.5), np.array([0.3, 0.0]),
-                     3, 100, id="spec1-v1"),
-        # three steps in chunks of 7: the 256 rows of the middle prefix
-        # level span 37 chunks, and the totals 0.6 + 0 and 0 + 0.6 merge
+                     3, 3584, id="spec1-v1"),
+        # three steps in blocks of 3 prefixes: the 16 prefixes of the middle
+        # level span 6 chunks, the last one partial, and the totals 0.6 + 0
+        # and 0 + 0.6 merge
         pytest.param(RiskSpec(kind="entropic", theta=2.0), np.array([0.6, 0.0]),
-                     4, 7, id="three-steps"),
+                     4, 3584, id="three-steps"),
+        # the fan of 16 systems exceeds a chunk: each prefix in runs of 7, 7 and 2
+        pytest.param(RiskSpec(kind="mean_semideviation", beta=0.5), np.array([0.3, 0.0]),
+                     4, 1120, id="fan-above-chunk"),
     ])
     def test_matches_per_policy_loop(self, spec, v, n_t, chunk, monkeypatch):
         # the reference: every action table in itertools.product order,
@@ -739,7 +746,7 @@ class TestEnumeration:
             return scored[-1]
 
         monkeypatch.setattr(validate_module, "evaluate_laws", record)
-        monkeypatch.setattr(validate_module, "ENUM_CHUNK", chunk)
+        monkeypatch.setattr(validate_module, "ENUM_CHUNK_BYTES", chunk)
         res = enumerate_policies(fp, spec, v=v)
         assert res.n_policies == len(want) == 2 ** ((n_t - 1) * 4)
         assert np.concatenate(scored) == pytest.approx(want, rel=1e-14, abs=1e-14)
