@@ -34,7 +34,8 @@ from .risk import KINDS, RiskSpec
 from .solve import (DEFAULT_MAX_ITER, DEFAULT_TOL, FW_TOL, MASS_FLOOR, MAX_FW_ITER,
                     MarkovPolicy, SolveReport, optimize_linear_risk,
                     optimize_smooth_risk)
-from .validate import McConfig, simulate_paths, wasserstein1, enumerate_policies
+from .validate import (McConfig, enumerate_policies, sample_spread, simulate_paths,
+                       wasserstein1)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -376,8 +377,8 @@ def run(spec: ProblemSpec, out_dir) -> SolveReport:
         json.dump(dict(report.to_json_dict(), config_digest=config_digest(spec)),
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
-    write_trajectory_csv(report.trajectory, out / "marginal_x.csv", axes=("x",))
-    write_trajectory_csv(report.trajectory, out / "marginal_y.csv", axes=("y",))
+    write_trajectory_csv(report.trajectory, out / "marginal_x.csv", "x")
+    write_trajectory_csv(report.trajectory, out / "marginal_y.csv", "y")
     _write_policy_csvs(report.policy, pieces, out)
     return report
 
@@ -461,17 +462,15 @@ def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
     # law compared; the summary statistics stay those of the raw samples
     capped = np.minimum(result.samples, pieces.y_grid.hi)
     w1 = wasserstein1(distribution_from_samples(capped), lp_dist)
-    capped_stderr = (float(capped.std(ddof=1) / np.sqrt(capped.size))
-                     if cfg.n_paths > 1 else 0.0)
     summary = {
         "paths": cfg.n_paths,
         "seed": cfg.seed,
         "mean": float(result.samples.mean()),
-        "std": float(result.samples.std(ddof=1)) if cfg.n_paths > 1 else 0.0,
+        "std": sample_spread(result.samples)[0],
         "stderr": result.stderr,
         "w1_vs_lp": w1,
         "grid_allowance": pieces.y_grid.spacing,
-        "stderr_allowance": 3.0 * capped_stderr,
+        "stderr_allowance": 3.0 * sample_spread(capped)[1],
         "fallback_lookups": result.fallback_lookups,
     }
     with open(rep / "mc_summary.json", "w") as fh:

@@ -13,13 +13,18 @@ sparse equality matrix ``ForwardProgram.a_eq`` is built only when an LP
 solver reads it.  Controls are attached to the new time slice: the step
 from ``t_k`` to ``t_{k+1}`` mixes actions with the policy (or measure) at
 slice ``k + 1`` and evaluates the generator at the left endpoint ``t_k``.
+
+A trajectory (``TrajectoryDistribution``) is one mass array on the
+program's grid: ``mass[k, x, y]`` from ``propagate_forward`` and
+``mass[k, x, y, a]`` from ``ForwardProgram.trajectory_from_solution``.
+Its ``mass_deviation[k]`` is ``|total mass of slice k - 1|`` from both.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -95,24 +100,29 @@ def distribution_from_samples(samples: np.ndarray) -> DiscreteDistribution:
 
 @dataclass(frozen=True)
 class TrajectoryDistribution:
-    """Per-time distributions plus propagation diagnostics.
+    """A time-indexed measure as one array on the program's grid.
 
-    Slices are over ``(x, y, a)`` for optimizer output or ``(x, y)`` once a
-    policy has been folded in.  ``mass_deviation`` depends on the producer:
-    ``propagate_forward`` records the change of total mass over each step
-    (``n_t - 1`` entries), ``ForwardProgram.trajectory_from_solution`` the
-    distance of each slice's total mass from one before it renormalizes
-    (``n_t`` entries).  ``min_mass`` is the most negative entry seen.
+    ``mass`` is ``(n_t, n_x, n_y)`` from ``propagate_forward`` or
+    ``(n_t, n_x, n_y, n_a)`` from ``ForwardProgram.trajectory_from_solution``:
+    slice ``k`` at ``times[k]`` over the states ``x_values``, the cost cells
+    ``y_values`` and, from a solve, the action indices.  ``mass_deviation[k]``
+    is ``|total mass of slice k - 1|`` before any renormalization (``n_t``
+    entries) and ``min_mass`` the most negative entry, from either producer.
     """
 
     times: np.ndarray
-    slices: tuple[DiscreteDistribution, ...]
-    mass_deviation: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    min_mass: float = 0.0
+    x_values: np.ndarray
+    y_values: np.ndarray
+    mass: np.ndarray
+    mass_deviation: np.ndarray
+    min_mass: float
 
-    @property
-    def n_t(self) -> int:
-        return len(self.slices)
+    def marginal(self, axis: str) -> np.ndarray:
+        """The ``(n_t, n)`` per-slice marginal on ``axis``, ``"x"`` or ``"y"``."""
+        if axis not in ("x", "y"):
+            raise InvalidParameterError(f"unknown axis {axis!r}; have 'x' and 'y'")
+        keep = 1 if axis == "x" else 2
+        return self.mass.sum(axis=tuple(i for i in range(1, self.mass.ndim) if i != keep))
 
 
 def _format_17g(values) -> list[str]:
@@ -142,12 +152,11 @@ def write_grid_csv(path, header: Sequence[str], coords: Sequence[np.ndarray],
             fh.write("".join([f"{t},{tail}{v}{newline}" for tail, v in zip(tails, block)]))
 
 
-def write_trajectory_csv(traj: TrajectoryDistribution, path, axes: Sequence[str]):
-    """Write ``t,<axes...>,mass`` rows of the marginals on ``axes``."""
-    axes = tuple(axes)
-    margs = [sl.marginal(axes) for sl in traj.slices]
-    write_grid_csv(path, ("t",) + axes + ("mass",), (traj.times,) + margs[0].coords,
-                   np.stack([m.mass for m in margs]), newline="\r\n")
+def write_trajectory_csv(traj: TrajectoryDistribution, path, axis: str):
+    """Write ``t,<axis>,mass`` rows of the marginal on ``axis``, ``"x"`` or ``"y"``."""
+    write_grid_csv(path, ("t", axis, "mass"),
+                   (traj.times, traj.x_values if axis == "x" else traj.y_values),
+                   traj.marginal(axis), newline="\r\n")
 
 
 def implicit_step(stacked: sp.csr_matrix, weights: np.ndarray, dt: float,
@@ -178,35 +187,24 @@ def propagate_forward(fp: ForwardProgram, policy) -> TrajectoryDistribution:
     """Implicit-Euler propagation of the program's initial law
     under a policy with one slice per grid time.
 
-    Each step of ``fp.steps`` solves ``(I - dt Q^T) m_{k+1} = m_k`` from a
-    copy of ``fp.b_eq[:fp.n_z]``, with ``Q`` the policy-mixed generator.
-    No renormalization is applied; the change of total mass over each step
-    and the most negative entry are reported as diagnostics.
+    ``policy.check_cells`` refuses a policy off the program's cells or
+    with a negative or NaN action probability before any step.  Each step
+    of ``fp.steps`` solves ``(I - dt Q^T) m_{k+1} = m_k`` from
+    ``fp.b_eq[:fp.n_z]``, with ``Q`` the policy-mixed generator.  No
+    renormalization is applied; each slice's distance from unit mass and
+    the most negative entry are reported as diagnostics.
     """
-    n_x, n_y, n_z = fp.n_x, fp.n_y, fp.n_z
-    probs = policy.probs
-    if probs.shape != (fp.n_t, n_x, n_y, fp.n_a):
-        raise InvalidParameterError(
-            f"policy shape {probs.shape} does not match (n_t, n_x, n_y, n_a)")
-
-    m = fp.b_eq[:n_z].copy()
-    coords = (fp.x_values, fp.y_values)
-
-    def as_slice(vec):
-        return DiscreteDistribution(axes=("x", "y"), coords=coords,
-                                    mass=vec.reshape(n_x, n_y))
-
-    slices = [as_slice(m)]
-    deviations = np.zeros(fp.n_t - 1)
-    min_mass = float(m.min())
+    probs = policy.check_cells((fp.n_t, fp.n_x, fp.n_y, fp.n_a)).probs
+    mass = np.empty((fp.n_t, fp.n_z))
+    mass[0] = fp.b_eq[:fp.n_z]
     for k, (dt, q) in enumerate(fp.steps):
-        m_next = implicit_step(q, probs[k + 1].reshape(n_z, -1), dt, m, transpose=True)
-        deviations[k] = abs(float(m_next.sum()) - float(m.sum()))
-        min_mass = min(min_mass, float(m_next.min()))
-        m = m_next
-        slices.append(as_slice(m))
-    return TrajectoryDistribution(times=fp.t_values, slices=tuple(slices),
-                                  mass_deviation=deviations, min_mass=min_mass)
+        mass[k + 1] = implicit_step(q, probs[k + 1].reshape(fp.n_z, -1), dt, mass[k],
+                                    transpose=True)
+    return TrajectoryDistribution(times=fp.t_values, x_values=fp.x_values,
+                                  y_values=fp.y_values,
+                                  mass=mass.reshape(fp.n_t, fp.n_x, fp.n_y),
+                                  mass_deviation=np.abs(mass.sum(axis=1) - 1.0),
+                                  min_mass=float(mass.min()))
 
 
 @dataclass(frozen=True)
@@ -270,25 +268,18 @@ class ForwardProgram:
         return c
 
     def trajectory_from_solution(self, x: np.ndarray) -> TrajectoryDistribution:
-        """Reshape an optimal variable vector into per-time joint measures.
-
-        Actions are labeled by index.  Each slice is renormalized to unit
-        mass (solver drift is recorded in ``mass_deviation``) so downstream
-        marginals satisfy the distribution invariants.
+        """The variable vector as one ``(n_t, n_x, n_y, n_a)`` measure, each
+        slice of positive total renormalized to unit mass (the drift is
+        kept in ``mass_deviation``) so that its marginals are laws; a slice
+        of total <= 0 is kept as it is.  Actions are labeled by index.
         """
         cube = np.asarray(x, dtype=float).reshape(self.n_t, self.n_x, self.n_y, self.n_a)
-        coords = (self.x_values, self.y_values, np.arange(self.n_a, dtype=float))
-        slices = []
-        deviation = np.zeros(self.n_t)
-        for k in range(self.n_t):
-            m = cube[k]
-            total = float(m.sum())
-            deviation[k] = abs(total - 1.0)
-            if total > 0:
-                m = m / total
-            slices.append(DiscreteDistribution(axes=("x", "y", "a"), coords=coords, mass=m))
-        return TrajectoryDistribution(times=self.t_values, slices=tuple(slices),
-                                      mass_deviation=deviation,
+        total = cube.sum(axis=(1, 2, 3), keepdims=True)
+        return TrajectoryDistribution(times=self.t_values, x_values=self.x_values,
+                                      y_values=self.y_values,
+                                      mass=np.divide(cube, total, out=cube.copy(),
+                                                     where=total > 0),
+                                      mass_deviation=np.abs(total.ravel() - 1.0),
                                       min_mass=float(cube.min()))
 
 

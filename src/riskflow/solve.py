@@ -260,8 +260,19 @@ class MarkovPolicy:
         dev = np.abs(self.probs.sum(axis=-1) - 1.0).max()
         if not dev <= POLICY_MASS_TOL:  # NaN fails too
             raise InvalidParameterError(f"conditional action mass off by {dev}")
-        if self.probs.min() < 0:
-            raise InvalidParameterError(f"negative action probability {self.probs.min()}")
+        return self.check_cells(self.probs.shape)
+
+    def check_cells(self, shape: tuple) -> "MarkovPolicy":
+        """Raise ``InvalidParameterError`` unless the policy has the cells
+        ``shape``, ``(n_t, n_x, n_y, n_a)``, and no negative or NaN action
+        probability: the checks of every engine that steps a policy.  A
+        cell summing to less than one passes."""
+        if self.probs.shape != tuple(shape):
+            raise InvalidParameterError(f"policy cells {self.probs.shape} are not "
+                                        f"(n_t, n_x, n_y, n_a) = {tuple(shape)}")
+        bad = self.probs[~(self.probs >= 0)]  # NaN fails too
+        if bad.size:
+            raise InvalidParameterError(f"negative or NaN action probability {bad[0]}")
         return self
 
     @classmethod
@@ -286,25 +297,20 @@ class MarkovPolicy:
         return float((peak[reach] >= 0.99).mean())
 
 
-def extract_policy(traj: TrajectoryDistribution, mass_floor: float = MASS_FLOOR) -> MarkovPolicy:
-    """Conditional action distributions of a joint (x, y, a) trajectory.
+def extract_policy(measure: np.ndarray, mass_floor: float = MASS_FLOOR) -> MarkovPolicy:
+    """Conditional action laws of a joint measure ``measure[k, x, y, a]``.
 
     Cells whose total mass is at or below ``mass_floor`` get the uniform
     fallback and are excluded from the reachability mask.
     """
-    if traj.slices[0].axes != ("x", "y", "a"):
+    if measure.ndim != 4:
         raise InvalidParameterError(
-            f"need slices over (x, y, a), got {traj.slices[0].axes}")
-    n_t = traj.n_t
-    n_x, n_y, n_a = traj.slices[0].mass.shape
-    probs = np.full((n_t, n_x, n_y, n_a), 1.0 / n_a)
-    mask = np.zeros((n_t, n_x, n_y), dtype=bool)
-    for k, sl in enumerate(traj.slices):
-        cell = np.maximum(sl.mass, 0.0)
-        tot = cell.sum(axis=-1)
-        hit = tot > mass_floor
-        mask[k] = hit
-        probs[k][hit] = cell[hit] / tot[hit][..., None]
+            f"need a measure over (t, x, y, a), got shape {measure.shape}")
+    cell = np.maximum(measure, 0.0)
+    tot = cell.sum(axis=-1)
+    mask = tot > mass_floor
+    probs = np.divide(cell, tot[..., None], out=np.full(cell.shape, 1.0 / cell.shape[-1]),
+                      where=mask[..., None])
     return MarkovPolicy(probs=probs, mask=mask)
 
 
@@ -398,9 +404,10 @@ def _solve_report(fp, primal, status, duality_gap, iterations, mass_floor,
     from .validate import wasserstein1  # deferred: validate imports solve
 
     traj = fp.trajectory_from_solution(primal)
-    policy = extract_policy(traj, mass_floor=mass_floor)
-    y_last = traj.slices[-1].marginal("y")
-    y_prev = traj.slices[-2].marginal("y")
+    policy = extract_policy(traj.mass, mass_floor=mass_floor)
+    cost_law = traj.marginal("y")
+    y_last, y_prev = (DiscreteDistribution(axes=("y",), coords=(fp.y_values,),
+                                           mass=cost_law[k]) for k in (-1, -2))
     return SolveReport(
         rho_star=rho_star,
         duality_gap=duality_gap,

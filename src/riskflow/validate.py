@@ -286,23 +286,17 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     uniform blocks from a copy of the stream advanced to them (a uniform
     takes one 64-bit word), and the calling thread draws the exponential
     block whole, so the samples are the same bits at any CPU count.
-    The policy must have one slice per grid time over (n_x, n_y, n_a), with
-    nonnegative action probabilities, which the action search relies on;
-    ``InvalidParameterError`` otherwise.  ``cost_rate``, ``alpha`` and
-    ``initial_x`` are checked by ``check_cost_table`` and
-    ``check_initial_law`` before anything is drawn.
+    ``MarkovPolicy.check_cells`` refuses a policy that does not have one
+    slice per grid time over (n_x, n_y, n_a), or that has a negative or NaN
+    action probability, which the action search relies on; ``cost_rate``,
+    ``alpha`` and ``initial_x`` are checked by ``check_cost_table`` and
+    ``check_initial_law``; all before anything is drawn.
     """
     # per (state, action) row x * n_a + a, like the jump tables
     cost = check_cost_table(cost_rate, gen, alpha).ravel()
     times = grid_points(t_grid)
     n_x, n_a, n_y = gen.dim, gen.n_actions, y_grid.n
-    shape = (len(times), n_x, n_y, n_a)
-    if policy.probs.shape != shape:
-        raise InvalidParameterError(f"policy cells {policy.probs.shape} are not "
-                                    f"(n_t, n_x, n_y, n_a) = {shape}")
-    if not (policy.probs >= 0).all():  # NaN fails too
-        raise InvalidParameterError(
-            f"negative or NaN action probability {np.nanmin(policy.probs)}")
+    policy.check_cells((len(times), n_x, n_y, n_a))
     exit_rate, targets, width, jump_cum = _jump_tables(gen)
     clock = np.maximum(exit_rate, 1e-300)
     dead = ~(exit_rate > 0)
@@ -369,8 +363,16 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
                 rounds += [w.result() for w in work]
                 fallback += sum(f for f, _ in rounds)
                 m = sum(kept for _, kept in rounds)
-    stderr = float(y_all.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return McResult(samples=y_all, stderr=stderr, fallback_lookups=fallback)
+    return McResult(samples=y_all, stderr=sample_spread(y_all)[1], fallback_lookups=fallback)
+
+
+def sample_spread(samples: np.ndarray) -> tuple[float, float]:
+    """Sample standard deviation (ddof 1) and standard error of the mean of
+    ``samples``; both 0 for a single sample."""
+    if samples.size < 2:
+        return 0.0, 0.0
+    std = samples.std(ddof=1)
+    return float(std), float(std / math.sqrt(samples.size))
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,8 @@ def test_criterion_5_monte_carlo_consistency(reference_pieces, reference_run):
     # LP marginal is the law of min(Y, y_max), not of Y
     capped = np.minimum(res.samples, pieces.y_grid.hi)
     emp = rf.distribution_from_samples(capped)
-    lp_marginal = report.trajectory.slices[-1].marginal("y")
+    lp_marginal = rf.DiscreteDistribution(axes=("y",), coords=(pieces.y_grid.points,),
+                                          mass=report.trajectory.marginal("y")[-1])
     w1 = rf.wasserstein1(emp, lp_marginal)
     grid_term = pieces.y_grid.spacing
     stderr_term = 3.0 * capped.std(ddof=1) / np.sqrt(capped.size)
@@ -139,7 +140,7 @@ def test_criterion_6_propagation_exactness():
         times = np.linspace(0.0, 1.0, n_t)
         traj = rf.propagate_forward(rf.assemble_forward_program(aug, np.eye(2)[0], times),
                                     rf.MarkovPolicy.uniform(n_t, 2, 2, 1))
-        got = traj.slices[-1].marginal("x").mass
+        got = traj.marginal("x")[-1]
         return np.abs(got - exact).max()
 
     err_fine = propagate_error(1e-3)
@@ -217,7 +218,7 @@ def test_criterion_8_conservation_suite():
         worst_dev = max(worst_dev, float(traj.mass_deviation.max()))
         worst_min = min(worst_min, traj.min_mass)
     ok = line(8, worst_dev <= 1e-12 and worst_min >= -1e-12,
-              f"100 random instances: max per-step mass deviation {worst_dev:.2e} "
+              f"100 random instances: max slice mass deviation {worst_dev:.2e} "
               f"(<=1e-12), min mass {worst_min:.2e} (>=-1e-12)")
     assert ok
 

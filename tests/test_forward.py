@@ -5,12 +5,13 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import riskflow.forward as forward_module
 from riskflow import (ControlledGenerator, DiscreteDistribution,
-                      InvalidParameterError, MarkovPolicy,
+                      InvalidParameterError, MarkovPolicy, McConfig,
                       assemble_forward_program, augment_generator,
                       build_circle_grid, build_uniform_grid, discount_factor,
                       discretize_circle_diffusion, marginal,
-                      propagate_forward, write_trajectory_csv)
+                      propagate_forward, simulate_paths, write_trajectory_csv)
 from riskflow.forward import implicit_step, write_grid_csv
 from riskflow.generator import stack_actions
 
@@ -90,8 +91,8 @@ class TestPropagation:
         aug = augment_generator(gen, np.zeros((3, 1)), 0.0, yg)
         traj = propagate_forward(assemble_forward_program(aug, np.eye(3)[1], np.linspace(0, 1, 4)),
                                  MarkovPolicy.uniform(4, 3, 2, 1))
-        for sl in traj.slices:
-            assert np.allclose(sl.mass, [[0, 0], [1, 0], [0, 0]])
+        for mass in traj.mass:
+            assert np.allclose(mass, [[0, 0], [1, 0], [0, 0]])
 
     def test_two_state_chain_matches_matrix_exponential(self):
         q = np.array([[-1.0, 1.0], [2.0, -2.0]])
@@ -102,7 +103,7 @@ class TestPropagation:
         times = np.linspace(0.0, 1.0, n_t)
         traj = propagate_forward(assemble_forward_program(aug, np.eye(2)[0], times),
                                  MarkovPolicy.uniform(n_t, 2, 2, 1))
-        got = traj.slices[-1].marginal("x").mass
+        got = traj.marginal("x")[-1]
         want = scipy.linalg.expm(q.T) @ np.array([1.0, 0.0])
         # oracle value: (2/3 + e^-3/3, 1/3 - e^-3/3)
         assert want[0] == pytest.approx(2 / 3 + np.exp(-3) / 3, rel=1e-12)
@@ -118,8 +119,8 @@ class TestPropagation:
         traj = propagate_forward(assemble_forward_program(aug, np.full(7, 1.0 / 7.0),
                                                           np.linspace(0, 2, 5)),
                                  MarkovPolicy.uniform(5, 7, 3, 1))
-        for sl in traj.slices:
-            assert np.allclose(sl.marginal("x").mass, 1.0 / 7.0, atol=1e-12)
+        for law in traj.marginal("x"):
+            assert np.allclose(law, 1.0 / 7.0, atol=1e-12)
 
     def test_mass_conservation_and_positivity(self):
         rng = np.random.default_rng(11)
@@ -161,12 +162,12 @@ class TestPropagation:
         probs = rng.dirichlet(np.ones(2), size=(6, 5, 9))
         policy = MarkovPolicy(probs=probs, mask=np.ones((6, 5, 9), bool))
         traj = propagate_forward(assemble_forward_program(aug, np.eye(5)[0], times), policy)
-        means = [sl.marginal("y").mean() for sl in traj.slices]
+        means = traj.marginal("y") @ traj.y_values
         assert np.all(np.diff(means) >= -1e-14)
         dt = times[1] - times[0]
         for k in range(5):
             disc = discount_factor(alpha, times[k], step=dt)
-            nxt = traj.slices[k + 1].mass  # (x, y)
+            nxt = traj.mass[k + 1]  # (x, y)
             w = policy.probs[k + 1]        # (x, y, a)
             flow = sum((nxt[:, :-1] * w[:, :-1, a] * cost[:, None, a]).sum()
                        for a in range(2))
@@ -179,6 +180,43 @@ class TestPropagation:
         fp = assemble_forward_program(aug, np.eye(2)[0], np.linspace(0, 1, 4))
         with pytest.raises(InvalidParameterError):
             propagate_forward(fp, MarkovPolicy.uniform(3, 2, 2, 1))
+
+    @staticmethod
+    def step_policy(engine, policy):
+        """Step ``policy`` on a 2-state, 2-action chain over 4 grid times
+        with ``engine``, ``propagate_forward`` or ``simulate_paths``."""
+        gen = ControlledGenerator(per_action=two_state_gen().per_action
+                                  + two_state_gen(0.5, 0.3).per_action)
+        cost = np.array([[0.3, 1.1], [0.9, 0.2]])
+        yg, times = build_uniform_grid(0.0, 1.0, 2), np.linspace(0, 1, 4)
+        if engine == "propagate_forward":
+            aug = augment_generator(gen, cost, 0.25, yg)
+            return propagate_forward(assemble_forward_program(aug, np.eye(2)[0], times), policy)
+        return simulate_paths(gen, policy, cost, 0.25, yg, np.eye(2)[0], times,
+                              McConfig(n_paths=10))
+
+    @pytest.mark.parametrize("engine", ["propagate_forward", "simulate_paths"])
+    @pytest.mark.parametrize("flaw", ["shape", "negative", "nan"])
+    def test_policy_cells_checked_by_both_engines(self, engine, flaw, monkeypatch):
+        # one check refuses each flaw before any step: a NaN used to reach
+        # spsolve, and [1.5, -0.5] used to propagate silently
+        policy = MarkovPolicy.uniform(3 if flaw == "shape" else 4, 2, 2, 2)
+        if flaw != "shape":
+            policy.probs[2, 1, 0] = [1.5, -0.5] if flaw == "negative" else [np.nan, 1.0]
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped an unchecked policy")
+
+        monkeypatch.setattr(forward_module, "implicit_step", no_step)
+        match = "policy cells" if flaw == "shape" else "negative or NaN"
+        with pytest.raises(InvalidParameterError, match=match):
+            self.step_policy(engine, policy)
+
+    @pytest.mark.parametrize("engine", ["propagate_forward", "simulate_paths"])
+    def test_policy_cells_summing_below_one_step(self, engine):
+        policy = MarkovPolicy.uniform(4, 2, 2, 2)
+        policy.probs[2, 1, 0] = [0.25, 0.25]
+        self.step_policy(engine, policy)
 
 
 class TestAssembly:
@@ -246,11 +284,11 @@ class TestAssembly:
         traj = propagate_forward(assemble_forward_program(aug, np.eye(2)[0], np.linspace(0, 1, 3)),
                                  MarkovPolicy.uniform(3, 2, 2, 1))
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path, axes=("y",))
+        write_trajectory_csv(traj, path, "y")
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         assert rows.shape == (6, 3)
         got = rows[rows[:, 0] == 1.0][:, 2]
-        assert np.allclose(got, traj.slices[-1].marginal("y").mass)
+        assert np.allclose(got, traj.marginal("y")[-1])
 
 
 def random_generator(rng, n_x, n_a):

@@ -266,7 +266,7 @@ class TestAugmentation:
         traj = propagate_forward(assemble_forward_program(aug, np.ones(1), times), policy)
         want = c0 * (1 - np.exp(-alpha * horizon)) / alpha
         # step-averaged discounting makes the mean exact away from the boundary
-        assert traj.slices[-1].marginal("y").mean() == pytest.approx(want, abs=1e-9)
+        assert traj.y_values @ traj.marginal("y")[-1] == pytest.approx(want, abs=1e-9)
 
 
 class TestDiscountFactor:

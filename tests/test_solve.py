@@ -10,7 +10,6 @@ from riskflow import (ControlledGenerator, DiscreteDistribution, LpProblem,
                       optimize_linear_risk, optimize_smooth_risk,
                       propagate_forward, solve_lp)
 from riskflow.errors import AssemblyError, InvalidParameterError
-from riskflow.forward import TrajectoryDistribution
 
 
 def lp(a, b, c):
@@ -89,8 +88,7 @@ class TestOptimizeLinear:
         rep = optimize_linear_risk(fp, RiskSpec(kind="entropic", theta=1.0))
         assert rep.status == "optimal"
         assert rep.rho_star == pytest.approx(0.0, abs=1e-7)
-        ym = rep.trajectory.slices[-1].marginal("y")
-        assert ym.mass[0] == pytest.approx(1.0, abs=1e-7)
+        assert rep.trajectory.marginal("y")[-1, 0] == pytest.approx(1.0, abs=1e-7)
 
     def test_matches_enumeration_on_tiny_instance(self):
         from riskflow import enumerate_policies
@@ -106,7 +104,7 @@ class TestOptimizeLinear:
         rep = optimize_linear_risk(fp, RiskSpec(kind="expectation"))
         assert rep.status == "optimal"
         assert rep.rho_star == pytest.approx(
-            rep.trajectory.slices[-1].marginal("y").mean(), abs=1e-6)
+            fp.y_values @ rep.trajectory.marginal("y")[-1], abs=1e-6)
 
     def test_nonlinear_kind_rejected(self):
         *_, fp = tiny_instance([(1.0, 2.0)], np.zeros((2, 1)))
@@ -124,8 +122,8 @@ class TestOptimizeLinear:
         from riskflow.solve import LpProblem as LP, solve_lp as slp
         w = np.exp(1.0 * np.broadcast_to(fp.y_values, (fp.n_x, fp.n_y)))
         sol = slp(LP(a_eq=fp.a_eq, b_eq=fp.b_eq, c=5.0 * fp.terminal_objective(w)))
-        p2 = extract_policy(fp.trajectory_from_solution(sol.primal))
-        strong = (r1.trajectory.slices[1].mass.sum(axis=-1) > 1e-6)
+        p2 = extract_policy(fp.trajectory_from_solution(sol.primal).mass)
+        strong = (r1.trajectory.mass[1].sum(axis=-1) > 1e-6)
         support1 = r1.policy.probs[1][strong] > 1e-5
         support2 = p2.probs[1][strong] > 1e-5
         assert np.array_equal(support1, support2)
@@ -144,9 +142,8 @@ class TestOptimizeLinear:
         rep = optimize_linear_risk(fp, RiskSpec(kind="entropic", theta=1.0),
                                    tol_gap=1e-11)
         traj = propagate_forward(fp, rep.policy)
-        for sl_lp, sl_prop in zip(rep.trajectory.slices, traj.slices):
-            folded = sl_lp.mass.sum(axis=-1)
-            assert np.abs(folded - sl_prop.mass).max() < 1e-6
+        folded = rep.trajectory.mass.sum(axis=-1)
+        assert np.abs(folded - traj.mass).max() < 1e-6
 
 
 def circle_program(payload):
@@ -471,27 +468,19 @@ class TestOptimizeSmooth:
 
 
 class TestExtractPolicy:
-    def make_traj(self, cubes):
-        coords = (np.arange(float(cubes[0].shape[0])),
-                  np.arange(float(cubes[0].shape[1])),
-                  np.arange(float(cubes[0].shape[2])))
-        slices = tuple(DiscreteDistribution(axes=("x", "y", "a"), coords=coords,
-                                            mass=m) for m in cubes)
-        return TrajectoryDistribution(times=np.arange(float(len(cubes))),
-                                      slices=slices)
 
     def test_product_slice_recovers_mixture(self):
         cell = np.array([[0.3, 0.5], [0.1, 0.1]])  # (x, y)
         q = np.array([0.25, 0.75])
         cube = cell[..., None] * q
-        pol = extract_policy(self.make_traj([cube]))
+        pol = extract_policy(cube[None])
         assert np.allclose(pol.probs[0], q)
         assert pol.mask.all()
 
     def test_zero_mass_cells_masked_uniform(self):
         cube = np.zeros((2, 2, 2))
         cube[0, 0] = [0.9, 0.1]
-        pol = extract_policy(self.make_traj([cube]))
+        pol = extract_policy(cube[None])
         assert pol.mask[0, 0, 0]
         assert not pol.mask[0, 1, 1]
         assert np.allclose(pol.probs[0, 1, 1], 0.5)
@@ -501,7 +490,7 @@ class TestExtractPolicy:
         cube = np.zeros((1, 2, 2))
         cube[0, 0] = [1.0, 0.0]     # strict cell
         cube[0, 1] = [0.5, 0.5]     # mixed cell
-        pol = extract_policy(self.make_traj([cube]))
+        pol = extract_policy(cube[None])
         assert pol.strictness() == pytest.approx(0.5)
 
     def test_deterministic_policy_constructor(self):
@@ -517,3 +506,97 @@ class TestExtractPolicy:
         probs[0, 0, 1] = row
         with pytest.raises(InvalidParameterError):
             MarkovPolicy(probs=probs, mask=np.ones((1, 1, 2), bool)).validate()
+
+
+def per_slice_report(fp, primal, mass_floor):
+    """The per-slice loops that a solve report replaced with one pass over
+    the measure, kept as the reference of its bits: normalize each slice,
+    extract its conditional action law and sum out its marginals."""
+    from riskflow import wasserstein1
+
+    cube = np.asarray(primal, dtype=float).reshape(fp.n_t, fp.n_x, fp.n_y, fp.n_a)
+    coords = (fp.x_values, fp.y_values, np.arange(fp.n_a, dtype=float))
+    slices, deviation = [], np.zeros(fp.n_t)
+    probs = np.full(cube.shape, 1.0 / fp.n_a)
+    mask = np.zeros(cube.shape[:3], dtype=bool)
+    for k in range(fp.n_t):
+        m = cube[k]
+        total = float(m.sum())
+        deviation[k] = abs(total - 1.0)
+        if total > 0:
+            m = m / total
+        sl = DiscreteDistribution(axes=("x", "y", "a"), coords=coords, mass=m)
+        slices.append(sl)
+        cell = np.maximum(sl.mass, 0.0)
+        tot = cell.sum(axis=-1)
+        hit = tot > mass_floor
+        mask[k] = hit
+        probs[k][hit] = cell[hit] / tot[hit][..., None]
+    y_last, y_prev = slices[-1].marginal("y"), slices[-2].marginal("y")
+    return {"mass": np.stack([sl.mass for sl in slices]), "mass_deviation": deviation,
+            "min_mass": float(cube.min()), "probs": probs, "mask": mask,
+            "x": np.stack([sl.marginal(("x",)).mass for sl in slices]),
+            "y": np.stack([sl.marginal(("y",)).mass for sl in slices]),
+            "stationarity_w1": wasserstein1(y_last, y_prev),
+            "boundary_mass": float(y_last.mass[-1]),
+            "terminal_cost_mean": y_last.mean()}
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestReportMatchesPerSliceReference:
+    @staticmethod
+    def assert_matches(fp, primal, mass_floor, rep):
+        want = per_slice_report(fp, primal, mass_floor)
+        traj = rep.trajectory
+        for got, key in ((traj.mass, "mass"), (traj.mass_deviation, "mass_deviation"),
+                         (traj.min_mass, "min_mass"), (rep.policy.probs, "probs"),
+                         (rep.policy.mask, "mask"), (traj.marginal("x"), "x"),
+                         (traj.marginal("y"), "y"), (rep.min_mass, "min_mass"),
+                         (rep.stationarity_w1, "stationarity_w1"),
+                         (rep.boundary_mass, "boundary_mass"),
+                         (rep.terminal_cost_mean, "terminal_cost_mean")):
+            assert_same_bits(got, want[key])
+        assert rep.mass_deviation_max == want["mass_deviation"].max()
+
+    @pytest.mark.parametrize("payload", [
+        {"n_x": 9, "n_y": 9, "n_a": 5, "n_t": 9},
+        {"n_x": 5, "n_y": 4, "n_a": 3, "n_t": 4, "risk": {"kind": "expectation"},
+         "terminal_cost": [0.0, 0.4, 1.3, 0.2, 0.9]},
+        {"n_x": 9, "n_y": 9, "n_a": 5, "n_t": 9,
+         "risk": {"kind": "mean_semideviation", "beta": 0.5}},
+    ], ids=["entropic", "expectation_terminal_cost", "semideviation"])
+    def test_solved_circle(self, payload, monkeypatch):
+        from riskflow.cli import _build_spec, _risk_spec
+
+        pieces, fp = circle_program(payload)
+        risk = _risk_spec(_build_spec(payload))
+        seen, original = [], solve_module._solve_report
+
+        def record(fp, primal, *args, **kwargs):
+            seen.append(primal.copy())
+            return original(fp, primal, *args, **kwargs)
+
+        monkeypatch.setattr(solve_module, "_solve_report", record)
+        optimize = optimize_linear_risk if risk.is_linear else optimize_smooth_risk
+        rep = optimize(fp, risk, v=pieces.v)
+        assert rep.status == "optimal" and len(seen) == 1
+        self.assert_matches(fp, seen[0], solve_module.MASS_FLOOR, rep)
+
+    def test_crafted_measure(self):
+        # slice 0 carries no mass; slice 1 sums to 2, and after normalizing
+        # its cell (0, 1) holds exactly the floor 0.25, so it is masked;
+        # slice 2 has a negative entry
+        *_, fp = tiny_instance([(1.0, 2.0), (0.5, 0.3)], [[0.3, 1.1], [0.9, 0.2]])
+        cube = np.zeros((3, 2, 2, 2))
+        cube[1] = [[[0.25, 0.5], [0.25, 0.25]], [[0.0, 0.0], [0.5, 0.25]]]
+        cube[2] = np.random.default_rng(4).uniform(0.0, 0.3, (2, 2, 2))
+        cube[2, 1, 0, 1] = -1e-13
+        rep = solve_module._solve_report(fp, cube.ravel(), "optimal", 0.0, 0, 0.25, 0.0)
+        assert not rep.policy.mask[1, 0, 1] and rep.policy.mask[1, 0, 0]
+        assert not rep.policy.mask[0].any() and rep.trajectory.mass[0].sum() == 0.0
+        self.assert_matches(fp, cube.ravel(), 0.25, rep)

@@ -40,6 +40,17 @@ def two_state_gen(pairs):
 
 
 class TestSimulation:
+    def test_sample_spread(self):
+        # McResult.stderr and validate's mc_summary.json share this formula
+        samples = np.array([1.0, 2.0, 4.0, 0.5])
+        std = float(samples.std(ddof=1))
+        assert validate_module.sample_spread(samples) == (std, std / 2.0)
+        assert validate_module.sample_spread(np.array([3.0])) == (0.0, 0.0)
+        res = simulate_paths(single_state_gen(), MarkovPolicy.uniform(3, 1, 4, 1),
+                             np.array([[0.5]]), 0.0, build_uniform_grid(0.0, 2.0, 4),
+                             np.array([1.0]), np.linspace(0, 1, 3), McConfig(n_paths=1))
+        assert res.stderr == 0.0
+
     def test_zero_cost_zero_samples(self):
         gen = two_state_gen([(1.0, 2.0)])
         yg = build_uniform_grid(0.0, 1.0, 3)
@@ -103,7 +114,7 @@ class TestSimulation:
         pol = MarkovPolicy.uniform(31, 2, 81, 1)
         fp = program(gen, cost, yg, times, np.array([1.0, 0.0]), alpha=alpha)
         traj = propagate_forward(fp, pol)
-        lp_mean = traj.slices[-1].marginal("y").mean()
+        lp_mean = yg.points @ traj.marginal("y")[-1]
         res = simulate_paths(gen, pol, cost, alpha, yg, np.array([1.0, 0.0]),
                              times, McConfig(n_paths=10_000, seed=5))
         allowance = 4 * res.stderr + yg.spacing + (times[1] - times[0]) * cost.max()
@@ -481,7 +492,7 @@ class TestRiskNeutralDp:
         for a_fixed in (0, 1):
             pol = MarkovPolicy.from_actions(np.full((3, 2, 41), a_fixed), 2)
             traj = propagate_forward(fp, pol)
-            assert dp.value <= traj.slices[-1].marginal("y").mean() + 1e-8
+            assert dp.value <= yg.points @ traj.marginal("y")[-1] + 1e-8
 
 
 # the designated two-state instance of acceptance criterion 7
@@ -531,7 +542,7 @@ class TestRiskNeutralDpCostAxis:
         fp = designated_program(yg)
         lp = optimize_linear_risk(fp, RiskSpec(kind="expectation"), tol_gap=1e-11)
         traj = propagate_forward(fp, lp.policy)
-        assert traj.slices[-1].marginal("y").mean() == pytest.approx(lp.rho_star, abs=1e-10)
+        assert yg.points @ traj.marginal("y")[-1] == pytest.approx(lp.rho_star, abs=1e-10)
 
     def test_base_chain_is_the_uncapped_limit(self):
         # on a cost axis tall enough that the top cell gets no mass, the
@@ -547,7 +558,7 @@ class TestRiskNeutralDpCostAxis:
         for policy, value in ((lp.policy, lp.rho_star),
                               (base.greedy_policy(yg.n, 2), base.value)):
             traj = propagate_forward(fp, policy)
-            assert traj.slices[-1].marginal("y").mean() == pytest.approx(value, abs=1e-10)
+            assert yg.points @ traj.marginal("y")[-1] == pytest.approx(value, abs=1e-10)
 
     def test_values_spanning_decades_match_enumeration(self):
         # state 1 carries a terminal cost of 1.5e6 and state 0 is left at
