@@ -7,12 +7,13 @@ as one ``ForwardProgram`` over time-indexed joint measures ``mu_k(x, y, a)``.
 Its consumers share one implicit-Euler step over (product state, action),
 ``[z = z'] - dt Q_a(t_k)[z, z']``: ``propagate_forward`` steps ``fp.steps``
 forward from ``fp.b_eq[:fp.n_z]`` under one policy and ``solve.bellman_sweep``
-steps them backward, through ``implicit_step``; ``validate.enumerate_policies``
-solves it densely for a batch of deterministic policies at a time.  The
-sparse equality matrix ``ForwardProgram.a_eq`` is built only when an LP
-solver reads it.  Controls are attached to the new time slice: the step
-from ``t_k`` to ``t_{k+1}`` mixes actions with the policy (or measure) at
-slice ``k + 1`` and evaluates the generator at the left endpoint ``t_k``.
+steps them backward, each step one ``bincount`` over the ``step_plan`` of its
+structure (``ForwardProgram.plans``) and one ``spsolve`` in ``implicit_step``;
+``validate.enumerate_policies`` solves it densely for a batch of deterministic
+policies at a time.  ``ForwardProgram.a_eq`` is built only when an LP solver
+reads it.  Controls are attached to the new time slice: the step from ``t_k``
+to ``t_{k+1}`` mixes actions with the policy (or measure) at slice ``k + 1``
+and evaluates the generator at the left endpoint ``t_k``.
 
 A trajectory (``TrajectoryDistribution``) is one mass array on the
 program's grid: ``mass[k, x, y]`` from ``propagate_forward`` and
@@ -159,21 +160,42 @@ def write_trajectory_csv(traj: TrajectoryDistribution, path, axis: str):
                    traj.marginal(axis), newline="\r\n")
 
 
+def step_plan(stacked: sp.csr_matrix, n_a: int) -> tuple:
+    """Index plan of ``I - dt Q_w`` for the structure of a generator stacked
+    over ``n_a`` actions: ``plan[transpose]`` holds each stored entry's row
+    ``z * n_a + a`` and slot in the pattern (the mixed rows and the diagonal),
+    the identity, and the CSC row indices and pointer of the system solved."""
+    n = stacked.shape[1]
+    rows = np.repeat(np.arange(stacked.shape[0]), np.diff(stacked.indptr))
+    keys = np.concatenate([rows // n_a * n + stacked.indices, np.arange(n) * (n + 1)])
+    pattern, slot = np.unique(keys, return_inverse=True)
+    z, col = (i.astype(np.intc) for i in np.divmod(pattern, n))
+    eye, slot, heads = (z == col).astype(float), slot[:rows.size], np.arange(n + 1)
+    by_col = np.argsort(col, kind="stable")
+    return ((rows, np.argsort(by_col)[slot], eye[by_col], z[by_col],
+             np.searchsorted(col[by_col], heads)),
+            (rows, slot, eye, col, np.searchsorted(z, heads)))
+
+
 def implicit_step(stacked: sp.csr_matrix, weights: np.ndarray, dt: float,
-                  rhs: np.ndarray, transpose: bool) -> np.ndarray:
+                  rhs: np.ndarray, plan: tuple, transpose: bool) -> np.ndarray:
     """One implicit-Euler step of the action mixture of a stacked generator.
 
     ``stacked`` holds ``Q_a`` row ``z`` in row ``z * n_a + a`` and
     ``weights[z, a]`` mixes the actions row-wise into
     ``Q_w = sum_a diag(w_a) Q_a``.  Solves ``(I - dt Q_w)^T m = rhs``
     (forward, ``transpose=True``) or ``(I - dt Q_w) V = rhs`` (backward);
-    ``weights`` is ``(n, n_a)`` and ``rhs`` is ``(n,)``.
+    ``weights`` is ``(n, n_a)``, ``rhs`` is ``(n,)``, ``plan`` is
+    ``step_plan(stacked, n_a)``; a non-finite entry raises ``PropagationError``.
     """
-    n, n_a = weights.shape
-    mixing = sp.csr_matrix((weights.ravel(), np.arange(weights.size),
-                            np.arange(0, weights.size + 1, n_a)), shape=(n, weights.size))
-    q_w = mixing @ stacked
-    system = (sp.identity(n, format="csr") - dt * (q_w.T if transpose else q_w)).tocsc()
+    rows, slot, eye, index, ptr = plan[transpose]
+    with np.errstate(invalid="ignore"):  # 0 * inf is NaN, refused below
+        mixed = weights.ravel()[rows] * stacked.data
+    entries = eye - dt * np.bincount(slot, weights=mixed, minlength=eye.size)
+    if not np.isfinite(entries).all():
+        raise PropagationError("implicit step matrix has a non-finite entry")
+    system = sp.csc_matrix((entries, index, ptr), shape=(rhs.size, rhs.size), copy=True)
+    system.eliminate_zeros()  # in place, on copies of the plan's indices
     try:
         out = spla.spsolve(system, rhs)
     except RuntimeError as exc:
@@ -197,8 +219,8 @@ def propagate_forward(fp: ForwardProgram, policy) -> TrajectoryDistribution:
     probs = policy.check_cells((fp.n_t, fp.n_x, fp.n_y, fp.n_a)).probs
     mass = np.empty((fp.n_t, fp.n_z))
     mass[0] = fp.b_eq[:fp.n_z]
-    for k, (dt, q) in enumerate(fp.steps):
-        mass[k + 1] = implicit_step(q, probs[k + 1].reshape(fp.n_z, -1), dt, mass[k],
+    for k, ((dt, q), plan) in enumerate(zip(fp.steps, fp.plans)):
+        mass[k + 1] = implicit_step(q, probs[k + 1].reshape(fp.n_z, -1), dt, mass[k], plan,
                                     transpose=True)
     return TrajectoryDistribution(times=fp.t_values, x_values=fp.x_values,
                                   y_values=fp.y_values,
@@ -254,6 +276,13 @@ class ForwardProgram:
             blocks[k + 1][k] = -ones.T
             blocks[k + 1][k + 1] = (ones - dt * q).T
         return sp.bmat(blocks, format="csr")
+
+    @functools.cached_property
+    def plans(self) -> list:
+        """The ``step_plan`` of each step, one built per sparsity structure."""
+        keys = [(q.indptr.tobytes(), q.indices.tobytes()) for _, q in self.steps]
+        built = {key: step_plan(q, self.n_a) for key, (_, q) in dict(zip(keys, self.steps)).items()}
+        return [built[key] for key in keys]
 
     def terminal_objective(self, weights_xy: np.ndarray) -> np.ndarray:
         """Objective vector placing ``weights_xy`` ``(n_x, n_y)`` on every

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InvalidParameterError, PolicyEnumerationError, PropagationError
 # propagate_forward, augment_generator and evaluate stay importable here, unused:
 # bench/tracing.py patches them by these names
-from .forward import DiscreteDistribution, ForwardProgram, propagate_forward  # noqa: F401
+from .forward import DiscreteDistribution, ForwardProgram, propagate_forward, step_plan  # noqa: F401
 from .generator import (ControlledGenerator, augment_generator,  # noqa: F401
                         check_cost_table, check_initial_law, discount_factor, stack_actions)
 from .grids import UniformGrid, grid_points
@@ -440,7 +440,8 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
     stacked = stack_actions(gen.per_action)
     steps = [(float(dt), stacked) for dt in np.diff(times)]
     stage = [dt * discount_factor(alpha, t, dt) * c for t, (dt, _) in zip(times, steps)]
-    values, actions, _, _ = bellman_sweep(steps, terminal, stage)
+    plans = [step_plan(stacked, gen.n_actions)] * len(steps)
+    values, actions, _, _ = bellman_sweep(steps, plans, terminal, stage)
     return DpResult(value=float(nu @ values[0]),
                     values=values, actions=actions)
 

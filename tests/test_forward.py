@@ -1,18 +1,24 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import riskflow.forward as forward_module
+import riskflow.solve as solve_module
 from riskflow import (ControlledGenerator, DiscreteDistribution,
                       InvalidParameterError, MarkovPolicy, McConfig,
+                      PropagationError, RiskSpec, optimize_linear_risk,
                       assemble_forward_program, augment_generator,
                       build_circle_grid, build_uniform_grid, discount_factor,
                       discretize_circle_diffusion, marginal,
                       propagate_forward, simulate_paths, write_trajectory_csv)
-from riskflow.forward import implicit_step, write_grid_csv
+from riskflow.cli import _build_spec, _forward_program, build_problem
+from riskflow.forward import implicit_step, step_plan, write_grid_csv
 from riskflow.generator import stack_actions
 
 
@@ -291,15 +297,53 @@ class TestAssembly:
         assert np.allclose(got, traj.marginal("y")[-1])
 
 
-def random_generator(rng, n_x, n_a):
+def random_generator(rng, n_x, n_a, density=0.6):
     """Dense random rate matrices, zero row sums, some rates exactly zero."""
     mats = []
     for _ in range(n_a):
-        q = rng.uniform(0, 2, (n_x, n_x)) * (rng.uniform(size=(n_x, n_x)) < 0.6)
+        q = rng.uniform(0, 2, (n_x, n_x)) * (rng.uniform(size=(n_x, n_x)) < density)
         np.fill_diagonal(q, 0.0)
         np.fill_diagonal(q, -q.sum(axis=1))
         mats.append(sp.csr_matrix(q))
     return ControlledGenerator(per_action=tuple(mats))
+
+
+def scipy_step(stacked, weights, dt, rhs, transpose):
+    """``implicit_step`` as six scipy sparse operations per call (mixing
+    matrix, product, identity, scaling, difference, ``tocsc``): the bitwise
+    reference of its index plan."""
+    n, n_a = weights.shape
+    mixing = sp.csr_matrix((weights.ravel(), np.arange(weights.size),
+                            np.arange(0, weights.size + 1, n_a)), shape=(n, weights.size))
+    q_w = mixing @ stacked
+    system = (sp.identity(n, format="csr") - dt * (q_w.T if transpose else q_w)).tocsc()
+    return spla.spsolve(system, rhs)
+
+
+def assert_step_bits(stacked, weights, dt, rhs):
+    plan = step_plan(stacked, weights.shape[1])
+    for transpose in (True, False):
+        got = implicit_step(stacked, weights, dt, rhs, plan, transpose=transpose)
+        assert np.array_equal(got, scipy_step(stacked, weights, dt, rhs, transpose))
+
+
+def mixing_weights(rng, kind, n, n_a):
+    """One-hot, tie-mixed or random weights, each with explicit zeros."""
+    if kind == "one-hot":
+        return np.eye(n_a)[rng.integers(n_a, size=n)]
+    if kind == "ties":
+        tie = rng.uniform(size=(n, n_a)) < 0.5
+        tie[np.arange(n), rng.integers(n_a, size=n)] = True
+        return tie / tie.sum(axis=1, keepdims=True)
+    w = rng.dirichlet(np.ones(n_a), size=n)
+    w[rng.uniform(size=(n, n_a)) < 0.3] = 0.0
+    w[np.arange(n), rng.integers(n_a, size=n)] += 0.5
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def circle_program(payload):
+    spec = _build_spec(payload)
+    return _forward_program(spec, build_problem(spec))
 
 
 class TestImplicitStepKernel:
@@ -355,12 +399,83 @@ class TestImplicitStepKernel:
                           for a in range(n_a))
                 system = np.eye(n) - dt * q_w
                 want = np.linalg.solve(system.T if transpose else system, r)
-                singles.append(implicit_step(stacked, w, dt, r, transpose=transpose))
+                singles.append(implicit_step(stacked, w, dt, r, step_plan(stacked, n_a),
+                                             transpose=transpose))
                 np.testing.assert_allclose(singles[-1], want, rtol=1e-12, atol=1e-12)
-            got = implicit_step(sp.kron(sp.identity(n_b), stacked, format="csr"),
-                                weights.reshape(-1, n_a), dt, rhs.ravel(),
-                                transpose=transpose)
+            chain = sp.kron(sp.identity(n_b), stacked, format="csr")
+            got = implicit_step(chain, weights.reshape(-1, n_a), dt, rhs.ravel(),
+                                step_plan(chain, n_a), transpose=transpose)
             np.testing.assert_allclose(got.reshape(n_b, n), singles, rtol=1e-14, atol=1e-14)
+            assert np.array_equal(got, scipy_step(chain, weights.reshape(-1, n_a), dt,
+                                                  rhs.ravel(), transpose))
+
+    @pytest.mark.parametrize("kind", ["one-hot", "ties", "random"])
+    def test_implicit_step_matches_scipy_bitwise(self, kind):
+        # actions of different sparsity, one cost rate zero (no cost-shift
+        # entry) and an absorbing state, whose top cost cell mixes to an
+        # all-zero row with no diagonal entry
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            n_x, n_y, n_a = (int(rng.integers(2, k)) for k in (6, 4, 4))
+            mats = [random_generator(rng, n_x, 1, density=rng.uniform(0.1, 0.9)).per_action[0]
+                    .multiply(np.arange(n_x)[:, None] > 0).tocsr() for _ in range(n_a)]
+            gen = ControlledGenerator(per_action=tuple(mats))
+            cost = rng.uniform(0, 1.5, (n_x, n_a))
+            cost[0, 0] = cost[int(rng.integers(n_x)), int(rng.integers(n_a))] = 0.0
+            yg = build_uniform_grid(0.0, float(rng.uniform(0.5, 3.0)), n_y)
+            aug = augment_generator(gen, cost, float(rng.uniform(0.0, 1.0)), yg)
+            (dt, q), = aug.steps(np.array([0.0, float(rng.uniform(0.05, 2.0))]))
+            assert not q[(n_y - 1) * n_a:n_y * n_a].toarray().any()
+            assert_step_bits(q, mixing_weights(rng, kind, n_x * n_y, n_a), dt,
+                             rng.uniform(-1, 1, n_x * n_y))
+            stacked = stack_actions(mats)
+            assert_step_bits(stacked, mixing_weights(rng, kind, n_x, n_a),
+                             float(rng.uniform(0.05, 2.0)), rng.uniform(-1, 1, n_x))
+
+    @pytest.fixture
+    def plan_builds(self, monkeypatch):
+        # counts each plan built and checks every step taken against the reference
+        builds, real_plan, real_step = [], forward_module.step_plan, forward_module.implicit_step
+
+        def counted(stacked, n_a):
+            builds.append(stacked.nnz)
+            return real_plan(stacked, n_a)
+
+        def checked(stacked, weights, dt, rhs, plan, transpose):
+            out = real_step(stacked, weights, dt, rhs, plan, transpose=transpose)
+            assert np.array_equal(out, scipy_step(stacked, weights, dt, rhs, transpose))
+            return out
+
+        monkeypatch.setattr(forward_module, "step_plan", counted)
+        for owner in (forward_module, solve_module):
+            monkeypatch.setattr(owner, "implicit_step", checked)
+        return builds
+
+    def test_one_plan_serves_every_step(self, plan_builds):
+        fp = circle_program({"n_x": 9, "n_y": 9, "n_a": 5, "n_t": 9})
+        rep = optimize_linear_risk(fp, RiskSpec(kind="expectation"))
+        propagate_forward(fp, rep.policy)
+        assert rep.status == "optimal"
+        assert plan_builds == [fp.steps[0][1].nnz]
+
+    def test_one_plan_per_structure(self, plan_builds):
+        # the discount of the second step underflows to zero, and with it
+        # that step's cost entries
+        config = Path(__file__).parent.parent / "bench" / "configs" / "oracle_enum.json"
+        fp = circle_program(dict(json.loads(config.read_text()), alpha=1500.0))
+        rep = optimize_linear_risk(fp, RiskSpec(kind="expectation"))
+        propagate_forward(fp, rep.policy)
+        assert rep.status == "optimal"
+        assert plan_builds == [42, 36]
+
+    def test_non_finite_system_refused_before_spsolve(self, monkeypatch):
+        # a zero weight on an infinite rate mixes to NaN
+        stacked = stack_actions([sp.csr_matrix([[-1.0, 1.0], [2.0, -2.0]]),
+                                 sp.csr_matrix([[-np.inf, np.inf], [0.0, 0.0]])])
+        monkeypatch.setattr(spla, "spsolve", None)
+        with pytest.raises(PropagationError, match="non-finite entry"):
+            implicit_step(stacked, np.eye(2)[[0, 0]], 0.5, np.ones(2), step_plan(stacked, 2),
+                          transpose=True)
 
     def test_stack_actions_order(self):
         rng = np.random.default_rng(6)

@@ -578,14 +578,14 @@ class TestRiskNeutralDpCostAxis:
         enum = enumerate_policies(fp, RiskSpec(kind="expectation"), v=v)
         assert lp.rho_star == pytest.approx(enum.value, rel=1e-9)
 
-    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
     def test_infinite_cost_fails_loudly_on_cost_axis(self):
-        # an infinite rate makes the augmented implicit step singular; the
-        # base chain only sees it in the stage cost, which the minimum avoids
+        # an infinite rate mixes to NaN (0 * inf) in the augmented implicit
+        # step, refused before SuperLU; the base chain only sees it in the
+        # stage cost, which the minimum avoids
         cost = DESIGNATED_COST.copy()
         cost[0, 1] = np.inf
         fp = designated_program(build_uniform_grid(0.0, 0.4, 2), cost)
-        with pytest.raises(PropagationError):
+        with pytest.raises(PropagationError, match="implicit step matrix has a non-finite entry"):
             optimize_linear_risk(fp, RiskSpec(kind="expectation"))
         base = risk_neutral_dp(two_state_gen(DESIGNATED_RATES), cost, 0.25,
                                DESIGNATED_TIMES, DESIGNATED_NU)
