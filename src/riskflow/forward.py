@@ -7,8 +7,8 @@ as one ``ForwardProgram`` over time-indexed joint measures ``mu_k(x, y, a)``.
 Its consumers share one implicit-Euler step over (product state, action),
 ``[z = z'] - dt Q_a(t_k)[z, z']``: ``propagate_forward`` steps ``fp.steps``
 forward from ``fp.b_eq[:fp.n_z]`` under one policy and ``solve.bellman_sweep``
-steps them backward, each step one ``bincount`` over the ``step_plan`` of its
-structure (``ForwardProgram.plans``) and one ``spsolve`` in ``implicit_step``;
+steps them backward, each step one ``bincount`` over the ``step_plan`` they
+all share (``ForwardProgram.plan``) and one ``spsolve`` in ``implicit_step``;
 ``validate.enumerate_policies`` solves it densely for a batch of deterministic
 policies at a time.  ``ForwardProgram.a_eq`` is built only when an LP solver
 reads it.  Controls are attached to the new time slice: the step from ``t_k``
@@ -219,8 +219,8 @@ def propagate_forward(fp: ForwardProgram, policy) -> TrajectoryDistribution:
     probs = policy.check_cells((fp.n_t, fp.n_x, fp.n_y, fp.n_a)).probs
     mass = np.empty((fp.n_t, fp.n_z))
     mass[0] = fp.b_eq[:fp.n_z]
-    for k, ((dt, q), plan) in enumerate(zip(fp.steps, fp.plans)):
-        mass[k + 1] = implicit_step(q, probs[k + 1].reshape(fp.n_z, -1), dt, mass[k], plan,
+    for k, (dt, q) in enumerate(fp.steps):
+        mass[k + 1] = implicit_step(q, probs[k + 1].reshape(fp.n_z, -1), dt, mass[k], fp.plan,
                                     transpose=True)
     return TrajectoryDistribution(times=fp.t_values, x_values=fp.x_values,
                                   y_values=fp.y_values,
@@ -278,11 +278,9 @@ class ForwardProgram:
         return sp.bmat(blocks, format="csr")
 
     @functools.cached_property
-    def plans(self) -> list:
-        """The ``step_plan`` of each step, one built per sparsity structure."""
-        keys = [(q.indptr.tobytes(), q.indices.tobytes()) for _, q in self.steps]
-        built = {key: step_plan(q, self.n_a) for key, (_, q) in dict(zip(keys, self.steps)).items()}
-        return [built[key] for key in keys]
+    def plan(self) -> tuple:
+        """The ``step_plan`` of the one pattern of every step (``AugmentedGenerator.steps``)."""
+        return step_plan(self.steps[0][1], self.n_a)
 
     def terminal_objective(self, weights_xy: np.ndarray) -> np.ndarray:
         """Objective vector placing ``weights_xy`` ``(n_x, n_y)`` on every

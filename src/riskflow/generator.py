@@ -8,6 +8,7 @@ are flattened x-major: ``z = x * n_y + y``.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -93,10 +94,16 @@ class ControlledGenerator:
             return self.state_grid.points
         return np.arange(self.dim, dtype=float)
 
+    @functools.cached_property
+    def stacked(self) -> sp.csr_matrix:
+        """The actions stacked: row ``x * n_a + a`` is row ``x`` of ``per_action[a]``."""
+        order = np.arange(self.dim * self.n_actions).reshape(self.n_actions, -1).T.ravel()
+        return sp.vstack(self.per_action, format="csr")[order]
+
     def __post_init__(self):
-        dims = {q.shape[0] for q in self.per_action}
-        if len(dims) != 1:
-            raise InvalidParameterError(f"per-action matrices disagree on dimension: {sorted(dims)}")
+        shapes = {q.shape for q in self.per_action}
+        if len(shapes) != 1 or len(set(*shapes)) != 1:
+            raise InvalidParameterError(f"per-action matrices need one square shape: {shapes}")
 
 
 def discount_factor(alpha: float, t: float, step: float) -> float:
@@ -108,13 +115,6 @@ def discount_factor(alpha: float, t: float, step: float) -> float:
     return float((np.exp(-alpha * t) - np.exp(-alpha * (t + step))) / (alpha * step))
 
 
-def stack_actions(mats) -> sp.csr_matrix:
-    """One matrix whose row ``z * n_a + a`` is row ``z`` of ``mats[a]``: the
-    (state, action) order of the forward program's variables."""
-    n_a, n = len(mats), mats[0].shape[0]
-    return sp.vstack(mats, format="csr")[np.arange(n * n_a).reshape(n_a, n).T.ravel()]
-
-
 @dataclass(frozen=True)
 class AugmentedGenerator:
     """Generator of the joint (state, running-cost) chain.
@@ -123,9 +123,9 @@ class AugmentedGenerator:
     ``kron(Q_a, I_y)``.  Cost accumulation is upwind transport to the next
     cost level at rate ``c(x, a) / dy``, dropped at the top cost cell
     (absorbing boundary) so rows still sum to zero.  Both are built once,
-    stacked over actions in the row order of ``stack_actions``, as
-    ``state_part`` and ``cost_part``; time enters only through the
-    discount (see ``steps``).
+    in the row order of ``ControlledGenerator.stacked``, as ``state_part``
+    and ``cost_part`` on one pattern, the union of their entries; time
+    enters only through the discount (see ``steps``).
     """
 
     base: ControlledGenerator
@@ -136,10 +136,11 @@ class AugmentedGenerator:
 
     def steps(self, t_grid) -> list[tuple[float, sp.csr_matrix]]:
         """The chain's one time discretization: a ``(dt, Q_k)`` per step of
-        ``t_grid``, the stacked generator at the left endpoint ``t_k`` with
-        the discount averaged over the step (``discount_factor``)."""
-        times = grid_points(t_grid)
-        return [(dt, (self.state_part + discount_factor(self.alpha, t, dt) * self.cost_part).tocsr())
+        ``t_grid``, the parts' shared pattern with data ``s + f_k c`` (zeros
+        stay stored), ``f_k`` the discount averaged over the step from ``t_k``."""
+        times, s, c = grid_points(t_grid), self.state_part, self.cost_part
+        return [(dt, sp.csr_matrix((s.data + discount_factor(self.alpha, t, dt) * c.data,
+                                    s.indices, s.indptr), shape=s.shape))
                 for t, dt in zip(times, np.diff(times).tolist())]
 
 
@@ -180,22 +181,24 @@ def augment_generator(base: ControlledGenerator, cost_rate, alpha: float,
     ``cost_rate`` discounted at rate ``alpha`` (``check_cost_table``)."""
     c = check_cost_table(cost_rate, base, alpha)
     n_x, n_a, n_y = base.dim, base.n_actions, y_grid.n
-    shape, y = (n_x * n_y * n_a, n_x * n_y), np.arange(n_y)
+    n_z, y = n_x * n_y, np.arange(n_y)
     # rate q_a[x, x'] from row (x n_y + y) n_a + a to column x' n_y + y, at every y
-    qs = [q.tocoo() for q in base.per_action]
-    act = np.repeat(np.arange(n_a), [m.nnz for m in qs])[:, None]
-    rows = (np.concatenate([m.row for m in qs])[:, None] * n_y + y) * n_a + act
-    cols = np.concatenate([m.col for m in qs])[:, None] * n_y + y
-    state_part = sp.csr_matrix((np.repeat(np.concatenate([m.data for m in qs]), n_y),
-                                (rows.ravel(), cols.ravel())), shape=shape)
+    m = base.stacked.tocoo()
+    x, a = np.divmod(m.row[:, None], n_a)
+    state_keys = (((x * n_y + y) * n_a + a) * n_z + m.col[:, None] * n_y + y).ravel()
     # rate c(x, a) / dy from (x, y) to (x, y + 1) below the top cell, none stored when zero
     rate = c / y_grid.spacing
     x, a = np.nonzero(rate)
     z = (x[:, None] * n_y + y[:-1]).ravel()
     up = np.repeat(rate[x, a], n_y - 1)
-    rows = np.tile(z * n_a + np.repeat(a, n_y - 1), 2)
-    cost_part = sp.csr_matrix((np.concatenate([-up, up]), (rows, np.concatenate([z, z + 1]))),
-                              shape=shape)
+    cost_keys = np.tile(z * n_a + np.repeat(a, n_y - 1), 2) * n_z + np.concatenate([z, z + 1])
+    # both parts on one pattern, the sorted union of their entries, duplicates summed
+    pattern, slot = np.unique(np.concatenate([state_keys, cost_keys]), return_inverse=True)
+    state, cost = (np.bincount(i, weights=w, minlength=pattern.size) for i, w in (
+        (slot[:state_keys.size], np.repeat(m.data, n_y)),
+        (slot[state_keys.size:], np.concatenate([-up, up]))))
+    state_part = sp.csr_matrix((state, np.divmod(pattern, n_z)), shape=(n_z * n_a, n_z))
+    cost_part = sp.csr_matrix((cost, state_part.indices, state_part.indptr), state_part.shape)
     return AugmentedGenerator(base=base, alpha=float(alpha), y_grid=y_grid,
                               state_part=state_part, cost_part=cost_part)
 

@@ -322,8 +322,8 @@ def _implicit_bellman_step(stacked: sp.csr_matrix, plan, rhs: np.ndarray, dt: fl
                            max_iter: int):
     """Solve ``V = min_a [rhs_a + dt Q_a V]`` row by row by Howard's policy
     iteration in at most ``max_iter`` evaluations; ``stacked`` is the
-    generator stacked over actions (``generator.stack_actions``), ``plan``
-    its ``forward.step_plan`` and ``rhs`` is ``(n, n_a)``.
+    generator stacked over actions (as ``ControlledGenerator.stacked``),
+    ``plan`` its ``forward.step_plan`` and ``rhs`` is ``(n, n_a)``.
 
     Each evaluation solves ``(I - dt Q_pi) V = rhs_pi`` for a deterministic
     policy ``pi``.  ``I - dt Q_pi`` is an M-matrix, so every improvement
@@ -351,9 +351,9 @@ def _implicit_bellman_step(stacked: sp.csr_matrix, plan, rhs: np.ndarray, dt: fl
     return val, pol, cand <= (best + slack)[:, None], rounds
 
 
-def bellman_sweep(steps, plans, terminal: np.ndarray, stage, max_iter: int = DEFAULT_MAX_ITER):
+def bellman_sweep(steps, plan, terminal: np.ndarray, stage, max_iter: int = DEFAULT_MAX_ITER):
     """Backward sweep ``V_k = min_a [stage[k]_a + V_{k+1} + dt Q_a(t_k) V_k]``
-    from ``V_T = terminal`` over the ``(dt, Q_k)`` pairs of ``steps`` and ``plans``.
+    from ``V_T = terminal`` over the ``(dt, Q_k)`` pairs of ``steps``, sharing ``plan``.
     Returns the values ``(n_t, n)``, the per-step actions and tie masks of
     ``_implicit_bellman_step`` and the number of policy evaluations.
     """
@@ -362,7 +362,7 @@ def bellman_sweep(steps, plans, terminal: np.ndarray, stage, max_iter: int = DEF
     for k in range(len(steps) - 1, -1, -1):
         dt, stacked = steps[k]
         values[k], actions[k], ties[k], rounds = _implicit_bellman_step(
-            stacked, plans[k], values[k + 1][:, None] + stage[k], dt, max_iter)
+            stacked, plan, values[k + 1][:, None] + stage[k], dt, max_iter)
         evaluations += rounds
     return values, np.array(actions), np.array(ties), evaluations
 
@@ -441,13 +441,13 @@ def _solve_forward_lp(fp: ForwardProgram, weights: np.ndarray, tol_gap: float,
     ``V_k <= V_{k+1} + dt Q_a(t_k) V_k`` at every ``(z, a)``.
     """
     values, _, ties, evaluations = bellman_sweep(
-        fp.steps, fp.plans, np.ravel(weights), np.zeros((fp.n_t - 1, 1, fp.n_a)), max_iter)
+        fp.steps, fp.plan, np.ravel(weights), np.zeros((fp.n_t - 1, 1, fp.n_a)), max_iter)
     m = fp.b_eq[:fp.n_z]
     mu = [np.outer(m, np.full(fp.n_a, 1.0 / fp.n_a))]
     r_p, r_d = [mu[0].sum(axis=1) - m], [np.zeros(fp.n_z * fp.n_a)]
-    for k, ((dt, q), plan, tie) in enumerate(zip(fp.steps, fp.plans, ties)):
+    for k, ((dt, q), tie) in enumerate(zip(fp.steps, ties)):
         mix = tie / tie.sum(axis=1, keepdims=True)
-        m = implicit_step(q, mix, dt, m, plan, transpose=True)
+        m = implicit_step(q, mix, dt, m, fp.plan, transpose=True)
         mu.append(m[:, None] * mix)
         r_p.append(mu[k + 1].sum(axis=1) - dt * (q.T @ mu[k + 1].ravel())
                    - mu[k].sum(axis=1))

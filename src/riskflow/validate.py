@@ -7,7 +7,7 @@ once per chunk of prefixes and scores the terminal laws in batches.  The
 simulation and the DP check their state law and discounted running cost
 (``generator.check_initial_law``, ``check_cost_table``); all three read
 the controlled generator in the (state, action) row order of
-``stack_actions``."""
+``ControlledGenerator.stacked``."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .errors import InvalidParameterError, PolicyEnumerationError, PropagationEr
 # bench/tracing.py patches them by these names
 from .forward import DiscreteDistribution, ForwardProgram, propagate_forward, step_plan  # noqa: F401
 from .generator import (ControlledGenerator, augment_generator,  # noqa: F401
-                        check_cost_table, check_initial_law, discount_factor, stack_actions)
+                        check_cost_table, check_initial_law, discount_factor)
 from .grids import UniformGrid, grid_points
 from .risk import RiskSpec, evaluate, evaluate_laws, merge_support, terminal_totals  # noqa: F401
 from .solve import MarkovPolicy, bellman_sweep
@@ -77,7 +77,7 @@ class McResult:
 
 def _jump_tables(gen: ControlledGenerator):
     """Jump tables with one row per (state x, action a), row ``x * n_a + a``
-    as in ``stack_actions``.
+    of ``gen.stacked``.
 
     Returns the exit rates, the jump targets (row r's start at
     ``r * width``), and the cumulative jump law as one array per column,
@@ -88,7 +88,7 @@ def _jump_tables(gen: ControlledGenerator):
     """
     n_a = gen.n_actions
     exit_rate = -np.column_stack([q.diagonal() for q in gen.per_action]).ravel()
-    m = stack_actions(gen.per_action).tocoo()  # entries sorted by row
+    m = gen.stacked.tocoo()  # entries sorted by row
     keep = (m.col != m.row // n_a) & (m.data > 0)
     row = m.row[keep]
     count = np.bincount(row, minlength=exit_rate.size)
@@ -437,11 +437,10 @@ def risk_neutral_dp(gen: ControlledGenerator, cost_rate, alpha: float,
     times = grid_points(t_grid)
     # the terminal values are the totals on one cost cell at 0
     terminal = terminal_totals(v, gen.dim, np.zeros(1))
-    stacked = stack_actions(gen.per_action)
-    steps = [(float(dt), stacked) for dt in np.diff(times)]
+    steps = [(float(dt), gen.stacked) for dt in np.diff(times)]
     stage = [dt * discount_factor(alpha, t, dt) * c for t, (dt, _) in zip(times, steps)]
-    plans = [step_plan(stacked, gen.n_actions)] * len(steps)
-    values, actions, _, _ = bellman_sweep(steps, plans, terminal, stage)
+    values, actions, _, _ = bellman_sweep(steps, step_plan(gen.stacked, gen.n_actions),
+                                          terminal, stage)
     return DpResult(value=float(nu @ values[0]),
                     values=values, actions=actions)
 

@@ -19,7 +19,7 @@ from riskflow import (ControlledGenerator, DiscreteDistribution,
                       propagate_forward, simulate_paths, write_trajectory_csv)
 from riskflow.cli import _build_spec, _forward_program, build_problem
 from riskflow.forward import implicit_step, step_plan, write_grid_csv
-from riskflow.generator import stack_actions
+from test_generator import stack_actions
 
 
 def two_state_gen(q01=1.0, q10=2.0):
@@ -458,15 +458,16 @@ class TestImplicitStepKernel:
         assert rep.status == "optimal"
         assert plan_builds == [fp.steps[0][1].nnz]
 
-    def test_one_plan_per_structure(self, plan_builds):
+    def test_one_plan_serves_underflowed_cost_entries(self, plan_builds):
         # the discount of the second step underflows to zero, and with it
-        # that step's cost entries
+        # that step's cost entries, which stay stored as explicit zeros
         config = Path(__file__).parent.parent / "bench" / "configs" / "oracle_enum.json"
         fp = circle_program(dict(json.loads(config.read_text()), alpha=1500.0))
+        assert fp.steps[1][1].count_nonzero() == 36
         rep = optimize_linear_risk(fp, RiskSpec(kind="expectation"))
         propagate_forward(fp, rep.policy)
         assert rep.status == "optimal"
-        assert plan_builds == [42, 36]
+        assert plan_builds == [42]
 
     def test_non_finite_system_refused_before_spsolve(self, monkeypatch):
         # a zero weight on an infinite rate mixes to NaN

@@ -8,8 +8,15 @@ from riskflow import (ConfigError, ControlledGenerator, InvalidCostError,
                       build_uniform_grid, discount_factor,
                       discretize_circle_diffusion, load_generator_triplets,
                       propagate_forward, validate_generator)
-from riskflow.generator import ROW_SUM_TOL, stack_actions
+from riskflow.generator import ROW_SUM_TOL
 from riskflow.grids import grid_points
+
+
+def stack_actions(mats) -> sp.csr_matrix:
+    """One matrix whose row ``z * n_a + a`` is row ``z`` of ``mats[a]``: the
+    reference of ``ControlledGenerator.stacked``."""
+    n_a, n = len(mats), mats[0].shape[0]
+    return sp.vstack(mats, format="csr")[np.arange(n * n_a).reshape(n_a, n).T.ravel()]
 
 
 def circle_gen(n=5, sigma=1.0, actions=(0.0,)):
@@ -21,9 +28,9 @@ def circle_gen(n=5, sigma=1.0, actions=(0.0,)):
 
 def per_action(aug, disc):
     """Each action's augmented generator at discount weight ``disc``: rows
-    ``a::n_a`` of ``state_part + disc * cost_part``."""
-    n_a = aug.base.n_actions
-    stacked = (aug.state_part + disc * aug.cost_part).tocsr()
+    ``a::n_a`` of the parts' shared pattern with data ``state + disc * cost``."""
+    n_a, s = aug.base.n_actions, aug.state_part
+    stacked = sp.csr_matrix((s.data + disc * aug.cost_part.data, s.indices, s.indptr), s.shape)
     return tuple(stacked[a::n_a] for a in range(n_a))
 
 
@@ -48,21 +55,39 @@ def assert_same_csr(got, want):
         assert have.dtype == ref.dtype and np.array_equal(have, ref)
 
 
+def entry_keys(m):
+    """``row * n_cols + col`` of each stored entry, in storage order."""
+    m = m.tocoo()
+    return m.row.astype(np.int64) * m.shape[1] + m.col
+
+
+def assert_shares_pattern(m, ref):
+    assert m.shape == ref.shape
+    assert np.shares_memory(m.indices, ref.indices) and np.shares_memory(m.indptr, ref.indptr)
+
+
 def assert_steps_match_kron(gen, cost, alpha, yg, t_grid):
-    """``augment_generator``'s parts and steps are the bytes of the kron
-    build: the parts store the same explicit zero rates and drop the same
-    zero cost rates, and every step is ``state + disc * cost`` at the step's
-    averaged discount."""
+    """``augment_generator``'s parts share one pattern, the union of the
+    kron build's patterns (explicit zero rates stored, zero cost rates
+    not), and hold the kron build's values; every step shares that pattern
+    and, with its explicit zeros dropped, is the bytes of scipy's
+    ``state + disc * cost`` at the step's averaged discount."""
     aug = augment_generator(gen, cost, alpha, yg)
     state, cost_part = kron_parts(gen, cost, yg)
-    assert_same_csr(aug.state_part, state)
-    assert_same_csr(aug.cost_part, cost_part)
+    assert_shares_pattern(aug.cost_part, aug.state_part)
+    assert np.array_equal(entry_keys(aug.state_part),
+                          np.union1d(entry_keys(state), entry_keys(cost_part)))
+    assert np.array_equal(aug.state_part.toarray(), state.toarray())
+    assert np.array_equal(aug.cost_part.toarray(), cost_part.toarray())
     times = grid_points(t_grid)
     steps = aug.steps(t_grid)
     assert len(steps) == len(times) - 1
     for k, (dt, q) in enumerate(steps):
         assert dt == times[k + 1] - times[k]
-        assert_same_csr(q, (state + discount_factor(alpha, times[k], dt) * cost_part).tocsr())
+        assert_shares_pattern(q, aug.state_part)
+        pruned = q.copy()
+        pruned.eliminate_zeros()
+        assert_same_csr(pruned, (state + discount_factor(alpha, times[k], dt) * cost_part).tocsr())
 
 
 class TestStencil:
@@ -110,6 +135,31 @@ class TestStencil:
         # NaN or infinite rates otherwise
         with pytest.raises(InvalidParameterError):
             discretize_circle_diffusion(build_circle_grid(5), a, sigma)
+
+
+class TestControlledGenerator:
+    @pytest.mark.parametrize("shapes", [((2, 2), (2, 3)), ((2, 3),), ((2, 2), (3, 3)), ()],
+                             ids=["non-square-action", "non-square", "mismatched", "empty"])
+    def test_refuses_non_square_mismatched_or_empty(self, shapes):
+        # an all-zero extra column would otherwise pass silently, and augmentation
+        # fail later in scipy
+        with pytest.raises(InvalidParameterError, match="one square shape"):
+            ControlledGenerator(per_action=tuple(sp.csr_matrix(s) for s in shapes))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_is_stack_actions(self, seed):
+        # actions of different sparsity, with explicit zero rates
+        rng = np.random.default_rng(seed)
+        n_x, n_a = (int(n) for n in rng.integers([1, 1], [7, 5]))
+        mats = []
+        for _ in range(n_a):
+            stored = rng.random((n_x, n_x)) < rng.uniform(0.1, 0.9)
+            rows, cols = np.nonzero(stored)
+            rates = rng.uniform(0.0, 2.0, rows.size) * (rng.random(rows.size) < 0.8)
+            mats.append(sp.csr_matrix((rates, (rows, cols)), shape=(n_x, n_x)))
+        gen = ControlledGenerator(per_action=tuple(mats))
+        assert_same_csr(gen.stacked, stack_actions(gen.per_action))
+        assert gen.stacked is gen.stacked  # built once
 
 
 class TestValidateGenerator:
