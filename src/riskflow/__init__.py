@@ -14,9 +14,8 @@ independent cross-checks.
 from .errors import (AssemblyError, ConfigError, InvalidCostError,
                      InvalidGridError, InvalidParameterError,
                      PolicyEnumerationError, PropagationError, RiskflowError)
-from .forward import (DiscreteDistribution, ForwardProgram,
-                      TrajectoryDistribution, assemble_forward_program,
-                      distribution_from_samples, marginal, propagate_forward,
+from .forward import (ForwardProgram, TrajectoryDistribution,
+                      assemble_forward_program, propagate_forward,
                       write_trajectory_csv)
 from .generator import (AugmentedGenerator, ControlledGenerator,
                         GeneratorDiagnostics, augment_generator,
@@ -24,7 +23,7 @@ from .generator import (AugmentedGenerator, ControlledGenerator,
                         load_generator_triplets, validate_generator)
 from .grids import (CircleGrid, UniformGrid, build_circle_grid,
                     build_uniform_grid)
-from .risk import RiskSpec, apply_terminal_cost, evaluate
+from .risk import RiskSpec, evaluate
 from .solve import (LpFailureError, LpProblem, LpSolution, MarkovPolicy,
                     SolveReport, extract_policy, optimize_linear_risk,
                     optimize_smooth_risk, solve_lp)

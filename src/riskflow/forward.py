@@ -38,68 +38,6 @@ from .grids import UniformGrid, grid_points
 
 
 @dataclass(frozen=True)
-class DiscreteDistribution:
-    """Nonnegative mass on a labeled product grid, summing to one.
-
-    ``mass`` has one dimension per axis; ``coords[i]`` holds the grid
-    values along ``axes[i]``.
-    """
-
-    axes: tuple[str, ...]
-    coords: tuple[np.ndarray, ...]
-    mass: np.ndarray
-
-    def __post_init__(self):
-        if len(self.axes) != len(self.coords) or self.mass.ndim != len(self.axes):
-            raise InvalidParameterError("axes, coords, and mass dimensions disagree")
-        if self.mass.shape != tuple(len(c) for c in self.coords):
-            raise InvalidParameterError(
-                f"mass shape {self.mass.shape} does not match coordinate lengths")
-
-    def marginal(self, axes: Union[str, Sequence[str]]) -> "DiscreteDistribution":
-        return marginal(self, axes)
-
-    def values_1d(self) -> tuple[np.ndarray, np.ndarray]:
-        """Support values and masses of a one-dimensional distribution."""
-        if len(self.axes) != 1:
-            raise InvalidParameterError(
-                f"expected a 1-d distribution, got axes {self.axes}")
-        return self.coords[0], self.mass
-
-    def mean(self) -> float:
-        v, m = self.values_1d()
-        return float(v @ m)
-
-
-def marginal(dist: DiscreteDistribution, axes: Union[str, Sequence[str]]) -> DiscreteDistribution:
-    """Sum out every axis not requested; mass is preserved exactly."""
-    if isinstance(axes, str):
-        axes = (axes,)
-    axes = tuple(axes)
-    unknown = set(axes) - set(dist.axes)
-    if unknown:
-        raise InvalidParameterError(f"unknown axes {sorted(unknown)}; have {dist.axes}")
-    keep = [i for i, name in enumerate(dist.axes) if name in axes]
-    drop = tuple(i for i, name in enumerate(dist.axes) if name not in axes)
-    mass = dist.mass.sum(axis=drop) if drop else dist.mass
-    # reorder to the requested axis order
-    kept_names = [dist.axes[i] for i in keep]
-    order = [kept_names.index(name) for name in axes]
-    if mass.ndim > 1:
-        mass = np.transpose(mass, order)
-    return DiscreteDistribution(axes=axes,
-                                coords=tuple(dist.coords[keep[j]] for j in order),
-                                mass=mass)
-
-
-def distribution_from_samples(samples: np.ndarray) -> DiscreteDistribution:
-    """Empirical cost law ``y`` of scalar samples (equal weights, merged ties)."""
-    values, counts = np.unique(np.asarray(samples, dtype=float), return_counts=True)
-    return DiscreteDistribution(axes=("y",), coords=(values,),
-                                mass=counts / counts.sum())
-
-
-@dataclass(frozen=True)
 class TrajectoryDistribution:
     """A time-indexed measure as one array on the program's grid.
 

@@ -24,9 +24,6 @@ class CircleGrid:
     points: np.ndarray
     spacing: float
 
-    def wrap(self, i) :
-        return np.asarray(i) % self.n
-
     @staticmethod
     def distance(theta, phi):
         return np.sqrt(np.maximum(1.0 - np.cos(np.asarray(theta) - np.asarray(phi)), 0.0))

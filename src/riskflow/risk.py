@@ -1,10 +1,12 @@
 """Law-invariant risk functionals on discrete cost distributions.
 
-All functionals read a distribution only through its (value, mass) pairs:
-each takes one support ``values (n,)`` and the laws ``mass (..., n)`` on
-it, so a batch of laws is scored in one call; ``evaluate`` is the one-law
-entry to the same code.  ``terminal_totals`` is the one table of the total
-costs ``y + v(x)`` that every engine scores.
+A law on the line is a ``(values, mass)`` pair of arrays: the support
+``values (n,)`` and the masses on it.  Every functional takes one support
+and the laws ``mass (..., n)`` on it, so a batch of laws is scored in one
+call; ``evaluate`` is the one-law entry to the same code.
+``terminal_totals`` is the one table of the total costs ``y + v(x)`` that
+every engine scores, and ``merge_support`` is the one pushforward of a law
+on the (x, y) cells to the law of those totals.
 The entropic risk ``log(sum exp(theta y) m(y)) / theta`` is optimized
 through its exponential moment, which is linear in the mass: its
 coefficients drop directly into an LP objective, and the log of the
@@ -20,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidCostError, InvalidParameterError
-from .forward import DiscreteDistribution
 
 KINDS = ("expectation", "entropic", "mean_semideviation")
 LINEAR_KINDS = ("expectation", "entropic")
@@ -108,33 +109,34 @@ def evaluate_laws(spec: RiskSpec, values: np.ndarray, mass: np.ndarray) -> np.nd
     return mean_semideviation(values, mass, spec.beta)
 
 
-def evaluate(spec: RiskSpec, dist: DiscreteDistribution) -> float:
-    return float(evaluate_laws(spec, *dist.values_1d()))
+def evaluate(spec: RiskSpec, values: np.ndarray, mass: np.ndarray) -> float:
+    """The risk of the one law ``(values, mass)``."""
+    return float(evaluate_laws(spec, values, mass))
 
 
-def gradient_at_values(spec: RiskSpec, dist: DiscreteDistribution,
-                       values: np.ndarray) -> np.ndarray:
-    """Derivative of the risk w.r.t. mass placed at arbitrary ``values``.
+def gradient_at_values(spec: RiskSpec, values: np.ndarray, mass: np.ndarray,
+                       at: np.ndarray) -> np.ndarray:
+    """Derivative of the risk of the law ``(values, mass)`` w.r.t. mass placed
+    at arbitrary points ``at``.
 
     Masses are treated as free nonnegative coordinates (no renormalization),
     matching how the LP and conditional-gradient iterations perturb them.
     At a semideviation kink the subgradient with the strict indicator
     ``value > mean`` is returned.
     """
-    values = np.asarray(values, dtype=float)
+    at = np.asarray(at, dtype=float)
     if spec.kind == "expectation":
-        return values.copy()
-    sup, mass = dist.values_1d()
+        return at.copy()
     if spec.kind == "entropic":
         if spec.theta == 0:
-            return values.copy()
+            return at.copy()
         # exp(theta y) / (theta E exp(theta Y)), without forming either moment
-        rho = float(entropic(sup, mass, spec.theta))
-        return np.exp(spec.theta * (values - rho)) / spec.theta
+        rho = float(entropic(values, mass, spec.theta))
+        return np.exp(spec.theta * (at - rho)) / spec.theta
     # mean semideviation
-    mean = float(expectation(sup, mass))
-    above = float(mass[sup > mean].sum())
-    return values + spec.beta * (np.maximum(values - mean, 0.0) - values * above)
+    mean = float(expectation(values, mass))
+    above = float(mass[values > mean].sum())
+    return at + spec.beta * (np.maximum(at - mean, 0.0) - at * above)
 
 
 def terminal_totals(v: Optional[np.ndarray], n_x: int, y_values: np.ndarray) -> np.ndarray:
@@ -148,25 +150,6 @@ def terminal_totals(v: Optional[np.ndarray], n_x: int, y_values: np.ndarray) -> 
     if not (v >= 0).all():  # NaN fails too
         raise InvalidCostError(f"terminal costs must be nonnegative, min is {v.min()}")
     return (v[:, None] + y_values[None, :]).ravel()
-
-
-def apply_terminal_cost(joint: DiscreteDistribution,
-                        v: Optional[np.ndarray]) -> DiscreteDistribution:
-    """Push a joint (x, y) law forward under total cost ``(x, y) -> y + v(x)``
-    (``v=None``: no terminal cost).
-
-    The output support is the sorted set of attained totals; masses landing
-    within ``MERGE_TOL`` of each other are aggregated.
-    """
-    if joint.axes != ("x", "y"):
-        joint = joint.marginal(("x", "y"))
-    totals = terminal_totals(v, joint.mass.shape[0], joint.coords[1])
-    mass = joint.mass.ravel()
-    hit = mass != 0.0  # support = values actually attained by mass
-    if hit.any():
-        totals, mass = totals[hit], mass[hit]
-    out_v, out_m = merge_support(totals, mass)
-    return DiscreteDistribution(axes=("cost",), coords=(out_v,), mass=out_m)
 
 
 def merge_support(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

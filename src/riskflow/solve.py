@@ -27,10 +27,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, InvalidParameterError, RiskflowError
-from .forward import (DiscreteDistribution, ForwardProgram,
-                      TrajectoryDistribution, implicit_step)
-from .risk import (RiskSpec, apply_terminal_cost, evaluate, gradient_at_values,
-                   terminal_totals)
+from .forward import ForwardProgram, TrajectoryDistribution, implicit_step
+from .risk import RiskSpec, evaluate, gradient_at_values, merge_support, terminal_totals
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
@@ -405,20 +403,18 @@ def _solve_report(fp, primal, status, duality_gap, iterations, mass_floor,
 
     traj = fp.trajectory_from_solution(primal)
     policy = extract_policy(traj.mass, mass_floor=mass_floor)
-    cost_law = traj.marginal("y")
-    y_last, y_prev = (DiscreteDistribution(axes=("y",), coords=(fp.y_values,),
-                                           mass=cost_law[k]) for k in (-1, -2))
+    y_prev, y_last = traj.marginal("y")[-2:]
     return SolveReport(
         rho_star=rho_star,
         duality_gap=duality_gap,
         iterations=iterations,
         status=status,
-        stationarity_w1=wasserstein1(y_last, y_prev),
-        boundary_mass=float(y_last.mass[-1]),
+        stationarity_w1=wasserstein1((fp.y_values, y_last), (fp.y_values, y_prev)),
+        boundary_mass=float(y_last[-1]),
         strictness_fraction=policy.strictness(),
         mass_deviation_max=float(traj.mass_deviation.max()),
         min_mass=traj.min_mass,
-        terminal_cost_mean=y_last.mean(),
+        terminal_cost_mean=float(fp.y_values @ y_last),
         fw_iterations=fw_iterations,
         fw_gap=fw_gap,
         policy=policy,
@@ -498,6 +494,18 @@ def optimize_linear_risk(fp: ForwardProgram, spec: RiskSpec,
                          mass_floor, top + math.log(sol.primal_objective) / theta)
 
 
+def _terminal_law(totals: np.ndarray, cube: np.ndarray):
+    """The law of the total costs ``totals`` (one per (x, y) cell) under the
+    terminal slice ``cube`` (cells, actions) of a measure: each cell's mass
+    summed over the actions and cut to zero when negative, over the slice's
+    total when that is positive, merged by ``merge_support`` on the cells
+    that carry mass (on every cell when none does)."""
+    total = cube.sum()
+    mass = np.maximum(cube.sum(axis=-1), 0.0) / (total if total > 0 else 1.0)
+    hit = mass != 0.0
+    return merge_support(totals[hit], mass[hit]) if hit.any() else merge_support(totals, mass)
+
+
 def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
                          v: Optional[np.ndarray] = None,
                          max_fw_iter: int = MAX_FW_ITER, tol: float = FW_TOL,
@@ -516,29 +524,21 @@ def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
     surface need not be convex in the measure).  The report carries the
     last subproblem's duality gap and the evaluations summed over all.
     """
-    totals = terminal_totals(v, fp.n_x, fp.y_values).reshape(fp.n_x, fp.n_y)
-
-    def terminal_dist(vec):
-        cube = vec.reshape(fp.n_t, fp.n_x, fp.n_y, fp.n_a)[-1]
-        total = cube.sum()
-        joint = DiscreteDistribution(
-            axes=("x", "y"), coords=(fp.x_values, fp.y_values),
-            mass=np.maximum(cube.sum(axis=-1), 0.0) / (total if total > 0 else 1.0))
-        return apply_terminal_cost(joint, v)
-
+    totals = terminal_totals(v, fp.n_x, fp.y_values)
+    grid = totals.reshape(fp.n_x, fp.n_y)
     # start from the vertex optimal for the plain expectation
-    sol = _solve_forward_lp(fp, totals, tol_gap, max_iter)
+    sol = _solve_forward_lp(fp, grid, tol_gap, max_iter)
     mu = sol.primal
     total_iters = sol.iterations
     best_val, best_mu = math.inf, mu
     gap = math.inf
     steps = 0
     for fw_iter in range(1, max_fw_iter + 1):
-        dist = terminal_dist(mu)
-        val = evaluate(spec, dist)
+        law = _terminal_law(totals, mu.reshape(fp.n_t, -1, fp.n_a)[-1])
+        val = evaluate(spec, *law)
         if val < best_val:
             best_val, best_mu = val, mu
-        grad_xy = gradient_at_values(spec, dist, totals)
+        grad_xy = gradient_at_values(spec, *law, grid)
         sol = _solve_forward_lp(fp, grad_xy, tol_gap, max_iter)
         total_iters += sol.iterations
         gap = _dot(fp.terminal_objective(grad_xy), mu - sol.primal)
@@ -551,7 +551,7 @@ def optimize_smooth_risk(fp: ForwardProgram, spec: RiskSpec,
     if status == "optimal":
         best_val, best_mu = val, mu
     else:
-        final = evaluate(spec, terminal_dist(mu))
+        final = evaluate(spec, *_terminal_law(totals, mu.reshape(fp.n_t, -1, fp.n_a)[-1]))
         if final < best_val:
             best_val, best_mu = final, mu
     return _solve_report(fp, best_mu, status, sol.duality_gap, total_iters,

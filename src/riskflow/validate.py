@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InvalidParameterError, PolicyEnumerationError, PropagationError
 # propagate_forward, augment_generator and evaluate stay importable here, unused:
 # bench/tracing.py patches them by these names
-from .forward import DiscreteDistribution, ForwardProgram, propagate_forward, step_plan  # noqa: F401
+from .forward import ForwardProgram, propagate_forward, step_plan  # noqa: F401
 from .generator import (ControlledGenerator, augment_generator,  # noqa: F401
                         check_cost_table, check_initial_law, discount_factor)
 from .grids import UniformGrid, grid_points
@@ -379,10 +379,10 @@ def sample_spread(samples: np.ndarray) -> tuple[float, float]:
 # Distribution distances
 
 
-def wasserstein1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Exact 1-Wasserstein distance between discrete laws on the line."""
-    vp, mp = p.values_1d()
-    vq, mq = q.values_1d()
+def wasserstein1(p: tuple, q: tuple) -> float:
+    """Exact 1-Wasserstein distance between the discrete laws ``(values,
+    mass)`` ``p`` and ``q`` on the line."""
+    (vp, mp), (vq, mq) = p, q
     v = np.concatenate([vp, vq])
     w = np.concatenate([mp, -mq])
     order = np.argsort(v, kind="stable")
@@ -501,7 +501,7 @@ def enumerate_policies(fp: ForwardProgram, spec: RiskSpec,
     is a block of prefixes under all of them, or one prefix under a run of
     them if they alone exceed ``ENUM_CHUNK_BYTES``, in policy order.  A
     last-level chunk is scored in one risk call, on the totals ``y + v(x)``
-    as ``apply_terminal_cost`` merges them.  More policies than that cap,
+    as ``merge_support`` merges them.  More policies than that cap,
     or a dense step of more than ``ENUM_STEP_BYTES`` (32 MB), raise
     ``PolicyEnumerationError`` before any step.
     """

@@ -115,10 +115,9 @@ def test_criterion_5_monte_carlo_consistency(reference_pieces, reference_run):
     # the LP's absorbing top cell holds all mass that reached y_max, so the
     # LP marginal is the law of min(Y, y_max), not of Y
     capped = np.minimum(res.samples, pieces.y_grid.hi)
-    emp = rf.distribution_from_samples(capped)
-    lp_marginal = rf.DiscreteDistribution(axes=("y",), coords=(pieces.y_grid.points,),
-                                          mass=report.trajectory.marginal("y")[-1])
-    w1 = rf.wasserstein1(emp, lp_marginal)
+    values, counts = np.unique(capped, return_counts=True)
+    w1 = rf.wasserstein1((values, counts / counts.sum()),
+                         (pieces.y_grid.points, report.trajectory.marginal("y")[-1]))
     grid_term = pieces.y_grid.spacing
     stderr_term = 3.0 * capped.std(ddof=1) / np.sqrt(capped.size)
     ok = line(5, w1 <= grid_term + stderr_term and elapsed <= 120,
@@ -228,18 +227,16 @@ def test_criterion_9_risk_function_suite():
     violations = []
 
     def rand_dist(n):
-        return rf.DiscreteDistribution(
-            axes=("y",), coords=(np.sort(rng.uniform(0, 3, n)),),
-            mass=rng.dirichlet(np.ones(n)))
+        return np.sort(rng.uniform(0, 3, n)), rng.dirichlet(np.ones(n))
 
     # entropic monotone in theta and above the mean
     for _ in range(30):
         d = rand_dist(int(rng.integers(2, 9)))
         thetas = np.sort(rng.uniform(0, 2.5, 4))
-        vals = [evaluate(rf.RiskSpec(kind="entropic", theta=t), d) for t in thetas]
+        vals = [evaluate(rf.RiskSpec(kind="entropic", theta=t), *d) for t in thetas]
         if np.any(np.diff(vals) < -1e-12):
             violations.append("theta monotonicity")
-        if vals[0] < evaluate(rf.RiskSpec(kind="expectation"), d) - 1e-12:
+        if vals[0] < evaluate(rf.RiskSpec(kind="expectation"), *d) - 1e-12:
             violations.append("entropic below mean")
 
     # semideviation gradient against central differences
@@ -247,20 +244,18 @@ def test_criterion_9_risk_function_suite():
     checked = 0
     while checked < 20:
         d = rand_dist(int(rng.integers(3, 8)))
-        values, masses = d.values_1d()
-        if np.min(np.abs(values - evaluate(rf.RiskSpec(kind="expectation"), d))) < 1e-4:
+        values, masses = d
+        if np.min(np.abs(values - evaluate(rf.RiskSpec(kind="expectation"), *d))) < 1e-4:
             continue
         checked += 1
         spec = rf.RiskSpec(kind="mean_semideviation", beta=float(rng.uniform(0, 1)))
-        grad = gradient_at_values(spec, d, values)
+        grad = gradient_at_values(spec, *d, values)
         h = 1e-6
         for j in range(len(values)):
             up, dn = masses.copy(), masses.copy()
             up[j] += h
             dn[j] -= h
-            up_d = rf.DiscreteDistribution(axes=("y",), coords=(values,), mass=up)
-            dn_d = rf.DiscreteDistribution(axes=("y",), coords=(values,), mass=dn)
-            fd = (evaluate(spec, up_d) - evaluate(spec, dn_d)) / (2 * h)
+            fd = (evaluate(spec, values, up) - evaluate(spec, values, dn)) / (2 * h)
             fd_worst = max(fd_worst, abs(grad[j] - fd))
     if fd_worst > 1e-6:
         violations.append(f"semideviation gradient off by {fd_worst:.1e}")
@@ -271,7 +266,7 @@ def test_criterion_9_risk_function_suite():
              rf.RiskSpec(kind="mean_semideviation", beta=0.7)]
     for _ in range(50):
         d = rand_dist(int(rng.integers(3, 9)))
-        values, p = d.values_1d()
+        values, p = d
         q = p.copy()
         for _ in range(int(rng.integers(1, 4))):
             i = int(rng.integers(0, len(values) - 1))
@@ -279,9 +274,8 @@ def test_criterion_9_risk_function_suite():
             amount = q[i] * rng.uniform(0, 1)
             q[i] -= amount
             q[j] += amount
-        upper = rf.DiscreteDistribution(axes=("y",), coords=(values,), mass=q)
         for spec in specs:
-            if evaluate(spec, upper) < evaluate(spec, d) - 1e-12:
+            if evaluate(spec, values, q) < evaluate(spec, *d) - 1e-12:
                 violations.append(f"dominance violated for {spec.kind}")
 
     ok = line(9, not violations,

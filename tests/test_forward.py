@@ -10,13 +10,12 @@ import scipy.sparse.linalg as spla
 
 import riskflow.forward as forward_module
 import riskflow.solve as solve_module
-from riskflow import (ControlledGenerator, DiscreteDistribution,
-                      InvalidParameterError, MarkovPolicy, McConfig,
-                      PropagationError, RiskSpec, optimize_linear_risk,
+from riskflow import (ControlledGenerator, InvalidParameterError, MarkovPolicy,
+                      McConfig, PropagationError, RiskSpec, optimize_linear_risk,
                       assemble_forward_program, augment_generator,
                       build_circle_grid, build_uniform_grid, discount_factor,
-                      discretize_circle_diffusion, marginal,
-                      propagate_forward, simulate_paths, write_trajectory_csv)
+                      discretize_circle_diffusion, propagate_forward,
+                      simulate_paths, write_trajectory_csv)
 from riskflow.cli import _build_spec, _forward_program, build_problem
 from riskflow.forward import implicit_step, step_plan, write_grid_csv
 from test_generator import stack_actions
@@ -25,46 +24,6 @@ from test_generator import stack_actions
 def two_state_gen(q01=1.0, q10=2.0):
     m = sp.csr_matrix(np.array([[-q01, q01], [q10, -q10]]))
     return ControlledGenerator(per_action=(m,))
-
-
-class TestMarginal:
-    def test_product_measure_factorizes(self):
-        p = np.array([0.2, 0.8])
-        q = np.array([0.5, 0.3, 0.2])
-        joint = DiscreteDistribution(axes=("x", "y"),
-                                     coords=(np.arange(2.), np.arange(3.)),
-                                     mass=np.outer(p, q))
-        assert np.allclose(joint.marginal("x").mass, p)
-        assert np.allclose(joint.marginal("y").mass, q)
-
-    def test_point_mass(self):
-        mass = np.zeros((3, 4))
-        mass[1, 0] = 1.0
-        d = DiscreteDistribution(axes=("x", "y"), coords=(np.arange(3.), np.arange(4.)),
-                                 mass=mass)
-        m = d.marginal("y")
-        assert np.allclose(m.mass, [1, 0, 0, 0])
-
-    def test_uniform_two_by_two(self):
-        d = DiscreteDistribution(axes=("x", "y"), coords=(np.arange(2.), np.arange(2.)),
-                                 mass=np.full((2, 2), 0.25))
-        for ax in ("x", "y"):
-            assert np.allclose(d.marginal(ax).mass, [0.5, 0.5])
-
-    def test_axis_reorder(self):
-        m = np.arange(6.0).reshape(2, 3)
-        m /= m.sum()
-        d = DiscreteDistribution(axes=("x", "y"), coords=(np.arange(2.), np.arange(3.)),
-                                 mass=m)
-        flipped = d.marginal(("y", "x"))
-        assert flipped.axes == ("y", "x")
-        assert np.allclose(flipped.mass, m.T)
-
-    def test_unknown_axis(self):
-        d = DiscreteDistribution(axes=("x", "y"), coords=(np.arange(2.), np.arange(2.)),
-                                 mass=np.full((2, 2), 0.25))
-        with pytest.raises(InvalidParameterError):
-            marginal(d, "z")
 
 
 class TestGridCsv:

@@ -10,6 +10,7 @@ from riskflow import (ConfigError, ControlledGenerator, InvalidCostError,
                       propagate_forward, validate_generator)
 from riskflow.generator import ROW_SUM_TOL
 from riskflow.grids import grid_points
+from riskflow.risk import merge_support, terminal_totals
 
 
 def stack_actions(mats) -> sp.csr_matrix:
@@ -17,6 +18,20 @@ def stack_actions(mats) -> sp.csr_matrix:
     reference of ``ControlledGenerator.stacked``."""
     n_a, n = len(mats), mats[0].shape[0]
     return sp.vstack(mats, format="csr")[np.arange(n * n_a).reshape(n_a, n).T.ravel()]
+
+
+def push_totals(joint_xy, y_values, v):
+    """The law ``(values, mass)`` of the total cost ``y + v(x)`` under the
+    joint (x, y) law ``joint_xy`` on the cost cells ``y_values``: the
+    attained totals (every total when no cell carries mass), those within
+    ``MERGE_TOL`` merged.  The reference of the terminal laws that
+    Frank-Wolfe and enumeration score."""
+    totals = terminal_totals(v, joint_xy.shape[0], y_values)
+    mass = joint_xy.ravel()
+    hit = mass != 0.0
+    if hit.any():
+        totals, mass = totals[hit], mass[hit]
+    return merge_support(totals, mass)
 
 
 def circle_gen(n=5, sigma=1.0, actions=(0.0,)):

@@ -3,13 +3,14 @@ import pytest
 import scipy.sparse as sp
 
 import riskflow.solve as solve_module
-from riskflow import (ControlledGenerator, DiscreteDistribution, LpProblem,
+from riskflow import (ControlledGenerator, LpProblem,
                       MarkovPolicy, RiskSpec,
                       assemble_forward_program, augment_generator,
                       build_uniform_grid, extract_policy,
                       optimize_linear_risk, optimize_smooth_risk,
                       propagate_forward, solve_lp)
 from riskflow.errors import AssemblyError, InvalidParameterError
+from riskflow.risk import evaluate_laws, merge_support, terminal_totals
 
 
 def lp(a, b, c):
@@ -466,6 +467,20 @@ class TestOptimizeSmooth:
         # than the conditional-gradient tolerance
         assert fw.rho_star <= enum.value + 1e-4
 
+    @pytest.mark.parametrize("max_fw_iter, status", [(1, "max_iter"), (50, "optimal")])
+    def test_rho_star_is_the_risk_of_the_reported_terminal_law(self, max_fw_iter, status):
+        # Frank-Wolfe scores the law enumeration scores: merge_support of the
+        # totals y + v(x) under the (x, y) marginal of the terminal slice
+        pieces, fp = circle_program({"n_x": 9, "n_y": 9, "n_a": 7, "n_t": 9,
+                                     "terminal_cost": [0.0, 0.1, 0.3, 0.6, 1.0,
+                                                       0.6, 0.3, 0.1, 0.0]})
+        spec = RiskSpec(kind="mean_semideviation", beta=0.5)
+        rep = optimize_smooth_risk(fp, spec, v=pieces.v, max_fw_iter=max_fw_iter)
+        assert rep.status == status
+        law = merge_support(terminal_totals(pieces.v, fp.n_x, fp.y_values),
+                            rep.trajectory.mass[-1].sum(axis=-1).ravel())
+        assert rep.rho_star == pytest.approx(float(evaluate_laws(spec, *law)), abs=1e-12)
+
 
 class TestExtractPolicy:
 
@@ -515,7 +530,6 @@ def per_slice_report(fp, primal, mass_floor):
     from riskflow import wasserstein1
 
     cube = np.asarray(primal, dtype=float).reshape(fp.n_t, fp.n_x, fp.n_y, fp.n_a)
-    coords = (fp.x_values, fp.y_values, np.arange(fp.n_a, dtype=float))
     slices, deviation = [], np.zeros(fp.n_t)
     probs = np.full(cube.shape, 1.0 / fp.n_a)
     mask = np.zeros(cube.shape[:3], dtype=bool)
@@ -525,21 +539,20 @@ def per_slice_report(fp, primal, mass_floor):
         deviation[k] = abs(total - 1.0)
         if total > 0:
             m = m / total
-        sl = DiscreteDistribution(axes=("x", "y", "a"), coords=coords, mass=m)
-        slices.append(sl)
-        cell = np.maximum(sl.mass, 0.0)
+        slices.append(m)
+        cell = np.maximum(m, 0.0)
         tot = cell.sum(axis=-1)
         hit = tot > mass_floor
         mask[k] = hit
         probs[k][hit] = cell[hit] / tot[hit][..., None]
-    y_last, y_prev = slices[-1].marginal("y"), slices[-2].marginal("y")
-    return {"mass": np.stack([sl.mass for sl in slices]), "mass_deviation": deviation,
+    y_last, y_prev = slices[-1].sum(axis=(0, 2)), slices[-2].sum(axis=(0, 2))
+    return {"mass": np.stack(slices), "mass_deviation": deviation,
             "min_mass": float(cube.min()), "probs": probs, "mask": mask,
-            "x": np.stack([sl.marginal(("x",)).mass for sl in slices]),
-            "y": np.stack([sl.marginal(("y",)).mass for sl in slices]),
-            "stationarity_w1": wasserstein1(y_last, y_prev),
-            "boundary_mass": float(y_last.mass[-1]),
-            "terminal_cost_mean": y_last.mean()}
+            "x": np.stack([sl.sum(axis=(1, 2)) for sl in slices]),
+            "y": np.stack([sl.sum(axis=(0, 2)) for sl in slices]),
+            "stationarity_w1": wasserstein1((fp.y_values, y_last), (fp.y_values, y_prev)),
+            "boundary_mass": float(y_last[-1]),
+            "terminal_cost_mean": float(fp.y_values @ y_last)}
 
 
 def assert_same_bits(got, want):

@@ -8,26 +8,24 @@ import scipy.sparse as sp
 
 import riskflow.solve as solve_module
 import riskflow.validate as validate_module
-from riskflow import (ControlledGenerator, DiscreteDistribution, InvalidCostError,
+from riskflow import (ControlledGenerator, InvalidCostError,
                       InvalidParameterError, MarkovPolicy, McConfig,
                       PolicyEnumerationError, PropagationError, RiskflowError,
-                      RiskSpec, build_uniform_grid, distribution_from_samples,
-                      enumerate_policies, optimize_linear_risk,
+                      RiskSpec, build_uniform_grid, enumerate_policies, optimize_linear_risk,
                       optimize_smooth_risk, risk_neutral_dp, simulate_paths,
                       wasserstein1)
 from riskflow.forward import assemble_forward_program, propagate_forward
 from riskflow.generator import augment_generator
-from riskflow.risk import apply_terminal_cost, evaluate
+from riskflow.risk import evaluate
+from test_generator import push_totals
 
 
 def delta(v):
-    return DiscreteDistribution(axes=("y",), coords=(np.array([float(v)]),),
-                                mass=np.array([1.0]))
+    return np.array([float(v)]), np.array([1.0])
 
 
 def dist(values, masses):
-    return DiscreteDistribution(axes=("y",), coords=(np.asarray(values, float),),
-                                mass=np.asarray(masses, float))
+    return np.asarray(values, float), np.asarray(masses, float)
 
 
 def single_state_gen():
@@ -442,19 +440,32 @@ class TestWasserstein:
     def test_sums_in_numpy_order(self):
         # BLAS ddot splits a long sum by thread count; numpy's order is fixed
         rng = np.random.default_rng(5)
-        p = distribution_from_samples(rng.uniform(0.0, 2.0, 60000))
+        values, counts = np.unique(rng.uniform(0.0, 2.0, 60000), return_counts=True)
+        p = values, counts / counts.sum()
         q = dist(np.linspace(0.0, 2.0, 21), np.full(21, 1 / 21))
-        v = np.concatenate([p.coords[0], q.coords[0]])
-        w = np.concatenate([p.mass, -q.mass])
+        v = np.concatenate([p[0], q[0]])
+        w = np.concatenate([p[1], -q[1]])
         order = np.argsort(v, kind="stable")
         cdf_diff = np.cumsum(w[order])[:-1]
         want = float(np.add.reduce(np.abs(cdf_diff) * np.diff(v[order])))
         assert wasserstein1(p, q) == want
 
-    def test_from_samples(self):
-        emp = distribution_from_samples(np.array([0.0, 0.0, 1.0, 1.0]))
-        assert np.allclose(emp.coords[0], [0.0, 1.0])
-        assert np.allclose(emp.mass, [0.5, 0.5])
+    def test_from_samples(self, tmp_path):
+        # validate's w1_vs_lp compares the empirical law of the capped samples
+        # (ties merged, equal weights) with the last marginal_y.csv slice
+        from riskflow.cli import _build_spec, build_problem, run, run_validation
+
+        spec = _build_spec({"n_x": 5, "n_y": 4, "n_a": 3, "n_t": 4, "horizon": 4.0})
+        run(spec, tmp_path)
+        summary = run_validation(spec, tmp_path, paths=2000, seed=3)
+        y_grid = build_problem(spec).y_grid
+        samples = np.minimum(np.loadtxt(tmp_path / "mc_samples.csv", skiprows=1), y_grid.hi)
+        values, counts = np.unique(samples, return_counts=True)
+        assert values.size < samples.size  # the cap makes ties
+        last = np.loadtxt(tmp_path / "marginal_y.csv", delimiter=",",
+                          skiprows=1)[-y_grid.n:, 2]
+        want = wasserstein1((values, counts / samples.size), (y_grid.points, last))
+        assert summary["w1_vs_lp"] == want > 0
 
 
 class TestRiskNeutralDp:
@@ -745,10 +756,7 @@ class TestEnumeration:
             for (dt, q), acts in zip(steps, np.reshape(assignment, (n_t - 1, n_z))):
                 q_w = q[z, acts]  # row z of Q_{a(z)}
                 m = np.linalg.solve(np.eye(n_z) - dt * q_w.T, m)
-            last = DiscreteDistribution(axes=("x", "y"), coords=(fp.x_values, fp.y_values),
-                                        mass=m.reshape(fp.n_x, fp.n_y))
-            law = last.marginal("y") if v is None else apply_terminal_cost(last, v)
-            want.append(evaluate(spec, law))
+            want.append(evaluate(spec, *push_totals(m.reshape(fp.n_x, fp.n_y), fp.y_values, v)))
         # every policy's value, in policy order, not only the minimum
         original, scored = validate_module.evaluate_laws, []
 
