@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -24,8 +25,8 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidParameterError, PolicyEnumerationError,
                      PropagationError, RiskflowError)
-from .forward import (ForwardProgram, assemble_forward_program, write_grid_csv,
-                      write_trajectory_csv)
+from .forward import (ForwardProgram, _format_17g, assemble_forward_program,
+                      write_grid_csv, write_trajectory_csv)
 from .generator import (ControlledGenerator, augment_generator,
                         discretize_circle_diffusion, load_generator_triplets)
 from .grids import build_circle_grid, build_uniform_grid
@@ -45,6 +46,13 @@ EXIT_IO = 5
 # Samples per block of mc_samples.csv.  Blocks of 2 ** 14 Python floats
 # raised the peak RSS of circle15_semidev by about 2 MB; these do not.
 MC_SAMPLES_BLOCK = 2 ** 10
+
+# Bytes of a table that _read_grid_csv splits into fields at a time: each
+# field becomes a Python bytes object.  Reading the 9.4 MB reference
+# policy.csv raised the peak RSS by 3.6 MB in 54 ms with these blocks, by
+# 4.5 MB with 2 ** 17 and by 11 MB in 61 ms with 2 ** 19; np.loadtxt of
+# the whole table took 9.5 MB and 97 ms.
+READ_BLOCK_BYTES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -382,30 +390,86 @@ def run(spec: ProblemSpec, out_dir) -> SolveReport:
     return report
 
 
+def _line_blocks(fh):
+    """The lines of the binary file ``fh`` in blocks of whole lines of about
+    ``READ_BLOCK_BYTES``, with the newlines text mode reads, stripped of
+    surrounding blank space."""
+    carry = b""
+    while True:
+        chunk = fh.read(READ_BLOCK_BYTES)
+        block = carry + chunk
+        cut = block.rfind(b"\n") + 1 if chunk else len(block)
+        block, carry = block[:cut], block[cut:]
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        block = block.strip()
+        if block:
+            yield block
+        if not chunk:
+            return
+
+
+def _periodic(cycle: list, start: int, count: int) -> list:
+    """``count`` entries of the list repeating ``cycle``, from entry ``start``."""
+    out, at = [], start % len(cycle)
+    while len(out) < count:
+        out += cycle[at:at + count - len(out)]
+        at = 0
+    return out
+
+
 def _read_grid_csv(path, header, coords) -> np.ndarray:
-    """A copy of the last column of a table ``write_grid_csv`` wrote over
-    ``coords``, shaped to the grid, else ``ConfigError``: the header, the row
-    and column counts and the coordinate columns must all match."""
+    """The last column of a table ``write_grid_csv`` wrote over ``coords``,
+    shaped to the grid, else ``ConfigError``: the header, the row and field
+    counts and the coordinate columns must all match.
+
+    The lines are read in blocks (``_line_blocks``), each as one stream of
+    comma-separated fields, ``len(header)`` per line; empty lines are
+    skipped, as ``np.loadtxt`` skips them.  A coordinate field is
+    compared as text with the ``%.17g`` that ``write_grid_csv`` writes for
+    its grid point; only one that differs is parsed, and it must lie within
+    1e-12 of the point (``np.allclose``), so a ``%.18e`` table is read too.
+    Only the last column is converted to floats."""
     shape = [len(c) for c in coords]
-    try:
-        with open(path) as fh:
-            head = fh.readline().strip()
-            rows = fh.tell()
-            if not any(line.strip() for line in iter(fh.readline, "")):
-                raise ConfigError(f"{path} has no data rows")
-            fh.seek(rows)
-            table = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ConfigError(f"{path} is not a numeric table: {exc}") from exc
-    if head != ",".join(header):
-        raise ConfigError(f"{path} has header {head!r}, not {','.join(header)!r}")
-    if table.shape != (np.prod(shape), len(header)):
-        raise ConfigError(f"{path} has {len(table)} rows of {table.shape[1]} columns, "
-                          f"not {np.prod(shape)} of {len(header)}")
-    cols = table[:, :-1].T.reshape(len(coords), *shape)  # column i varies along axis i
-    if not all(np.allclose(c, g, rtol=1e-12, atol=1e-12) for c, g in zip(cols, np.ix_(*coords))):
-        raise ConfigError(f"{path}: coordinate columns do not follow the config's grids")
-    return table[:, -1].reshape(shape).copy()
+    n_rows, n_cols = int(np.prod(shape)), len(header)
+    # one period of each coordinate column's text, and the run of each point
+    runs = [int(np.prod(shape[i + 1:])) for i in range(len(shape))]
+    cycles = [list(itertools.chain.from_iterable([s.encode()] * run for s in _format_17g(grid)))
+              for grid, run in zip(coords, runs)]
+    values, done = np.empty(shape), 0
+    flat = values.reshape(-1)
+    with open(path, "rb") as fh:
+        head = fh.readline().decode(errors="replace").strip()
+        if head != ",".join(header):
+            raise ConfigError(f"{path} has header {head!r}, not {','.join(header)!r}")
+        for block in _line_blocks(fh):
+            rows, fields = block.count(b"\n") + 1, block.replace(b"\n", b",").split(b",")
+            if len(fields) != rows * n_cols and b"\n\n" in block:  # skip empty lines
+                block = b"\n".join(line for line in block.split(b"\n") if line)
+                rows, fields = block.count(b"\n") + 1, block.replace(b"\n", b",").split(b",")
+            if len(fields) != rows * n_cols:
+                raise ConfigError(f"{path}: a row does not have {n_cols} columns")
+            lo, done = done, done + rows
+            if done > n_rows:
+                continue  # only counted, for the error below
+            try:
+                for i, grid in enumerate(coords):
+                    got, text = fields[i::n_cols], _periodic(cycles[i], lo, rows)
+                    if got != text:  # parse only the fields that differ
+                        off = np.array([r for r, (g, t) in enumerate(zip(got, text)) if g != t])
+                        at = np.array([float(got[r]) for r in off])
+                        point = np.asarray(grid, float)[(lo + off) // runs[i] % len(grid)]
+                        if not np.allclose(at, point, rtol=1e-12, atol=1e-12):
+                            raise ConfigError(
+                                f"{path}: coordinate columns do not follow the config's grids")
+                flat[lo:done] = np.fromiter(map(float, fields[n_cols - 1::n_cols]), float, rows)
+            except ValueError as exc:
+                raise ConfigError(f"{path} is not a numeric table: {exc}") from exc
+    if not done:
+        raise ConfigError(f"{path} has no data rows")
+    if done != n_rows:
+        raise ConfigError(f"{path} has {done} rows, not {n_rows}")
+    return values
 
 
 def _read_policy(report_dir, pieces: ProblemPieces) -> MarkovPolicy:

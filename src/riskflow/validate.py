@@ -104,57 +104,73 @@ def _jump_tables(gen: ControlledGenerator):
     return exit_rate, targets.ravel(), width, np.ascontiguousarray(cum[:, :-1].T)
 
 
-# Buckets of [0, 1) in the action lookup: a power of two, so the bucket of a
-# draw u is exactly floor(u * ACTION_BUCKETS).  With 64 buckets about one
-# draw in three of a uniform 21-action cell needs a search step.
-ACTION_BUCKETS = 64
+# Buckets of [0, 1) in the action table of a mixed cell: a power of two, so
+# the bucket of a draw u is exactly floor(u * ACTION_BUCKETS), and an entry c
+# lies below the bucket edge g / ACTION_BUCKETS exactly when floor(c *
+# ACTION_BUCKETS) < g.  A uniform 21-action cell has a boundary in 20 of its
+# 1,024 buckets, so about one draw in fifty needs a search step.
+ACTION_BUCKETS = 1024
 
 
-def _action_bounds(cum: np.ndarray) -> np.ndarray:
-    """Search bounds of the cumulative action laws ``cum`` (cells, n_a).
+def _action_table(cum: np.ndarray):
+    """Action lookup of the cumulative action laws ``cum`` (cells, n_a),
+    whose last column is 1: the action of a draw u in (0, 1) is the first a
+    with ``cum[a] >= u``.
 
-    For a draw u in bucket g, ``[g / B, (g + 1) / B)``, the action is the
-    first a with ``cum[a] >= u``; it lies between ``bound[cell, g]`` and
-    ``bound[cell, g + 1]``, where ``bound[cell, g]`` counts the entries
-    below g / B, except ``bound[cell, 0]``, which counts those <= 0 (u > 0).
-    A one-hot cell has equal bounds in every bucket and needs no search.
-    Returned flat, row-major over ``(cells, B + 1)``.
+    A cell is mixed when an entry lies strictly inside (0, 1).  Any other
+    cell gives every draw its first action of positive probability, the
+    count of its entries <= 0.  Returns ``first``, that action of each such
+    cell and ``~j`` for the j-th mixed cell; the mixed cells' rows of
+    ``cum``; and their table, flat over (mixed cells, ``ACTION_BUCKETS``):
+    entry g holds the action of every draw in ``[g / B, (g + 1) / B)``, or
+    ``~lo`` when a boundary lies in the bucket, lo counting the entries
+    below g / B (for g = 0 the entries <= 0, since u > 0).
     """
-    edges = np.arange(ACTION_BUCKETS + 1) / ACTION_BUCKETS
-    bound = (cum[:, None, :] < edges[:, None]).sum(axis=-1)
-    bound[:, 0] = (cum <= 0).sum(axis=-1)
-    return bound.ravel()
+    n_a, big = cum.shape[1], ACTION_BUCKETS
+    below = cum[:, :-1]  # the last entry, 1, is never below a draw
+    first = (below <= 0).sum(axis=1)
+    mixed = np.flatnonzero(((below > 0) & (below < 1)).any(axis=1))
+    c = below[mixed]
+    # the first bucket edge above each entry, big + 1 for an entry >= 1
+    edge = np.minimum(np.floor(c * big), big).astype(np.int64) + 1
+    edge += np.arange(mixed.size)[:, None] * (big + 2)
+    bound = np.bincount(edge.ravel(), minlength=mixed.size * (big + 2))
+    bound = bound.reshape(-1, big + 2).cumsum(axis=1)  # entries below each edge
+    bound[:, 0] = first[mixed]
+    lo, hi = bound[:, :big], bound[:, 1:big + 1]
+    table = np.where(lo == hi, lo, ~lo).astype(np.min_scalar_type(-n_a))
+    first[mixed] = ~np.arange(mixed.size)
+    return first, cum[mixed], table.ravel()
 
 
-def _pick_actions(u, cells, cum, bound):
-    """First action a with ``cum[cell, a] >= u``, for draws u in (0, 1):
-    a binary search between the bounds of the draw's bucket, run only
-    where they differ.  Equals the count of entries of ``cum`` below u;
-    u = 0 (probability 2**-53) gets the first action of positive probability."""
-    n_a = cum.shape[1]
-    at = cells * (ACTION_BUCKETS + 1) + (u * ACTION_BUCKETS).astype(np.int64)
-    acts = bound[at]
-    span = bound[at + 1] - acts
-    open_ = np.flatnonzero(span)
-    if open_.size:
-        lo = acts[open_]
-        hi, uu, base = lo + span[open_], u[open_], cells[open_] * n_a
+def _pick_actions(u, mixed, cum, table):
+    """Actions of draws u in (0, 1) in the mixed cells ``mixed`` (indices
+    into ``cum``, the mixed rows, and ``table`` of ``_action_table``): one
+    table lookup, and where the draw's bucket holds a boundary a binary
+    search above it.  Equals the count of entries of ``cum`` below u; u = 0
+    (probability 2**-53) gets the first action of positive probability."""
+    acts = table[mixed * ACTION_BUCKETS + (u * ACTION_BUCKETS).astype(np.int64)]
+    edge = np.flatnonzero(acts < 0)
+    if edge.size:
+        n_a = cum.shape[1]
+        lo = ~acts[edge].astype(np.int64)
+        hi, uu, base = np.full(edge.size, n_a - 1), u[edge], mixed[edge] * n_a
         flat = cum.ravel()
-        for _ in range(int(span[open_].max()).bit_length()):
+        for _ in range(int(n_a - 1 - lo.min()).bit_length()):
             mid = (lo + hi) >> 1
             right = flat[base + mid] < uu
             lo = np.where(right, mid + 1, lo)
             hi = np.where(right, hi, mid)
-        acts[open_] = lo
+        acts[edge] = lo
     return acts
 
 
 # Fewest active paths per shard of a lockstep round; a round with fewer runs
 # as fewer shards, down to one in the calling thread.  A thread's numpy
 # calls pay for themselves only on long arrays: on a 2-CPU host, 100,000
-# reference paths took simulate_paths 1.22-1.42 s with this minimum,
-# 1.28-1.43 s with 2 ** 13, 1.39-1.51 s with 2 ** 15 and 1.71-1.89 s in
-# one thread.
+# reference paths took simulate_paths 0.56-0.58 s with this minimum,
+# 0.57-0.58 s with 2 ** 13, 0.59-0.64 s with 2 ** 15 and 0.88-0.91 s in
+# one thread (6 alternated runs each).
 MIN_SHARD_PATHS = 2 ** 14
 
 
@@ -166,9 +182,21 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+# Cost of a path's exponential draw relative to the rest of its round, which
+# sets the calling thread's share in ``_reshard``.  On a 2-CPU host a
+# standard exponential takes 3.3 ns and a reference path-round 25.5 ns
+# besides it in one thread.  Over 8 alternated runs of 100,000 reference
+# paths, simulate_paths took 0.594 s (median) with even shards, 0.567 s
+# with 0.1, 0.564 s with 0.14 and 0.577 s with 0.2.
+EXP_DRAW_COST = 0.13
+
+
 def _reshard(shards, count: int):
     """The paths of ``shards``, in path-id order, cut into ``count``
-    contiguous shards of near-equal size, as views of one array per field.
+    contiguous shards, as views of one array per field.  The calling
+    thread, which runs shard 0, also draws the round's exponential block,
+    so shard 0 takes ``1 - (count - 1) * EXP_DRAW_COST`` of an even share
+    of the paths and the others split the rest evenly.
     A shard holds ``ids``, ``y``, ``t`` and ``disc`` (e^{-alpha t}, None
     when alpha = 0) of its paths, and either their states ``x`` (in a
     slice's first round) or ``row``, the previous round's (state, action)
@@ -177,7 +205,9 @@ def _reshard(shards, count: int):
     for field, first in vars(shards[0]).items():
         parts = [getattr(sh, field) for sh in shards]
         whole[field] = parts[0] if first is None or len(parts) == 1 else np.concatenate(parts)
-    cut = np.arange(count + 1) * whole["ids"].size // count
+    m = whole["ids"].size
+    head = int(m * max(0.0, 1.0 - (count - 1) * EXP_DRAW_COST)) // count
+    cut = [0] + (head + np.arange(count) * (m - head) // max(1, count - 1)).tolist()
     return [SimpleNamespace(**{f: None if v is None else v[lo:hi] for f, v in whole.items()})
             for lo, hi in zip(cut[:-1], cut[1:])]
 
@@ -202,10 +232,10 @@ def _pick_rows(tab: SimpleNamespace, x: np.ndarray, y: np.ndarray, u: np.ndarray
     cells += x * n_y
     fallback = 0 if tab.mask is None else x.size - int(np.count_nonzero(tab.mask[cells]))
     row = tab.fixed_row[cells]
-    search = np.flatnonzero(row < 0)
-    if search.size:
-        row[search] = (_pick_actions(u[search], cells[search], tab.cum, tab.bound)
-                       + x[search] * tab.n_a)
+    mixed = np.flatnonzero(row < 0)
+    if mixed.size:
+        row[mixed] = (_pick_actions(u[mixed], ~row[mixed], tab.cum, tab.table)
+                      + x[mixed] * tab.n_a)
     return row, fallback
 
 
@@ -275,7 +305,10 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
 
     The draws follow the order stated in ``McConfig``.  The action of a
     uniform u is the first whose cumulative probability reaches u; a row
-    summing to less than one gives the rest to its last action.
+    summing to less than one gives the rest to its last action.  A cell
+    with no cumulative probability strictly inside (0, 1) reads its action
+    from one table of the slice, any other cell from one bucket of a table
+    of its own (``_action_table``).
 
     Each slice keeps only its active paths in compact arrays, writes a path
     back in the round it finishes, and carries e^{-alpha t} from round to
@@ -285,7 +318,8 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     inside this call.  Each shard draws its own parts of the round's
     uniform blocks from a copy of the stream advanced to them (a uniform
     takes one 64-bit word), and the calling thread draws the exponential
-    block whole, so the samples are the same bits at any CPU count.
+    block whole, so the samples are the same bits at any CPU count; for
+    that draw shard 0 is cut smaller than the others (``EXP_DRAW_COST``).
     ``MarkovPolicy.check_cells`` refuses a policy that does not have one
     slice per grid time over (n_x, n_y, n_a), or that has a negative or NaN
     action probability, which the action search relies on; ``cost_rate``,
@@ -320,16 +354,13 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
 
     with ThreadPoolExecutor(max_workers=max(1, cpus - 1)) as pool:
         for k in range(len(times) - 1):
-            cum = pol_cum[k + 1].reshape(n_x * n_y, n_a)
-            bound = _action_bounds(cum)
-            cut = bound.reshape(-1, ACTION_BUCKETS + 1)
-            agree = (cut == cut[:, :1]).all(axis=1)
+            first, cum, table = _action_table(pol_cum[k + 1].reshape(n_x * n_y, n_a))
             mask = policy.mask[k + 1].ravel()
             tab = SimpleNamespace(
                 targets=targets, width=width, jump_cum=jump_cum, clock=clock, dead=dead,
-                cost=cost, alpha=alpha, y_grid=y_grid, n_a=n_a, cum=cum, bound=bound,
-                # the row of each cell whose bounds agree in every bucket, else -1
-                fixed_row=np.where(agree, cut[:, 0] + cell_x * n_a, -1),
+                cost=cost, alpha=alpha, y_grid=y_grid, n_a=n_a, cum=cum, table=table,
+                # the row of each cell that is not mixed, else ~j for mixed cell j
+                fixed_row=np.where(first < 0, first, first + cell_x * n_a),
                 mask=None if mask.all() else mask, t_hi=times[k + 1],
                 x_all=x_all, y_all=y_all)
             t = np.full(n, times[k])

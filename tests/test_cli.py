@@ -484,6 +484,59 @@ class TestMain:
         assert "policy.csv: coordinate columns do not follow" in err
         assert not (out / "mc_summary.json").exists()
 
+    @pytest.mark.parametrize("column", ["t", "x", "y", "a"])
+    def test_validate_refuses_a_coordinate_moved_by_1e9(self, tmp_path, capsys, column):
+        # one field off its grid point by far less than a grid step, but more
+        # than the reader's 1e-12
+        cfg = write_config(tmp_path, SMALL_CIRCLE)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        head, *rows = (out / "policy.csv").read_text().splitlines(keepends=True)
+        cells = rows[100].split(",")
+        at = "txya".index(column)
+        cells[at] = f"{float(cells[at]) + 1e-9:.17g}"
+        rows[100] = ",".join(cells)
+        (out / "policy.csv").write_text(head + "".join(rows), newline="")
+        assert main(["validate", "--config", str(cfg), "--report", str(out),
+                     "--paths", "200"]) == EXIT_CONFIG
+        assert "policy.csv: coordinate columns do not follow" in capsys.readouterr().err
+        assert not (out / "mc_summary.json").exists()
+
+    def test_read_policy_accepts_coordinates_as_18e(self, tmp_path):
+        # np.savetxt's default text: the same numbers, none of the %.17g fields
+        spec = _build_spec(SMALL_CIRCLE)
+        run(spec, tmp_path / "o")
+        pieces = build_problem(spec)
+        want = cli_module._read_policy(tmp_path / "o", pieces).probs
+        path = tmp_path / "o" / "policy.csv"
+        head, *rows = path.read_text().splitlines(keepends=True)
+        wide = []
+        for row in rows:
+            cells = row.split(",")
+            wide.append(",".join([f"{float(c):.18e}" for c in cells[:4]] + cells[4:]))
+        assert all(a != b for a, b in zip(rows, wide))
+        path.write_text(head + "".join(wide), newline="")
+        got = cli_module._read_policy(tmp_path / "o", pieces).probs
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 97, 4096])
+    def test_read_in_blocks_that_cut_lines_anywhere(self, tmp_path, monkeypatch, block):
+        # marginal_y.csv ends its lines with \r\n, which a block may cut in two;
+        # empty lines anywhere are skipped
+        spec = _build_spec(SMALL_CIRCLE)
+        report = run(spec, tmp_path / "o")
+        pieces = build_problem(spec)
+        path = tmp_path / "o" / "policy.csv"
+        head, *rows = path.read_text().splitlines(keepends=True)
+        rows[7:7] = ["\n", "\n"]
+        path.write_text("".join([head] + rows + ["\n"]), newline="")
+        monkeypatch.setattr(cli_module, "READ_BLOCK_BYTES", block)
+        probs = cli_module._read_policy(tmp_path / "o", pieces).probs
+        assert probs.tobytes() == report.policy.probs.tobytes()
+        marg = cli_module._read_grid_csv(tmp_path / "o" / "marginal_y.csv", ("t", "y", "mass"),
+                                         (pieces.t_grid.points, pieces.y_grid.points))
+        assert marg.tobytes() == report.trajectory.marginal("y").tobytes()
+
     def test_read_policy_owns_its_cells(self, tmp_path):
         # the parsed five-column table is not kept alive by a view
         spec = _build_spec(SMALL_CIRCLE)

@@ -274,7 +274,11 @@ class TestSamplerMatchesReference:
 
         def record(shards, count):
             counts.append(count)
-            return reshard(shards, count)
+            out = reshard(shards, count)
+            sizes = [sh.ids.size for sh in out]
+            # the calling thread also draws the exponentials: its shard is the smallest
+            assert count < 2 or sizes[0] <= min(sizes[1:]), sizes
+            return out
 
         monkeypatch.setattr(validate_module, "_reshard", record)
         for seed in self.SEEDS:
@@ -352,6 +356,61 @@ class TestSamplerMatchesReference:
         bad = MarkovPolicy.uniform(*cells)
         with pytest.raises(InvalidParameterError, match="policy cells"):
             simulate_paths(gen, bad, *rest, McConfig(n_paths=10))
+
+
+def action_rows():
+    """Cumulative action laws (last entry 1, as the sampler sets it) with
+    entries on bucket edges and one ulp either side of them."""
+    big, n_a = validate_module.ACTION_BUCKETS, 21
+    edges = np.array([1, 2, 511, 512, 513, 1023]) / big
+    around = np.sort(np.concatenate([np.nextafter(edges, 0), edges, np.nextafter(edges, 1)]))
+    rows = [
+        np.concatenate([around, [1.0] * (n_a - around.size)]),
+        np.concatenate([[0.5] * (n_a - 1), [1.0]]),  # every entry on one edge
+        np.cumsum(np.full(n_a, 1 / n_a)),  # uniform, as the sweep mixes its ties
+        np.cumsum(np.full(n_a, 0.5 / n_a)),  # short row
+        np.concatenate([[0.0] * 5, [1.0] * (n_a - 5)]),  # one-hot past a zero prefix
+        np.concatenate([[0.25] * 10, [1 - 2.0 ** -52] * (n_a - 10)]),
+        np.concatenate([[0.3], [1 + 2.0 ** -52] * (n_a - 1)]),  # sums above one
+        np.concatenate([[5e-324], [0.75] * (n_a - 1)]),  # a subnormal first action
+    ]
+    cum = np.array(rows)
+    cum[:, -1] = 1.0
+    return cum
+
+
+def table_actions(cum, u):
+    """Actions of every draw ``u`` in every cell of ``cum`` by the sampler's
+    table lookup, (cells, draws)."""
+    first, mixed_cum, table = validate_module._action_table(cum)
+    cells = np.repeat(np.arange(len(cum)), u.size)
+    uu = np.tile(u, len(cum))
+    acts = first[cells]
+    mixed = np.flatnonzero(acts < 0)
+    acts[mixed] = validate_module._pick_actions(uu[mixed], ~acts[mixed], mixed_cum, table)
+    return acts.reshape(len(cum), u.size)
+
+
+class TestActionTable:
+    def test_counts_the_entries_below_every_draw(self):
+        cum = action_rows()
+        big = validate_module.ACTION_BUCKETS
+        edges = np.arange(1, big) / big
+        u = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1),
+                            [2.0 ** -53, np.nextafter(1.0, 0.0)]])
+        want = (u[None, :, None] > cum[:, None, :]).sum(axis=-1)
+        assert np.array_equal(table_actions(cum, u), want)
+
+    def test_a_zero_draw_gets_the_first_action_of_positive_probability(self):
+        cum = action_rows()
+        assert np.array_equal(table_actions(cum, np.zeros(1))[:, 0], (cum <= 0).sum(axis=1))
+
+    def test_only_mixed_cells_get_a_compact_table(self):
+        cum = action_rows()
+        first, mixed_cum, table = validate_module._action_table(cum)
+        assert first[4] == 5  # one-hot: no table
+        assert (first < 0).sum() == len(cum) - 1 == len(mixed_cum)
+        assert table.itemsize == 1 and table.size == len(mixed_cum) * validate_module.ACTION_BUCKETS
 
 
 def run_bounded(call, timeout=60.0):
