@@ -111,8 +111,8 @@ def step_plan(stacked: sp.csr_matrix, n_a: int) -> tuple:
     eye, slot, heads = (z == col).astype(float), slot[:rows.size], np.arange(n + 1)
     by_col = np.argsort(col, kind="stable")
     return ((rows, np.argsort(by_col)[slot], eye[by_col], z[by_col],
-             np.searchsorted(col[by_col], heads)),
-            (rows, slot, eye, col, np.searchsorted(z, heads)))
+             np.searchsorted(col[by_col], heads).astype(np.intc)),
+            (rows, slot, eye, col, np.searchsorted(z, heads).astype(np.intc)))
 
 
 def implicit_step(stacked: sp.csr_matrix, weights: np.ndarray, dt: float,
@@ -132,8 +132,11 @@ def implicit_step(stacked: sp.csr_matrix, weights: np.ndarray, dt: float,
     entries = eye - dt * np.bincount(slot, weights=mixed, minlength=eye.size)
     if not np.isfinite(entries).all():
         raise PropagationError("implicit step matrix has a non-finite entry")
-    system = sp.csc_matrix((entries, index, ptr), shape=(rhs.size, rhs.size), copy=True)
-    system.eliminate_zeros()  # in place, on copies of the plan's indices
+    # without an exact zero, spsolve reads the plan's index arrays and leaves them as they are
+    has_zero = not entries.all()
+    system = sp.csc_matrix((entries, index, ptr), shape=(rhs.size, rhs.size), copy=has_zero)
+    if has_zero:
+        system.eliminate_zeros()  # in place, on copies of the plan's indices
     try:
         out = spla.spsolve(system, rhs)
     except RuntimeError as exc:

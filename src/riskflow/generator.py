@@ -64,12 +64,20 @@ def discretize_circle_diffusion(grid: CircleGrid, a: float, sigma: float) -> sp.
     diff = sigma * sigma / (2.0 * dx * dx)
     right = diff + max(a, 0.0) / dx
     left = diff + max(-a, 0.0) / dx
-    idx = np.arange(n)
-    rows = np.concatenate([idx, idx, idx])
-    cols = np.concatenate([(idx + 1) % n, (idx - 1) % n, idx])
-    data = np.concatenate([np.full(n, right), np.full(n, left),
-                           np.full(n, -(right + left))])
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    # row i holds (i - 1) % n, i and (i + 1) % n, distinct for n >= 3, in
+    # column order: the wrapped neighbor of rows 0 and n - 1 comes first or last
+    cols = (np.arange(n, dtype=np.intc)[:, None] + np.array([-1, 0, 1], dtype=np.intc)) % n
+    order = np.argsort(cols, axis=1)
+    data = np.array([left, -(right + left), right])[order]
+    return sp.csr_matrix((data.ravel(), np.take_along_axis(cols, order, axis=1).ravel(),
+                          np.arange(0, 3 * n + 1, 3, dtype=np.intc)), shape=(n, n))
+
+
+def gather_rows(first: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR row pointers of rows of ``lengths`` entries, and the index of each
+    entry in a source array where row ``i``'s entries start at ``first[i]``."""
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    return indptr, np.repeat(first - indptr[:-1], lengths) + np.arange(indptr[-1])
 
 
 @dataclass(frozen=True)
@@ -97,8 +105,14 @@ class ControlledGenerator:
     @functools.cached_property
     def stacked(self) -> sp.csr_matrix:
         """The actions stacked: row ``x * n_a + a`` is row ``x`` of ``per_action[a]``."""
-        order = np.arange(self.dim * self.n_actions).reshape(self.n_actions, -1).T.ravel()
-        return sp.vstack(self.per_action, format="csr")[order]
+        mats = [q.tocsr() for q in self.per_action]
+        ptrs = np.stack([q.indptr for q in mats], axis=1)
+        # row x of action a starts at ptrs[x, a] plus the entries of the actions before a
+        indptr, take = gather_rows((ptrs[:-1] + np.cumsum(ptrs[-1]) - ptrs[-1]).ravel(),
+                                   np.diff(ptrs, axis=0).ravel())
+        return sp.csr_matrix((np.concatenate([q.data for q in mats])[take],
+                              np.concatenate([q.indices for q in mats])[take], indptr),
+                             shape=(self.dim * self.n_actions, self.dim))
 
     def __post_init__(self):
         shapes = {q.shape for q in self.per_action}
@@ -181,24 +195,32 @@ def augment_generator(base: ControlledGenerator, cost_rate, alpha: float,
     ``cost_rate`` discounted at rate ``alpha`` (``check_cost_table``)."""
     c = check_cost_table(cost_rate, base, alpha)
     n_x, n_a, n_y = base.dim, base.n_actions, y_grid.n
-    n_z, y = n_x * n_y, np.arange(n_y)
-    # rate q_a[x, x'] from row (x n_y + y) n_a + a to column x' n_y + y, at every y
-    m = base.stacked.tocoo()
-    x, a = np.divmod(m.row[:, None], n_a)
-    state_keys = (((x * n_y + y) * n_a + a) * n_z + m.col[:, None] * n_y + y).ravel()
-    # rate c(x, a) / dy from (x, y) to (x, y + 1) below the top cell, none stored when zero
-    rate = c / y_grid.spacing
-    x, a = np.nonzero(rate)
-    z = (x[:, None] * n_y + y[:-1]).ravel()
-    up = np.repeat(rate[x, a], n_y - 1)
-    cost_keys = np.tile(z * n_a + np.repeat(a, n_y - 1), 2) * n_z + np.concatenate([z, z + 1])
-    # both parts on one pattern, the sorted union of their entries, duplicates summed
-    pattern, slot = np.unique(np.concatenate([state_keys, cost_keys]), return_inverse=True)
+    n_z, n_r = n_x * n_y, n_x * n_a
+    # the pattern of base row r = x n_a + a on one cost level, in base columns: rate
+    # q_a[x, x'] at x' n_y and, below the top level (rows r) when the cost rate
+    # c(x, a) / dy is positive, -rate at x n_y and +rate at x n_y + 1; the top level
+    # (rows n_r + r) has no cost entries.  Keys row * n_z + column, duplicates summed
+    m = base.stacked
+    rows = np.repeat(np.arange(n_r), np.diff(m.indptr))
+    rate = (c / y_grid.spacing).ravel()
+    r = np.flatnonzero(rate)
+    state_keys = rows * n_z + m.indices * n_y
+    pattern, slot = np.unique(np.concatenate([state_keys, state_keys + n_r * n_z,
+                                              (r * n_z + r // n_a * n_y + [[0], [1]]).ravel()]),
+                              return_inverse=True)
     state, cost = (np.bincount(i, weights=w, minlength=pattern.size) for i, w in (
-        (slot[:state_keys.size], np.repeat(m.data, n_y)),
-        (slot[state_keys.size:], np.concatenate([-up, up]))))
-    state_part = sp.csr_matrix((state, np.divmod(pattern, n_z)), shape=(n_z * n_a, n_z))
-    cost_part = sp.csr_matrix((cost, state_part.indices, state_part.indptr), state_part.shape)
+        (slot[:2 * rows.size], np.tile(m.data, 2)),
+        (slot[2 * rows.size:], np.concatenate([-rate[r], rate[r]]))))
+    column, ptr = pattern % n_z, np.searchsorted(pattern // n_z, np.arange(2 * n_r + 1))
+    # row (x n_y + y) n_a + a of the parts is row x n_a + a of its level, columns + y:
+    # the pattern is built once per base row, not once per cost level
+    level = (np.arange(n_r).reshape(n_x, 1, n_a)
+             + n_r * (np.arange(n_y) == n_y - 1)[:, None]).ravel()
+    indptr, take = gather_rows(ptr[level], np.diff(ptr)[level])
+    y = np.repeat(np.arange(level.size) // n_a % n_y, np.diff(indptr))
+    state_part = sp.csr_matrix((state[take], column[take] + y, indptr), shape=(level.size, n_z))
+    cost_part = sp.csr_matrix((cost[take], state_part.indices, state_part.indptr),
+                              state_part.shape)
     return AugmentedGenerator(base=base, alpha=float(alpha), y_grid=y_grid,
                               state_part=state_part, cost_part=cost_part)
 

@@ -36,8 +36,12 @@ MASS_FLOOR = 1e-12
 MAX_FW_ITER = 50  # Frank-Wolfe rounds
 FW_TOL = 1e-8  # Frank-Wolfe gap that ends the loop
 STEP_SCALE = 0.99995  # fraction of the distance to the boundary taken per step
-# largest log of an entropic LP weight; from about 30 on, the IPM's
-# infeasibility test fires on feasible programs
+# largest log of an entropic LP weight: optimize_linear_risk shifts the
+# weights so that none exceeds exp(15), which keeps them and the sweep's
+# values far inside float64's range at any theta.  The value dates from the
+# interior-point solve_lp, whose infeasibility test fired on feasible programs
+# from about 30 on; no command runs it now, but the tests check the sweep
+# against it on these weights.
 ENTROPIC_LOG_SPAN = 15.0
 DP_TIE_TOL = 1e-10  # relative margin of a Bellman step's action switches and ties
 POLICY_MASS_TOL = 1e-10  # largest |sum_a probs - 1| of a valid policy cell

@@ -391,6 +391,40 @@ class TestImplicitStepKernel:
             assert_step_bits(stacked, mixing_weights(rng, kind, n_x, n_a),
                              float(rng.uniform(0.05, 2.0)), rng.uniform(-1, 1, n_x))
 
+    @pytest.mark.parametrize("zero_rate", [True, False], ids=["explicit-zero", "no-zero"])
+    def test_both_system_paths_keep_the_plan(self, zero_rate, monkeypatch):
+        # a stored zero rate mixes to an exact zero in the system, which is dropped
+        # from copies of the plan's indices; with no zero, spsolve reads the plan's
+        # own arrays, so neither path may change them
+        rng = np.random.default_rng(9)
+        n, n_a = 5, 3
+        stacked = stack_actions(random_generator(rng, n, n_a, density=1.0).per_action)
+        if zero_rate:  # every action's rate from state 0 to 1 moves to its diagonal
+            lo = stacked.indptr[:n_a]
+            stacked.data[lo] += stacked.data[lo + 1]
+            stacked.data[lo + 1] = 0.0
+        plan = step_plan(stacked, n_a)
+        before = [[a.copy() for a in half] for half in plan]
+        systems, real_spsolve = [], spla.spsolve
+
+        def recorded(system, rhs):
+            systems.append(system)
+            return real_spsolve(system, rhs)
+
+        monkeypatch.setattr(spla, "spsolve", recorded)
+        for transpose in (True, False, True, False):
+            weights = rng.dirichlet(np.ones(n_a), size=n)
+            dt, rhs = float(rng.uniform(0.05, 2.0)), rng.uniform(-1, 1, n)
+            got = implicit_step(stacked, weights, dt, rhs, plan, transpose=transpose)
+            index, ptr = plan[transpose][3:]
+            assert (np.shares_memory(systems[-1].indices, index)
+                    and np.shares_memory(systems[-1].indptr, ptr)) is not zero_rate
+            assert systems[-1].nnz == index.size - zero_rate
+            assert np.array_equal(got, scipy_step(stacked, weights, dt, rhs, transpose))
+        for half, copies in zip(plan, before):
+            for array, copy in zip(half, copies):
+                assert array.dtype == copy.dtype and np.array_equal(array, copy)
+
     @pytest.fixture
     def plan_builds(self, monkeypatch):
         # counts each plan built and checks every step taken against the reference

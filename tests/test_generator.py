@@ -20,6 +20,21 @@ def stack_actions(mats) -> sp.csr_matrix:
     return sp.vstack(mats, format="csr")[np.arange(n * n_a).reshape(n_a, n).T.ravel()]
 
 
+def coo_stencil(grid, a, sigma) -> sp.csr_matrix:
+    """The upwind stencil built from COO triplets, each row's right, left and
+    diagonal rate: the bitwise reference of ``discretize_circle_diffusion``."""
+    n, dx = grid.n, grid.spacing
+    diff = sigma * sigma / (2.0 * dx * dx)
+    right = diff + max(a, 0.0) / dx
+    left = diff + max(-a, 0.0) / dx
+    idx = np.arange(n)
+    rows = np.concatenate([idx, idx, idx])
+    cols = np.concatenate([(idx + 1) % n, (idx - 1) % n, idx])
+    data = np.concatenate([np.full(n, right), np.full(n, left),
+                           np.full(n, -(right + left))])
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
 def push_totals(joint_xy, y_values, v):
     """The law ``(values, mass)`` of the total cost ``y + v(x)`` under the
     joint (x, y) law ``joint_xy`` on the cost cells ``y_values``: the
@@ -135,6 +150,14 @@ class TestStencil:
             q = discretize_circle_diffusion(build_circle_grid(n), a, sigma)
             assert validate_generator(q).ok
 
+    @pytest.mark.parametrize("a", [-1.3, -0.5, 0.0, 0.5, 2.0])
+    def test_matches_coo_build_bitwise(self, a):
+        # rows 0 and n - 1 wrap around, so their neighbors swap places in column order
+        for n in range(3, 41):
+            grid = build_circle_grid(n)
+            assert_same_csr(discretize_circle_diffusion(grid, a, 0.8),
+                            coo_stencil(grid, a, 0.8))
+
     def test_sigma_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
             discretize_circle_diffusion(build_circle_grid(5), 0.0, 0.0)
@@ -153,6 +176,8 @@ class TestStencil:
 
 
 class TestControlledGenerator:
+    FORMS = ("csr", "csc", "unsorted", "int64")
+
     @pytest.mark.parametrize("shapes", [((2, 2), (2, 3)), ((2, 3),), ((2, 2), (3, 3)), ()],
                              ids=["non-square-action", "non-square", "mismatched", "empty"])
     def test_refuses_non_square_mismatched_or_empty(self, shapes):
@@ -161,17 +186,35 @@ class TestControlledGenerator:
         with pytest.raises(InvalidParameterError, match="one square shape"):
             ControlledGenerator(per_action=tuple(sp.csr_matrix(s) for s in shapes))
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_stacked_is_stack_actions(self, seed):
-        # actions of different sparsity, with explicit zero rates
+    @pytest.mark.parametrize("seed, form", [(seed, form) for form in FORMS for seed in range(4)],
+                             ids=[f"{seed}" if form == "csr" else f"{seed}-{form}"
+                                  for form in FORMS for seed in range(4)])
+    def test_stacked_is_stack_actions(self, seed, form):
+        # actions of different sparsity, with explicit zero rates; the last one
+        # given as CSC, as CSR with each row's columns reversed, or with int64 indices
         rng = np.random.default_rng(seed)
         n_x, n_a = (int(n) for n in rng.integers([1, 1], [7, 5]))
+        if form != "csr":
+            n_x = max(n_x, 2)
         mats = []
         for _ in range(n_a):
             stored = rng.random((n_x, n_x)) < rng.uniform(0.1, 0.9)
+            if form != "csr":
+                stored[0, :2] = True  # a row of two entries, to reverse
             rows, cols = np.nonzero(stored)
             rates = rng.uniform(0.0, 2.0, rows.size) * (rng.random(rows.size) < 0.8)
             mats.append(sp.csr_matrix((rates, (rows, cols)), shape=(n_x, n_x)))
+        last = mats[-1]
+        if form == "csc":
+            mats[-1] = last.tocsc()
+        elif form == "unsorted":
+            flip = np.concatenate([np.arange(hi - 1, lo - 1, -1)
+                                   for lo, hi in zip(last.indptr[:-1], last.indptr[1:])])
+            mats[-1] = sp.csr_matrix((last.data[flip], last.indices[flip], last.indptr),
+                                     shape=last.shape)
+            assert not mats[-1].has_sorted_indices
+        elif form == "int64":
+            last.indices, last.indptr = (v.astype(np.int64) for v in (last.indices, last.indptr))
         gen = ControlledGenerator(per_action=tuple(mats))
         assert_same_csr(gen.stacked, stack_actions(gen.per_action))
         assert gen.stacked is gen.stacked  # built once
