@@ -3,10 +3,13 @@
 Subcommands: ``solve`` runs the optimizer and writes report.json plus CSV
 marginal/policy tables; ``validate`` simulates the chain under a previously
 extracted policy and cross-checks it against the solver's terminal cost
-marginal; ``oracle`` enumerates deterministic policies on tiny instances.
+marginal; ``oracle`` enumerates deterministic policies on tiny instances and
+cross-checks them with the optimizer ``solve`` runs (``_optimize``).
 
 The JSON config schema and the CSV column orders are documented in the
-README; unknown keys are rejected with their full key path.
+README; unknown keys are rejected with their full key path.  This module
+owns the grid-table format: ``write_grid_csv`` writes the tables and
+``_read_grid_csv`` reads them back.
 """
 
 from __future__ import annotations
@@ -19,23 +22,21 @@ import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (ConfigError, InvalidParameterError, PolicyEnumerationError,
                      PropagationError, RiskflowError)
-from .forward import (ForwardProgram, _format_17g, assemble_forward_program,
-                      write_grid_csv, write_trajectory_csv)
+from .forward import ForwardProgram, TrajectoryDistribution, assemble_forward_program
 from .generator import (ControlledGenerator, augment_generator,
                         discretize_circle_diffusion, load_generator_triplets)
 from .grids import build_circle_grid, build_uniform_grid
-from .risk import KINDS, RiskSpec
+from .risk import KINDS, RiskSpec, wasserstein1
 from .solve import (DEFAULT_MAX_ITER, DEFAULT_TOL, FW_TOL, MASS_FLOOR, MAX_FW_ITER,
                     MarkovPolicy, SolveReport, optimize_linear_risk,
                     optimize_smooth_risk)
-from .validate import (McConfig, enumerate_policies, sample_spread, simulate_paths,
-                       wasserstein1)
+from .validate import McConfig, enumerate_policies, sample_spread, simulate_paths
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -62,12 +63,6 @@ class SolverOptions:
     max_fw_iter: int = MAX_FW_ITER
     fw_tol: float = FW_TOL
     mass_floor: float = MASS_FLOOR
-
-
-@dataclass(frozen=True)
-class ValidationOptions:
-    paths: int = 100_000
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,7 @@ class ProblemSpec:
     nu_vector: Optional[tuple] = None
     terminal_cost: Optional[tuple] = None
     solver: SolverOptions = field(default_factory=SolverOptions)
-    validation: ValidationOptions = field(default_factory=ValidationOptions)
+    validation: McConfig = field(default_factory=McConfig)
     # custom family inputs
     generator_file: Optional[str] = None
     n_states: Optional[int] = None
@@ -113,10 +108,14 @@ class ProblemSpec:
             return self.y_max
         return 2.0 + self.gamma * max(self.a_min ** 2, self.a_max ** 2)
 
+    @property
+    def risk(self) -> RiskSpec:
+        return RiskSpec(kind=self.risk_kind, theta=self.theta, beta=self.beta)
+
 
 # One row per config key: JSON key path -> (ProblemSpec attribute, value
 # type, inclusive lower bound or None).  ``solver.*`` and ``validation.*``
-# attributes live on the nested option dataclasses; a type in a one-element
+# attributes live on ``SolverOptions`` and ``McConfig``; a type in a one-element
 # tuple is a list of that type.
 _FIELDS = {
     "family": ("family", str, None),
@@ -147,7 +146,7 @@ _FIELDS = {
     "solver.max_fw_iter": ("solver.max_fw_iter", int, 1),
     "solver.fw_tol": ("solver.fw_tol", float, 0.0),
     "solver.mass_floor": ("solver.mass_floor", float, 0.0),
-    "validation.paths": ("validation.paths", int, 1),
+    "validation.paths": ("validation.n_paths", int, 1),
     "validation.seed": ("validation.seed", int, 0),
 }
 _SECTIONS = {path.split(".")[0] for path in _FIELDS if "." in path}
@@ -199,7 +198,7 @@ def _build_spec(raw: dict) -> ProblemSpec:
     if "nu_vector" in kw:
         kw.setdefault("nu_point", None)
     spec = ProblemSpec(**kw, solver=SolverOptions(**options["solver"]),
-                       validation=ValidationOptions(**options["validation"]))
+                       validation=McConfig(**options["validation"]))
     _check_spec(spec)
     return spec
 
@@ -336,10 +335,6 @@ def build_problem(spec: ProblemSpec) -> ProblemPieces:
                          t_grid=t_grid, nu=nu, v=v)
 
 
-def _risk_spec(spec: ProblemSpec) -> RiskSpec:
-    return RiskSpec(kind=spec.risk_kind, theta=spec.theta, beta=spec.beta)
-
-
 def _policy_tables(pieces: ProblemPieces):
     """Name, header and ij-ordered coordinate grids of the two policy tables."""
     txy = (pieces.t_grid.points, pieces.base.state_points, pieces.y_grid.points)
@@ -358,6 +353,18 @@ def _forward_program(spec: ProblemSpec, pieces: ProblemPieces) -> ForwardProgram
     return assemble_forward_program(aug, pieces.nu, pieces.t_grid)
 
 
+def _optimize(spec: ProblemSpec, pieces: ProblemPieces, fp: ForwardProgram) -> SolveReport:
+    """The configured risk's optimum over ``fp``: one sweep for a
+    measure-linear risk, Frank-Wolfe for a smooth one."""
+    risk, opts = spec.risk, spec.solver
+    if risk.is_linear:
+        return optimize_linear_risk(fp, risk, v=pieces.v, tol_gap=opts.tol_gap,
+                                    max_iter=opts.max_iter, mass_floor=opts.mass_floor)
+    return optimize_smooth_risk(fp, risk, v=pieces.v, max_fw_iter=opts.max_fw_iter,
+                                tol=opts.fw_tol, tol_gap=opts.tol_gap, max_iter=opts.max_iter,
+                                mass_floor=opts.mass_floor)
+
+
 def run(spec: ProblemSpec, out_dir) -> SolveReport:
     """Solve the configured problem and write the report artifacts.
 
@@ -368,18 +375,7 @@ def run(spec: ProblemSpec, out_dir) -> SolveReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pieces = build_problem(spec)
-    fp = _forward_program(spec, pieces)
-    risk = _risk_spec(spec)
-    opts = spec.solver
-    if risk.is_linear:
-        report = optimize_linear_risk(fp, risk, v=pieces.v, tol_gap=opts.tol_gap,
-                                      max_iter=opts.max_iter,
-                                      mass_floor=opts.mass_floor)
-    else:
-        report = optimize_smooth_risk(fp, risk, v=pieces.v,
-                                      max_fw_iter=opts.max_fw_iter, tol=opts.fw_tol,
-                                      tol_gap=opts.tol_gap, max_iter=opts.max_iter,
-                                      mass_floor=opts.mass_floor)
+    report = _optimize(spec, pieces, _forward_program(spec, pieces))
     with open(out / "report.json", "w") as fh:
         json.dump(dict(report.to_json_dict(), config_digest=config_digest(spec)),
                   fh, indent=2, sort_keys=True)
@@ -388,6 +384,40 @@ def run(spec: ProblemSpec, out_dir) -> SolveReport:
     write_trajectory_csv(report.trajectory, out / "marginal_y.csv", "y")
     _write_policy_csvs(report.policy, pieces, out)
     return report
+
+
+def _format_17g(values) -> list[str]:
+    """``%.17g`` of every entry, formatting each distinct bit pattern once
+    (so ``-0.0`` stays ``-0``)."""
+    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64),
+                              return_inverse=True)
+    text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+    return [text[i] for i in inverse.ravel().tolist()]
+
+
+def write_grid_csv(path, header: Sequence[str], coords: Sequence[np.ndarray],
+                   values: np.ndarray, newline: str):
+    """Write one ``%.17g`` row per point of the ij-ordered product grid
+    ``coords``: the point's coordinates, then its entry of ``values``.
+
+    The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")`` on
+    the meshgrid table, written one block per leading coordinate.
+    """
+    lead, *inner = [_format_17g(c) for c in coords]
+    tails = ["".join(s + "," for s in point) for point in itertools.product(*inner)]
+    cells = _format_17g(values)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + newline)
+        for i, t in enumerate(lead):
+            block = cells[i * len(tails):(i + 1) * len(tails)]
+            fh.write("".join([f"{t},{tail}{v}{newline}" for tail, v in zip(tails, block)]))
+
+
+def write_trajectory_csv(traj: TrajectoryDistribution, path, axis: str):
+    """Write ``t,<axis>,mass`` rows of the marginal on ``axis``, ``"x"`` or ``"y"``."""
+    write_grid_csv(path, ("t", axis, "mass"),
+                   (traj.times, traj.x_values if axis == "x" else traj.y_values),
+                   traj.marginal(axis), newline="\r\n")
 
 
 def _line_blocks(fh):
@@ -494,13 +524,12 @@ def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
     total more than 1e-10 from one), raises ``ConfigError`` before the
     Monte Carlo runs.
     """
-    def option(name, value):
-        if value is None:
-            return getattr(spec.validation, name)
-        path = f"validation.{name}"
-        return _convert(path, value, *_FIELDS[path][1:])
+    def option(path, value):
+        attr, kind, lower = _FIELDS[path]
+        return attrgetter(attr)(spec) if value is None else _convert(path, value, kind, lower)
 
-    cfg = McConfig(n_paths=option("paths", paths), seed=option("seed", seed))
+    cfg = McConfig(n_paths=option("validation.paths", paths),
+                   seed=option("validation.seed", seed))
     rep = Path(report_dir)
     try:
         solved = json.loads((rep / "report.json").read_text())
@@ -549,19 +578,14 @@ def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
 
 
 def run_oracle(spec: ProblemSpec) -> dict:
-    """Enumerate deterministic policies; cross-check with the LP when linear.
-    Both read one forward program."""
+    """Enumerate deterministic policies and cross-check them with the
+    optimizer ``solve`` runs, for every risk kind.  Both read one forward
+    program."""
     pieces = build_problem(spec)
     fp = _forward_program(spec, pieces)
-    risk = _risk_spec(spec)
-    result = enumerate_policies(fp, risk, v=pieces.v)
-    out = {"enumeration_value": result.value, "n_policies": result.n_policies}
-    if risk.is_linear:
-        report = optimize_linear_risk(fp, risk, v=pieces.v,
-                                      tol_gap=spec.solver.tol_gap,
-                                      max_iter=spec.solver.max_iter)
-        out["lp_value"] = report.rho_star
-    return out
+    result = enumerate_policies(fp, spec.risk, v=pieces.v)
+    return {"enumeration_value": result.value, "n_policies": result.n_policies,
+            "lp_value": _optimize(spec, pieces, fp).rho_star}
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,17 @@
 
 The chain starts with its state law at cost zero, ``X_0 ~ nu`` and
 ``Y_0 = 0``.  ``assemble_forward_program`` checks ``nu`` and keeps it, in
-cost cell 0, with the ``(dt, Q(t_k))`` pairs of ``AugmentedGenerator.steps``
-as one ``ForwardProgram`` over time-indexed joint measures ``mu_k(x, y, a)``.
-Its consumers share one implicit-Euler step over (product state, action),
-``[z = z'] - dt Q_a(t_k)[z, z']``: ``propagate_forward`` steps ``fp.steps``
-forward from ``fp.b_eq[:fp.n_z]`` under one policy and ``solve.bellman_sweep``
-steps them backward, each step one ``bincount`` over the ``step_plan`` they
-all share (``ForwardProgram.plan``) and one ``spsolve`` in ``implicit_step``;
-``validate.enumerate_policies`` solves it densely for a batch of deterministic
-policies at a time.  ``ForwardProgram.a_eq`` is built only when an LP solver
-reads it.  Controls are attached to the new time slice: the step from ``t_k``
+cost cell 0, as ``fp.initial``, with the ``(dt, Q(t_k))`` pairs of
+``AugmentedGenerator.steps``, as one ``ForwardProgram`` over time-indexed
+joint measures ``mu_k(x, y, a)``.  Its consumers share one implicit-Euler
+step over (product state, action), ``[z = z'] - dt Q_a(t_k)[z, z']``:
+``propagate_forward`` steps ``fp.steps`` forward from ``fp.initial`` under
+one policy and ``solve.bellman_sweep`` steps them backward, each step one
+``bincount`` over the ``step_plan`` they all share (``ForwardProgram.plan``)
+and one ``spsolve`` in ``implicit_step``; ``validate.enumerate_policies``
+solves it densely for a batch of deterministic policies at a time.  The
+program's LP layout, ``ForwardProgram.b_eq`` and ``a_eq``, is built on
+first read.  Controls are attached to the new time slice: the step from ``t_k``
 to ``t_{k+1}`` mixes actions with the policy (or measure) at slice ``k + 1``
 and evaluates the generator at the left endpoint ``t_k``.
 
@@ -24,9 +25,8 @@ Its ``mass_deviation[k]`` is ``|total mass of slice k - 1|`` from both.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,40 +62,6 @@ class TrajectoryDistribution:
             raise InvalidParameterError(f"unknown axis {axis!r}; have 'x' and 'y'")
         keep = 1 if axis == "x" else 2
         return self.mass.sum(axis=tuple(i for i in range(1, self.mass.ndim) if i != keep))
-
-
-def _format_17g(values) -> list[str]:
-    """``%.17g`` of every entry, formatting each distinct bit pattern once
-    (so ``-0.0`` stays ``-0``)."""
-    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64),
-                              return_inverse=True)
-    text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-    return [text[i] for i in inverse.ravel().tolist()]
-
-
-def write_grid_csv(path, header: Sequence[str], coords: Sequence[np.ndarray],
-                   values: np.ndarray, newline: str):
-    """Write one ``%.17g`` row per point of the ij-ordered product grid
-    ``coords``: the point's coordinates, then its entry of ``values``.
-
-    The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")`` on
-    the meshgrid table, written one block per leading coordinate.
-    """
-    lead, *inner = [_format_17g(c) for c in coords]
-    tails = ["".join(s + "," for s in point) for point in itertools.product(*inner)]
-    cells = _format_17g(values)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + newline)
-        for i, t in enumerate(lead):
-            block = cells[i * len(tails):(i + 1) * len(tails)]
-            fh.write("".join([f"{t},{tail}{v}{newline}" for tail, v in zip(tails, block)]))
-
-
-def write_trajectory_csv(traj: TrajectoryDistribution, path, axis: str):
-    """Write ``t,<axis>,mass`` rows of the marginal on ``axis``, ``"x"`` or ``"y"``."""
-    write_grid_csv(path, ("t", axis, "mass"),
-                   (traj.times, traj.x_values if axis == "x" else traj.y_values),
-                   traj.marginal(axis), newline="\r\n")
 
 
 def step_plan(stacked: sp.csr_matrix, n_a: int) -> tuple:
@@ -153,13 +119,13 @@ def propagate_forward(fp: ForwardProgram, policy) -> TrajectoryDistribution:
     ``policy.check_cells`` refuses a policy off the program's cells or
     with a negative or NaN action probability before any step.  Each step
     of ``fp.steps`` solves ``(I - dt Q^T) m_{k+1} = m_k`` from
-    ``fp.b_eq[:fp.n_z]``, with ``Q`` the policy-mixed generator.  No
+    ``fp.initial``, with ``Q`` the policy-mixed generator.  No
     renormalization is applied; each slice's distance from unit mass and
     the most negative entry are reported as diagnostics.
     """
     probs = policy.check_cells((fp.n_t, fp.n_x, fp.n_y, fp.n_a)).probs
     mass = np.empty((fp.n_t, fp.n_z))
-    mass[0] = fp.b_eq[:fp.n_z]
+    mass[0] = fp.initial
     for k, (dt, q) in enumerate(fp.steps):
         mass[k + 1] = implicit_step(q, probs[k + 1].reshape(fp.n_z, -1), dt, mass[k], fp.plan,
                                     transpose=True)
@@ -172,17 +138,18 @@ def propagate_forward(fp: ForwardProgram, policy) -> TrajectoryDistribution:
 
 @dataclass(frozen=True)
 class ForwardProgram:
-    """The evolution constraints: the initial (x, y) law ``b_eq[:n_z]``, the
-    state law in cost cell 0, and the ``(dt, Q_k)`` pairs in ``steps``.
+    """The evolution constraints: the initial (x, y) law ``initial`` (n_z
+    entries), the state law in cost cell 0, and the ``(dt, Q_k)`` pairs in
+    ``steps``.
 
     Decision variables are ``mu_k(x, y, a) >= 0`` flattened as
     ``column = ((k * n_z) + x * n_y + y) * n_a + a``.  Rows are the initial
     condition (one per product state) followed by one evolution row per
     (step, product state); ``b_eq`` is their right-hand side and ``a_eq``
-    their matrix, built from ``steps`` on first read.
+    their matrix, each built on first read.
     """
 
-    b_eq: np.ndarray
+    initial: np.ndarray
     n_t: int
     n_x: int
     n_y: int
@@ -199,6 +166,13 @@ class ForwardProgram:
     @property
     def n_vars(self) -> int:
         return self.n_t * self.n_z * self.n_a
+
+    @functools.cached_property
+    def b_eq(self) -> np.ndarray:
+        """The right-hand side: ``initial``, then zero on every evolution row."""
+        b = np.zeros(self.n_t * self.n_z)
+        b[:self.n_z] = self.initial
+        return b
 
     @functools.cached_property
     def a_eq(self) -> sp.csr_matrix:
@@ -262,8 +236,8 @@ def assemble_forward_program(gen: AugmentedGenerator, initial_x: np.ndarray,
     if n_t < 2:
         raise AssemblyError(f"need at least two time points, got {n_t}")
     n_x, n_y, n_a = gen.base.dim, gen.y_grid.n, gen.base.n_actions
-    b_eq = np.zeros(n_x * n_y * n_t)
-    b_eq[:n_x * n_y:n_y] = check_initial_law(initial_x, n_x)
-    return ForwardProgram(b_eq=b_eq, n_t=n_t, n_x=n_x, n_y=n_y, n_a=n_a,
+    initial = np.zeros(n_x * n_y)
+    initial[::n_y] = check_initial_law(initial_x, n_x)
+    return ForwardProgram(initial=initial, n_t=n_t, n_x=n_x, n_y=n_y, n_a=n_a,
                           t_values=times, x_values=gen.base.state_points,
                           y_values=gen.y_grid.points, steps=tuple(gen.steps(times)))

@@ -5,8 +5,9 @@ A law on the line is a ``(values, mass)`` pair of arrays: the support
 and the laws ``mass (..., n)`` on it, so a batch of laws is scored in one
 call; ``evaluate`` is the one-law entry to the same code.
 ``terminal_totals`` is the one table of the total costs ``y + v(x)`` that
-every engine scores, and ``merge_support`` is the one pushforward of a law
-on the (x, y) cells to the law of those totals.
+every engine scores, ``merge_support`` is the one pushforward of a law
+on the (x, y) cells to the law of those totals, and ``wasserstein1`` is
+the exact 1-Wasserstein distance between two laws.
 The entropic risk ``log(sum exp(theta y) m(y)) / theta`` is optimized
 through its exponential moment, which is linear in the mass: its
 coefficients drop directly into an LP objective, and the log of the
@@ -172,3 +173,20 @@ def merge_support(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, 
         group = np.flatnonzero(size > rank)
         out[..., group] += weights[..., np.take(first, group) + rank]
     return values[first], out
+
+
+def wasserstein1(p: tuple, q: tuple) -> float:
+    """Exact 1-Wasserstein distance between the discrete laws ``(values,
+    mass)`` ``p`` and ``q`` on the line."""
+    (vp, mp), (vq, mq) = p, q
+    v = np.concatenate([vp, vq])
+    w = np.concatenate([mp, -mq])
+    order = np.argsort(v, kind="stable")
+    v, w = v[order], w[order]
+    if len(v) < 2:
+        return 0.0
+    gaps = np.diff(v)
+    gaps *= np.abs(np.cumsum(w)[:-1])
+    # numpy's own summation order: BLAS ddot splits long vectors by thread
+    # count, which would make the distance depend on it
+    return float(np.add.reduce(gaps))

@@ -1,19 +1,23 @@
-"""Sparse LP core, the forward LP's dual sweep and the risk-aware outer loop.
-
-The LP solver is a Mehrotra predictor-corrector interior-point method on
-the homogeneous self-dual embedding of the standard form min c'x s.t.
-Ax = b, x >= 0, the only form it takes.  Primal-dual residuals and the
-relative duality gap are tracked per iteration and reported first-class;
-infeasibility and unboundedness are detected from the embedding variables.
+"""The forward LP's dual sweep, the risk-aware optimizers on it, and the
+interior-point LP that the tests take as their reference.
 
 Every LP over the forward-equation polytope is a dynamic program on the
 augmented chain whose values are its dual: ``_solve_forward_lp`` solves it
-by a backward Howard sweep and certifies the pair with the IPM's stop test.
+by a backward Howard sweep (``bellman_sweep``), takes the primal from
+``forward.propagate_forward`` under the policy that mixes each cell's ties,
+and certifies the pair with the interior-point method's stop test.
 
 On top of it sit the two optimizers over the forward-equation polytope:
 a direct solve for risks linear in the terminal measure, and a
 conditional-gradient (Frank-Wolfe) loop for smooth nonlinear risks, plus
 extraction of the time-state-cost Markov policy from an optimal measure.
+
+``solve_lp`` is a Mehrotra predictor-corrector interior-point method on
+the homogeneous self-dual embedding of the standard form min c'x s.t.
+Ax = b, x >= 0, the only form it takes; no command runs it.  Primal-dual
+residuals and the relative duality gap are tracked per iteration and
+reported first-class; infeasibility and unboundedness are detected from
+the embedding variables.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, InvalidParameterError, RiskflowError
-from .forward import ForwardProgram, TrajectoryDistribution, implicit_step
-from .risk import RiskSpec, evaluate, gradient_at_values, merge_support, terminal_totals
+from .forward import ForwardProgram, TrajectoryDistribution, implicit_step, propagate_forward
+from .risk import (RiskSpec, evaluate, gradient_at_values, merge_support, terminal_totals,
+                   wasserstein1)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
@@ -403,8 +408,6 @@ def _solve_report(fp, primal, status, duality_gap, iterations, mass_floor,
                   rho_star, fw_iterations=None, fw_gap=None):
     """Diagnose the measure ``primal`` and its policy; the status, gap and
     iteration count are reported as given."""
-    from .validate import wasserstein1  # deferred: validate imports solve
-
     traj = fp.trajectory_from_solution(primal)
     policy = extract_policy(traj.mass, mass_floor=mass_floor)
     y_prev, y_last = traj.marginal("y")[-2:]
@@ -431,8 +434,10 @@ def _solve_forward_lp(fp: ForwardProgram, weights: np.ndarray, tol_gap: float,
     """Minimize ``terminal_objective(weights)`` over the forward polytope.
 
     The sweep's values, stacked as ``(V_0; V_0, ..., V_{T-1})`` in the row
-    order of ``fp.a_eq``, are the dual; propagating the policy that mixes
-    each cell's ties uniformly gives the primal.  The status is ``optimal``
+    order of ``fp.a_eq``, are the dual.  The primal is the mass that
+    ``propagate_forward`` carries under the ``MarkovPolicy`` that mixes each
+    cell's ties uniformly (slice 0 uniform, slice ``k + 1`` the ties of
+    step ``k``), times that policy.  The status is ``optimal``
     when ``solve_lp``'s relative primal residual, dual infeasibility and
     gap are within ``tol_gap`` (times an optimum below 1 when
     ``relative``), else ``max_iter``.  Both residuals are formed step by
@@ -442,13 +447,12 @@ def _solve_forward_lp(fp: ForwardProgram, weights: np.ndarray, tol_gap: float,
     """
     values, _, ties, evaluations = bellman_sweep(
         fp.steps, fp.plan, np.ravel(weights), np.zeros((fp.n_t - 1, 1, fp.n_a)), max_iter)
-    m = fp.b_eq[:fp.n_z]
-    mu = [np.outer(m, np.full(fp.n_a, 1.0 / fp.n_a))]
-    r_p, r_d = [mu[0].sum(axis=1) - m], [np.zeros(fp.n_z * fp.n_a)]
-    for k, ((dt, q), tie) in enumerate(zip(fp.steps, ties)):
-        mix = tie / tie.sum(axis=1, keepdims=True)
-        m = implicit_step(q, mix, dt, m, fp.plan, transpose=True)
-        mu.append(m[:, None] * mix)
+    policy = MarkovPolicy.uniform(fp.n_t, fp.n_x, fp.n_y, fp.n_a)
+    mix = policy.probs.reshape(fp.n_t, fp.n_z, fp.n_a)  # a view: writes reach the policy
+    mix[1:] = ties / ties.sum(axis=2, keepdims=True)
+    mu = propagate_forward(fp, policy).mass.reshape(fp.n_t, fp.n_z, 1) * mix
+    r_p, r_d = [mu[0].sum(axis=1) - fp.initial], [np.zeros(fp.n_z * fp.n_a)]
+    for k, (dt, q) in enumerate(fp.steps):
         r_p.append(mu[k + 1].sum(axis=1) - dt * (q.T @ mu[k + 1].ravel())
                    - mu[k].sum(axis=1))
         r_d.append(np.repeat(values[k] - values[k + 1], fp.n_a) - dt * (q @ values[k]))

@@ -1,6 +1,5 @@
-"""Independent oracles: Monte Carlo simulation of the controlled chain,
-the exact 1-Wasserstein distance between laws on the line, a risk-neutral
-dynamic-programming sweep of the uncapped base chain, and brute-force
+"""Independent oracles: Monte Carlo simulation of the controlled chain, a
+risk-neutral dynamic-programming sweep of the uncapped base chain, and brute-force
 policy enumeration for desk-size instances, a walk over the tree of action
 prefixes of a forward program that factors each dense system of a step
 once per chunk of prefixes and scores the terminal laws in batches.  The
@@ -21,13 +20,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidParameterError, PolicyEnumerationError, PropagationError
-# propagate_forward, augment_generator and evaluate stay importable here, unused:
-# bench/tracing.py patches them by these names
+# propagate_forward, augment_generator, evaluate and wasserstein1 stay importable
+# here, unused: bench/tracing.py patches them by these names
 from .forward import ForwardProgram, propagate_forward, step_plan  # noqa: F401
 from .generator import (ControlledGenerator, augment_generator,  # noqa: F401
                         check_cost_table, check_initial_law, discount_factor)
 from .grids import UniformGrid, grid_points
-from .risk import RiskSpec, evaluate, evaluate_laws, merge_support, terminal_totals  # noqa: F401
+from .risk import (RiskSpec, evaluate, evaluate_laws, merge_support,  # noqa: F401
+                   terminal_totals, wasserstein1)
 from .solve import MarkovPolicy, bellman_sweep
 
 
@@ -56,7 +56,7 @@ class McConfig:
     into another cost cell between two events.
     """
 
-    n_paths: int
+    n_paths: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
@@ -407,27 +407,6 @@ def sample_spread(samples: np.ndarray) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Distribution distances
-
-
-def wasserstein1(p: tuple, q: tuple) -> float:
-    """Exact 1-Wasserstein distance between the discrete laws ``(values,
-    mass)`` ``p`` and ``q`` on the line."""
-    (vp, mp), (vq, mq) = p, q
-    v = np.concatenate([vp, vq])
-    w = np.concatenate([mp, -mq])
-    order = np.argsort(v, kind="stable")
-    v, w = v[order], w[order]
-    if len(v) < 2:
-        return 0.0
-    gaps = np.diff(v)
-    gaps *= np.abs(np.cumsum(w)[:-1])
-    # numpy's own summation order: BLAS ddot splits long vectors by thread
-    # count, which would make the distance depend on it
-    return float(np.add.reduce(gaps))
-
-
-# ---------------------------------------------------------------------------
 # Risk-neutral dynamic programming
 
 
@@ -548,7 +527,7 @@ def enumerate_policies(fp: ForwardProgram, spec: RiskSpec,
     if 8 * width ** 2 * (n_a + span) > ENUM_STEP_BYTES:
         raise PolicyEnumerationError(f"n_z = {width}: dense step above {ENUM_STEP_BYTES} bytes")
     totals = terminal_totals(v, fp.n_x, fp.y_values)
-    level, best_val = fp.b_eq[:width].reshape(1, width), math.inf
+    level, best_val = fp.initial.reshape(1, width), math.inf
     for k, (dt, q) in enumerate(fp.steps):
         last = k == len(fp.steps) - 1
         system = np.eye(width)[:, None, :] - dt * q.toarray().reshape(width, n_a, width)

@@ -211,9 +211,7 @@ def test_criterion_8_conservation_suite():
         times = np.linspace(0, float(rng.uniform(0.5, 2.0)), n_t)
         # conservation is a property of the step: start it from any (x, y) law
         fp = rf.assemble_forward_program(aug, np.eye(n_x)[0], times)
-        b_eq = fp.b_eq.copy()
-        b_eq[:fp.n_z] = mass
-        traj = rf.propagate_forward(dataclasses.replace(fp, b_eq=b_eq), policy)
+        traj = rf.propagate_forward(dataclasses.replace(fp, initial=mass), policy)
         worst_dev = max(worst_dev, float(traj.mass_deviation.max()))
         worst_min = min(worst_min, traj.min_mass)
     ok = line(8, worst_dev <= 1e-12 and worst_min >= -1e-12,

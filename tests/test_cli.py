@@ -11,7 +11,8 @@ import scipy.linalg
 
 import riskflow.cli as cli_module
 import riskflow.validate as validate_module
-from riskflow import ConfigError, load_config, run, serialize
+from riskflow import (ConfigError, RiskSpec, enumerate_policies, load_config, run,
+                      serialize)
 from riskflow.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MAX_ITER, EXIT_OK,
                           _build_spec, build_problem, main, run_oracle,
                           run_validation)
@@ -132,8 +133,8 @@ class TestFieldTable:
 
     def test_integral_float_accepted_for_int_key(self, tmp_path):
         spec = load_config(write_config(tmp_path, {"validation": {"paths": 1e5}}))
-        assert spec.validation.paths == 100_000
-        assert type(spec.validation.paths) is int
+        assert spec.validation.n_paths == 100_000
+        assert type(spec.validation.n_paths) is int
 
     def test_null_means_default_in_every_section(self):
         spec = _build_spec({"risk": None, "nu": {"point": None},
@@ -315,6 +316,28 @@ class TestOracleCommand:
         assert result["n_policies"] == 2 ** 12
         assert result["enumeration_value"] >= result["lp_value"] - 1e-8
         assert abs(result["enumeration_value"] - result["lp_value"]) < 1e-6
+
+    def test_smooth_risk_meets_the_optimizer(self, tmp_path):
+        # mean semideviation is neither convex nor concave in the law: on this
+        # chain Frank-Wolfe stops, optimal, at a stationary point (11.158100)
+        # above the best deterministic policy (11.147027).  The oracle reports
+        # both; the wiring is asserted here, not the gap between them
+        gen_file = tmp_path / "gen.csv"
+        gen_file.write_text("action,row,col,rate\n0,0,1,0.75\n0,1,0,3.6\n"
+                            "1,0,1,0.4\n1,1,0,0.2\n")
+        spec = _build_spec({
+            "family": "custom", "generator_file": str(gen_file),
+            "n_states": 2, "actions": [0, 1],
+            "cost": {"table": [[3.8, 0.15], [0.25, 0.35]]},
+            "terminal_cost": [11.3, 4.2], "alpha": 0, "horizon": 0.5, "n_t": 3,
+            "n_y": 2, "y_max": 0.5, "risk": {"kind": "mean_semideviation", "beta": 1.0},
+        })
+        result = run_oracle(spec)
+        assert result["lp_value"] == run(spec, tmp_path / "out").rho_star
+        pieces = build_problem(spec)
+        enum = enumerate_policies(cli_module._forward_program(spec, pieces),
+                                  RiskSpec(kind="mean_semideviation", beta=1.0), v=pieces.v)
+        assert result["enumeration_value"] == enum.value
 
     def test_one_augmentation_per_run(self, monkeypatch):
         # enumeration and the LP read the one forward program of the run

@@ -16,8 +16,8 @@ from riskflow import (ControlledGenerator, InvalidParameterError, MarkovPolicy,
                       build_circle_grid, build_uniform_grid, discount_factor,
                       discretize_circle_diffusion, propagate_forward,
                       simulate_paths, write_trajectory_csv)
-from riskflow.cli import _build_spec, _forward_program, build_problem
-from riskflow.forward import implicit_step, step_plan, write_grid_csv
+from riskflow.cli import _build_spec, _forward_program, build_problem, write_grid_csv
+from riskflow.forward import implicit_step, step_plan
 from test_generator import stack_actions
 
 
@@ -105,9 +105,8 @@ class TestPropagation:
             policy = MarkovPolicy(probs=probs, mask=np.ones((4, n_x, n_y), bool))
             # conservation is a property of the step: start it from any (x, y) law
             fp = assemble_forward_program(aug, np.eye(n_x)[0], np.linspace(0, 1.5, 4))
-            b_eq = fp.b_eq.copy()
-            b_eq[:fp.n_z] = rng.dirichlet(np.ones(n_x * n_y))
-            traj = propagate_forward(dataclasses.replace(fp, b_eq=b_eq), policy)
+            start = rng.dirichlet(np.ones(n_x * n_y))
+            traj = propagate_forward(dataclasses.replace(fp, initial=start), policy)
             assert traj.mass_deviation.max() <= 1e-12
             assert traj.min_mass >= -1e-12
 

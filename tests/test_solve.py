@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import riskflow.forward as forward_module
 import riskflow.solve as solve_module
 from riskflow import (ControlledGenerator, LpProblem,
                       MarkovPolicy, RiskSpec,
@@ -308,7 +309,7 @@ class TestDualSweep:
         # forward step 3 scaled by 1 + 1e-4 and step 4 scaled back: the
         # terminal law, and so the gap, keep their values, and only the
         # primal residual sees that slice 3 breaks the forward equation
-        real, forward = solve_module.implicit_step, []
+        real, forward = forward_module.implicit_step, []
         scale = {3: 1 + 1e-4, 4: 1 / (1 + 1e-4)}
 
         def broken(*args, transpose):
@@ -318,7 +319,7 @@ class TestDualSweep:
                 out = out * scale.get(len(forward), 1.0)
             return out
 
-        monkeypatch.setattr(solve_module, "implicit_step", broken)
+        monkeypatch.setattr(forward_module, "implicit_step", broken)
         rep = optimize_linear_risk(small_circle_program(), RiskSpec(kind="expectation"))
         assert len(forward) == 8
         assert rep.status == "max_iter" and rep.duality_gap <= 1e-14
@@ -584,10 +585,8 @@ class TestReportMatchesPerSliceReference:
          "risk": {"kind": "mean_semideviation", "beta": 0.5}},
     ], ids=["entropic", "expectation_terminal_cost", "semideviation"])
     def test_solved_circle(self, payload, monkeypatch):
-        from riskflow.cli import _build_spec, _risk_spec
-
         pieces, fp = circle_program(payload)
-        risk = _risk_spec(_build_spec(payload))
+        risk = RiskSpec(**payload.get("risk", {"kind": "entropic", "theta": 1.0}))
         seen, original = [], solve_module._solve_report
 
         def record(fp, primal, *args, **kwargs):
