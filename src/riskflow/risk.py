@@ -17,6 +17,7 @@ strictly increasing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,27 +71,28 @@ def entropic(values: np.ndarray, mass: np.ndarray, theta: float) -> np.ndarray:
     """Entropic risk ``log(sum exp(theta y) m) / theta`` of each law;
     the expectation at theta = 0.
 
-    A law whose exponential moment overflows float64 (every law, once some
-    ``exp(theta y)`` does) is evaluated as
-    ``top + log(sum exp(theta (y - top)) m) / theta``, with ``top`` the
-    largest value carrying mass in that law; the values above ``top``
-    carry none and are weighed as ``top``.
+    Each law is shifted by its ``top``, the largest value carrying mass in
+    it, to ``top + log(M) / theta`` with ``M = sum m exp(theta (y - top))``:
+    no ``exp(theta y)`` overflows, and the values above ``top``, which carry
+    no mass, weigh as ``top``.  Where M lies in (1/2, 2), as at small theta,
+    ``log(M)`` is ``log1p(sum m expm1(theta (y - top)) + (sum m - 1))``,
+    which cancels no 1 + O(theta); elsewhere that sum would cancel M's
+    small terms against -1, so the log is taken of M's positive terms.
     """
     if not 0 <= theta < np.inf:  # NaN fails too
         raise InvalidParameterError(f"theta must be finite and >= 0, got {theta}")
     if theta == 0:
         return expectation(values, mass)
     laws = mass.reshape(-1, values.size)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN: not finite
-        linear = _row_dot(laws, np.exp(theta * values))
-    over = ~np.isfinite(linear)
-    risk = np.log(linear) / theta
-    if over.any():
-        laws = laws[over]
-        top = np.where(laws > 0, values, -np.inf).max(axis=-1)
-        shifted = np.exp(theta * np.minimum(values - top[:, None], 0.0))
-        risk[over] = top + np.log(_row_dot(laws, shifted)) / theta
-    return risk.reshape(mass.shape[:-1])
+    # reduced along the laws: a short support reduces slowly along its own axis
+    top = np.where(np.ascontiguousarray(laws.T) != 0, values[:, None], -np.inf).max(axis=0)
+    shift = np.minimum(values - top[:, None], 0.0) * theta
+    log_m = np.log(_row_dot(laws, np.exp(shift)))
+    near = np.flatnonzero(np.abs(log_m) < math.log(2.0))  # M in (1/2, 2)
+    if near.size:
+        laws, tilt = laws[near], np.expm1(shift[near])
+        log_m[near] = np.log1p(_row_dot(laws, tilt) + (_row_dot(laws, np.ones(values.size)) - 1.0))
+    return (top + log_m / theta).reshape(mass.shape[:-1])
 
 
 def mean_semideviation(values: np.ndarray, mass: np.ndarray, beta: float) -> np.ndarray:

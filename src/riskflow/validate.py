@@ -10,6 +10,7 @@ the controlled generator in the (state, action) row order of
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -167,11 +168,14 @@ def _pick_actions(u, mixed, cum, table):
 
 # Fewest active paths per shard of a lockstep round; a round with fewer runs
 # as fewer shards, down to one in the calling thread.  A thread's numpy
-# calls pay for themselves only on long arrays: on a 2-CPU host, 100,000
-# reference paths took simulate_paths 0.56-0.58 s with this minimum,
-# 0.57-0.58 s with 2 ** 13, 0.59-0.64 s with 2 ** 15 and 0.88-0.91 s in
-# one thread (6 alternated runs each).
-MIN_SHARD_PATHS = 2 ** 14
+# calls pay for themselves only on long arrays.  simulate_paths on 100,000
+# paths, 2-CPU host, median (range) of 12 calls in 3 alternated processes:
+#   minimum      reference               circle15_semidev
+#   2 ** 13      0.559 (0.554-0.596) s   0.299 (0.296-0.302) s
+#   2 ** 14      0.563 (0.556-0.567) s   0.303 (0.301-0.333) s
+#   2 ** 15      0.594 (0.589-0.599) s   0.320 (0.316-0.325) s
+#   one shard    0.886 (0.870-0.970) s   0.491 (0.486-0.496) s
+MIN_SHARD_PATHS = 2 ** 13
 
 
 def _cpu_count() -> int:
@@ -183,11 +187,14 @@ def _cpu_count() -> int:
 
 
 # Cost of a path's exponential draw relative to the rest of its round, which
-# sets the calling thread's share in ``_reshard``.  On a 2-CPU host a
-# standard exponential takes 3.3 ns and a reference path-round 25.5 ns
-# besides it in one thread.  Over 8 alternated runs of 100,000 reference
-# paths, simulate_paths took 0.594 s (median) with even shards, 0.567 s
-# with 0.1, 0.564 s with 0.14 and 0.577 s with 0.2.
+# sets the calling thread's share in ``_reshard``.  A standard exponential
+# takes 3.3 ns.  simulate_paths on 100,000 paths, 2-CPU host, 2 ** 13 paths
+# per shard, median (range) of 12 calls in 3 alternated processes:
+#   cost    reference               circle15_semidev
+#   0.10    0.563 (0.556-0.565) s   0.300 (0.297-0.304) s
+#   0.13    0.558 (0.552-0.562) s   0.301 (0.296-0.328) s
+#   0.16    0.561 (0.554-0.617) s   0.301 (0.299-0.333) s
+#   0.20    0.568 (0.562-0.572) s   0.309 (0.303-0.381) s
 EXP_DRAW_COST = 0.13
 
 
@@ -200,93 +207,136 @@ def _reshard(shards, count: int):
     A shard holds ``ids``, ``y``, ``t`` and ``disc`` (e^{-alpha t}, None
     when alpha = 0) of its paths, and either their states ``x`` (in a
     slice's first round) or ``row``, the previous round's (state, action)
-    row, whose jump is still to be drawn."""
-    whole = {}
-    for field, first in vars(shards[0]).items():
+    row, whose jump is still to be drawn;
+    ``half`` names the half of its workspace that holds them, None for
+    views of other arrays.  Several shards are copied into ``merged``, the
+    call's state arrays for all paths, which every shard carries."""
+    merged, whole = shards[0].merged, {}
+    for field in ("ids", "x", "row", "y", "t", "disc"):
         parts = [getattr(sh, field) for sh in shards]
-        whole[field] = parts[0] if first is None or len(parts) == 1 else np.concatenate(parts)
+        whole[field] = parts[0] if parts[0] is None or len(parts) == 1 else np.concatenate(
+            parts, out=getattr(merged, field)[:sum(p.size for p in parts)])
     m = whole["ids"].size
     head = int(m * max(0.0, 1.0 - (count - 1) * EXP_DRAW_COST)) // count
     cut = [0] + (head + np.arange(count) * (m - head) // max(1, count - 1)).tolist()
-    return [SimpleNamespace(**{f: None if v is None else v[lo:hi] for f, v in whole.items()})
+    return [SimpleNamespace(half=None, merged=merged,
+                            **{f: None if v is None else v[lo:hi] for f, v in whole.items()})
             for lo, hi in zip(cut[:-1], cut[1:])]
 
 
-def _jump(tab: SimpleNamespace, row: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Targets of the jumps from (state, action) rows ``row`` for draws u."""
-    at = row * tab.width
+def _state(size: int) -> SimpleNamespace:
+    """Uninitialized shard state for ``size`` paths (see ``_reshard``)."""
+    return SimpleNamespace(ids=np.empty(size, np.intp), row=np.empty(size, np.intp),
+                           y=np.empty(size), t=np.empty(size), disc=np.empty(size))
+
+
+def _grow(ws: SimpleNamespace, size: int):
+    """Give the workspace ``ws`` of one shard index arrays for ``size``
+    paths, unless it has them: two halves of shard state and the round's
+    temporaries."""
+    if ws.size >= size:
+        return
+    ws.size, ws.halves = size, [_state(size), _state(size)]
+    ws.u, ws.g, ws.tn, ws.acc = (np.empty(size) for _ in range(4))
+    ws.x, ws.cells, ws.rows = (np.empty(size, np.intp) for _ in range(3))
+    ws.flag = np.empty(size, bool)
+
+
+def _jump(tab: SimpleNamespace, row: np.ndarray, u: np.ndarray, ws: SimpleNamespace):
+    """Targets of the jumps from (state, action) rows ``row`` for draws u,
+    into ``ws.x``; the gathers read table rows, in range by construction,
+    so ``mode="clip"`` writes ``out`` unbuffered."""
+    n = row.size
+    at, got, up = ws.cells[:n], ws.g[:n], ws.flag[:n]
+    np.multiply(row, tab.width, out=at)
     for column in tab.jump_cum:
-        at += u > column[row]
-    return tab.targets[at]
+        np.greater(u, column.take(row, out=got, mode="clip"), out=up)
+        at += up
+    return tab.targets.take(at, out=ws.x[:n], mode="clip")
 
 
-def _pick_rows(tab: SimpleNamespace, x: np.ndarray, y: np.ndarray, u: np.ndarray):
-    """(state, action) rows of paths in states x with running costs y for
-    action draws u, and how many of their cost cells are masked."""
-    y_grid, n_y = tab.y_grid, tab.y_grid.n
-    snap = y - y_grid.lo
+def _pick_rows(tab: SimpleNamespace, x: np.ndarray, y: np.ndarray, u: np.ndarray,
+               ws: SimpleNamespace):
+    """(state, action) rows, in ``ws.rows``, of paths in states x with
+    running costs y for action draws u, and how many of their cost cells
+    are masked.  The snapped cells are clipped into the grid, so their
+    gathers take ``mode="clip"``."""
+    n, y_grid = x.size, tab.y_grid
+    snap, cells, row, flag = ws.g[:n], ws.cells[:n], ws.rows[:n], ws.flag[:n]
+    np.subtract(y, y_grid.lo, out=snap)
     snap /= y_grid.spacing
     np.rint(snap, out=snap)
-    np.clip(snap, 0, n_y - 1, out=snap)
-    cells = snap.astype(np.int64)
-    cells += x * n_y
-    fallback = 0 if tab.mask is None else x.size - int(np.count_nonzero(tab.mask[cells]))
-    row = tab.fixed_row[cells]
-    mixed = np.flatnonzero(row < 0)
+    np.clip(snap, 0, y_grid.n - 1, out=snap)
+    np.copyto(cells, snap, casting="unsafe")
+    cells += np.multiply(x, y_grid.n, out=row)  # row is free until the lookup
+    fallback = 0 if tab.mask is None else n - int(np.count_nonzero(
+        tab.mask.take(cells, out=flag, mode="clip")))
+    tab.fixed_row.take(cells, out=row, mode="clip")
+    mixed = np.less(row, 0, out=flag).nonzero()[0]
     if mixed.size:
         row[mixed] = (_pick_actions(u[mixed], ~row[mixed], tab.cum, tab.table)
                       + x[mixed] * tab.n_a)
     return row, fallback
 
 
-def _shard_round(tab: SimpleNamespace, sh: SimpleNamespace, rng: np.random.Generator,
+def _shard_round(tab: SimpleNamespace, sh: SimpleNamespace, ws: SimpleNamespace,
                  state: dict, offset: int, m: int, released, exp_block: list):
     """One lockstep round of shard ``sh`` (see ``_reshard``), whose paths
     sit at ``offset`` of the round's m active paths, over the slice's
-    tables ``tab``: its part of the jump and action uniform blocks from
-    ``rng`` set to ``state``, the round's start, and advanced to that part;
-    then, once ``released`` is set, its part of the exponential block in
-    ``exp_block``.  Writes back the paths that finish the slice, keeps the
-    others in ``sh`` and returns (fallback lookups, paths kept)."""
-    bits = rng.bit_generator
+    tables ``tab`` in the workspace ``ws`` of its shard index: its part of
+    the jump and action uniform blocks from ``ws.rng`` set to ``state``,
+    the round's start, and advanced to that part; then, once ``released``
+    is set, its part of the exponential block in ``exp_block``.  Writes
+    back the paths that finish the slice, takes the others into the other
+    half of ``ws`` and returns (fallback lookups, paths kept).  Every
+    temporary is a prefix of a ``ws`` array; the kept and finished paths
+    come from ``nonzero``, in range, so they are taken with
+    ``mode="clip"``."""
+    n = sh.ids.size
+    _grow(ws, n)  # a shard grows only when cut anew, and then its arrays are not ws's
+    bits, u = ws.rng.bit_generator, ws.u[:n]
     bits.state = state
     bits.advance(offset)
-    n = sh.ids.size
     if sh.row is None:
         x = sh.x
     else:
-        x = _jump(tab, sh.row, rng.random(n))
+        x = _jump(tab, sh.row, ws.rng.random(out=u), ws)
         bits.advance(m - n)
-    row, fallback = _pick_rows(tab, x, sh.y, rng.random(n))
+    row, fallback = _pick_rows(tab, x, sh.y, ws.rng.random(out=u), ws)
     released.wait()
     if not exp_block:
         raise RuntimeError("the round's exponential block was not drawn")
-    t_event = tab.clock[row]
+    t_event, flag = tab.clock.take(row, out=ws.g[:n], mode="clip"), ws.flag[:n]
     np.divide(exp_block[0][offset:offset + n], t_event, out=t_event)
     if tab.dead is not None:
-        t_event[tab.dead[row]] = np.inf
+        np.copyto(t_event, np.inf, where=tab.dead.take(row, out=flag, mode="clip"))
     t_event += sh.t
-    t_new = np.minimum(t_event, tab.t_hi)
+    t_new = np.minimum(t_event, tab.t_hi, out=ws.tn[:n])
+    keep = np.less(t_event, tab.t_hi, out=flag).nonzero()[0]
+    done = np.logical_not(flag, out=flag).nonzero()[0]
     y, alpha = sh.y, tab.alpha
+    accrued = tab.cost.take(row, out=ws.acc[:n], mode="clip")
     if alpha:
-        e_new = t_new * -alpha
+        e_new = np.multiply(t_new, -alpha, out=t_event)  # t_event is spent
         np.exp(e_new, out=e_new)
-        accrued = tab.cost[row]
-        accrued *= np.subtract(sh.disc, e_new, out=sh.disc)
+        accrued *= np.subtract(sh.disc, e_new, out=u)
         accrued /= alpha
     else:
-        accrued = tab.cost[row]
-        accrued *= np.subtract(t_new, sh.t, out=sh.t)
+        accrued *= np.subtract(t_new, sh.t, out=u)
     y += accrued
-    going = t_event < tab.t_hi
-    done = np.flatnonzero(~going)
-    tab.x_all[sh.ids[done]] = x[done]
-    tab.y_all[sh.ids[done]] = y[done]
-    keep = np.flatnonzero(going)
-    sh.ids, sh.x, sh.row, sh.y, sh.t = sh.ids[keep], None, row[keep], y[keep], t_new[keep]
+    half = 0 if sh.half else 1
+    nxt, k = ws.halves[half], keep.size
+    for new, field in ((sh.ids, "ids"), (row, "row"), (y, "y"), (t_new, "t")):
+        new.take(keep, out=getattr(nxt, field)[:k], mode="clip")
     if alpha:
-        sh.disc = e_new[keep]
-    return fallback, keep.size
+        e_new.take(keep, out=nxt.disc[:k], mode="clip")
+    if done.size:  # row and accrued are spent
+        ids = sh.ids.take(done, out=ws.cells[:done.size], mode="clip")
+        tab.x_all[ids] = x.take(done, out=ws.rows[:done.size], mode="clip")
+        tab.y_all[ids] = y.take(done, out=ws.acc[:done.size], mode="clip")
+    sh.ids, sh.x, sh.row, sh.y, sh.t = nxt.ids[:k], None, nxt.row[:k], nxt.y[:k], nxt.t[:k]
+    sh.disc, sh.half = nxt.disc[:k] if alpha else None, half
+    return fallback, k
 
 
 def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
@@ -320,6 +370,12 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     takes one 64-bit word), and the calling thread draws the exponential
     block whole, so the samples are the same bits at any CPU count; for
     that draw shard 0 is cut smaller than the others (``EXP_DRAW_COST``).
+    A round runs in preallocated memory: each shard index owns a workspace
+    of path-length arrays (``_grow``), grown only for a shard larger than
+    any before and reused across rounds and slices; its temporaries are
+    written with ``out=``, and compaction takes the kept paths into the
+    other half of its ping-pong state.  The exponential block is drawn
+    into one buffer of the call.
     ``MarkovPolicy.check_cells`` refuses a policy that does not have one
     slice per grid time over (n_x, n_y, n_a), or that has a negative or NaN
     action probability, which the action search relies on; ``cost_rate``,
@@ -345,12 +401,15 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     n = cfg.n_paths
     x_all = rng.choice(n_x, size=n, p=nu / nu.sum())
     y_all = np.zeros(n)
+    ids, exp_buf = np.arange(n), np.empty(n)
     fallback = 0
     cpus = _cpu_count()
     # imported here: no other riskflow call needs it, and every import would pay
     from concurrent.futures import ThreadPoolExecutor
 
-    copies = [np.random.Generator(np.random.PCG64()) for _ in range(cpus)]
+    spaces = [SimpleNamespace(size=0, rng=np.random.Generator(np.random.PCG64()))
+              for _ in range(cpus)]
+    merged = _state(n)  # touched only as far as a merge of shards reaches
 
     with ThreadPoolExecutor(max_workers=max(1, cpus - 1)) as pool:
         for k in range(len(times) - 1):
@@ -363,20 +422,22 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
                 fixed_row=np.where(first < 0, first, first + cell_x * n_a),
                 mask=None if mask.all() else mask, t_hi=times[k + 1],
                 x_all=x_all, y_all=y_all)
-            t = np.full(n, times[k])
+            # a slice starts every path at times[k]: one value, read as n
+            t = np.broadcast_to(times[k:k + 1], (n,))
+            disc = np.broadcast_to(np.exp(times[k:k + 1] * -alpha), (n,)) if alpha else None
             # the first round accrues into y_all in place; later rounds write
             # a path back when it finishes
-            shards = [SimpleNamespace(ids=np.arange(n), x=x_all, row=None, y=y_all, t=t,
-                                      disc=np.exp(-alpha * t) if alpha else None)]
+            shards = [SimpleNamespace(ids=ids, x=x_all, row=None, y=y_all, t=t, disc=disc,
+                                      half=None, merged=merged)]
             m = n
             while m:
                 count = max(1, min(cpus, m // MIN_SHARD_PATHS))
                 if count != len(shards):
                     shards = _reshard(shards, count)
-                offsets = np.cumsum([0] + [s.ids.size for s in shards[:-1]]).tolist()
+                offsets = list(itertools.accumulate([s.ids.size for s in shards[:-1]], initial=0))
                 state = rng.bit_generator.state
                 released, exp_block = threading.Event(), []
-                work = [pool.submit(_shard_round, tab, sh, copies[i], state, off, m,
+                work = [pool.submit(_shard_round, tab, sh, spaces[i], state, off, m,
                                     released, exp_block)
                         for i, (sh, off) in enumerate(zip(shards, offsets)) if i]
                 # The exponential block is drawn here while the workers do
@@ -386,10 +447,10 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
                 try:
                     # the stream after this round's uniform blocks
                     rng.bit_generator.advance(m if shards[0].row is None else 2 * m)
-                    exp_block.append(rng.standard_exponential(m))
+                    exp_block.append(rng.standard_exponential(out=exp_buf[:m]))
                 finally:
                     released.set()
-                rounds = [_shard_round(tab, shards[0], copies[0], state, 0, m, released,
+                rounds = [_shard_round(tab, shards[0], spaces[0], state, 0, m, released,
                                        exp_block)]
                 rounds += [w.result() for w in work]
                 fallback += sum(f for f, _ in rounds)

@@ -304,6 +304,59 @@ def circle_program(payload):
     return _forward_program(spec, build_problem(spec))
 
 
+def reference_step_plan(stacked, n_a):
+    """``step_plan`` as first written: ``np.unique`` over the entry and
+    diagonal keys, then two argsorts.  The bitwise reference of its arrays."""
+    n = stacked.shape[1]
+    rows = np.repeat(np.arange(stacked.shape[0]), np.diff(stacked.indptr))
+    keys = np.concatenate([rows // n_a * n + stacked.indices, np.arange(n) * (n + 1)])
+    pattern, slot = np.unique(keys, return_inverse=True)
+    z, col = (i.astype(np.intc) for i in np.divmod(pattern, n))
+    eye, slot, heads = (z == col).astype(float), slot[:rows.size], np.arange(n + 1)
+    by_col = np.argsort(col, kind="stable")
+    return ((rows, np.argsort(by_col)[slot], eye[by_col], z[by_col],
+             np.searchsorted(col[by_col], heads).astype(np.intc)),
+            (rows, slot, eye, col, np.searchsorted(z, heads).astype(np.intc)))
+
+
+def assert_plan_bits(stacked, n_a):
+    for got, want in zip(step_plan(stacked, n_a), reference_step_plan(stacked, n_a)):
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStepPlan:
+    @pytest.mark.parametrize("name", ["reference", "circle15_semidev", "oracle_enum"])
+    def test_bench_configs_match_the_reference(self, name):
+        config = Path(__file__).parent.parent / "bench" / "configs" / f"{name}.json"
+        fp = circle_program(json.loads(config.read_text()))
+        assert_plan_bits(fp.steps[0][1], fp.n_a)
+
+    def test_custom_chains_match_the_reference(self):
+        # augmented steps with a zero cost rate and an absorbing state, the
+        # bare stacked chain, and the same chain with each row's columns
+        # stored in reverse
+        rng = np.random.default_rng(21)
+        for _ in range(8):
+            n_x, n_y, n_a = (int(rng.integers(2, k)) for k in (7, 5, 4))
+            mats = [random_generator(rng, n_x, 1, density=rng.uniform(0.1, 0.9)).per_action[0]
+                    .multiply(np.arange(n_x)[:, None] > 0).tocsr() for _ in range(n_a)]
+            cost = rng.uniform(0, 1.5, (n_x, n_a))
+            cost[0, 0] = 0.0
+            aug = augment_generator(ControlledGenerator(per_action=tuple(mats)), cost,
+                                    float(rng.uniform(0.0, 1.0)),
+                                    build_uniform_grid(0.0, 2.0, n_y))
+            (_, q), = aug.steps(np.array([0.0, 0.5]))
+            assert_plan_bits(q, n_a)
+            stacked = stack_actions(mats)
+            assert_plan_bits(stacked, n_a)
+            flipped = stacked.copy()
+            for lo, hi in zip(flipped.indptr[:-1], flipped.indptr[1:]):
+                flipped.indices[lo:hi] = flipped.indices[lo:hi][::-1].copy()
+                flipped.data[lo:hi] = flipped.data[lo:hi][::-1].copy()
+            assert_plan_bits(flipped, n_a)
+
+
 class TestImplicitStepKernel:
     """The LP rows, the forward step and the backward step share one
     stacked (state, action) generator."""

@@ -51,13 +51,14 @@ class TestEntropic:
         assert evaluate(RiskSpec("entropic", theta=0.0), *COIN) == 0.5
 
     def test_log_of_linear_identity(self):
+        # the shifted form agrees with the log of the moment to rounding
         rng = np.random.default_rng(0)
         for _ in range(10):
             n = rng.integers(2, 8)
             d = dist(np.sort(rng.uniform(0, 3, n)), rng.dirichlet(np.ones(n)))
             theta = rng.uniform(0.1, 2)
             risk = evaluate(RiskSpec("entropic", theta=theta), *d)
-            assert risk == math.log(moment(d, theta)) / theta
+            assert risk == pytest.approx(math.log(moment(d, theta)) / theta, rel=1e-12)
 
     def test_monotone_in_theta_and_above_mean(self):
         rng = np.random.default_rng(1)
@@ -93,6 +94,34 @@ class TestEntropic:
         grad = gradient_at_values(RiskSpec(kind="entropic", theta=1.0), *COIN,
                                   np.array([0.0, 1.0]))
         assert grad == pytest.approx(np.exp([0.0, 1.0]) / ((1 + math.e) / 2), rel=1e-14)
+
+    def test_small_theta_at_least_the_mean_and_tends_to_it(self):
+        # Hoeffding: mean <= rho <= mean + theta (b - a)^2 / 8 on a support in
+        # [a, b]; laws with dyadic masses sum to 1 exactly, and the bounds
+        # allow 4 ulp of the largest value for rounding
+        quarter = dist([0.0, 1.0, 2.0], [0.25, 0.5, 0.25])
+        rng = np.random.default_rng(12)
+        laws = [quarter]
+        for _ in range(20):
+            n = int(rng.integers(2, 8))
+            counts = rng.multinomial(1024, rng.dirichlet(np.ones(n)))
+            laws.append(dist(rng.uniform(0, 5, n), counts / 1024))
+        for theta in np.logspace(-300, -2, 60):
+            for values, mass in laws:
+                rho = evaluate(RiskSpec("entropic", theta=theta), values, mass)
+                mean = evaluate(MEAN, values, mass)
+                slack = 4 * np.finfo(float).eps * values.max()
+                spread = np.ptp(values[mass > 0])
+                assert mean - slack <= rho <= mean + theta * spread ** 2 / 8 + slack, theta
+            assert evaluate(RiskSpec("entropic", theta=theta), *quarter) >= 1.0
+
+    def test_top_with_little_mass_at_large_theta_y(self):
+        # theta y near 800: exp(theta y) would overflow, and M = 1e-7 + ...
+        # is far from 1, where expm1 would cancel its small terms against -1
+        values, mass = dist([0.0, 790.0, 800.0], [1 - 2e-7, 1e-7, 1e-7])
+        want = 800.0 + math.log(1e-7 + 1e-7 * math.exp(-10.0) + (1 - 2e-7) * math.exp(-800.0))
+        assert evaluate(RiskSpec("entropic", theta=1.0), values, mass) == pytest.approx(
+            want, rel=1e-15)
 
     def test_negative_theta_rejected(self):
         values, mass = COIN

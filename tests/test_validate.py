@@ -358,6 +358,37 @@ class TestSamplerMatchesReference:
             simulate_paths(gen, bad, *rest, McConfig(n_paths=10))
 
 
+class TestWorkspaces:
+    """Each call samples in workspaces of its own: calls back to back in one
+    process, at every CPU count, with 3,000 paths, then 500, then 3,000,
+    give the reference's bits.  At 1,000 paths per shard the shards merge
+    within a slice into ones larger than any before, so workspaces grow
+    while the call runs."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.35])
+    def test_back_to_back_calls_match_the_reference(self, alpha, monkeypatch):
+        args = relaxed_case(alpha, absorbing=True)  # a dead row and masked cells
+        assert not args[1].mask.all()
+        monkeypatch.setattr(validate_module, "MIN_SHARD_PATHS", 1000)
+        grown, grow = [], validate_module._grow
+
+        def record(ws, size):
+            grown.append(0 < ws.size < size)
+            grow(ws, size)
+
+        monkeypatch.setattr(validate_module, "_grow", record)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(validate_module, "_cpu_count", lambda c=cpus: c)
+            grown.clear()
+            for n_paths in (3000, 500, 3000):
+                cfg = McConfig(n_paths=n_paths, seed=n_paths + cpus)
+                want, fallback = reference_simulate_paths(*args, cfg)
+                res = simulate_paths(*args, cfg)
+                assert res.samples.tobytes() == want.tobytes(), (cpus, n_paths)
+                assert res.fallback_lookups == fallback, (cpus, n_paths)
+            assert any(grown) == (cpus > 1)
+
+
 def action_rows():
     """Cumulative action laws (last entry 1, as the sampler sets it) with
     entries on bucket edges and one ulp either side of them."""
