@@ -372,9 +372,9 @@ def run(spec: ProblemSpec, out_dir) -> SolveReport:
     (t,y,mass), policy.csv (t,x,y,a,prob), and policy_mask.csv into
     ``out_dir``.
     """
+    pieces = build_problem(spec)  # a config it refuses leaves no directory behind
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pieces = build_problem(spec)
     report = _optimize(spec, pieces, _forward_program(spec, pieces))
     with open(out / "report.json", "w") as fh:
         json.dump(dict(report.to_json_dict(), config_digest=config_digest(spec)),

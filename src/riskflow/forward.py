@@ -93,9 +93,9 @@ def implicit_step(stacked: sp.csr_matrix, weights: np.ndarray, dt: float,
     ``step_plan(stacked, n_a)``; a non-finite entry raises ``PropagationError``.
     """
     rows, slot, eye, index, ptr = plan[transpose]
-    with np.errstate(invalid="ignore"):  # 0 * inf is NaN, refused below
+    with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN are refused below
         mixed = weights.ravel()[rows] * stacked.data
-    entries = eye - dt * np.bincount(slot, weights=mixed, minlength=eye.size)
+        entries = eye - dt * np.bincount(slot, weights=mixed, minlength=eye.size)
     if not np.isfinite(entries).all():
         raise PropagationError("implicit step matrix has a non-finite entry")
     # without an exact zero, spsolve reads the plan's index arrays and leaves them as they are

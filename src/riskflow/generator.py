@@ -202,7 +202,8 @@ def augment_generator(base: ControlledGenerator, cost_rate, alpha: float,
     # (rows n_r + r) has no cost entries.  Keys row * n_z + column, duplicates summed
     m = base.stacked
     rows = np.repeat(np.arange(n_r), np.diff(m.indptr))
-    rate = (c / y_grid.spacing).ravel()
+    with np.errstate(over="ignore"):  # an infinite rate is refused by every step
+        rate = (c / y_grid.spacing).ravel()
     r = np.flatnonzero(rate)
     state_keys = rows * n_z + m.indices * n_y
     pattern, slot = np.unique(np.concatenate([state_keys, state_keys + n_r * n_z,

@@ -207,39 +207,36 @@ def _reshard(shards, count: int):
     A shard holds ``ids``, ``y``, ``t`` and ``disc`` (e^{-alpha t}, None
     when alpha = 0) of its paths, and either their states ``x`` (in a
     slice's first round) or ``row``, the previous round's (state, action)
-    row, whose jump is still to be drawn;
-    ``half`` names the half of its workspace that holds them, None for
-    views of other arrays.  Several shards are copied into ``merged``, the
-    call's state arrays for all paths, which every shard carries."""
-    merged, whole = shards[0].merged, {}
+    row, whose jump is still to be drawn; ``half`` names the half of its
+    workspace that holds them, None for views of other arrays.  Shard 0
+    carries ``ws``, the calling thread's workspace; shards that merge are
+    copied into its free half, where shard 0 lives and the others view."""
+    ws, one = shards[0].ws, len(shards) == 1
+    half, whole = shards[0].half if one else (0 if shards[0].half else 1), {}
     for field in ("ids", "x", "row", "y", "t", "disc"):
         parts = [getattr(sh, field) for sh in shards]
-        whole[field] = parts[0] if parts[0] is None or len(parts) == 1 else np.concatenate(
-            parts, out=getattr(merged, field)[:sum(p.size for p in parts)])
+        whole[field] = parts[0] if parts[0] is None or one else np.concatenate(
+            parts, out=getattr(ws.halves[half], field)[:sum(p.size for p in parts)])
     m = whole["ids"].size
     head = int(m * max(0.0, 1.0 - (count - 1) * EXP_DRAW_COST)) // count
     cut = [0] + (head + np.arange(count) * (m - head) // max(1, count - 1)).tolist()
-    return [SimpleNamespace(half=None, merged=merged,
-                            **{f: None if v is None else v[lo:hi] for f, v in whole.items()})
-            for lo, hi in zip(cut[:-1], cut[1:])]
+    out = [SimpleNamespace(half=None, **{f: None if v is None else v[lo:hi]
+                                         for f, v in whole.items()})
+           for lo, hi in zip(cut[:-1], cut[1:])]
+    out[0].ws, out[0].half = ws, half
+    return out
 
 
-def _state(size: int) -> SimpleNamespace:
-    """Uninitialized shard state for ``size`` paths (see ``_reshard``)."""
-    return SimpleNamespace(ids=np.empty(size, np.intp), row=np.empty(size, np.intp),
-                           y=np.empty(size), t=np.empty(size), disc=np.empty(size))
-
-
-def _grow(ws: SimpleNamespace, size: int):
-    """Give the workspace ``ws`` of one shard index arrays for ``size``
-    paths, unless it has them: two halves of shard state and the round's
-    temporaries."""
-    if ws.size >= size:
-        return
-    ws.size, ws.halves = size, [_state(size), _state(size)]
-    ws.u, ws.g, ws.tn, ws.acc = (np.empty(size) for _ in range(4))
-    ws.x, ws.cells, ws.rows = (np.empty(size, np.intp) for _ in range(3))
-    ws.flag = np.empty(size, bool)
+def _workspace(n: int) -> SimpleNamespace:
+    """Uninitialized arrays for ``n`` paths of one shard index, whose pages
+    become resident only where its shards reach: two halves of shard state
+    (see ``_reshard``), the round's temporaries and a PCG64 copy."""
+    ws = SimpleNamespace(flag=np.empty(n, bool), rng=np.random.Generator(np.random.PCG64()))
+    ws.halves = [SimpleNamespace(ids=np.empty(n, np.intp), row=np.empty(n, np.intp),
+                                 y=np.empty(n), t=np.empty(n), disc=np.empty(n)) for _ in range(2)]
+    ws.u, ws.g, ws.tn, ws.acc = (np.empty(n) for _ in range(4))
+    ws.x, ws.cells, ws.rows = (np.empty(n, np.intp) for _ in range(3))
+    return ws
 
 
 def _jump(tab: SimpleNamespace, row: np.ndarray, u: np.ndarray, ws: SimpleNamespace):
@@ -287,13 +284,12 @@ def _shard_round(tab: SimpleNamespace, sh: SimpleNamespace, ws: SimpleNamespace,
     the jump and action uniform blocks from ``ws.rng`` set to ``state``,
     the round's start, and advanced to that part; then, once ``released``
     is set, its part of the exponential block in ``exp_block``.  Writes
-    back the paths that finish the slice, takes the others into the other
-    half of ``ws`` and returns (fallback lookups, paths kept).  Every
-    temporary is a prefix of a ``ws`` array; the kept and finished paths
-    come from ``nonzero``, in range, so they are taken with
-    ``mode="clip"``."""
+    back the paths that finish the slice, takes the others into the half
+    of ``ws`` that ``sh`` does not live in and returns (fallback lookups,
+    paths kept).  Every temporary is a prefix of a ``ws`` array, which
+    holds all the call's paths; the kept and finished paths come from
+    ``nonzero``, in range, so they are taken with ``mode="clip"``."""
     n = sh.ids.size
-    _grow(ws, n)  # a shard grows only when cut anew, and then its arrays are not ws's
     bits, u = ws.rng.bit_generator, ws.u[:n]
     bits.state = state
     bits.advance(offset)
@@ -371,11 +367,11 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     block whole, so the samples are the same bits at any CPU count; for
     that draw shard 0 is cut smaller than the others (``EXP_DRAW_COST``).
     A round runs in preallocated memory: each shard index owns a workspace
-    of path-length arrays (``_grow``), grown only for a shard larger than
-    any before and reused across rounds and slices; its temporaries are
-    written with ``out=``, and compaction takes the kept paths into the
-    other half of its ping-pong state.  The exponential block is drawn
-    into one buffer of the call.
+    of arrays for all n paths (``_workspace``), allocated once per call and
+    reused across rounds and slices; its temporaries are written with
+    ``out=``, compaction takes the kept paths into the other half of its
+    ping-pong state, and shards that merge are copied into the calling
+    thread's free half.  The exponential block is drawn into one buffer.
     ``MarkovPolicy.check_cells`` refuses a policy that does not have one
     slice per grid time over (n_x, n_y, n_a), or that has a negative or NaN
     action probability, which the action search relies on; ``cost_rate``,
@@ -406,10 +402,7 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     cpus = _cpu_count()
     # imported here: no other riskflow call needs it, and every import would pay
     from concurrent.futures import ThreadPoolExecutor
-
-    spaces = [SimpleNamespace(size=0, rng=np.random.Generator(np.random.PCG64()))
-              for _ in range(cpus)]
-    merged = _state(n)  # touched only as far as a merge of shards reaches
+    spaces = [_workspace(n) for _ in range(max(1, min(cpus, n // MIN_SHARD_PATHS)))]
 
     with ThreadPoolExecutor(max_workers=max(1, cpus - 1)) as pool:
         for k in range(len(times) - 1):
@@ -428,7 +421,7 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
             # the first round accrues into y_all in place; later rounds write
             # a path back when it finishes
             shards = [SimpleNamespace(ids=ids, x=x_all, row=None, y=y_all, t=t, disc=disc,
-                                      half=None, merged=merged)]
+                                      half=None, ws=spaces[0])]
             m = n
             while m:
                 count = max(1, min(cpus, m // MIN_SHARD_PATHS))
@@ -591,7 +584,8 @@ def enumerate_policies(fp: ForwardProgram, spec: RiskSpec,
     level, best_val = fp.initial.reshape(1, width), math.inf
     for k, (dt, q) in enumerate(fp.steps):
         last = k == len(fp.steps) - 1
-        system = np.eye(width)[:, None, :] - dt * q.toarray().reshape(width, n_a, width)
+        with np.errstate(over="ignore"):  # _step_policies refuses a non-finite entry
+            system = np.eye(width)[:, None, :] - dt * q.toarray().reshape(width, n_a, width)
         below = None if last else np.empty((len(level) * fan, width))
         for p in range(0, len(level), block):
             for s in range(0, fan, span):

@@ -13,7 +13,7 @@ import riskflow.cli as cli_module
 import riskflow.validate as validate_module
 from riskflow import (ConfigError, RiskSpec, enumerate_policies, load_config, run,
                       serialize)
-from riskflow.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MAX_ITER, EXIT_OK,
+from riskflow.cli import (EXIT_CONFIG, EXIT_ERROR, EXIT_IO, EXIT_MAX_ITER, EXIT_OK,
                           _build_spec, build_problem, main, run_oracle,
                           run_validation)
 
@@ -27,12 +27,12 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 def run_riskflow(args, threads):
-    """``python -m riskflow args`` in a child process with BLAS capped at
-    ``threads`` threads."""
+    """``python -W error -m riskflow args`` in a child process with BLAS
+    capped at ``threads`` threads: a warning fails it, as in this suite."""
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "riskflow", *args],
+    return subprocess.run([sys.executable, "-W", "error", "-m", "riskflow", *args],
                           env=env, capture_output=True, text=True)
 
 
@@ -169,6 +169,104 @@ class TestFieldTable:
     @pytest.mark.parametrize("path", BENCH_CONFIGS, ids=[p.stem for p in BENCH_CONFIGS])
     def test_round_trip_bench_config(self, path):
         assert self.round_trips(load_config(path))
+
+
+# configs refused by a check across keys, by a family's inputs or by the
+# problem build, and the key path the refusal names (None: the root message)
+REFUSED = [
+    ({"family": "linear"}, "family"),
+    ({"risk": {"beta": 1.5}}, "risk.beta"),
+    ({"horizon": 0.0}, "horizon"),
+    ({"sigma": 0.0}, "sigma"),
+    ({"gamma": -1.0}, "gamma"),
+    ({"n_x": 2}, "n_x"),
+    ({"n_a": 1}, "n_a"),
+    ({"a_min": 0.5, "a_max": 0.5}, "a_min"),
+    ({"family": "custom", "generator_file": "gen.csv", "cost": {"constant": 1.0}},
+     "actions"),
+    ({"family": "custom", "generator_file": "gen.csv", "actions": [0.0]}, "cost"),
+    ({"cost": {"table": [[1.0, 2.0], [1.0]]}}, "cost.table"),
+    ({"y_max": 0.0}, "y_max"),
+    ({"nu": {"point": 0, "vector": [1.0]}}, "nu"),
+    ({"n_x": 3, "nu": {"vector": [0.5, 0.2, 0.2]}}, "nu.vector"),
+    ({"actions": 0.5}, "actions"),
+    ([], None),
+    ({"family": "custom", "generator_file": "gen.csv", "actions": [0.0],
+      "cost": {"table": [[1.0, 2.0], [1.0, 2.0]]}}, "cost.table"),  # 2 x 1 chain
+]
+
+
+@pytest.mark.parametrize("payload, path", REFUSED, ids=[f"{i}-{p}" for i, (_, p) in
+                                                        enumerate(REFUSED)])
+def test_refused_config_exits_with_config_code(tmp_path, capsys, payload, path):
+    gen_file = tmp_path / "gen.csv"
+    gen_file.write_text("0,0,1,1.0\n0,1,0,2.0\n")
+    if isinstance(payload, dict) and "generator_file" in payload:
+        payload = dict(payload, generator_file=str(gen_file))
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    want = "config root must be" if path is None else f"config key {path}: "
+    assert capsys.readouterr().err.startswith(f"config error: {want}")
+    assert not out.exists()
+
+
+# custom 2-state, 2-action chains whose steps overflow float64: a rate of
+# 1e308, and a cost of 1e308 carried up the cost axis at 1e308 / dy
+OVERFLOWING = {
+    "step": ("0,0,1,1e308\n1,1,0,1.0\n", {"cost": {"constant": 1.0}, "y_max": 2.0}),
+    "transport_rate": ("0,0,1,1.0\n1,1,0,1.0\n", {"cost": {"constant": 1e308},
+                                                   "y_max": 0.5}),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize("case", sorted(OVERFLOWING))
+def test_overflowing_chain_is_a_solver_failure(tmp_path, capsys, case, command):
+    # under this suite's filterwarnings = error an overflow warning would escape main
+    rates, keys = OVERFLOWING[case]
+    gen_file = tmp_path / "gen.csv"
+    gen_file.write_text(rates)
+    cfg = write_config(tmp_path, dict(keys, family="custom", generator_file=str(gen_file),
+                                      actions=[0.0, 1.0], n_t=3, n_y=3, horizon=4.0))
+    args = [command, "--config", str(cfg)]
+    assert main(args + (["--out", str(tmp_path / "o")] if command == "solve" else [])) \
+        == EXIT_MAX_ITER
+    assert capsys.readouterr().err.startswith("solver failure: ")
+
+
+class TestInitialLaw:
+    def test_one_hot_vector_matches_the_point(self, tmp_path):
+        outs = []
+        for name, nu in (("point", {"point": 2}), ("vector", {"vector": [0, 0, 1.0, 0, 0]})):
+            cfg = write_config(tmp_path, dict(SMALL_CIRCLE, nu=nu), name=f"{name}.json")
+            outs.append(tmp_path / name)
+            assert main(["solve", "--config", str(cfg), "--out", str(outs[-1])]) == EXIT_OK
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            if name.endswith(".csv"):
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        point, vector = (json.loads((out / "report.json").read_text()) for out in outs)
+        assert point.pop("config_digest") != vector.pop("config_digest")
+        assert point == vector
+
+    def test_uniform_vector_solves_and_validates(self, tmp_path):
+        cfg = write_config(tmp_path, dict(SMALL_CIRCLE, nu={"vector": [0.2] * 5}))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert main(["validate", "--config", str(cfg), "--report", str(out),
+                     "--paths", "500"]) == EXIT_OK
+        summary = json.loads((out / "mc_summary.json").read_text())
+        assert summary["paths"] == 500 and np.isfinite(summary["w1_vs_lp"])
+
+    def test_oracle_refuses_too_many_policies(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"n_x": 3, "n_y": 2, "n_a": 2, "n_t": 5,
+                                      "horizon": 1.0, "y_max": 2.0})
+        assert main(["oracle", "--config", str(cfg)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("enumeration refused: 16777216 deterministic policies")
+        assert captured.out == ""
 
 
 class TestRun:
@@ -445,6 +543,24 @@ class TestMain:
         assert main(["validate", "--config", str(cfg), "--report", str(out),
                      "--paths", "200"]) == EXIT_CONFIG
         assert f"{name} has {len(lines) - 2} rows" in capsys.readouterr().err
+        assert not (out / "mc_summary.json").exists()
+
+    @pytest.mark.parametrize("edit", ["extra_row", "not_numeric"])
+    def test_validate_refuses_a_malformed_policy_table(self, tmp_path, capsys, edit):
+        cfg = write_config(tmp_path, SMALL_CIRCLE)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        lines = (out / "policy.csv").read_text().splitlines(keepends=True)
+        if edit == "extra_row":
+            want = f"policy.csv has {len(lines)} rows, not {len(lines) - 1}"
+            lines.append(lines[-1])
+        else:
+            want = "policy.csv is not a numeric table"
+            lines[1] = lines[1].rsplit(",", 1)[0] + ",abc\n"
+        (out / "policy.csv").write_text("".join(lines))
+        assert main(["validate", "--config", str(cfg), "--report", str(out),
+                     "--paths", "200"]) == EXIT_CONFIG
+        assert want in capsys.readouterr().err
         assert not (out / "mc_summary.json").exists()
 
     def test_malformed_generator_file_exits_with_config_code(self, tmp_path, capsys):
