@@ -10,10 +10,9 @@ the controlled generator in the (state, action) row order of
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 import os
-import threading
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional, Union
@@ -40,17 +39,18 @@ from .solve import MarkovPolicy, bellman_sweep
 class McConfig:
     """Path count and seed for chain simulation.
 
-    Identical (config, inputs) give bitwise-identical samples: all paths are
-    advanced in vectorized lockstep rounds drawing from a single seeded
-    PCG64 stream in a fixed order.  First one ``rng.choice`` draws every
-    initial state.  Then each round of each time slice draws a block of
-    uniforms (the actions), one per path still active in the slice in
-    ascending path id, then a block of standard exponentials (the clocks)
-    in the same order, then a block of uniforms (the jump targets) for the
-    paths whose clock rang inside the slice, again in ascending path id.
-    ``simulate_paths`` runs each round's paths as shards on several
-    threads, but keeps this order draw for draw, so the samples are the
-    same bits at any CPU count.
+    Identical (config, inputs) give bitwise-identical samples at any CPU
+    count.  First ``default_rng(seed).choice`` draws every initial state.
+    The paths are then cut into blocks of ``BLOCK_PATHS`` consecutive ids,
+    the last one maybe partial, and block b draws from its own PCG64
+    stream, ``SeedSequence(seed).spawn(n_blocks)[b]``.  A block advances
+    its paths in lockstep rounds until each has passed the last grid time.
+    Each round draws from the block's stream, in ascending path id, one
+    uniform per active path (its jump target), then one uniform per active
+    path whose cost cell mixes actions (its action), then one standard
+    exponential per active path (its clock).  A path starts at the first
+    grid time, and restarts at each grid time its clock passes, on a stay
+    row: its jump draw keeps its state.
 
     The sampler reads the policy's cost cell only at jumps and at slice
     boundaries; it does not look it up again when the accrued cost crosses
@@ -63,6 +63,9 @@ class McConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise InvalidParameterError(f"need at least one path, got {self.n_paths}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -166,77 +169,17 @@ def _pick_actions(u, mixed, cum, table):
     return acts
 
 
-# Fewest active paths per shard of a lockstep round; a round with fewer runs
-# as fewer shards, down to one in the calling thread.  A thread's numpy
-# calls pay for themselves only on long arrays.  simulate_paths on 100,000
-# paths, 2-CPU host, median (range) of 12 calls in 3 alternated processes:
-#   minimum      reference               circle15_semidev
-#   2 ** 13      0.559 (0.554-0.596) s   0.299 (0.296-0.302) s
-#   2 ** 14      0.563 (0.556-0.567) s   0.303 (0.301-0.333) s
-#   2 ** 15      0.594 (0.589-0.599) s   0.320 (0.316-0.325) s
-#   one shard    0.886 (0.870-0.970) s   0.491 (0.486-0.496) s
-MIN_SHARD_PATHS = 2 ** 13
+# Paths per block, the unit of the Monte Carlo's streams and of its split
+# across threads; the last block of a call may be partial.
+BLOCK_PATHS = 2 ** 13
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on: the number of lockstep shards."""
+    """CPUs this process may use: the most threads a call runs in."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
-
-
-# Cost of a path's exponential draw relative to the rest of its round, which
-# sets the calling thread's share in ``_reshard``.  A standard exponential
-# takes 3.3 ns.  simulate_paths on 100,000 paths, 2-CPU host, 2 ** 13 paths
-# per shard, median (range) of 12 calls in 3 alternated processes:
-#   cost    reference               circle15_semidev
-#   0.10    0.563 (0.556-0.565) s   0.300 (0.297-0.304) s
-#   0.13    0.558 (0.552-0.562) s   0.301 (0.296-0.328) s
-#   0.16    0.561 (0.554-0.617) s   0.301 (0.299-0.333) s
-#   0.20    0.568 (0.562-0.572) s   0.309 (0.303-0.381) s
-EXP_DRAW_COST = 0.13
-
-
-def _reshard(shards, count: int):
-    """The paths of ``shards``, in path-id order, cut into ``count``
-    contiguous shards, as views of one array per field.  The calling
-    thread, which runs shard 0, also draws the round's exponential block,
-    so shard 0 takes ``1 - (count - 1) * EXP_DRAW_COST`` of an even share
-    of the paths and the others split the rest evenly.
-    A shard holds ``ids``, ``y``, ``t`` and ``disc`` (e^{-alpha t}, None
-    when alpha = 0) of its paths, and either their states ``x`` (in a
-    slice's first round) or ``row``, the previous round's (state, action)
-    row, whose jump is still to be drawn; ``half`` names the half of its
-    workspace that holds them, None for views of other arrays.  Shard 0
-    carries ``ws``, the calling thread's workspace; shards that merge are
-    copied into its free half, where shard 0 lives and the others view."""
-    ws, one = shards[0].ws, len(shards) == 1
-    half, whole = shards[0].half if one else (0 if shards[0].half else 1), {}
-    for field in ("ids", "x", "row", "y", "t", "disc"):
-        parts = [getattr(sh, field) for sh in shards]
-        whole[field] = parts[0] if parts[0] is None or one else np.concatenate(
-            parts, out=getattr(ws.halves[half], field)[:sum(p.size for p in parts)])
-    m = whole["ids"].size
-    head = int(m * max(0.0, 1.0 - (count - 1) * EXP_DRAW_COST)) // count
-    cut = [0] + (head + np.arange(count) * (m - head) // max(1, count - 1)).tolist()
-    out = [SimpleNamespace(half=None, **{f: None if v is None else v[lo:hi]
-                                         for f, v in whole.items()})
-           for lo, hi in zip(cut[:-1], cut[1:])]
-    out[0].ws, out[0].half = ws, half
-    return out
-
-
-def _workspace(n: int) -> SimpleNamespace:
-    """Uninitialized arrays for ``n`` paths of one shard index, whose pages
-    become resident only where its shards reach: two halves of shard state
-    (see ``_reshard``), the round's temporaries and a PCG64 copy."""
-    ws = SimpleNamespace(flag=np.empty(n, bool), rng=np.random.Generator(np.random.PCG64()))
-    ws.halves = [SimpleNamespace(ids=np.empty(n, np.intp), row=np.empty(n, np.intp),
-                                 y=np.empty(n), t=np.empty(n), disc=np.empty(n)) for _ in range(2)]
-    ws.u, ws.g, ws.tn, ws.acc = (np.empty(n) for _ in range(4))
-    ws.x, ws.cells, ws.rows = (np.empty(n, np.intp) for _ in range(3))
-    return ws
 
 
 def _jump(tab: SimpleNamespace, row: np.ndarray, u: np.ndarray, ws: SimpleNamespace):
@@ -252,87 +195,125 @@ def _jump(tab: SimpleNamespace, row: np.ndarray, u: np.ndarray, ws: SimpleNamesp
     return tab.targets.take(at, out=ws.x[:n], mode="clip")
 
 
-def _pick_rows(tab: SimpleNamespace, x: np.ndarray, y: np.ndarray, u: np.ndarray,
-               ws: SimpleNamespace):
-    """(state, action) rows, in ``ws.rows``, of paths in states x with
-    running costs y for action draws u, and how many of their cost cells
-    are masked.  The snapped cells are clipped into the grid, so their
-    gathers take ``mode="clip"``."""
+def _pick_rows(tab: SimpleNamespace, x: np.ndarray, y: np.ndarray, sl: np.ndarray,
+               row: np.ndarray, ws: SimpleNamespace, draw):
+    """(state, action) rows, into ``row``, of paths in states x with running
+    costs y in slices ``sl``, with ``draw(mixed)`` the action uniforms of
+    the paths ``mixed`` whose cells mix actions; returns how many of their
+    cost cells are masked.  The snapped cells are clipped into the grid,
+    so their gathers take ``mode="clip"``."""
     n, y_grid = x.size, tab.y_grid
-    snap, cells, row, flag = ws.g[:n], ws.cells[:n], ws.rows[:n], ws.flag[:n]
+    snap, cells, flag = ws.g[:n], ws.cells[:n], ws.flag[:n]
     np.subtract(y, y_grid.lo, out=snap)
     snap /= y_grid.spacing
     np.rint(snap, out=snap)
     np.clip(snap, 0, y_grid.n - 1, out=snap)
     np.copyto(cells, snap, casting="unsafe")
-    cells += np.multiply(x, y_grid.n, out=row)  # row is free until the lookup
+    np.multiply(sl, tab.n_x, out=row)  # row is free until the lookup
+    row += x
+    row *= y_grid.n
+    cells += row
     fallback = 0 if tab.mask is None else n - int(np.count_nonzero(
         tab.mask.take(cells, out=flag, mode="clip")))
     tab.fixed_row.take(cells, out=row, mode="clip")
     mixed = np.less(row, 0, out=flag).nonzero()[0]
     if mixed.size:
-        row[mixed] = (_pick_actions(u[mixed], ~row[mixed], tab.cum, tab.table)
+        row[mixed] = (_pick_actions(draw(mixed), ~row[mixed], tab.cum, tab.table)
                       + x[mixed] * tab.n_a)
-    return row, fallback
+    return fallback
 
 
-def _shard_round(tab: SimpleNamespace, sh: SimpleNamespace, ws: SimpleNamespace,
-                 state: dict, offset: int, m: int, released, exp_block: list):
-    """One lockstep round of shard ``sh`` (see ``_reshard``), whose paths
-    sit at ``offset`` of the round's m active paths, over the slice's
-    tables ``tab`` in the workspace ``ws`` of its shard index: its part of
-    the jump and action uniform blocks from ``ws.rng`` set to ``state``,
-    the round's start, and advanced to that part; then, once ``released``
-    is set, its part of the exponential block in ``exp_block``.  Writes
-    back the paths that finish the slice, takes the others into the half
-    of ``ws`` that ``sh`` does not live in and returns (fallback lookups,
-    paths kept).  Every temporary is a prefix of a ``ws`` array, which
-    holds all the call's paths; the kept and finished paths come from
-    ``nonzero``, in range, so they are taken with ``mode="clip"``."""
-    n = sh.ids.size
-    bits, u = ws.rng.bit_generator, ws.u[:n]
-    bits.state = state
-    bits.advance(offset)
-    if sh.row is None:
-        x = sh.x
-    else:
-        x = _jump(tab, sh.row, ws.rng.random(out=u), ws)
-        bits.advance(m - n)
-    row, fallback = _pick_rows(tab, x, sh.y, ws.rng.random(out=u), ws)
-    released.wait()
-    if not exp_block:
-        raise RuntimeError("the round's exponential block was not drawn")
-    t_event, flag = tab.clock.take(row, out=ws.g[:n], mode="clip"), ws.flag[:n]
-    np.divide(exp_block[0][offset:offset + n], t_event, out=t_event)
-    if tab.dead is not None:
-        np.copyto(t_event, np.inf, where=tab.dead.take(row, out=flag, mode="clip"))
-    t_event += sh.t
-    t_new = np.minimum(t_event, tab.t_hi, out=ws.tn[:n])
-    keep = np.less(t_event, tab.t_hi, out=flag).nonzero()[0]
-    done = np.logical_not(flag, out=flag).nonzero()[0]
-    y, alpha = sh.y, tab.alpha
-    accrued = tab.cost.take(row, out=ws.acc[:n], mode="clip")
-    if alpha:
-        e_new = np.multiply(t_new, -alpha, out=t_event)  # t_event is spent
-        np.exp(e_new, out=e_new)
-        accrued *= np.subtract(sh.disc, e_new, out=u)
-        accrued /= alpha
-    else:
-        accrued *= np.subtract(t_new, sh.t, out=u)
-    y += accrued
-    half = 0 if sh.half else 1
-    nxt, k = ws.halves[half], keep.size
-    for new, field in ((sh.ids, "ids"), (row, "row"), (y, "y"), (t_new, "t")):
-        new.take(keep, out=getattr(nxt, field)[:k], mode="clip")
-    if alpha:
-        e_new.take(keep, out=nxt.disc[:k], mode="clip")
-    if done.size:  # row and accrued are spent
-        ids = sh.ids.take(done, out=ws.cells[:done.size], mode="clip")
-        tab.x_all[ids] = x.take(done, out=ws.rows[:done.size], mode="clip")
-        tab.y_all[ids] = y.take(done, out=ws.acc[:done.size], mode="clip")
-    sh.ids, sh.x, sh.row, sh.y, sh.t = nxt.ids[:k], None, nxt.row[:k], nxt.y[:k], nxt.t[:k]
-    sh.disc, sh.half = nxt.disc[:k] if alpha else None, half
-    return fallback, k
+def _draw(fills, bounds, out: np.ndarray):
+    """Fill ``out[bounds[b]:bounds[b + 1]]`` by ``fills[b]``, block b's
+    draw, for every block with paths there."""
+    for fill, lo, hi in zip(fills, bounds[:-1], bounds[1:]):
+        if hi > lo:
+            fill(out=out[lo:hi])
+
+
+def _workspace(row: np.ndarray, t0: float, alpha: float) -> SimpleNamespace:
+    """The arrays of a call, one entry per path: its state (see
+    ``_run_blocks``), all paths at ``t0`` with their pending ``row``, and
+    the temporaries of a round.  Allocated in the calling thread: allocated
+    in the workers, they raised the reference's peak RSS by 4.6 MB from a
+    process's second call on."""
+    n = row.size
+    ws = SimpleNamespace(ids=np.arange(n), row=row, sl=np.zeros(n, np.intp), y=np.zeros(n),
+                         t=np.full(n, t0), disc=np.full(n, np.exp(-alpha * t0)) if alpha else None)
+    ws.u, ws.g, ws.tn = (np.empty(n) for _ in range(3))
+    ws.x, ws.cells, ws.flag = np.empty(n, np.intp), np.empty(n, np.intp), np.empty(n, bool)
+    return ws
+
+
+def _run_blocks(tab: SimpleNamespace, streams: list, ws: SimpleNamespace, out: np.ndarray):
+    """The paths of ``ws``, whole blocks with ``streams`` their generators,
+    run in one lockstep until each has passed the last grid time; writes
+    each path's cost into ``out`` and returns the masked lookups.
+
+    ``ws`` holds views of the call's arrays (``_workspace``) over these
+    paths: their ids, pending (state, action) rows, slices, costs y, times
+    t and e^{-alpha t} (``disc``, None at alpha = 0), then the temporaries.
+    Paths leave the arrays only at the horizon, in ascending id, so each
+    block's kept paths stay contiguous between ``bounds``, and every array
+    is used as a prefix.  Gathers read table rows or indices from
+    ``nonzero``, in range, so they take ``mode="clip"``."""
+    m, alpha = ws.ids.size, tab.alpha
+    ids, row, sl, y, t, disc, tn = ws.ids, ws.row, ws.sl, ws.y, ws.t, ws.disc, ws.tn
+    bounds = list(range(0, m, BLOCK_PATHS)) + [m]
+    rand = [s.random for s in streams]
+    expo = [s.standard_exponential for s in streams]
+
+    def draw(mixed):
+        ua = ws.u[:mixed.size]  # the jump uniforms are spent
+        _draw(rand, np.searchsorted(mixed, bounds).tolist(), ua)
+        return ua
+
+    fallback = 0
+    while m:
+        u, flag, rw, k, tk = ws.u[:m], ws.flag[:m], row[:m], sl[:m], t[:m]
+        _draw(rand, bounds, u)
+        x = _jump(tab, rw, u, ws)
+        fallback += _pick_rows(tab, x, y[:m], k, rw, ws, draw)
+        _draw(expo, bounds, u)
+        t_event = tab.clock.take(rw, out=ws.g[:m], mode="clip")
+        np.divide(u, t_event, out=t_event)
+        if tab.dead is not None:
+            np.copyto(t_event, np.inf, where=tab.dead.take(rw, out=flag, mode="clip"))
+        t_event += tk
+        t_new = tab.ends.take(k, out=tn[:m], mode="clip")
+        cross = np.greater_equal(t_event, t_new, out=flag)
+        np.minimum(t_event, t_new, out=t_new)
+        step = np.subtract(t_new, tk, out=u)
+        accrued = tab.cost.take(rw, out=ws.g[:m], mode="clip")  # t_event is spent
+        if alpha:  # the discount lost over the step, -disc (1 - e^{-alpha step}) ...
+            step *= -alpha
+            np.expm1(step, out=step)
+            step *= disc[:m]
+            disc[:m] += step
+            accrued *= step
+            accrued /= -alpha  # ... over -alpha: no cancellation at small alpha
+        else:
+            accrued *= step
+        y[:m] += accrued
+        t, tn = tn, t  # the new times; the old ones are spent
+        # a path that passed its slice's end restarts there, on its stay row
+        ended = cross.nonzero()[0]
+        rw[ended] = x[ended] + tab.stay
+        k[ended] += 1
+        done = ended[k[ended] == tab.ends.size]
+        if done.size:
+            flag.fill(True)
+            flag[done] = False
+            keep = flag.nonzero()[0]
+            out[ids.take(done, out=ws.cells[:done.size], mode="clip")] = \
+                y.take(done, out=ws.u[:done.size], mode="clip")
+            m = keep.size
+            for field, tmp in ((ids, ws.cells), (row, ws.cells), (sl, ws.cells), (y, ws.u),
+                               (t, ws.u), (disc, ws.u)):
+                if field is not None:
+                    field[:m] = field.take(keep, out=tmp[:m], mode="clip")
+            bounds = np.searchsorted(keep, bounds).tolist()
+    return fallback
 
 
 def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
@@ -343,40 +324,34 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     The policy is piecewise constant on the time grid (the step from t_k
     to t_{k+1} reads slice k+1, matching the forward propagation); actions
     are resampled at jump times and at grid boundaries.  Running costs are
-    integrated in closed form between events; the accumulated cost is
-    snapped to the cost grid only for policy lookups, never in the returned
-    samples.  The cost cell is looked up only at those events: a path whose
-    accrued cost crosses into another cost cell between events keeps its
-    action until its next jump or the next grid boundary.
+    integrated in closed form between events, ``c disc (1 - e^{-alpha
+    dt}) / alpha`` through ``expm1`` (``c dt`` at alpha = 0); the
+    accumulated cost is snapped to the cost grid only for policy lookups,
+    never in the returned samples.  The cost cell is looked up only at
+    those events: a path whose accrued cost crosses into another cost cell
+    between events keeps its action until its next jump or the next grid
+    boundary.
 
     The draws follow the order stated in ``McConfig``.  The action of a
     uniform u is the first whose cumulative probability reaches u; a row
     summing to less than one gives the rest to its last action.  A cell
     with no cumulative probability strictly inside (0, 1) reads its action
-    from one table of the slice, any other cell from one bucket of a table
-    of its own (``_action_table``).
+    from one table over all slices, any other cell from one bucket of a
+    table of its own (``_action_table``).  The stay row of state x is row
+    ``n_x n_a + x`` of the jump tables, whose only target is x.
 
-    Each slice keeps only its active paths in compact arrays, writes a path
-    back in the round it finishes, and carries e^{-alpha t} from round to
-    round.  A round's active paths are cut into contiguous path-id shards,
-    one per CPU the process may use while each holds ``MIN_SHARD_PATHS``;
-    shard 0 runs in the calling thread, the others in a pool that lives
-    inside this call.  Each shard draws its own parts of the round's
-    uniform blocks from a copy of the stream advanced to them (a uniform
-    takes one 64-bit word), and the calling thread draws the exponential
-    block whole, so the samples are the same bits at any CPU count; for
-    that draw shard 0 is cut smaller than the others (``EXP_DRAW_COST``).
-    A round runs in preallocated memory: each shard index owns a workspace
-    of arrays for all n paths (``_workspace``), allocated once per call and
-    reused across rounds and slices; its temporaries are written with
-    ``out=``, compaction takes the kept paths into the other half of its
-    ping-pong state, and shards that merge are copied into the calling
-    thread's free half.  The exponential block is drawn into one buffer.
-    ``MarkovPolicy.check_cells`` refuses a policy that does not have one
-    slice per grid time over (n_x, n_y, n_a), or that has a negative or NaN
-    action probability, which the action search relies on; ``cost_rate``,
-    ``alpha`` and ``initial_x`` are checked by ``check_cost_table`` and
-    ``check_initial_law``; all before anything is drawn.
+    The blocks are cut into contiguous runs balanced by path count, one per
+    CPU the process may use: the first runs in the calling thread, the
+    others in a pool that lives inside this call, and each runs its paths
+    to the horizon in one lockstep (``_run_blocks``).  Which thread runs a
+    block changes none of its draws, so the samples are the same bits at
+    any CPU count; an exception in any thread reaches the caller once every
+    thread has stopped.  ``MarkovPolicy.check_cells`` refuses a policy that
+    does not have one slice per grid time over (n_x, n_y, n_a), or that has
+    a negative or NaN action probability, which the action search relies
+    on; ``cost_rate``, ``alpha`` and ``initial_x`` are checked by
+    ``check_cost_table`` and ``check_initial_law``; all before anything is
+    drawn.
     """
     # per (state, action) row x * n_a + a, like the jump tables
     cost = check_cost_table(cost_rate, gen, alpha).ravel()
@@ -384,70 +359,44 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     n_x, n_a, n_y = gen.dim, gen.n_actions, y_grid.n
     policy.check_cells((len(times), n_x, n_y, n_a))
     exit_rate, targets, width, jump_cum = _jump_tables(gen)
-    clock = np.maximum(exit_rate, 1e-300)
     dead = ~(exit_rate > 0)
-    if not dead.any():
-        dead = None
-    pol_cum = np.cumsum(policy.probs, axis=-1)
+    pol_cum = np.cumsum(policy.probs[1:], axis=-1)  # slice k + 1 drives step k
     pol_cum[..., -1] = 1.0  # u < 1: a row summing to 1 - eps cannot pick past the last action
-    cell_x = np.repeat(np.arange(n_x), n_y)
+    first, cum, table = _action_table(pol_cum.reshape(-1, n_a))
+    cell_x = np.tile(np.repeat(np.arange(n_x), n_y), len(times) - 1)
+    mask = policy.mask[1:].ravel()
     nu = check_initial_law(initial_x, gen.dim)
 
-    rng = np.random.default_rng(cfg.seed)
+    tab = SimpleNamespace(
+        # the stay rows n_x n_a + x after the (state, action) rows
+        targets=np.concatenate([targets, np.repeat(np.arange(n_x), width)]), width=width,
+        jump_cum=np.hstack([jump_cum, np.ones((width - 1, n_x))]), stay=n_x * n_a,
+        clock=np.maximum(exit_rate, 1e-300), dead=dead if dead.any() else None,
+        cost=cost, alpha=alpha, y_grid=y_grid, n_x=n_x, n_a=n_a, cum=cum, table=table,
+        # the row of each cell that is not mixed, else ~j for mixed cell j
+        fixed_row=np.where(first < 0, first, first + cell_x * n_a),
+        mask=None if mask.all() else mask, ends=times[1:])
     n = cfg.n_paths
-    x_all = rng.choice(n_x, size=n, p=nu / nu.sum())
-    y_all = np.zeros(n)
-    ids, exp_buf = np.arange(n), np.empty(n)
-    fallback = 0
+    x0 = np.random.default_rng(cfg.seed).choice(n_x, size=n, p=nu / nu.sum())
+    ws = _workspace(x0 + tab.stay, times[0], alpha)
+    n_blocks = -(-n // BLOCK_PATHS)
+    streams = [np.random.Generator(np.random.PCG64(s))
+               for s in np.random.SeedSequence(cfg.seed).spawn(n_blocks)]
+    # contiguous runs of blocks, each the nearest to an even share of the paths
     cpus = _cpu_count()
+    cuts = sorted({0, n_blocks, *(min(n_blocks, round(n * i / cpus / BLOCK_PATHS))
+                                  for i in range(1, cpus))})
+    runs = [(streams[a:b], SimpleNamespace(**{
+        k: None if v is None else v[a * BLOCK_PATHS:b * BLOCK_PATHS] for k, v in vars(ws).items()}))
+        for a, b in zip(cuts[:-1], cuts[1:])]
+    y_all = np.zeros(n)
+    runs = runs if len(times) > 1 else []  # no step: every cost is 0
     # imported here: no other riskflow call needs it, and every import would pay
     from concurrent.futures import ThreadPoolExecutor
-    spaces = [_workspace(n) for _ in range(max(1, min(cpus, n // MIN_SHARD_PATHS)))]
-
-    with ThreadPoolExecutor(max_workers=max(1, cpus - 1)) as pool:
-        for k in range(len(times) - 1):
-            first, cum, table = _action_table(pol_cum[k + 1].reshape(n_x * n_y, n_a))
-            mask = policy.mask[k + 1].ravel()
-            tab = SimpleNamespace(
-                targets=targets, width=width, jump_cum=jump_cum, clock=clock, dead=dead,
-                cost=cost, alpha=alpha, y_grid=y_grid, n_a=n_a, cum=cum, table=table,
-                # the row of each cell that is not mixed, else ~j for mixed cell j
-                fixed_row=np.where(first < 0, first, first + cell_x * n_a),
-                mask=None if mask.all() else mask, t_hi=times[k + 1],
-                x_all=x_all, y_all=y_all)
-            # a slice starts every path at times[k]: one value, read as n
-            t = np.broadcast_to(times[k:k + 1], (n,))
-            disc = np.broadcast_to(np.exp(times[k:k + 1] * -alpha), (n,)) if alpha else None
-            # the first round accrues into y_all in place; later rounds write
-            # a path back when it finishes
-            shards = [SimpleNamespace(ids=ids, x=x_all, row=None, y=y_all, t=t, disc=disc,
-                                      half=None, ws=spaces[0])]
-            m = n
-            while m:
-                count = max(1, min(cpus, m // MIN_SHARD_PATHS))
-                if count != len(shards):
-                    shards = _reshard(shards, count)
-                offsets = list(itertools.accumulate([s.ids.size for s in shards[:-1]], initial=0))
-                state = rng.bit_generator.state
-                released, exp_block = threading.Event(), []
-                work = [pool.submit(_shard_round, tab, sh, spaces[i], state, off, m,
-                                    released, exp_block)
-                        for i, (sh, off) in enumerate(zip(shards, offsets)) if i]
-                # The exponential block is drawn here while the workers do
-                # their uniform work, so the draw overlaps it.  Drawn before
-                # dispatch, it gave the same samples of 100,000 reference paths
-                # but took 6-9% longer (6 of 6 alternated runs, twice, 2 CPUs).
-                try:
-                    # the stream after this round's uniform blocks
-                    rng.bit_generator.advance(m if shards[0].row is None else 2 * m)
-                    exp_block.append(rng.standard_exponential(out=exp_buf[:m]))
-                finally:
-                    released.set()
-                rounds = [_shard_round(tab, shards[0], spaces[0], state, 0, m, released,
-                                       exp_block)]
-                rounds += [w.result() for w in work]
-                fallback += sum(f for f, _ in rounds)
-                m = sum(kept for _, kept in rounds)
+    with ThreadPoolExecutor(max_workers=max(1, len(runs) - 1)) as pool:
+        work = [pool.submit(_run_blocks, tab, *run, y_all) for run in runs[1:]]
+        fallback = sum(_run_blocks(tab, *run, y_all) for run in runs[:1])
+        fallback += sum(w.result() for w in work)
     return McResult(samples=y_all, stderr=sample_spread(y_all)[1], fallback_lookups=fallback)
 
 

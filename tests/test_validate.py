@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import threading
 
@@ -141,12 +142,25 @@ class TestSimulation:
                              np.linspace(0, 1, 3), McConfig(n_paths=2000, seed=0))
         assert 0.4 < res.mean < 0.6  # half the time on the unit-cost action
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_refused(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            McConfig(n_paths=10, seed=seed)
 
-def reference_simulate_paths(gen, policy, cost_rate, alpha, y_grid, initial_x,
-                             t_grid, cfg):
-    """The sampler before compaction, kept as the bitwise reference: every
-    round gathers over all active paths and counts ``u > cum``."""
-    times = np.asarray(t_grid, dtype=float)
+    def test_small_discount_rates_accrue_as_none(self, circle_case):
+        # the draws do not depend on alpha, so each sample is the undiscounted
+        # one up to its discount, within 1 - e^{-25 alpha} < 3e-12 at horizon 25
+        cfg = McConfig(n_paths=20_000, seed=0)
+        want = simulate_paths(*circle_case[:3], 0.0, *circle_case[4:], cfg).samples
+        for alpha in (1e-300, 1e-17, 1e-13):
+            got = simulate_paths(*circle_case[:3], alpha, *circle_case[4:], cfg).samples
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0, err_msg=str(alpha))
+
+
+def jump_law(gen):
+    """Per action a and state i: the jump targets, padded with the last
+    one (or i, with no target), and their cumulative law, 1 in the last
+    column."""
     n_x, n_a = gen.dim, gen.n_actions
     exit_rate = np.zeros((n_a, n_x))
     support = []
@@ -172,6 +186,82 @@ def reference_simulate_paths(gen, policy, cost_rate, alpha, y_grid, initial_x,
             targets[a, i, len(js):] = js[-1]
             cumprob[a, i, :len(js)] = np.cumsum(np.asarray(rs) / exit_rate[a, i])
     cumprob[..., -1] = 1.0
+    return exit_rate, targets, cumprob
+
+
+def reference_simulate_paths(gen, policy, cost_rate, alpha, y_grid, initial_x,
+                             t_grid, cfg):
+    """The sampler's contract (``McConfig``) as a plain loop, kept as the
+    bitwise reference: each block of ``BLOCK_PATHS`` paths runs alone from
+    its own stream, round after round, until its last path passes the
+    horizon.  A round draws a jump uniform per path (a path on its stay
+    row keeps its state), an action uniform per path in a mixed cell and
+    an exponential per path; a path whose clock passes its slice's end
+    stops there and moves to the next slice on its stay row."""
+    times = np.asarray(t_grid, dtype=float)
+    n_x = gen.dim
+    exit_rate, targets, cumprob = jump_law(gen)
+    c = np.asarray(cost_rate, dtype=float)
+    nu = np.asarray(initial_x, dtype=float)
+    pol_cum = np.cumsum(policy.probs, axis=-1)
+    pol_cum[..., -1] = 1.0
+    n_y = policy.probs.shape[2]
+    n = cfg.n_paths
+    x_all = np.random.default_rng(cfg.seed).choice(n_x, size=n, p=nu / nu.sum())
+    y_all = np.zeros(n)
+    fallback = 0
+    block = validate_module.BLOCK_PATHS
+    n_blocks = -(-n // block)
+    for b, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_blocks)):
+        rng = np.random.Generator(np.random.PCG64(seq))
+        ids = np.arange(b * block, min(n, (b + 1) * block))
+        x, y = x_all[ids], np.zeros(ids.size)
+        t, k = np.full(ids.size, times[0]), np.zeros(ids.size, dtype=np.int64)
+        disc = np.full(ids.size, np.exp(-alpha * times[0]))
+        stay, acts = np.ones(ids.size, bool), np.zeros(ids.size, dtype=np.int64)
+        while ids.size:
+            u = rng.random(ids.size)
+            go = ~stay
+            sel = (u[go, None] > cumprob[acts[go], x[go]]).sum(axis=1)
+            x[go] = targets[acts[go], x[go], sel]
+            ys = np.clip(np.rint((y - y_grid.lo) / y_grid.spacing), 0, n_y - 1).astype(np.int64)
+            fallback += int((~policy.mask[k + 1, x, ys]).sum())
+            cum = pol_cum[k + 1, x, ys]
+            below = cum[:, :-1]
+            mixed = ((below > 0) & (below < 1)).any(axis=1)
+            acts = (below <= 0).sum(axis=1)
+            acts[mixed] = (rng.random(int(mixed.sum()))[:, None] > cum[mixed]).sum(axis=1)
+            rates = exit_rate[acts, x]
+            with np.errstate(divide="ignore"):
+                wait = np.where(rates > 0, rng.standard_exponential(ids.size)
+                                / np.maximum(rates, 1e-300), np.inf)
+            t_event = t + wait
+            t_hi = times[k + 1]
+            t_new = np.minimum(t_event, t_hi)
+            if alpha == 0.0:
+                y += c[x, acts] * (t_new - t)
+            else:
+                lost = disc * -np.expm1(-alpha * (t_new - t))
+                y += c[x, acts] * lost / alpha
+                disc = disc - lost
+            t, stay = t_new, t_event >= t_hi
+            k = k + stay
+            done = k == len(times) - 1
+            y_all[ids[done]] = y[done]
+            ids, x, y, t, k, disc, stay, acts = (
+                v[~done] for v in (ids, x, y, t, k, disc, stay, acts))
+    return y_all, fallback
+
+
+def reference_simulate_paths_v34(gen, policy, cost_rate, alpha, y_grid, initial_x,
+                                 t_grid, cfg):
+    """The sampler of one PCG64 stream for all paths, kept as a law oracle:
+    each round of each slice draws an action uniform per active path, then
+    the exponentials, then a jump uniform per path whose clock rang, and
+    accrues through the difference of two discount factors."""
+    times = np.asarray(t_grid, dtype=float)
+    n_x = gen.dim
+    exit_rate, targets, cumprob = jump_law(gen)
     c = np.asarray(cost_rate, dtype=float)
     nu = np.asarray(initial_x, dtype=float)
     pol_cum = np.cumsum(policy.probs, axis=-1)
@@ -262,35 +352,38 @@ def relaxed_case(alpha, absorbing=False):
             np.linspace(0.0, 3.0, n_t))
 
 
+def record_runs(monkeypatch):
+    """Patch ``_run_blocks`` to record the paths (lo, hi) of every run."""
+    runs, run_blocks = [], validate_module._run_blocks
+
+    def record(tab, streams, ws, out):
+        runs.append((int(ws.ids[0]), int(ws.ids[-1]) + 1))
+        return run_blocks(tab, streams, ws, out)
+
+    monkeypatch.setattr(validate_module, "_run_blocks", record)
+    return runs
+
+
 class TestSamplerMatchesReference:
     SEEDS = (0, 1, 2, 5)
 
+    # blocks of 700 paths: 3,000 paths are 4 whole blocks and one of 200,
+    # run as 1,400 + 1,600 paths on 2 CPUs and 700 + 1,400 + 900 on 3
+    RUNS = {1: [3000], 2: [1400, 1600], 3: [700, 1400, 900]}
+
     def check(self, args, n_paths, monkeypatch):
-        # at most 3 shards while each holds 400 paths: 3,000 paths start as
-        # 3 shards of 1,000 and merge into fewer, unequal ones as they finish
-        monkeypatch.setattr(validate_module, "MIN_SHARD_PATHS", 400)
-        counts = []
-        reshard = validate_module._reshard
-
-        def record(shards, count):
-            counts.append(count)
-            out = reshard(shards, count)
-            sizes = [sh.ids.size for sh in out]
-            # the calling thread also draws the exponentials: its shard is the smallest
-            assert count < 2 or sizes[0] <= min(sizes[1:]), sizes
-            return out
-
-        monkeypatch.setattr(validate_module, "_reshard", record)
+        monkeypatch.setattr(validate_module, "BLOCK_PATHS", 700)
+        runs = record_runs(monkeypatch)
         for seed in self.SEEDS:
             cfg = McConfig(n_paths=n_paths, seed=seed)
             want, fallback = reference_simulate_paths(*args, cfg)
             for cpus in (1, 2, 3):
                 monkeypatch.setattr(validate_module, "_cpu_count", lambda c=cpus: c)
-                counts.clear()
+                runs.clear()
                 res = simulate_paths(*args, cfg)
                 assert res.samples.tobytes() == want.tobytes(), (seed, cpus)
                 assert res.fallback_lookups == fallback, (seed, cpus)
-                assert max(counts, default=1) == cpus
+                assert [hi - lo for lo, hi in sorted(runs)] == self.RUNS[cpus]
 
     def test_circle_solver_policy(self, circle_case, monkeypatch):
         self.check(circle_case, 3000, monkeypatch)
@@ -305,25 +398,6 @@ class TestSamplerMatchesReference:
         assert args[1].probs.sum(axis=-1).min() == pytest.approx(0.5)
         assert not args[1].mask.all()
         self.check(args, 3000, monkeypatch)
-
-    def test_uniform_block_splits_by_advance(self):
-        # the shards rely on this: PCG64 yields one 64-bit word per uniform,
-        # so a copy advanced by k draws continues the block at its k-th draw
-        rng = np.random.default_rng(11)
-        rng.standard_exponential(977)  # a mid-stream state, as in a round
-        state = rng.bit_generator.state
-        whole = rng.random(10_000)
-        cuts = [0, 1, 7, 4096, 4097, 9999, 10_000]
-        parts = []
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            copy = np.random.Generator(np.random.PCG64())
-            copy.bit_generator.state = state
-            copy.bit_generator.advance(lo)
-            parts.append(copy.random(hi - lo))
-        assert np.concatenate(parts).tobytes() == whole.tobytes()
-        copy.bit_generator.state = state
-        copy.bit_generator.advance(10_000)
-        assert copy.bit_generator.state == rng.bit_generator.state
 
     def test_jump_tables_keep_every_draw_on_its_row(self):
         # row 0's jump law sums to 1 - 2**-52 in float64, below the largest
@@ -359,34 +433,49 @@ class TestSamplerMatchesReference:
 
 
 class TestWorkspaces:
-    """Each call samples in workspaces of its own: calls back to back in one
+    """Each call samples in arrays of its own: calls back to back in one
     process, at every CPU count, with 3,000 paths, then 500, then 3,000,
-    give the reference's bits.  At 1,000 paths per shard the shards of a
-    3,000-path call on 2 or 3 CPUs merge within a slice, into the calling
-    thread's workspace."""
+    give the reference's bits.  At 1,000 paths per block a 3,000-path call
+    runs in as many threads as it may use, and a 500-path call is one
+    partial block in the calling thread."""
 
     @pytest.mark.parametrize("alpha", [0.0, 0.35])
     def test_back_to_back_calls_match_the_reference(self, alpha, monkeypatch):
         args = relaxed_case(alpha, absorbing=True)  # a dead row and masked cells
         assert not args[1].mask.all()
-        monkeypatch.setattr(validate_module, "MIN_SHARD_PATHS", 1000)
-        merges, reshard = [], validate_module._reshard
-
-        def record(shards, count):
-            merges.append(count < len(shards))
-            return reshard(shards, count)
-
-        monkeypatch.setattr(validate_module, "_reshard", record)
+        monkeypatch.setattr(validate_module, "BLOCK_PATHS", 1000)
+        runs = record_runs(monkeypatch)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(validate_module, "_cpu_count", lambda c=cpus: c)
             for n_paths in (3000, 500, 3000):
-                merges.clear()
+                runs.clear()
                 cfg = McConfig(n_paths=n_paths, seed=n_paths + cpus)
                 want, fallback = reference_simulate_paths(*args, cfg)
                 res = simulate_paths(*args, cfg)
                 assert res.samples.tobytes() == want.tobytes(), (cpus, n_paths)
                 assert res.fallback_lookups == fallback, (cpus, n_paths)
-                assert any(merges) == (cpus > 1 and n_paths == 3000), (cpus, n_paths)
+                assert len(runs) == (1 if n_paths == 500 else cpus), (cpus, n_paths)
+
+
+class TestSameLawAsOneStream:
+    """The per-block streams change the draws, not the law: against the
+    one-stream sampler (``reference_simulate_paths_v34``), on seeds fixed
+    before the first run, the means agree within 4 combined standard
+    errors and the masked-lookup counts within 5% of the one-stream count."""
+
+    N_PATHS = 20_000
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.35])
+    @pytest.mark.parametrize("case", ["circle", "relaxed"])
+    def test_means_and_masked_lookups_agree(self, case, alpha, circle_case):
+        args = circle_case if case == "circle" else relaxed_case(alpha, absorbing=True)
+        args = args[:3] + (alpha,) + args[4:]
+        res = simulate_paths(*args, McConfig(n_paths=self.N_PATHS, seed=101))
+        old, old_fallback = reference_simulate_paths_v34(
+            *args, McConfig(n_paths=self.N_PATHS, seed=202))
+        spread = math.hypot(res.stderr, validate_module.sample_spread(old)[1])
+        assert abs(res.mean - old.mean()) <= 4 * spread
+        assert abs(res.fallback_lookups - old_fallback) <= 0.05 * old_fallback
 
 
 def action_rows():
@@ -465,11 +554,12 @@ class TestShardedRounds:
     @pytest.fixture(autouse=True)
     def three_shards(self, monkeypatch):
         monkeypatch.setattr(validate_module, "_cpu_count", lambda: 3)
-        monkeypatch.setattr(validate_module, "MIN_SHARD_PATHS", 100)
+        monkeypatch.setattr(validate_module, "BLOCK_PATHS", 100)
 
     def test_same_bits_under_fast_switching_and_no_thread_left(self):
-        # 3 shards on any CPU count, the interpreter switching threads as
-        # often as it can: a lost or misplaced write changes the samples
+        # 3 threads of 10 blocks each on any CPU count, the interpreter
+        # switching threads as often as it can: a lost or misplaced write
+        # changes the samples
         args, cfg = relaxed_case(0.35), McConfig(n_paths=3000, seed=4)
         want, fallback = reference_simulate_paths(*args, cfg)
         before = threading.active_count()
@@ -486,7 +576,8 @@ class TestShardedRounds:
 
     @pytest.mark.parametrize("worker", [False, True], ids=["calling", "worker"])
     def test_shard_failure_raises_in_the_caller(self, monkeypatch, worker):
-        step = validate_module._shard_round
+        # the ninth round of one thread fails while the others run on
+        step = validate_module._jump
         calls = []
 
         def failing(*args):
@@ -496,7 +587,7 @@ class TestShardedRounds:
                 raise ZeroDivisionError("injected")
             return step(*args)
 
-        monkeypatch.setattr(validate_module, "_shard_round", failing)
+        monkeypatch.setattr(validate_module, "_jump", failing)
         before = threading.active_count()
         _, error = run_bounded(lambda: simulate_paths(*relaxed_case(0.35),
                                                       McConfig(n_paths=3000)))
@@ -759,7 +850,7 @@ class TestCostTableRefusal:
     @pytest.mark.parametrize("engine", list(ENGINES))
     def test_refused_before_sampling_or_sweeping(self, engine, table, alpha, error, monkeypatch):
         ran = []
-        for name in ("_shard_round", "bellman_sweep", "_step_policies"):
+        for name in ("_run_blocks", "bellman_sweep", "_step_policies"):
             monkeypatch.setattr(validate_module, name, lambda *a, **k: ran.append(1))
         with pytest.raises(RiskflowError) as caught:
             self.ENGINES[engine](table, alpha)
@@ -801,7 +892,7 @@ class TestInitialLawRefusal:
     @pytest.mark.parametrize("engine", list(ENGINES))
     def test_refused_before_sampling_or_sweeping(self, engine, nu, monkeypatch):
         ran = []
-        for name in ("_shard_round", "bellman_sweep", "_step_policies"):
+        for name in ("_run_blocks", "bellman_sweep", "_step_policies"):
             monkeypatch.setattr(validate_module, name, lambda *a, **k: ran.append(1))
         for name in ("bellman_sweep", "implicit_step"):
             monkeypatch.setattr(solve_module, name, lambda *a, **k: ran.append(1))
