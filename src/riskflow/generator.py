@@ -123,10 +123,13 @@ class ControlledGenerator:
 def discount_factor(alpha: float, t: float, step: float) -> float:
     """Discount weight applied to the cost-transport rate over one time step:
     the average of ``exp(-alpha s)`` over ``[t, t + step]``, which makes the
-    accumulated cost of a constant rate exact for any step size."""
-    if alpha == 0.0:
-        return 1.0
-    return float((np.exp(-alpha * t) - np.exp(-alpha * (t + step))) / (alpha * step))
+    accumulated cost of a constant rate exact for any step size.  Formed as
+    ``e^{-alpha t} (1 - e^{-alpha step}) / (alpha step)`` through ``expm1``,
+    so it does not cancel at small alpha and tends to 1 as alpha -> 0."""
+    x = alpha * step
+    if x == 0.0:  # alpha = 0, or alpha * step below the smallest float
+        return float(np.exp(-alpha * t))
+    return float(np.exp(-alpha * t) * -np.expm1(-x) / x)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 from typing import Optional, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InvalidParameterError, PolicyEnumerationError, PropagationError
 # propagate_forward, augment_generator, evaluate and wasserstein1 stay importable
@@ -46,11 +47,10 @@ class McConfig:
     stream, ``SeedSequence(seed).spawn(n_blocks)[b]``.  A block advances
     its paths in lockstep rounds until each has passed the last grid time.
     Each round draws from the block's stream, in ascending path id, one
-    uniform per active path (its jump target), then one uniform per active
-    path whose cost cell mixes actions (its action), then one standard
-    exponential per active path (its clock).  A path starts at the first
-    grid time, and restarts at each grid time its clock passes, on a stay
-    row: its jump draw keeps its state.
+    uniform per active path (its jump target), then one standard
+    exponential per active path (its clock); no action is drawn.  A path
+    starts at the first grid time, and restarts at each grid time its
+    clock passes, on a stay row: its jump draw keeps its state.
 
     The sampler reads the policy's cost cell only at jumps and at slice
     boundaries; it does not look it up again when the accrued cost crosses
@@ -79,94 +79,32 @@ class McResult:
         return float(self.samples.mean())
 
 
-def _jump_tables(gen: ControlledGenerator):
-    """Jump tables with one row per (state x, action a), row ``x * n_a + a``
-    of ``gen.stacked``.
+def _jump_tables(rows: sp.csr_matrix, state: np.ndarray):
+    """Jump tables of the generator rows ``rows``, row r leaving state
+    ``state[r]``.
 
-    Returns the exit rates, the jump targets (row r's start at
-    ``r * width``), and the cumulative jump law as one array per column,
-    without the last column.  A row's positive off-diagonal rates keep
-    their stored order; its last target's column and every later one hold
-    1.0, so a draw u < 1 never passes its last target.  A row with no
-    target keeps its own state in column 0.
+    Returns the exit rates, minus each row's entry in its own state; the
+    jump targets (row r's start at ``r * width``); and the cumulative jump
+    law as one array per column, without the last column.  A row's
+    positive off-diagonal rates keep their stored order; its last target's
+    column and every later one hold 1.0, so a draw u < 1 never passes its
+    last target.  A row with no target keeps its own state in column 0.
     """
-    n_a = gen.n_actions
-    exit_rate = -np.column_stack([q.diagonal() for q in gen.per_action]).ravel()
-    m = gen.stacked.tocoo()  # entries sorted by row
-    keep = (m.col != m.row // n_a) & (m.data > 0)
+    m = rows.tocoo()  # entries sorted by row
+    own = m.col == state[m.row]
+    exit_rate = -np.bincount(m.row[own], weights=m.data[own], minlength=state.size)
+    keep = ~own & (m.data > 0)
     row = m.row[keep]
-    count = np.bincount(row, minlength=exit_rate.size)
+    count = np.bincount(row, minlength=state.size)
     slot = np.arange(row.size) - (np.cumsum(count) - count)[row]
     width = max(1, int(count.max()))
-    targets = np.zeros((exit_rate.size, width), dtype=np.int64)
-    targets[:, 0] = np.arange(exit_rate.size) // n_a
+    targets = np.repeat(state[:, None], width, axis=1)
     targets[row, slot] = m.col[keep]
-    cum = np.zeros((exit_rate.size, width))
+    cum = np.zeros((state.size, width))
     cum[row, slot] = m.data[keep] / exit_rate[row]
     cum = np.cumsum(cum, axis=1)
     cum[np.arange(width) >= count[:, None] - 1] = 1.0
     return exit_rate, targets.ravel(), width, np.ascontiguousarray(cum[:, :-1].T)
-
-
-# Buckets of [0, 1) in the action table of a mixed cell: a power of two, so
-# the bucket of a draw u is exactly floor(u * ACTION_BUCKETS), and an entry c
-# lies below the bucket edge g / ACTION_BUCKETS exactly when floor(c *
-# ACTION_BUCKETS) < g.  A uniform 21-action cell has a boundary in 20 of its
-# 1,024 buckets, so about one draw in fifty needs a search step.
-ACTION_BUCKETS = 1024
-
-
-def _action_table(cum: np.ndarray):
-    """Action lookup of the cumulative action laws ``cum`` (cells, n_a),
-    whose last column is 1: the action of a draw u in (0, 1) is the first a
-    with ``cum[a] >= u``.
-
-    A cell is mixed when an entry lies strictly inside (0, 1).  Any other
-    cell gives every draw its first action of positive probability, the
-    count of its entries <= 0.  Returns ``first``, that action of each such
-    cell and ``~j`` for the j-th mixed cell; the mixed cells' rows of
-    ``cum``; and their table, flat over (mixed cells, ``ACTION_BUCKETS``):
-    entry g holds the action of every draw in ``[g / B, (g + 1) / B)``, or
-    ``~lo`` when a boundary lies in the bucket, lo counting the entries
-    below g / B (for g = 0 the entries <= 0, since u > 0).
-    """
-    n_a, big = cum.shape[1], ACTION_BUCKETS
-    below = cum[:, :-1]  # the last entry, 1, is never below a draw
-    first = (below <= 0).sum(axis=1)
-    mixed = np.flatnonzero(((below > 0) & (below < 1)).any(axis=1))
-    c = below[mixed]
-    # the first bucket edge above each entry, big + 1 for an entry >= 1
-    edge = np.minimum(np.floor(c * big), big).astype(np.int64) + 1
-    edge += np.arange(mixed.size)[:, None] * (big + 2)
-    bound = np.bincount(edge.ravel(), minlength=mixed.size * (big + 2))
-    bound = bound.reshape(-1, big + 2).cumsum(axis=1)  # entries below each edge
-    bound[:, 0] = first[mixed]
-    lo, hi = bound[:, :big], bound[:, 1:big + 1]
-    table = np.where(lo == hi, lo, ~lo).astype(np.min_scalar_type(-n_a))
-    first[mixed] = ~np.arange(mixed.size)
-    return first, cum[mixed], table.ravel()
-
-
-def _pick_actions(u, mixed, cum, table):
-    """Actions of draws u in (0, 1) in the mixed cells ``mixed`` (indices
-    into ``cum``, the mixed rows, and ``table`` of ``_action_table``): one
-    table lookup, and where the draw's bucket holds a boundary a binary
-    search above it.  Equals the count of entries of ``cum`` below u; u = 0
-    (probability 2**-53) gets the first action of positive probability."""
-    acts = table[mixed * ACTION_BUCKETS + (u * ACTION_BUCKETS).astype(np.int64)]
-    edge = np.flatnonzero(acts < 0)
-    if edge.size:
-        n_a = cum.shape[1]
-        lo = ~acts[edge].astype(np.int64)
-        hi, uu, base = np.full(edge.size, n_a - 1), u[edge], mixed[edge] * n_a
-        flat = cum.ravel()
-        for _ in range(int(n_a - 1 - lo.min()).bit_length()):
-            mid = (lo + hi) >> 1
-            right = flat[base + mid] < uu
-            lo = np.where(right, mid + 1, lo)
-            hi = np.where(right, hi, mid)
-        acts[edge] = lo
-    return acts
 
 
 # Paths per block, the unit of the Monte Carlo's streams and of its split
@@ -183,7 +121,7 @@ def _cpu_count() -> int:
 
 
 def _jump(tab: SimpleNamespace, row: np.ndarray, u: np.ndarray, ws: SimpleNamespace):
-    """Targets of the jumps from (state, action) rows ``row`` for draws u,
+    """Targets of the jumps from jump-table rows ``row`` for draws u,
     into ``ws.x``; the gathers read table rows, in range by construction,
     so ``mode="clip"`` writes ``out`` unbuffered."""
     n = row.size
@@ -196,12 +134,11 @@ def _jump(tab: SimpleNamespace, row: np.ndarray, u: np.ndarray, ws: SimpleNamesp
 
 
 def _pick_rows(tab: SimpleNamespace, x: np.ndarray, y: np.ndarray, sl: np.ndarray,
-               row: np.ndarray, ws: SimpleNamespace, draw):
-    """(state, action) rows, into ``row``, of paths in states x with running
-    costs y in slices ``sl``, with ``draw(mixed)`` the action uniforms of
-    the paths ``mixed`` whose cells mix actions; returns how many of their
-    cost cells are masked.  The snapped cells are clipped into the grid,
-    so their gathers take ``mode="clip"``."""
+               row: np.ndarray, ws: SimpleNamespace):
+    """Jump-table rows, into ``row``, of paths in states x with running
+    costs y in slices ``sl``; returns how many of their cost cells are
+    masked.  The snapped cells are clipped into the grid, so their gathers
+    take ``mode="clip"``."""
     n, y_grid = x.size, tab.y_grid
     snap, cells, flag = ws.g[:n], ws.cells[:n], ws.flag[:n]
     np.subtract(y, y_grid.lo, out=snap)
@@ -215,11 +152,7 @@ def _pick_rows(tab: SimpleNamespace, x: np.ndarray, y: np.ndarray, sl: np.ndarra
     cells += row
     fallback = 0 if tab.mask is None else n - int(np.count_nonzero(
         tab.mask.take(cells, out=flag, mode="clip")))
-    tab.fixed_row.take(cells, out=row, mode="clip")
-    mixed = np.less(row, 0, out=flag).nonzero()[0]
-    if mixed.size:
-        row[mixed] = (_pick_actions(draw(mixed), ~row[mixed], tab.cum, tab.table)
-                      + x[mixed] * tab.n_a)
+    tab.cell_row.take(cells, out=row, mode="clip")
     return fallback
 
 
@@ -251,7 +184,7 @@ def _run_blocks(tab: SimpleNamespace, streams: list, ws: SimpleNamespace, out: n
     each path's cost into ``out`` and returns the masked lookups.
 
     ``ws`` holds views of the call's arrays (``_workspace``) over these
-    paths: their ids, pending (state, action) rows, slices, costs y, times
+    paths: their ids, pending jump-table rows, slices, costs y, times
     t and e^{-alpha t} (``disc``, None at alpha = 0), then the temporaries.
     Paths leave the arrays only at the horizon, in ascending id, so each
     block's kept paths stay contiguous between ``bounds``, and every array
@@ -262,18 +195,12 @@ def _run_blocks(tab: SimpleNamespace, streams: list, ws: SimpleNamespace, out: n
     bounds = list(range(0, m, BLOCK_PATHS)) + [m]
     rand = [s.random for s in streams]
     expo = [s.standard_exponential for s in streams]
-
-    def draw(mixed):
-        ua = ws.u[:mixed.size]  # the jump uniforms are spent
-        _draw(rand, np.searchsorted(mixed, bounds).tolist(), ua)
-        return ua
-
     fallback = 0
     while m:
         u, flag, rw, k, tk = ws.u[:m], ws.flag[:m], row[:m], sl[:m], t[:m]
         _draw(rand, bounds, u)
         x = _jump(tab, rw, u, ws)
-        fallback += _pick_rows(tab, x, y[:m], k, rw, ws, draw)
+        fallback += _pick_rows(tab, x, y[:m], k, rw, ws)
         _draw(expo, bounds, u)
         t_event = tab.clock.take(rw, out=ws.g[:m], mode="clip")
         np.divide(u, t_event, out=t_event)
@@ -322,23 +249,31 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     """Simulate the controlled chain with exponential clocks, exact in time.
 
     The policy is piecewise constant on the time grid (the step from t_k
-    to t_{k+1} reads slice k+1, matching the forward propagation); actions
-    are resampled at jump times and at grid boundaries.  Running costs are
+    to t_{k+1} reads slice k+1, matching the forward propagation).  A path
+    runs on the relaxed generator of its cell, ``Q_w = sum_a w_a Q_a`` on
+    its state's row, as the forward equation evolves: it waits an
+    exponential of rate ``sum_a w_a lambda_a``, accrues the cost rate
+    ``sum_a w_a c_a`` and jumps by the law proportional to ``sum_a w_a
+    q_a(x, .)`` off the diagonal.  No action is drawn, so a relaxed policy
+    gives a Markov chain, not a semi-Markov one.  Running costs are
     integrated in closed form between events, ``c disc (1 - e^{-alpha
     dt}) / alpha`` through ``expm1`` (``c dt`` at alpha = 0); the
     accumulated cost is snapped to the cost grid only for policy lookups,
     never in the returned samples.  The cost cell is looked up only at
-    those events: a path whose accrued cost crosses into another cost cell
-    between events keeps its action until its next jump or the next grid
-    boundary.
+    jumps and grid boundaries: a path whose accrued cost crosses into
+    another cost cell between events keeps its row until then.
 
-    The draws follow the order stated in ``McConfig``.  The action of a
-    uniform u is the first whose cumulative probability reaches u; a row
-    summing to less than one gives the rest to its last action.  A cell
-    with no cumulative probability strictly inside (0, 1) reads its action
-    from one table over all slices, any other cell from one bucket of a
-    table of its own (``_action_table``).  The stay row of state x is row
-    ``n_x n_a + x`` of the jump tables, whose only target is x.
+    The draws follow the order stated in ``McConfig``.  The weights ``w``
+    of a cell are the steps of its cumulative action law, capped at 1 with
+    the last entry set to 1: a row summing to 1 - eps gives the rest to its
+    last action, one summing above 1 drops the excess from its last
+    actions, and nothing is renormalized.  The jump tables hold row ``x n_a
+    + a`` for a cell that puts all its weight on action a, then one row per
+    cell of slices 1.. that mixes actions (``n_x n_a + j`` for the j-th),
+    then the stay row of each state x, ``n_x n_a + n_mixed + x``, whose only
+    target is x; one gather maps every cell to its row.  The mixed rows are
+    the sparse products ``W @ gen.stacked`` and ``W @ cost`` of the
+    mixed cells' weights W, O(nnz) to build.
 
     The blocks are cut into contiguous runs balanced by path count, one per
     CPU the process may use: the first runs in the calling thread, the
@@ -348,8 +283,8 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     any CPU count; an exception in any thread reaches the caller once every
     thread has stopped.  ``MarkovPolicy.check_cells`` refuses a policy that
     does not have one slice per grid time over (n_x, n_y, n_a), or that has
-    a negative or NaN action probability, which the action search relies
-    on; ``cost_rate``, ``alpha`` and ``initial_x`` are checked by
+    a negative or NaN action probability, which the weights rely on;
+    ``cost_rate``, ``alpha`` and ``initial_x`` are checked by
     ``check_cost_table`` and ``check_initial_law``; all before anything is
     drawn.
     """
@@ -358,24 +293,32 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     times = grid_points(t_grid)
     n_x, n_a, n_y = gen.dim, gen.n_actions, y_grid.n
     policy.check_cells((len(times), n_x, n_y, n_a))
-    exit_rate, targets, width, jump_cum = _jump_tables(gen)
-    dead = ~(exit_rate > 0)
-    pol_cum = np.cumsum(policy.probs[1:], axis=-1)  # slice k + 1 drives step k
-    pol_cum[..., -1] = 1.0  # u < 1: a row summing to 1 - eps cannot pick past the last action
-    first, cum, table = _action_table(pol_cum.reshape(-1, n_a))
-    cell_x = np.tile(np.repeat(np.arange(n_x), n_y), len(times) - 1)
-    mask = policy.mask[1:].ravel()
     nu = check_initial_law(initial_x, gen.dim)
-
+    mask = policy.mask[1:].ravel()
+    # the weights of each cell, slice k + 1 driving step k
+    cum = np.minimum(np.cumsum(policy.probs[1:], axis=-1), 1.0).reshape(-1, n_a)
+    cum[:, -1] = 1.0
+    w = np.diff(cum, axis=1, prepend=0.0)
+    on = w > 0
+    mixed = np.flatnonzero(on.sum(axis=1) > 1)
+    cell_x = np.tile(np.repeat(np.arange(n_x), n_y), len(times) - 1)
+    cell_row = cell_x * n_a + on.argmax(axis=1)
+    cell_row[mixed] = n_x * n_a + np.arange(mixed.size)
+    # row j of weights puts mixed cell j's weights on its (state, action) rows
+    mixed_x, (cell, act) = cell_x[mixed], on[mixed].nonzero()
+    weights = sp.csr_matrix((w[mixed][cell, act], (cell, mixed_x[cell] * n_a + act)),
+                            shape=(mixed.size, n_x * n_a))
+    rows = sp.vstack([gen.stacked, (weights @ gen.stacked).sorted_indices(),
+                      sp.csr_matrix((n_x, n_x))], format="csr")
+    exit_rate, targets, width, jump_cum = _jump_tables(rows, np.concatenate(
+        [np.repeat(np.arange(n_x), n_a), mixed_x, np.arange(n_x)]))
+    stay = n_x * n_a + mixed.size
+    dead = ~(exit_rate[:stay] > 0)
     tab = SimpleNamespace(
-        # the stay rows n_x n_a + x after the (state, action) rows
-        targets=np.concatenate([targets, np.repeat(np.arange(n_x), width)]), width=width,
-        jump_cum=np.hstack([jump_cum, np.ones((width - 1, n_x))]), stay=n_x * n_a,
+        targets=targets, width=width, jump_cum=jump_cum, stay=stay,
         clock=np.maximum(exit_rate, 1e-300), dead=dead if dead.any() else None,
-        cost=cost, alpha=alpha, y_grid=y_grid, n_x=n_x, n_a=n_a, cum=cum, table=table,
-        # the row of each cell that is not mixed, else ~j for mixed cell j
-        fixed_row=np.where(first < 0, first, first + cell_x * n_a),
-        mask=None if mask.all() else mask, ends=times[1:])
+        cost=np.concatenate([cost, weights @ cost]), alpha=alpha, y_grid=y_grid, n_x=n_x,
+        cell_row=cell_row, mask=None if mask.all() else mask, ends=times[1:])
     n = cfg.n_paths
     x0 = np.random.default_rng(cfg.seed).choice(n_x, size=n, p=nu / nu.sum())
     ws = _workspace(x0 + tab.stay, times[0], alpha)

@@ -388,6 +388,21 @@ class TestDiscountFactor:
         for step in (1e-3, 1e-6):
             assert discount_factor(0.3, 1.5, step=step) == pytest.approx(point, rel=1e-2 * step / 1e-3 + 1e-9)
 
+    def test_small_rates_tend_to_no_discount(self):
+        # e^{-alpha t} (1 - e^{-alpha step}) / (alpha step) through expm1: no
+        # difference of two nearby exponentials, so no cancellation.  The
+        # average lies between e^{-alpha (t + step / 2)} (Jensen) and 1.
+        assert abs(discount_factor(1e-13, 3.0, 1.25) - (1 - 3.625e-13)) <= 2.0 ** -52
+        alphas = np.logspace(-2, -300, 100)
+        for t, step in ((0.0, 1.25), (3.0, 1.25), (3.75, 1e-3)):
+            got = np.array([discount_factor(alpha, t, step) for alpha in alphas])
+            assert np.all(1.0 - got >= 0.0), (t, step)
+            assert np.all(1.0 - got <= alphas * (t + step / 2) + 2.0 ** -50), (t, step)
+            assert np.all(np.diff(got) >= 0.0) and got[-1] == 1.0, (t, step)
+        assert discount_factor(1e-300, 3.0, 1.25) == 1.0
+        # alpha * step below the smallest subnormal: the limit, not 0 / 0
+        assert discount_factor(5e-324, 3.0, 0.5) == 1.0
+
 
 class TestTripletLoading:
     def test_round_trip(self, tmp_path):

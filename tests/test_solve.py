@@ -242,6 +242,19 @@ def small_circle_program():
     return circle_program({"n_x": 9, "n_y": 9, "n_a": 5, "n_t": 9})[1]
 
 
+class TestSmallDiscount:
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-17, 1e-13])
+    def test_optimum_tends_to_the_undiscounted_one(self, alpha):
+        # each step's discount weight tends to 1 with alpha, so the optimum
+        # tends to that of alpha = 0 instead of falling to 0
+        spec = RiskSpec(kind="expectation")
+        payload = {"n_x": 9, "n_y": 9, "n_a": 5, "n_t": 9}
+        want = optimize_linear_risk(circle_program({**payload, "alpha": 0.0})[1], spec)
+        got = optimize_linear_risk(circle_program({**payload, "alpha": alpha})[1], spec)
+        assert got.status == want.status == "optimal"
+        assert got.rho_star == pytest.approx(want.rho_star, rel=1e-12)
+
+
 class TestDualSweep:
     """The forward LP solved through its dual, the Bellman sweep, against the
     interior-point method and HiGHS on the same program."""

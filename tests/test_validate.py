@@ -189,23 +189,69 @@ def jump_law(gen):
     return exit_rate, targets, cumprob
 
 
+def mass_rule_weights(probs):
+    """Action weights of every cell under the sampler's mass rule: the
+    steps of the cumulative law capped at 1, the last entry set to 1."""
+    cum = np.minimum(np.cumsum(probs, axis=-1), 1.0)
+    cum[..., -1] = 1.0
+    return np.diff(cum, axis=-1, prepend=0.0)
+
+
+def mixed_rows(q, cost, x, w):
+    """Rates (rows, n_x), exit rates and cost rates of the action mixtures
+    ``w`` (rows, n_a) on the rows of states x of the dense generators
+    ``q`` (n_a, n_x, n_x): sums over the actions of positive weight in
+    ascending order, from 0, so a one-hot mixture is its action's row."""
+    rates, exit_rate, rate = np.zeros((x.size, q.shape[1])), np.zeros(x.size), np.zeros(x.size)
+    for a in range(q.shape[0]):
+        on = w[:, a] > 0
+        rates[on] += w[on, a, None] * q[a, x[on]]
+        exit_rate[on] += w[on, a] * -q[a, x[on], x[on]]
+        rate[on] += w[on, a] * cost[x[on], a]
+    return rates, exit_rate, rate
+
+
+def jump_targets(rates, exit_rate, x, u):
+    """Targets of jumps by draws u from rows ``rates`` in states x: the
+    first positive off-diagonal rate, in column order, whose cumulative
+    law reaches u, the last one for any draw; x for a row with none."""
+    cols = np.arange(rates.shape[1])
+    on = (rates > 0) & (cols != x[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cum = np.cumsum(np.where(on, rates, 0.0) / exit_rate[:, None], axis=1)
+    last = np.where(on, cols, -1).max(axis=1)
+    passed = (on & (cols < last[:, None]) & (u[:, None] > cum)).sum(axis=1)
+    pick = np.argmax(np.cumsum(on, axis=1) > passed[:, None], axis=1)
+    return np.where(last >= 0, pick, x)
+
+
 def reference_simulate_paths(gen, policy, cost_rate, alpha, y_grid, initial_x,
-                             t_grid, cfg):
+                             t_grid, cfg, draw_actions=False):
     """The sampler's contract (``McConfig``) as a plain loop, kept as the
     bitwise reference: each block of ``BLOCK_PATHS`` paths runs alone from
     its own stream, round after round, until its last path passes the
     horizon.  A round draws a jump uniform per path (a path on its stay
-    row keeps its state), an action uniform per path in a mixed cell and
-    an exponential per path; a path whose clock passes its slice's end
-    stops there and moves to the next slice on its stay row."""
+    row keeps its state), then an exponential per path; a path whose clock
+    passes its slice's end stops there and moves to the next slice on its
+    stay row.  A path runs on the row of its cell's relaxed generator Q_w.
+
+    ``draw_actions`` gives the sampler before Q_w rows: between the two
+    draws, an action uniform per path whose cell mixes actions, and the
+    row of the action drawn, a semi-Markov process under a relaxed policy.
+    Under a deterministic policy the two draw the same."""
     times = np.asarray(t_grid, dtype=float)
-    n_x = gen.dim
-    exit_rate, targets, cumprob = jump_law(gen)
+    n_x, n_a = gen.dim, gen.n_actions
+    q = np.stack([m.toarray() for m in gen.per_action])
     c = np.asarray(cost_rate, dtype=float)
     nu = np.asarray(initial_x, dtype=float)
+    n_t, _, n_y = policy.mask.shape
+    # the row of every (slice, state, cost) cell, and of every (state, action)
+    weights = mass_rule_weights(policy.probs).reshape(-1, n_a)
+    cell_x = np.tile(np.repeat(np.arange(n_x), n_y), n_t)
+    cell_rows = mixed_rows(q, c, cell_x, weights)
+    action_rows = mixed_rows(q, c, np.repeat(np.arange(n_x), n_a), np.tile(np.eye(n_a), (n_x, 1)))
     pol_cum = np.cumsum(policy.probs, axis=-1)
     pol_cum[..., -1] = 1.0
-    n_y = policy.probs.shape[2]
     n = cfg.n_paths
     x_all = np.random.default_rng(cfg.seed).choice(n_x, size=n, p=nu / nu.sum())
     y_all = np.zeros(n)
@@ -218,38 +264,41 @@ def reference_simulate_paths(gen, policy, cost_rate, alpha, y_grid, initial_x,
         x, y = x_all[ids], np.zeros(ids.size)
         t, k = np.full(ids.size, times[0]), np.zeros(ids.size, dtype=np.int64)
         disc = np.full(ids.size, np.exp(-alpha * times[0]))
-        stay, acts = np.ones(ids.size, bool), np.zeros(ids.size, dtype=np.int64)
+        stay, rates, exit_rate = np.ones(ids.size, bool), np.zeros((ids.size, n_x)), np.zeros(ids.size)
         while ids.size:
             u = rng.random(ids.size)
             go = ~stay
-            sel = (u[go, None] > cumprob[acts[go], x[go]]).sum(axis=1)
-            x[go] = targets[acts[go], x[go], sel]
+            x[go] = jump_targets(rates[go], exit_rate[go], x[go], u[go])
             ys = np.clip(np.rint((y - y_grid.lo) / y_grid.spacing), 0, n_y - 1).astype(np.int64)
             fallback += int((~policy.mask[k + 1, x, ys]).sum())
-            cum = pol_cum[k + 1, x, ys]
-            below = cum[:, :-1]
-            mixed = ((below > 0) & (below < 1)).any(axis=1)
-            acts = (below <= 0).sum(axis=1)
-            acts[mixed] = (rng.random(int(mixed.sum()))[:, None] > cum[mixed]).sum(axis=1)
-            rates = exit_rate[acts, x]
+            cell = ((k + 1) * n_x + x) * n_y + ys
+            rows, at = cell_rows, cell
+            if draw_actions:
+                on = weights[cell] > 0
+                mixed = on.sum(axis=1) > 1
+                acts = np.argmax(on, axis=1)
+                acts[mixed] = (rng.random(int(mixed.sum()))[:, None]
+                               > pol_cum[k + 1, x, ys][mixed]).sum(axis=1)
+                rows, at = action_rows, x * n_a + acts
+            rates, exit_rate, rate = (r[at] for r in rows)
             with np.errstate(divide="ignore"):
-                wait = np.where(rates > 0, rng.standard_exponential(ids.size)
-                                / np.maximum(rates, 1e-300), np.inf)
+                wait = np.where(exit_rate > 0, rng.standard_exponential(ids.size)
+                                / np.maximum(exit_rate, 1e-300), np.inf)
             t_event = t + wait
             t_hi = times[k + 1]
             t_new = np.minimum(t_event, t_hi)
             if alpha == 0.0:
-                y += c[x, acts] * (t_new - t)
+                y += rate * (t_new - t)
             else:
                 lost = disc * -np.expm1(-alpha * (t_new - t))
-                y += c[x, acts] * lost / alpha
+                y += rate * lost / alpha
                 disc = disc - lost
             t, stay = t_new, t_event >= t_hi
             k = k + stay
             done = k == len(times) - 1
             y_all[ids[done]] = y[done]
-            ids, x, y, t, k, disc, stay, acts = (
-                v[~done] for v in (ids, x, y, t, k, disc, stay, acts))
+            ids, x, y, t, k, disc, stay, rates, exit_rate = (
+                v[~done] for v in (ids, x, y, t, k, disc, stay, rates, exit_rate))
     return y_all, fallback
 
 
@@ -310,18 +359,40 @@ def reference_simulate_paths_v34(gen, policy, cost_rate, alpha, y_grid, initial_
     return y, fallback
 
 
+def solved_case(config, tmp_path_factory):
+    """A config's chain under the solver's own policy, as simulate_paths
+    takes it."""
+    from riskflow.cli import _build_spec, build_problem, run
+
+    spec = _build_spec(config)
+    policy = run(spec, tmp_path_factory.mktemp("case")).policy
+    pieces = build_problem(spec)
+    return (pieces.base, policy, pieces.cost, spec.alpha, pieces.y_grid, pieces.nu,
+            pieces.t_grid.points)
+
+
 @pytest.fixture(scope="module")
 def circle_case(tmp_path_factory):
     """The 9x9x5x9 circle under the solver's own policy: one-hot cells and
     uniform tie cells."""
-    from riskflow.cli import _build_spec, build_problem, run
+    return solved_case({"family": "circle_follower", "n_x": 9, "n_y": 9, "n_a": 5,
+                        "n_t": 9}, tmp_path_factory)
 
-    spec = _build_spec({"family": "circle_follower", "n_x": 9, "n_y": 9, "n_a": 5,
-                        "n_t": 9})
-    policy = run(spec, tmp_path_factory.mktemp("circle")).policy
-    pieces = build_problem(spec)
-    return (pieces.base, policy, pieces.cost, spec.alpha, pieces.y_grid, pieces.nu,
-            pieces.t_grid.points)
+
+@pytest.fixture(scope="module")
+def semidev_case(tmp_path_factory):
+    """The 15x15x7x15 circle of the mean semideviation (beta 0.5) under the
+    policy of its Frank-Wolfe solve, which mixes vertices."""
+    return solved_case({"n_x": 15, "n_y": 15, "n_a": 7, "n_t": 15,
+                        "risk": {"kind": "mean_semideviation", "beta": 0.5}}, tmp_path_factory)
+
+
+def argmax_case(args):
+    """``args`` under the argmax of its policy, a deterministic policy with
+    the same masked cells."""
+    policy = args[1]
+    one_hot = MarkovPolicy.from_actions(policy.probs.argmax(axis=-1), policy.probs.shape[-1])
+    return args[:1] + (MarkovPolicy(probs=one_hot.probs, mask=policy.mask),) + args[2:]
 
 
 def relaxed_case(alpha, absorbing=False):
@@ -371,12 +442,12 @@ class TestSamplerMatchesReference:
     # run as 1,400 + 1,600 paths on 2 CPUs and 700 + 1,400 + 900 on 3
     RUNS = {1: [3000], 2: [1400, 1600], 3: [700, 1400, 900]}
 
-    def check(self, args, n_paths, monkeypatch):
+    def check(self, args, n_paths, monkeypatch, draw_actions=False):
         monkeypatch.setattr(validate_module, "BLOCK_PATHS", 700)
         runs = record_runs(monkeypatch)
         for seed in self.SEEDS:
             cfg = McConfig(n_paths=n_paths, seed=seed)
-            want, fallback = reference_simulate_paths(*args, cfg)
+            want, fallback = reference_simulate_paths(*args, cfg, draw_actions=draw_actions)
             for cpus in (1, 2, 3):
                 monkeypatch.setattr(validate_module, "_cpu_count", lambda c=cpus: c)
                 runs.clear()
@@ -399,21 +470,42 @@ class TestSamplerMatchesReference:
         assert not args[1].mask.all()
         self.check(args, 3000, monkeypatch)
 
+    @pytest.mark.parametrize("case", ["semidev", "relaxed"])
+    def test_deterministic_policy_draws_as_before(self, case, semidev_case, monkeypatch):
+        # one action per cell: the sampler draws the bits of the sampler
+        # that drew an action per mixed cell, on the benchmark's circle15_semidev
+        # chain and on the relaxed case's masked cells and absorbing row
+        args = argmax_case(semidev_case if case == "semidev" else relaxed_case(0.35, True))
+        assert ((args[1].probs > 0).sum(axis=-1) == 1).all()
+        cfg = McConfig(n_paths=3000, seed=7)
+        assert (reference_simulate_paths(*args, cfg)[0].tobytes()
+                == reference_simulate_paths(*args, cfg, draw_actions=True)[0].tobytes())
+        self.check(args, 3000, monkeypatch, draw_actions=True)
+
     def test_jump_tables_keep_every_draw_on_its_row(self):
         # row 0's jump law sums to 1 - 2**-52 in float64, below the largest
         # draw, in a table as wide as row 1; row 2 exits at a rate within
-        # rounding of zero and has no target, so it stays put
+        # rounding of zero and has no target, so it stays put; row 6 mixes
+        # two actions of state 0 evenly, as the sampler builds a mixed
+        # cell's row, and its law too sums to 1 - 2**-52
         q = np.zeros((6, 6))
         q[0, 1:5] = [0.5, 0.4, 0.2, 0.3]
         q[1, [0, 2, 3, 4, 5]] = 1.0
         q[3:, 0] = 1.0
         np.fill_diagonal(q, -q.sum(axis=1))
         q[2, 2] = -1e-12
-        gen = ControlledGenerator(per_action=(sp.csr_matrix(q),))
-        _, targets, width, columns = validate_module._jump_tables(gen)
-        assert width == 5 and columns[3, 0] == 1.0
+        pair = np.zeros((2, 6))
+        pair[:, 1:4] = [[1.3, 0.3, 0.6], [1.0, 0.9, 0.3]]
+        pair[:, 0] = -pair.sum(axis=1)
+        mixed = (sp.csr_matrix([[0.5, 0.5]]) @ sp.csr_matrix(pair)).sorted_indices()
+        rates = mixed.toarray()[0]
+        assert np.cumsum(rates[1:] / -rates[0])[-1] == 1 - 2.0 ** -52
+        exit_rate, targets, width, columns = validate_module._jump_tables(
+            sp.vstack([sp.csr_matrix(q), mixed], format="csr"), np.array([0, 1, 2, 3, 4, 5, 0]))
+        assert exit_rate[6] == -rates[0]
+        assert width == 5 and columns[3, 0] == 1.0 and columns[2, 6] == 1.0
         slot = (np.nextafter(1.0, 0.0) > columns).sum(axis=0)
-        assert targets[np.arange(6) * width + slot].tolist() == [4, 5, 2, 0, 0, 0]
+        assert targets[np.arange(7) * width + slot].tolist() == [4, 5, 2, 0, 0, 0, 3]
 
     def test_negative_action_probability_rejected(self):
         gen, pol, *rest = relaxed_case(0.2)
@@ -458,79 +550,82 @@ class TestWorkspaces:
 
 
 class TestSameLawAsOneStream:
-    """The per-block streams change the draws, not the law: against the
-    one-stream sampler (``reference_simulate_paths_v34``), on seeds fixed
+    """The per-block streams change the draws, not the law: on seeds fixed
     before the first run, the means agree within 4 combined standard
-    errors and the masked-lookup counts within 5% of the one-stream count."""
+    errors and the masked-lookup counts within 5% of the other count.
+    Under the argmax of each case's policy, a deterministic policy, the
+    law is that of the one-stream sampler (``reference_simulate_paths_v34``),
+    which draws an action per round and so samples Q_w only where no cell
+    mixes; under the case's own relaxed policy it is that of the plain-loop
+    Q_w reference."""
 
     N_PATHS = 20_000
+
+    def agree(self, args, oracle):
+        res = simulate_paths(*args, McConfig(n_paths=self.N_PATHS, seed=101))
+        other, other_fallback = oracle(*args, McConfig(n_paths=self.N_PATHS, seed=202))
+        spread = math.hypot(res.stderr, validate_module.sample_spread(other)[1])
+        assert abs(res.mean - other.mean()) <= 4 * spread
+        assert abs(res.fallback_lookups - other_fallback) <= 0.05 * other_fallback
 
     @pytest.mark.parametrize("alpha", [0.0, 0.35])
     @pytest.mark.parametrize("case", ["circle", "relaxed"])
     def test_means_and_masked_lookups_agree(self, case, alpha, circle_case):
         args = circle_case if case == "circle" else relaxed_case(alpha, absorbing=True)
         args = args[:3] + (alpha,) + args[4:]
-        res = simulate_paths(*args, McConfig(n_paths=self.N_PATHS, seed=101))
-        old, old_fallback = reference_simulate_paths_v34(
-            *args, McConfig(n_paths=self.N_PATHS, seed=202))
-        spread = math.hypot(res.stderr, validate_module.sample_spread(old)[1])
-        assert abs(res.mean - old.mean()) <= 4 * spread
-        assert abs(res.fallback_lookups - old_fallback) <= 0.05 * old_fallback
+        self.agree(argmax_case(args), reference_simulate_paths_v34)
+        self.agree(args, reference_simulate_paths)
 
 
-def action_rows():
-    """Cumulative action laws (last entry 1, as the sampler sets it) with
-    entries on bucket edges and one ulp either side of them."""
-    big, n_a = validate_module.ACTION_BUCKETS, 21
-    edges = np.array([1, 2, 511, 512, 513, 1023]) / big
-    around = np.sort(np.concatenate([np.nextafter(edges, 0), edges, np.nextafter(edges, 1)]))
-    rows = [
-        np.concatenate([around, [1.0] * (n_a - around.size)]),
-        np.concatenate([[0.5] * (n_a - 1), [1.0]]),  # every entry on one edge
-        np.cumsum(np.full(n_a, 1 / n_a)),  # uniform, as the sweep mixes its ties
-        np.cumsum(np.full(n_a, 0.5 / n_a)),  # short row
-        np.concatenate([[0.0] * 5, [1.0] * (n_a - 5)]),  # one-hot past a zero prefix
-        np.concatenate([[0.25] * 10, [1 - 2.0 ** -52] * (n_a - 10)]),
-        np.concatenate([[0.3], [1 + 2.0 ** -52] * (n_a - 1)]),  # sums above one
-        np.concatenate([[5e-324], [0.75] * (n_a - 1)]),  # a subnormal first action
-    ]
-    cum = np.array(rows)
-    cum[:, -1] = 1.0
-    return cum
+class TestRelaxedGenerator:
+    """A relaxed policy acts through Q_w = sum_a diag(w_a) Q_a, as in the
+    forward equation: on 2-state, 2-action chains with unequal exit rates
+    and a 50/50 policy constant in t and y, on seeds fixed before the
+    first run."""
 
+    def test_mean_holding_time_is_one_over_the_mixed_rate(self):
+        # state 0 leaves at rate 0.5 or 4 and state 1 absorbs; a unit cost in
+        # state 0 over a horizon of 30 makes each sample its holding time
+        # there.  A path that drew one action per stay would wait 1 / 0.5 or
+        # 1 / 4 with equal odds: mean sum w / lambda = 1.125, not 1 / 2.25.
+        gen = two_state_gen([(0.5, 0.0), (4.0, 0.0)])
+        pol = MarkovPolicy.uniform(2, 2, 4, 2)
+        res = simulate_paths(gen, pol, np.array([[1.0, 1.0], [0.0, 0.0]]), 0.0,
+                             build_uniform_grid(0.0, 3.0, 4), np.array([1.0, 0.0]),
+                             np.array([0.0, 30.0]), McConfig(n_paths=20_000, seed=3))
+        rate = 0.5 * 0.5 + 0.5 * 4.0
+        assert abs(res.mean - (1 - np.exp(-30 * rate)) / rate) <= 4 * res.stderr
+        assert res.mean < 0.6 < 1.125
 
-def table_actions(cum, u):
-    """Actions of every draw ``u`` in every cell of ``cum`` by the sampler's
-    table lookup, (cells, draws)."""
-    first, mixed_cum, table = validate_module._action_table(cum)
-    cells = np.repeat(np.arange(len(cum)), u.size)
-    uu = np.tile(u, len(cum))
-    acts = first[cells]
-    mixed = np.flatnonzero(acts < 0)
-    acts[mixed] = validate_module._pick_actions(uu[mixed], ~acts[mixed], mixed_cum, table)
-    return acts.reshape(len(cum), u.size)
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("absorbing", [False, True])
+    def test_mean_is_the_exact_expectation(self, alpha, absorbing, monkeypatch):
+        # E[Y] = int_0^T e^{-alpha s} nu e^{s Q_w} c_w ds, the top right of
+        # expm(T [[Q_w - alpha I, c_w], [0, 0]]).  ``absorbing`` stops action
+        # 1 in state 0: its mixed row there still leaves at rate 0.5, by
+        # action 0, and is neither dead nor slowed to the clock's floor.
+        from scipy.linalg import expm
 
-
-class TestActionTable:
-    def test_counts_the_entries_below_every_draw(self):
-        cum = action_rows()
-        big = validate_module.ACTION_BUCKETS
-        edges = np.arange(1, big) / big
-        u = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1),
-                            [2.0 ** -53, np.nextafter(1.0, 0.0)]])
-        want = (u[None, :, None] > cum[:, None, :]).sum(axis=-1)
-        assert np.array_equal(table_actions(cum, u), want)
-
-    def test_a_zero_draw_gets_the_first_action_of_positive_probability(self):
-        cum = action_rows()
-        assert np.array_equal(table_actions(cum, np.zeros(1))[:, 0], (cum <= 0).sum(axis=1))
-
-    def test_only_mixed_cells_get_a_compact_table(self):
-        cum = action_rows()
-        first, mixed_cum, table = validate_module._action_table(cum)
-        assert first[4] == 5  # one-hot: no table
-        assert (first < 0).sum() == len(cum) - 1 == len(mixed_cum)
-        assert table.itemsize == 1 and table.size == len(mixed_cum) * validate_module.ACTION_BUCKETS
+        gen = two_state_gen([(1.0, 0.5), (0.0 if absorbing else 3.0, 2.0)])
+        cost = np.array([[1.0, 0.2], [0.4, 1.5]])
+        nu, horizon = np.array([1.0, 0.0]), 2.0
+        tabs, run_blocks = [], validate_module._run_blocks
+        monkeypatch.setattr(validate_module, "_run_blocks",
+                            lambda tab, *rest: tabs.append(tab) or run_blocks(tab, *rest))
+        res = simulate_paths(gen, MarkovPolicy.uniform(5, 2, 6, 2), cost, alpha,
+                             build_uniform_grid(0.0, 5.0, 6), nu,
+                             np.linspace(0.0, horizon, 5), McConfig(n_paths=20_000, seed=11))
+        q_w = 0.5 * sum(q.toarray() for q in gen.per_action)
+        aug = np.zeros((3, 3))
+        aug[:2, :2] = q_w - alpha * np.eye(2)
+        aug[:2, 2] = cost.mean(axis=1)
+        want = nu @ expm(horizon * aug)[:2, 2]
+        assert abs(res.mean - want) <= 4 * res.stderr, (res.mean, want, res.stderr)
+        tab = tabs[0]
+        row = tab.cell_row[0]  # slice 1, state 0, cost cell 0: the first mixed row
+        assert row == 4 and tab.clock[row] == 0.5 * (1.0 if absorbing else 4.0)
+        assert tab.dead is None or not tab.dead[row]
+        assert (tab.dead is not None) == absorbing
 
 
 def run_bounded(call, timeout=60.0):
