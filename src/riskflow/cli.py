@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -47,13 +46,6 @@ EXIT_IO = 5
 # Samples per block of mc_samples.csv.  Blocks of 2 ** 14 Python floats
 # raised the peak RSS of circle15_semidev by about 2 MB; these do not.
 MC_SAMPLES_BLOCK = 2 ** 10
-
-# Bytes of a table that _read_grid_csv splits into fields at a time: each
-# field becomes a Python bytes object.  Reading the 9.4 MB reference
-# policy.csv raised the peak RSS by 3.6 MB in 54 ms with these blocks, by
-# 4.5 MB with 2 ** 17 and by 11 MB in 61 ms with 2 ** 19; np.loadtxt of
-# the whole table took 9.5 MB and 97 ms.
-READ_BLOCK_BYTES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -233,6 +225,8 @@ def _check_spec(spec: ProblemSpec):
             bad("generator_file", "required for the custom family")
         if not spec.actions:
             bad("actions", "custom family needs an explicit action list")
+        if len(set(spec.actions)) < len(spec.actions):  # policy.csv names actions by value
+            bad("actions", f"values must be distinct, got {list(spec.actions)}")
         if spec.cost_constant is None and spec.cost_table is None:
             bad("cost", "custom family needs cost.constant or cost.table")
     if spec.cost_table is not None and len(set(map(len, spec.cost_table))) != 1:
@@ -336,16 +330,11 @@ def build_problem(spec: ProblemSpec) -> ProblemPieces:
 
 
 def _policy_tables(pieces: ProblemPieces):
-    """Name, header and ij-ordered coordinate grids of the two policy tables."""
+    """Name, header, ij-ordered coordinate grids and density of the two
+    policy tables: ``policy.csv`` has only the rows of positive probability."""
     txy = (pieces.t_grid.points, pieces.base.state_points, pieces.y_grid.points)
-    return (("policy.csv", ("t", "x", "y", "a", "prob"), txy + (pieces.a_values,)),
-            ("policy_mask.csv", ("t", "x", "y", "reachable"), txy))
-
-
-def _write_policy_csvs(policy: MarkovPolicy, pieces: ProblemPieces, out_dir):
-    for (name, header, coords), values in zip(_policy_tables(pieces),
-                                              (policy.probs, policy.mask)):
-        write_grid_csv(out_dir / name, header, coords, values, newline="\n")
+    return (("policy.csv", ("t", "x", "y", "a", "prob"), txy + (pieces.a_values,), False),
+            ("policy_mask.csv", ("t", "x", "y", "reachable"), txy, True))
 
 
 def _forward_program(spec: ProblemSpec, pieces: ProblemPieces) -> ForwardProgram:
@@ -369,8 +358,8 @@ def run(spec: ProblemSpec, out_dir) -> SolveReport:
     """Solve the configured problem and write the report artifacts.
 
     Writes report.json, marginal_x.csv (t,x,mass), marginal_y.csv
-    (t,y,mass), policy.csv (t,x,y,a,prob), and policy_mask.csv into
-    ``out_dir``.
+    (t,y,mass), policy.csv (t,x,y,a,prob; only the rows of positive
+    probability), and policy_mask.csv into ``out_dir``.
     """
     pieces = build_problem(spec)  # a config it refuses leaves no directory behind
     out = Path(out_dir)
@@ -382,35 +371,38 @@ def run(spec: ProblemSpec, out_dir) -> SolveReport:
         fh.write("\n")
     write_trajectory_csv(report.trajectory, out / "marginal_x.csv", "x")
     write_trajectory_csv(report.trajectory, out / "marginal_y.csv", "y")
-    _write_policy_csvs(report.policy, pieces, out)
+    for (name, header, coords, dense), values in zip(_policy_tables(pieces),
+                                                     (report.policy.probs, report.policy.mask)):
+        write_grid_csv(out / name, header, coords, values, newline="\n",
+                       rows=None if dense else np.flatnonzero(values > 0))
     return report
 
 
-def _format_17g(values) -> list[str]:
-    """``%.17g`` of every entry, formatting each distinct bit pattern once
-    (so ``-0.0`` stays ``-0``)."""
+def _format_17g(values) -> np.ndarray:
+    """``%.17g`` of every entry as an object array of ``str``, formatting
+    each distinct bit pattern once (so ``-0.0`` stays ``-0``)."""
     bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64),
                               return_inverse=True)
-    text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-    return [text[i] for i in inverse.ravel().tolist()]
+    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse.ravel()]
 
 
 def write_grid_csv(path, header: Sequence[str], coords: Sequence[np.ndarray],
-                   values: np.ndarray, newline: str):
-    """Write one ``%.17g`` row per point of the ij-ordered product grid
-    ``coords``: the point's coordinates, then its entry of ``values``.
+                   values: np.ndarray, newline: str, rows: Optional[np.ndarray] = None):
+    """Write one ``%.17g`` row for each point of the ij-ordered product grid
+    ``coords`` whose flat index is in the increasing ``rows`` (every point
+    by default): the point's coordinates, then its entry of ``values``.
 
     The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")`` on
-    the meshgrid table, written one block per leading coordinate.
+    those rows of the meshgrid table.
     """
-    lead, *inner = [_format_17g(c) for c in coords]
-    tails = ["".join(s + "," for s in point) for point in itertools.product(*inner)]
-    cells = _format_17g(values)
+    flat = np.ravel(values)
+    rows = np.arange(flat.size) if rows is None else rows
+    points = np.unravel_index(rows, [len(c) for c in coords])
+    columns = [_format_17g(c)[i] for c, i in zip(coords, points)] + [_format_17g(flat[rows])]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + newline)
-        for i, t in enumerate(lead):
-            block = cells[i * len(tails):(i + 1) * len(tails)]
-            fh.write("".join([f"{t},{tail}{v}{newline}" for tail, v in zip(tails, block)]))
+        fh.writelines(",".join(row) + newline for row in zip(*columns))
 
 
 def write_trajectory_csv(traj: TrajectoryDistribution, path, axis: str):
@@ -420,92 +412,57 @@ def write_trajectory_csv(traj: TrajectoryDistribution, path, axis: str):
                    traj.marginal(axis), newline="\r\n")
 
 
-def _line_blocks(fh):
-    """The lines of the binary file ``fh`` in blocks of whole lines of about
-    ``READ_BLOCK_BYTES``, with the newlines text mode reads, stripped of
-    surrounding blank space."""
-    carry = b""
-    while True:
-        chunk = fh.read(READ_BLOCK_BYTES)
-        block = carry + chunk
-        cut = block.rfind(b"\n") + 1 if chunk else len(block)
-        block, carry = block[:cut], block[cut:]
-        if b"\r" in block:
-            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        block = block.strip()
-        if block:
-            yield block
-        if not chunk:
-            return
+def _nearest(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The index of the point of ``grid`` (distinct, in any order) nearest each of ``values``."""
+    order = np.argsort(grid)
+    ranked = grid[order]
+    hi = np.searchsorted(ranked, values).clip(max=len(grid) - 1)
+    lo = (hi - 1).clip(min=0)  # ranked[lo] <= value <= ranked[hi] unless clipped
+    return order[np.where(values - ranked[lo] < ranked[hi] - values, lo, hi)]
 
 
-def _periodic(cycle: list, start: int, count: int) -> list:
-    """``count`` entries of the list repeating ``cycle``, from entry ``start``."""
-    out, at = [], start % len(cycle)
-    while len(out) < count:
-        out += cycle[at:at + count - len(out)]
-        at = 0
-    return out
-
-
-def _read_grid_csv(path, header, coords) -> np.ndarray:
+def _read_grid_csv(path, header, coords, dense: bool) -> np.ndarray:
     """The last column of a table ``write_grid_csv`` wrote over ``coords``,
-    shaped to the grid, else ``ConfigError``: the header, the row and field
-    counts and the coordinate columns must all match.
+    shaped to the grid with 0 at each point that has no row, else
+    ``ConfigError``.
 
-    The lines are read in blocks (``_line_blocks``), each as one stream of
-    comma-separated fields, ``len(header)`` per line; empty lines are
-    skipped, as ``np.loadtxt`` skips them.  A coordinate field is
-    compared as text with the ``%.17g`` that ``write_grid_csv`` writes for
-    its grid point; only one that differs is parsed, and it must lie within
-    1e-12 of the point (``np.allclose``), so a ``%.18e`` table is read too.
-    Only the last column is converted to floats."""
-    shape = [len(c) for c in coords]
-    n_rows, n_cols = int(np.prod(shape)), len(header)
-    # one period of each coordinate column's text, and the run of each point
-    runs = [int(np.prod(shape[i + 1:])) for i in range(len(shape))]
-    cycles = [list(itertools.chain.from_iterable([s.encode()] * run for s in _format_17g(grid)))
-              for grid, run in zip(coords, runs)]
-    values, done = np.empty(shape), 0
-    flat = values.reshape(-1)
-    with open(path, "rb") as fh:
-        head = fh.readline().decode(errors="replace").strip()
+    The header must match, each row must name a grid point by coordinates
+    within 1e-12 of it (``np.isclose``), so a ``%.18e`` table is read too,
+    and the rows must follow the grid's order with no point twice.  A
+    ``dense`` table has one row per point.  Empty lines are skipped."""
+    values = np.zeros(tuple(len(c) for c in coords))
+    with open(path, errors="replace") as fh:
+        head = fh.readline().strip()
         if head != ",".join(header):
             raise ConfigError(f"{path} has header {head!r}, not {','.join(header)!r}")
-        for block in _line_blocks(fh):
-            rows, fields = block.count(b"\n") + 1, block.replace(b"\n", b",").split(b",")
-            if len(fields) != rows * n_cols and b"\n\n" in block:  # skip empty lines
-                block = b"\n".join(line for line in block.split(b"\n") if line)
-                rows, fields = block.count(b"\n") + 1, block.replace(b"\n", b",").split(b",")
-            if len(fields) != rows * n_cols:
-                raise ConfigError(f"{path}: a row does not have {n_cols} columns")
-            lo, done = done, done + rows
-            if done > n_rows:
-                continue  # only counted, for the error below
-            try:
-                for i, grid in enumerate(coords):
-                    got, text = fields[i::n_cols], _periodic(cycles[i], lo, rows)
-                    if got != text:  # parse only the fields that differ
-                        off = np.array([r for r, (g, t) in enumerate(zip(got, text)) if g != t])
-                        at = np.array([float(got[r]) for r in off])
-                        point = np.asarray(grid, float)[(lo + off) // runs[i] % len(grid)]
-                        if not np.allclose(at, point, rtol=1e-12, atol=1e-12):
-                            raise ConfigError(
-                                f"{path}: coordinate columns do not follow the config's grids")
-                flat[lo:done] = np.fromiter(map(float, fields[n_cols - 1::n_cols]), float, rows)
-            except ValueError as exc:
-                raise ConfigError(f"{path} is not a numeric table: {exc}") from exc
-    if not done:
-        raise ConfigError(f"{path} has no data rows")
-    if done != n_rows:
-        raise ConfigError(f"{path} has {done} rows, not {n_rows}")
+        start = fh.tell()  # np.loadtxt warns on a body with no data
+        if not any(line.strip() for line in iter(fh.readline, "")):
+            raise ConfigError(f"{path} has no data rows")
+        fh.seek(start)
+        try:
+            table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not a numeric table: {exc}") from exc
+    if table.shape[1] != len(header):
+        raise ConfigError(f"{path}: a row does not have {len(header)} columns")
+    if dense and len(table) != values.size:
+        raise ConfigError(f"{path} has {len(table)} rows, not {values.size}")
+    points = [_nearest(grid, column) for grid, column in zip(coords, table.T)]
+    snapped = [grid[i] for grid, i in zip(coords, points)]
+    if not np.isclose(table.T[:-1], snapped, rtol=1e-12, atol=1e-12).all():
+        raise ConfigError(f"{path}: coordinate columns do not follow the config's grids")
+    flat = np.ravel_multi_index(points, values.shape)
+    if not (np.diff(flat) > 0).all():
+        raise ConfigError(f"{path}: coordinate columns do not follow the config's grids "
+                          "in order: a point is repeated or out of order")
+    values.flat[flat] = table[:, -1]
     return values
 
 
 def _read_policy(report_dir, pieces: ProblemPieces) -> MarkovPolicy:
     """The policy ``run`` wrote for ``pieces``, else ``ConfigError``."""
-    probs, mask = (_read_grid_csv(Path(report_dir) / name, header, coords)
-                   for name, header, coords in _policy_tables(pieces))
+    probs, mask = (_read_grid_csv(Path(report_dir) / name, header, coords, dense)
+                   for name, header, coords, dense in _policy_tables(pieces))
     try:
         return MarkovPolicy(probs=probs, mask=mask.astype(bool)).validate()
     except InvalidParameterError as exc:
@@ -542,7 +499,7 @@ def run_validation(spec: ProblemSpec, report_dir, paths: Optional[int] = None,
     policy = _read_policy(rep, pieces)
     y_points = pieces.y_grid.points
     marg = _read_grid_csv(rep / "marginal_y.csv", ("t", "y", "mass"),
-                          (pieces.t_grid.points, y_points))
+                          (pieces.t_grid.points, y_points), dense=True)
     total = float(marg[-1].sum())
     if not (np.isfinite(marg[-1]).all() and abs(total - 1.0) <= 1e-10):
         raise ConfigError(f"{rep / 'marginal_y.csv'}: the last slice is not a law; "

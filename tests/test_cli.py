@@ -131,6 +131,16 @@ class TestFieldTable:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("actions", [[0.0, 1.0, 0.0], [-0.0, 0.0]],
+                             ids=["repeat", "signed_zero"])
+    def test_repeated_actions_rejected(self, actions):
+        # policy.csv names an action by its value, so no two may share one
+        payload = {"family": "custom", "generator_file": "gen.csv", "actions": actions,
+                   "cost": {"constant": 1.0}}
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config key actions: values must be distinct, got {actions}")):
+            _build_spec(payload)
+
     def test_integral_float_accepted_for_int_key(self, tmp_path):
         spec = load_config(write_config(tmp_path, {"validation": {"paths": 1e5}}))
         assert spec.validation.n_paths == 100_000
@@ -193,6 +203,8 @@ REFUSED = [
     ([], None),
     ({"family": "custom", "generator_file": "gen.csv", "actions": [0.0],
       "cost": {"table": [[1.0, 2.0], [1.0, 2.0]]}}, "cost.table"),  # 2 x 1 chain
+    ({"family": "custom", "generator_file": "gen.csv", "actions": [0.5, 0.0, 0.5],
+      "cost": {"constant": 1.0}}, "actions"),
 ]
 
 
@@ -285,8 +297,10 @@ class TestRun:
         assert marg.shape == (4 * 5, 3)
         t_last = marg[marg[:, 0] == marg[:, 0].max()]
         assert t_last[:, 2].sum() == pytest.approx(1.0, abs=1e-9)
+        # only the 150 of the 4 * 5 * 4 * 3 (t, x, y, a) rows with probability > 0
         pol = np.loadtxt(out / "policy.csv", delimiter=",", skiprows=1)
-        assert pol.shape == (4 * 5 * 4 * 3, 5)
+        assert pol.shape == (np.count_nonzero(report.policy.probs > 0), 5) == (150, 5)
+        assert (pol[:, 4] > 0).all()
 
     def test_csv_headers_and_mask_values(self, tmp_path):
         out = tmp_path / "out"
@@ -533,8 +547,10 @@ class TestMain:
         assert "policy.csv" in capsys.readouterr().err
         assert not (out / "mc_summary.json").exists()
 
-    @pytest.mark.parametrize("name", ["policy.csv", "policy_mask.csv"])
+    @pytest.mark.parametrize("name", ["policy.csv", "policy_mask.csv", "marginal_y.csv"])
     def test_validate_refuses_policy_with_wrong_row_count(self, tmp_path, capsys, name):
+        # a dense table has one row per grid point; policy.csv has only the
+        # rows of positive probability, so its last cell is left a row short
         cfg = write_config(tmp_path, SMALL_CIRCLE)
         out = tmp_path / "o"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
@@ -542,7 +558,37 @@ class TestMain:
         (out / name).write_text("".join(lines[:-1]))  # truncated by one row
         assert main(["validate", "--config", str(cfg), "--report", str(out),
                      "--paths", "200"]) == EXIT_CONFIG
-        assert f"{name} has {len(lines) - 2} rows" in capsys.readouterr().err
+        want = (f"{name} is not a policy: conditional action mass off by" if name == "policy.csv"
+                else f"{name} has {len(lines) - 2} rows, not {len(lines) - 1}")
+        assert want in capsys.readouterr().err
+        assert not (out / "mc_summary.json").exists()
+
+    @pytest.mark.parametrize("name", ["policy_mask.csv", "marginal_y.csv"])
+    def test_validate_refuses_a_padded_dense_table(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, SMALL_CIRCLE)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        lines = (out / name).read_text().splitlines(keepends=True)
+        (out / name).write_text("".join(lines + lines[-1:]))  # the last row twice
+        assert main(["validate", "--config", str(cfg), "--report", str(out),
+                     "--paths", "200"]) == EXIT_CONFIG
+        assert f"{name} has {len(lines)} rows, not {len(lines) - 1}" in capsys.readouterr().err
+        assert not (out / "mc_summary.json").exists()
+
+    def test_validate_refuses_a_cell_with_no_row(self, tmp_path, capsys):
+        # every row of one (t, x, y) cell of slice 1 deleted: an absent row is
+        # probability 0, so the cell holds no mass
+        cfg = write_config(tmp_path, SMALL_CIRCLE)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        head, *rows = (out / "policy.csv").read_text().splitlines(keepends=True)
+        cell = next(r.split(",")[:3] for r in rows if r.split(",")[0] != "0")
+        kept = [r for r in rows if r.split(",")[:3] != cell]
+        (out / "policy.csv").write_text(head + "".join(kept), newline="")
+        assert main(["validate", "--config", str(cfg), "--report", str(out),
+                     "--paths", "200"]) == EXIT_CONFIG
+        assert "policy.csv is not a policy: conditional action mass off by 1" \
+            in capsys.readouterr().err
         assert not (out / "mc_summary.json").exists()
 
     @pytest.mark.parametrize("edit", ["extra_row", "not_numeric"])
@@ -551,8 +597,8 @@ class TestMain:
         out = tmp_path / "o"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         lines = (out / "policy.csv").read_text().splitlines(keepends=True)
-        if edit == "extra_row":
-            want = f"policy.csv has {len(lines)} rows, not {len(lines) - 1}"
+        if edit == "extra_row":  # the last row twice
+            want = "policy.csv: coordinate columns do not follow the config's grids in order"
             lines.append(lines[-1])
         else:
             want = "policy.csv is not a numeric table"
@@ -578,7 +624,8 @@ class TestMain:
             assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["four_columns", "header", "swapped_rows",
-                                      "marginal_header_only", "marginal_y_times_10"])
+                                      "marginal_header_only", "marginal_y_times_10",
+                                      "duplicated_row"])
     def test_validate_refuses_policy_off_the_grid(self, tmp_path, capsys, edit):
         # each policy edit leaves every row a distribution over the actions
         cfg = write_config(tmp_path, SMALL_CIRCLE)
@@ -590,8 +637,12 @@ class TestMain:
             rows = [",".join(r.split(",")[:4]) + "\n" for r in rows]
         elif edit == "header":
             head = "t,x,y,action,prob\n"
-        elif edit == "swapped_rows":  # two actions of the first cell trade places
-            rows[0], rows[1] = rows[1], rows[0]
+        elif edit == "swapped_rows":  # the first rows of the first two cells trade places
+            cell = rows[0].split(",")[:3]
+            second = next(i for i, r in enumerate(rows) if r.split(",")[:3] != cell)
+            rows[0], rows[second] = rows[second], rows[0]
+        elif edit == "duplicated_row":
+            rows.insert(5, rows[5])
         elif edit == "marginal_header_only":
             rows = []
         else:  # the marginal of a cost grid ten times as wide
@@ -604,6 +655,8 @@ class TestMain:
         assert name in err
         if edit == "marginal_header_only":
             assert "has no data rows" in err
+        if edit in ("swapped_rows", "duplicated_row"):
+            assert "a point is repeated or out of order" in err
         assert not (out / "mc_summary.json").exists()
 
     @pytest.mark.parametrize("column", ["t", "x", "y", "a"])
@@ -614,13 +667,14 @@ class TestMain:
         head, *rows = (out / "policy.csv").read_text().splitlines(keepends=True)
         cells = rows[100].split(",")
         at = "txya".index(column)
-        cells[at] = f"{float(cells[at]) + 0.5:.17g}"
+        # a quarter of the finest step (the actions' 0.5): between two grid points
+        cells[at] = f"{float(cells[at]) + 0.25:.17g}"
         rows[100] = ",".join(cells)
         (out / "policy.csv").write_text(head + "".join(rows), newline="")
         assert main(["validate", "--config", str(cfg), "--report", str(out),
                      "--paths", "200"]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "policy.csv: coordinate columns do not follow" in err
+        assert "policy.csv: coordinate columns do not follow the config's grids\n" in err
         assert not (out / "mc_summary.json").exists()
 
     @pytest.mark.parametrize("column", ["t", "x", "y", "a"])
@@ -658,23 +712,65 @@ class TestMain:
         got = cli_module._read_policy(tmp_path / "o", pieces).probs
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("block", [1, 97, 4096])
-    def test_read_in_blocks_that_cut_lines_anywhere(self, tmp_path, monkeypatch, block):
-        # marginal_y.csv ends its lines with \r\n, which a block may cut in two;
-        # empty lines anywhere are skipped
+    @pytest.mark.parametrize("fmt", ["%.17g", "%.18e"])
+    def test_read_policy_accepts_a_dense_table(self, tmp_path, fmt):
+        # the table of every (t, x, y, a) row, explicit zeros included, that
+        # solve wrote before policy.csv kept only the rows of positive probability
         spec = _build_spec(SMALL_CIRCLE)
         report = run(spec, tmp_path / "o")
         pieces = build_problem(spec)
-        path = tmp_path / "o" / "policy.csv"
-        head, *rows = path.read_text().splitlines(keepends=True)
-        rows[7:7] = ["\n", "\n"]
-        path.write_text("".join([head] + rows + ["\n"]), newline="")
-        monkeypatch.setattr(cli_module, "READ_BLOCK_BYTES", block)
+        coords = cli_module._policy_tables(pieces)[0][2]
+        grids = np.meshgrid(*coords, indexing="ij")
+        table = np.column_stack([g.ravel() for g in grids] + [report.policy.probs.ravel()])
+        assert (table[:, 4] == 0).any()
+        np.savetxt(tmp_path / "o" / "policy.csv", table, fmt=fmt, delimiter=",",
+                   header="t,x,y,a,prob", comments="")
+        probs = cli_module._read_policy(tmp_path / "o", pieces).probs
+        assert probs.tobytes() == report.policy.probs.tobytes()
+
+    def test_read_crlf_line_ends_and_empty_lines(self, tmp_path):
+        # \r\n line ends, as marginal_y.csv has, and empty lines anywhere are read
+        spec = _build_spec(SMALL_CIRCLE)
+        report = run(spec, tmp_path / "o")
+        pieces = build_problem(spec)
+        for name in ("policy.csv", "marginal_y.csv"):
+            path = tmp_path / "o" / name
+            head, *rows = path.read_text().splitlines()
+            rows[7:7] = ["", ""]
+            path.write_text("\r\n".join([head, ""] + rows + ["", ""]), newline="")
         probs = cli_module._read_policy(tmp_path / "o", pieces).probs
         assert probs.tobytes() == report.policy.probs.tobytes()
         marg = cli_module._read_grid_csv(tmp_path / "o" / "marginal_y.csv", ("t", "y", "mass"),
-                                         (pieces.t_grid.points, pieces.y_grid.points))
+                                         (pieces.t_grid.points, pieces.y_grid.points), dense=True)
         assert marg.tobytes() == report.trajectory.marginal("y").tobytes()
+
+    @pytest.mark.parametrize("actions", [[1.0, 0.0], [0.0]], ids=["unsorted", "single"])
+    def test_custom_action_lists_round_trip(self, tmp_path, actions):
+        # policy.csv names each action by its value, on a grid in the config's order
+        two = len(actions) == 2
+        gen_file = tmp_path / "gen.csv"
+        gen_file.write_text("0,0,1,1.0\n0,1,0,2.0\n" + ("1,0,1,0.25\n1,1,0,3.0\n" if two else ""))
+        cost = {"table": [[1.0, 0.2], [0.1, 1.5]]} if two else {"constant": 1.0}
+        cfg = write_config(tmp_path, {"family": "custom", "generator_file": str(gen_file),
+                                      "actions": actions, "cost": cost, "n_y": 3, "n_t": 4,
+                                      "horizon": 1.0, "y_max": 2.0})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert main(["validate", "--config", str(cfg), "--report", str(out),
+                     "--paths", "200"]) == EXIT_OK
+        spec = load_config(cfg)
+        pieces = build_problem(spec)
+        solved = cli_module._optimize(spec, pieces, cli_module._forward_program(spec, pieces))
+        probs = cli_module._read_policy(out, pieces).probs
+        assert probs.tobytes() == solved.policy.probs.tobytes()
+        if two:  # each action is the only one taken in some cell
+            assert (probs[1:] == 1).any(axis=(0, 1, 2)).all()
+
+    def test_nearest_grid_point_in_any_order(self):
+        assert cli_module._nearest(np.array([0.0]), np.array([-1.0, 0.0, 2.0])).tolist() \
+            == [0, 0, 0]
+        assert cli_module._nearest(np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.4, 0.6, 7.0])
+                                   ).tolist() == [1, 0, 1, 0, 0]
 
     def test_read_policy_owns_its_cells(self, tmp_path):
         # the parsed five-column table is not kept alive by a view

@@ -15,7 +15,7 @@ from riskflow import (ControlledGenerator, InvalidParameterError, MarkovPolicy,
                       assemble_forward_program, augment_generator,
                       build_circle_grid, build_uniform_grid, discount_factor,
                       discretize_circle_diffusion, propagate_forward,
-                      simulate_paths, write_trajectory_csv)
+                      run, simulate_paths, write_trajectory_csv)
 from riskflow.cli import _build_spec, _forward_program, build_problem, write_grid_csv
 from riskflow.forward import implicit_step, step_plan
 from test_generator import stack_actions
@@ -47,6 +47,40 @@ class TestGridCsv:
         got = (tmp_path / "fast.csv").read_bytes()
         assert got == (tmp_path / "ref.csv").read_bytes()
         assert b"-0," in got and b",-0" + newline.encode() in got
+
+    @pytest.mark.parametrize("shape", [(8,), (3, 5), (2, 3, 2, 4)])
+    def test_subset_bytes_match_the_savetxt_rows_above_zero(self, tmp_path, shape):
+        # policy.csv's rows: those of the full table whose value is > 0, in order
+        rng = np.random.default_rng(len(shape))
+        coords = [rng.permutation(n) - 0.5 * n for n in shape]  # unsorted, as actions may be
+        values = rng.choice(self.SPECIAL, size=shape)
+        header = [f"c{i}" for i in range(len(shape))] + ["v"]
+        write_grid_csv(tmp_path / "fast.csv", header, coords, values, newline="\n",
+                       rows=np.flatnonzero(values > 0))
+        grids = np.meshgrid(*coords, indexing="ij")
+        table = np.column_stack([g.ravel() for g in grids] + [values.ravel()])
+        np.savetxt(tmp_path / "ref.csv", table[table[:, -1] > 0], fmt="%.17g", delimiter=",",
+                   header=",".join(header), comments="")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_dense_artifacts_are_the_savetxt_tables(self, tmp_path):
+        # marginal_x.csv, marginal_y.csv and policy_mask.csv keep every grid point
+        spec = _build_spec({"n_x": 5, "n_y": 4, "n_a": 3, "n_t": 4, "horizon": 4.0})
+        report = run(spec, tmp_path)
+        pieces = build_problem(spec)
+        traj = report.trajectory
+        txy = (pieces.t_grid.points, pieces.base.state_points, pieces.y_grid.points)
+        for name, coords, values, newline in (
+                ("marginal_x.csv", (traj.times, traj.x_values), traj.marginal("x"), "\r\n"),
+                ("marginal_y.csv", (traj.times, traj.y_values), traj.marginal("y"), "\r\n"),
+                ("policy_mask.csv", txy, report.policy.mask, "\n")):
+            grids = np.meshgrid(*coords, indexing="ij")
+            table = np.column_stack([g.ravel() for g in grids] + [np.ravel(values)])
+            head = (tmp_path / name).read_text().splitlines()[0]
+            with open(tmp_path / "ref.csv", "w", newline="") as fh:
+                np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline=newline,
+                           header=head, comments="")
+            assert (tmp_path / name).read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
 
 
 class TestPropagation:
