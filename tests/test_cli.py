@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -728,8 +729,11 @@ class TestMain:
         probs = cli_module._read_policy(tmp_path / "o", pieces).probs
         assert probs.tobytes() == report.policy.probs.tobytes()
 
-    def test_read_crlf_line_ends_and_empty_lines(self, tmp_path):
-        # \r\n line ends, as marginal_y.csv has, and empty lines anywhere are read
+    @pytest.mark.parametrize("block", [1, 97, 4096])
+    def test_read_in_blocks_that_cut_lines_anywhere(self, tmp_path, monkeypatch, block):
+        # \r\n line ends, as marginal_y.csv has, and empty lines anywhere are
+        # read from a file that hands out at most `block` bytes per read, so a
+        # read may end inside a line or between \r and \n
         spec = _build_spec(SMALL_CIRCLE)
         report = run(spec, tmp_path / "o")
         pieces = build_problem(spec)
@@ -738,6 +742,16 @@ class TestMain:
             head, *rows = path.read_text().splitlines()
             rows[7:7] = ["", ""]
             path.write_text("\r\n".join([head, ""] + rows + ["", ""]), newline="")
+
+        class Trickle(io.FileIO):
+            def readinto(self, buffer):
+                return super().readinto(memoryview(buffer)[:block])
+
+        def trickle_open(path, mode="r", **kwargs):
+            assert mode == "r"
+            return io.TextIOWrapper(io.BufferedReader(Trickle(path), buffer_size=block), **kwargs)
+
+        monkeypatch.setattr(cli_module, "open", trickle_open, raising=False)
         probs = cli_module._read_policy(tmp_path / "o", pieces).probs
         assert probs.tobytes() == report.policy.probs.tobytes()
         marg = cli_module._read_grid_csv(tmp_path / "o" / "marginal_y.csv", ("t", "y", "mass"),
