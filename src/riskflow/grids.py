@@ -62,5 +62,12 @@ def build_uniform_grid(lo: float, hi: float, n: int) -> UniformGrid:
 
 
 def grid_points(grid) -> np.ndarray:
-    """The points of a ``UniformGrid``, or an explicit array of points."""
-    return grid.points if isinstance(grid, UniformGrid) else np.asarray(grid, float)
+    """The points of a ``UniformGrid``, or of an explicit grid: a nonempty
+    1-d array of finite, strictly increasing points (``InvalidGridError``)."""
+    if isinstance(grid, UniformGrid):
+        return grid.points
+    points = np.asarray(grid, float)
+    if not (points.ndim == 1 and points.size and np.isfinite(points).all()
+            and (np.diff(points) > 0).all()):
+        raise InvalidGridError(f"explicit grid not 1-d, finite and increasing: {points!r}")
+    return points

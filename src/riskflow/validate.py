@@ -61,9 +61,9 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise InvalidParameterError(f"need at least one path, got {self.n_paths}")
-        seed = self.seed
+        n, seed = self.n_paths, self.seed
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise InvalidParameterError(f"n_paths must be a positive integer, got {n!r}")
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed!r}")
 
@@ -136,9 +136,9 @@ def _jump(tab: SimpleNamespace, row: np.ndarray, u: np.ndarray, ws: SimpleNamesp
 def _pick_rows(tab: SimpleNamespace, x: np.ndarray, y: np.ndarray, sl: np.ndarray,
                row: np.ndarray, ws: SimpleNamespace):
     """Jump-table rows, into ``row``, of paths in states x with running
-    costs y in slices ``sl``; returns how many of their cost cells are
-    masked.  The snapped cells are clipped into the grid, so their gathers
-    take ``mode="clip"``."""
+    costs y in slices ``sl``: each path's cost cell, which is its row;
+    returns how many of these cells are masked.  The snapped cells are
+    clipped into the grid, so the mask's gather takes ``mode="clip"``."""
     n, y_grid = x.size, tab.y_grid
     snap, cells, flag = ws.g[:n], ws.cells[:n], ws.flag[:n]
     np.subtract(y, y_grid.lo, out=snap)
@@ -146,14 +146,12 @@ def _pick_rows(tab: SimpleNamespace, x: np.ndarray, y: np.ndarray, sl: np.ndarra
     np.rint(snap, out=snap)
     np.clip(snap, 0, y_grid.n - 1, out=snap)
     np.copyto(cells, snap, casting="unsafe")
-    np.multiply(sl, tab.n_x, out=row)  # row is free until the lookup
+    np.multiply(sl, tab.n_x, out=row)  # the jump has read row
     row += x
     row *= y_grid.n
-    cells += row
-    fallback = 0 if tab.mask is None else n - int(np.count_nonzero(
-        tab.mask.take(cells, out=flag, mode="clip")))
-    tab.cell_row.take(cells, out=row, mode="clip")
-    return fallback
+    row += cells
+    return 0 if tab.mask is None else n - int(np.count_nonzero(
+        tab.mask.take(row, out=flag, mode="clip")))
 
 
 def _draw(fills, bounds, out: np.ndarray):
@@ -267,13 +265,12 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     of a cell are the steps of its cumulative action law, capped at 1 with
     the last entry set to 1: a row summing to 1 - eps gives the rest to its
     last action, one summing above 1 drops the excess from its last
-    actions, and nothing is renormalized.  The jump tables hold row ``x n_a
-    + a`` for a cell that puts all its weight on action a, then one row per
-    cell of slices 1.. that mixes actions (``n_x n_a + j`` for the j-th),
-    then the stay row of each state x, ``n_x n_a + n_mixed + x``, whose only
-    target is x; one gather maps every cell to its row.  The mixed rows are
-    the sparse products ``W @ gen.stacked`` and ``W @ cost`` of the
-    mixed cells' weights W, O(nnz) to build.
+    actions, and nothing is renormalized.  The jump tables hold one row per
+    cell of slices 1.., row j for cell j, then the stay row of each state
+    x, ``n_cells + x``, whose only target is x.  The cell rows are the
+    sparse products ``W @ gen.stacked`` and ``W @ cost`` of the cells'
+    weights W, O(nnz) to build; a cell with all its weight on action a
+    gets the bits of row ``x n_a + a`` of ``gen.stacked``.
 
     The blocks are cut into contiguous runs balanced by path count, one per
     CPU the process may use: the first runs in the calling thread, the
@@ -288,7 +285,7 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     ``check_cost_table`` and ``check_initial_law``; all before anything is
     drawn.
     """
-    # per (state, action) row x * n_a + a, like the jump tables
+    # per (state, action) row x * n_a + a, like gen.stacked
     cost = check_cost_table(cost_rate, gen, alpha).ravel()
     times = grid_points(t_grid)
     n_x, n_a, n_y = gen.dim, gen.n_actions, y_grid.n
@@ -296,29 +293,24 @@ def simulate_paths(gen: ControlledGenerator, policy: MarkovPolicy, cost_rate,
     nu = check_initial_law(initial_x, gen.dim)
     mask = policy.mask[1:].ravel()
     # the weights of each cell, slice k + 1 driving step k
-    cum = np.minimum(np.cumsum(policy.probs[1:], axis=-1), 1.0).reshape(-1, n_a)
+    cum = np.cumsum(policy.probs[1:], axis=-1).reshape(-1, n_a)
+    np.minimum(cum, 1.0, out=cum)
     cum[:, -1] = 1.0
     w = np.diff(cum, axis=1, prepend=0.0)
-    on = w > 0
-    mixed = np.flatnonzero(on.sum(axis=1) > 1)
-    cell_x = np.tile(np.repeat(np.arange(n_x), n_y), len(times) - 1)
-    cell_row = cell_x * n_a + on.argmax(axis=1)
-    cell_row[mixed] = n_x * n_a + np.arange(mixed.size)
-    # row j of weights puts mixed cell j's weights on its (state, action) rows
-    mixed_x, (cell, act) = cell_x[mixed], on[mixed].nonzero()
-    weights = sp.csr_matrix((w[mixed][cell, act], (cell, mixed_x[cell] * n_a + act)),
-                            shape=(mixed.size, n_x * n_a))
-    rows = sp.vstack([gen.stacked, (weights @ gen.stacked).sorted_indices(),
-                      sp.csr_matrix((n_x, n_x))], format="csr")
-    exit_rate, targets, width, jump_cum = _jump_tables(rows, np.concatenate(
-        [np.repeat(np.arange(n_x), n_a), mixed_x, np.arange(n_x)]))
-    stay = n_x * n_a + mixed.size
+    stay = len(w)
+    # row j of weights puts cell j's weights on its (state, action) rows; the
+    # n_x stay rows after the cells are empty.  row_x is the state of each row.
+    row_x = np.concatenate([np.arange(stay) // n_y % n_x, np.arange(n_x)])
+    cell, act = w.nonzero()
+    weights = sp.csr_matrix((w[cell, act], (cell, row_x[cell] * n_a + act)),
+                            shape=(row_x.size, n_x * n_a))
+    exit_rate, targets, width, jump_cum = _jump_tables(
+        (weights @ gen.stacked).sorted_indices(), row_x)
     dead = ~(exit_rate[:stay] > 0)
     tab = SimpleNamespace(
-        targets=targets, width=width, jump_cum=jump_cum, stay=stay,
+        targets=targets, width=width, jump_cum=jump_cum, stay=stay, cost=weights @ cost,
         clock=np.maximum(exit_rate, 1e-300), dead=dead if dead.any() else None,
-        cost=np.concatenate([cost, weights @ cost]), alpha=alpha, y_grid=y_grid, n_x=n_x,
-        cell_row=cell_row, mask=None if mask.all() else mask, ends=times[1:])
+        alpha=alpha, y_grid=y_grid, n_x=n_x, mask=None if mask.all() else mask, ends=times[1:])
     n = cfg.n_paths
     x0 = np.random.default_rng(cfg.seed).choice(n_x, size=n, p=nu / nu.sum())
     ws = _workspace(x0 + tab.stay, times[0], alpha)

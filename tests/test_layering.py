@@ -1,6 +1,7 @@
 """riskflow's modules form one order of layers, and every import points down it:
 a module imports only from modules before it, at module level, and no
-private name crosses a module boundary."""
+private name crosses a module boundary.  No module imports a name it never
+uses."""
 
 import ast
 from pathlib import Path
@@ -49,6 +50,29 @@ def violations(src: Path = SRC) -> list:
     return found
 
 
+# names a module imports and never uses, kept because bench/tracing.py
+# patches them there by name
+PATCHED = {"validate": {"propagate_forward", "augment_generator", "evaluate", "wasserstein1"}}
+
+
+def unused_imports(src: Path = SRC) -> list:
+    """Every name a module imports and never reads, but the package's
+    ``__init__``, whose imports are its public names, and ``PATCHED``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                found += [f"{path.stem}:{node.lineno} imports {name}, never used"
+                          for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+                          if name not in read | PATCHED.get(path.stem, set())]
+    return found
+
+
 def test_every_module_is_placed_in_the_order():
     assert sorted(p.stem for p in SRC.glob("*.py")) == sorted(ORDER + ENTRY)
 
@@ -68,4 +92,22 @@ def test_each_kind_of_crossing_is_found(tmp_path):
         "solve:1 imports the private forward._helper",
         "solve:4 imports validate inside a function",
         "solve:4 imports validate, which is not below it",
+    ]
+
+
+def test_every_imported_name_is_used():
+    assert unused_imports() == []
+
+
+def test_an_unused_import_is_found(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .grids import UniformGrid\n")
+    (tmp_path / "grids.py").write_text(
+        "from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+        "from .errors import InvalidGridError as Bad, RiskflowError\n\n"
+        "def f():\n    import math\n    return np.ones(1), RiskflowError\n")
+    (tmp_path / "validate.py").write_text("from .risk import evaluate, wasserstein1\n")
+    assert unused_imports(tmp_path) == [
+        "grids:2 imports os, never used",
+        "grids:4 imports Bad, never used",
+        "grids:7 imports math, never used",
     ]

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 import riskflow.solve as solve_module
 import riskflow.validate as validate_module
-from riskflow import (ControlledGenerator, InvalidCostError,
+from riskflow import (ControlledGenerator, InvalidCostError, InvalidGridError,
                       InvalidParameterError, MarkovPolicy, McConfig,
                       PolicyEnumerationError, PropagationError, RiskflowError,
                       RiskSpec, build_uniform_grid, enumerate_policies, optimize_linear_risk,
@@ -146,6 +146,11 @@ class TestSimulation:
     def test_bad_seed_refused(self, seed):
         with pytest.raises(InvalidParameterError, match="seed"):
             McConfig(n_paths=10, seed=seed)
+
+    @pytest.mark.parametrize("n_paths", [0, 1000.0, 2.5, True])
+    def test_bad_path_count_refused(self, n_paths):
+        with pytest.raises(InvalidParameterError, match="n_paths"):
+            McConfig(n_paths=n_paths)
 
     def test_small_discount_rates_accrue_as_none(self, circle_case):
         # the draws do not depend on alpha, so each sample is the undiscounted
@@ -609,9 +614,7 @@ class TestRelaxedGenerator:
         gen = two_state_gen([(1.0, 0.5), (0.0 if absorbing else 3.0, 2.0)])
         cost = np.array([[1.0, 0.2], [0.4, 1.5]])
         nu, horizon = np.array([1.0, 0.0]), 2.0
-        tabs, run_blocks = [], validate_module._run_blocks
-        monkeypatch.setattr(validate_module, "_run_blocks",
-                            lambda tab, *rest: tabs.append(tab) or run_blocks(tab, *rest))
+        tabs = record_tables(monkeypatch)
         res = simulate_paths(gen, MarkovPolicy.uniform(5, 2, 6, 2), cost, alpha,
                              build_uniform_grid(0.0, 5.0, 6), nu,
                              np.linspace(0.0, horizon, 5), McConfig(n_paths=20_000, seed=11))
@@ -622,10 +625,49 @@ class TestRelaxedGenerator:
         want = nu @ expm(horizon * aug)[:2, 2]
         assert abs(res.mean - want) <= 4 * res.stderr, (res.mean, want, res.stderr)
         tab = tabs[0]
-        row = tab.cell_row[0]  # slice 1, state 0, cost cell 0: the first mixed row
-        assert row == 4 and tab.clock[row] == 0.5 * (1.0 if absorbing else 4.0)
-        assert tab.dead is None or not tab.dead[row]
-        assert (tab.dead is not None) == absorbing
+        # row 0 is cell 0 (slice 1, state 0, cost cell 0): it leaves state 0
+        # for state 1 at the mixed rate, at state 0's mixed cost rate
+        assert tab.targets[0] == 1 and tab.cost[0] == 0.5 * (1.0 + 0.2)
+        assert tab.clock[0] == 0.5 * (1.0 if absorbing else 4.0)
+        assert tab.dead is None  # no cell row of the uniform policy is dead
+
+    @pytest.mark.parametrize("case", ["relaxed", "circle"])
+    def test_one_row_per_cell_and_one_hot_cells_read_their_action_row(
+            self, case, circle_case, monkeypatch):
+        # a cell with all its weight on action a gets the jump table row, bit
+        # for bit, that _jump_tables gives row x n_a + a of gen.stacked; the
+        # case's stacked table may be narrower, and past its width a one-hot
+        # row keeps its own state at cumulative law 1
+        args = relaxed_case(0.35, absorbing=True) if case == "relaxed" else circle_case
+        gen, policy, cost = args[:3]
+        tabs = record_tables(monkeypatch)
+        simulate_paths(*args, McConfig(n_paths=10, seed=0))
+        tab, (n_t, n_x, n_y, n_a) = tabs[0], policy.probs.shape
+        assert tab.stay == (n_t - 1) * n_x * n_y
+        assert len(tab.clock) == len(tab.targets) // tab.width == tab.stay + n_x
+        exit_rate, targets, width, jump_cum = validate_module._jump_tables(
+            gen.stacked, np.repeat(np.arange(n_x), n_a))
+        targets, wide = targets.reshape(-1, width), tab.targets.reshape(-1, tab.width)
+        weights = mass_rule_weights(policy.probs[1:]).reshape(-1, n_a)
+        one_hot = np.flatnonzero((weights > 0).sum(axis=1) == 1)
+        assert 0 < one_hot.size < tab.stay
+        for cell in one_hot:
+            x, row = cell // n_y % n_x, cell // n_y % n_x * n_a + weights[cell].argmax()
+            assert weights[cell].max() == 1.0
+            assert wide[cell, :width].tobytes() == targets[row].tobytes()
+            assert (wide[cell, width:] == x).all()
+            assert tab.jump_cum[:width - 1, cell].tobytes() == jump_cum[:, row].tobytes()
+            assert (tab.jump_cum[width - 1:, cell] == 1.0).all()
+            assert tab.clock[cell] == max(exit_rate[row], 1e-300)
+            assert tab.cost[cell].tobytes() == np.asarray(cost, float)[x, row % n_a].tobytes()
+
+
+def record_tables(monkeypatch):
+    """Patch ``_run_blocks`` to record the jump tables of every run."""
+    tabs, run_blocks = [], validate_module._run_blocks
+    monkeypatch.setattr(validate_module, "_run_blocks",
+                        lambda tab, *rest: tabs.append(tab) or run_blocks(tab, *rest))
+    return tabs
 
 
 def run_bounded(call, timeout=60.0):
@@ -995,6 +1037,48 @@ class TestInitialLawRefusal:
             self.ENGINES[engine](np.array(nu))
         assert type(caught.value) is InvalidParameterError
         assert ran == []
+
+
+class TestTimeGridRefusal:
+    """Every engine reads its times through ``grids.grid_points``, which
+    refuses an explicit grid that is not 1-d, finite and strictly
+    increasing.  Unchecked, the Monte Carlo never passed a NaN or infinite
+    grid time, so it runs in a thread with a timeout; a decreasing grid
+    gave a mean, a DP value and a forward law with negative mass."""
+
+    GEN = two_state_gen(DESIGNATED_RATES)
+    YG = build_uniform_grid(0.0, 1.0, 2)
+    ENGINES = {
+        "monte-carlo": lambda times: run_bounded(lambda: simulate_paths(
+            TestTimeGridRefusal.GEN, MarkovPolicy.uniform(3, 2, 2, 2), DESIGNATED_COST,
+            0.25, TestTimeGridRefusal.YG, DESIGNATED_NU, times, McConfig(n_paths=10)),
+            timeout=10.0),
+        "dp": lambda times: (None, risk_neutral_dp(TestTimeGridRefusal.GEN, DESIGNATED_COST,
+                                                   0.25, times, DESIGNATED_NU)),
+        "forward": lambda times: (None, propagate_forward(
+            program(TestTimeGridRefusal.GEN, DESIGNATED_COST, TestTimeGridRefusal.YG, times,
+                    DESIGNATED_NU), MarkovPolicy.uniform(3, 2, 2, 2))),
+    }
+
+    @pytest.mark.parametrize("times", [
+        pytest.param([0.0, np.nan, 1.0], id="nan"),
+        pytest.param([0.0, 1.0, np.inf], id="inf"),
+        pytest.param([0.0, 2.0, 1.0], id="decreasing"),
+        pytest.param([0.0, 1.0, 1.0], id="repeated"),
+        pytest.param([[0.0, 0.5, 1.0]], id="2-d"),
+    ])
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_refused(self, engine, times):
+        try:
+            _, error = self.ENGINES[engine](np.array(times))
+        except RiskflowError as exc:
+            error = exc
+        assert isinstance(error, InvalidGridError), error
+
+    def test_one_point_grid_gives_zero_costs(self):
+        res = simulate_paths(self.GEN, MarkovPolicy.uniform(1, 2, 2, 2), DESIGNATED_COST,
+                             0.25, self.YG, DESIGNATED_NU, [0.5], McConfig(n_paths=10))
+        assert (res.samples == 0.0).all()
 
 
 class TestEnumeration:
